@@ -5,10 +5,12 @@ from .monomials import (
     MonomialBasis,
     MultiIndex,
     Polynomial,
+    PolySystem,
     enumerate_alpha_set,
     enumerate_basis,
     eval_monomial,
     eval_polynomial,
+    exponent_table,
     polynomial_from_json,
     polynomial_to_json,
     random_polynomial,
@@ -26,6 +28,7 @@ from .lifting import (
     lifted_problem_from_json,
     lifted_problem_to_json,
     polynomial_to_quadratic_form,
+    quadratic_forms,
 )
 from .sdp_admm import (
     AffineCache,

@@ -27,7 +27,9 @@ from enum import Enum
 import numpy as np
 
 from .lifting import build_lifted_problem
-from .monomials import MultiIndex, Polynomial, eval_polynomial, truncate_polynomial
+# eval_polynomial is no longer called here but stays bound: perfbench's
+# tracer wraps the layer functions at the module names their callers used.
+from .monomials import PolySystem, eval_polynomial  # noqa: F401
 from .recovery import DegenerateTopEigenvalueError, extract_rank1
 from .sdp_admm import SolverConfig, solve_nlbp
 
@@ -68,95 +70,39 @@ class LiftedRunArtifacts:
     recovered: object | None
 
 
-class _PolySystem:
-    """Stacked evaluator for residuals and Jacobians of a polynomial system.
-
-    Exponents and coefficients of all equations are flattened into arrays
-    once (and per-variable derivative structures precomputed), so repeated
-    evaluations inside Newton loops stay vectorized.
-    """
-
-    def __init__(self, polys: list[Polynomial], values):
-        self.num_vars = polys[0].num_vars
-        self.values = np.asarray(values, dtype=float)
-        self.num_eqs = len(polys)
-        exps, coeffs, rows = [], [], []
-        for i, p in enumerate(polys):
-            for alpha, c in p.terms.items():
-                exps.append(alpha.exponents)
-                coeffs.append(c)
-                rows.append(i)
-        if exps:
-            self.exps = np.array(exps, dtype=float)
-            self.coeffs = np.array(coeffs)
-            self.rows = np.array(rows)
-        else:
-            self.exps = np.zeros((0, self.num_vars))
-            self.coeffs = np.zeros(0)
-            self.rows = np.zeros(0, dtype=int)
-        # term-wise derivative data per variable: lowered exponents and
-        # coefficient * exponent weights
-        self._deriv = []
-        for j in range(self.num_vars):
-            mask = self.exps[:, j] > 0
-            low = self.exps[mask].copy()
-            weight = self.coeffs[mask] * low[:, j]
-            low[:, j] -= 1.0
-            self._deriv.append((mask, low, weight, self.rows[mask]))
-
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        if len(self.coeffs) == 0:
-            return -self.values
-        terms = self.coeffs * np.prod(x ** self.exps, axis=1)
-        return np.bincount(self.rows, weights=terms, minlength=self.num_eqs) - self.values
-
-    def residual_sq(self, x: np.ndarray) -> float:
-        r = self.residual(x)
-        return float(r @ r)
-
-    def jacobian(self, x: np.ndarray, cols=None) -> np.ndarray:
-        wanted = range(self.num_vars) if cols is None else cols
-        out = np.zeros((self.num_eqs, len(wanted)))
-        if len(self.coeffs) == 0:
-            return out
-        for pos, j in enumerate(wanted):
-            mask, low, weight, rows = self._deriv[j]
-            if len(weight) == 0:
-                continue
-            terms = weight * np.prod(x ** low, axis=1)
-            out[:, pos] = np.bincount(rows, weights=terms, minlength=self.num_eqs)
-        return out
-
-
-def system_residual_sq(polys: list[Polynomial], values, x) -> float:
+def system_residual_sq(polys, values, x) -> float:
     """Sum of squared equation residuals at x."""
-    x = np.asarray(x, dtype=float)
-    return float(sum((eval_polynomial(p, x) - v) ** 2 for p, v in zip(polys, values)))
+    fx = PolySystem.from_polys(polys).evaluate(x)
+    return float(sum((f - v) ** 2 for f, v in zip(fx.tolist(), values)))
 
 
-def _gauss_newton(system: _PolySystem, x0: np.ndarray, support=None,
+def _residual_sq(system: PolySystem, values: np.ndarray, x: np.ndarray) -> float:
+    r = system.residual(x, values)
+    return float(r @ r)
+
+
+def _gauss_newton(system: PolySystem, values: np.ndarray, x0: np.ndarray,
                   max_iters: int = 60, tol_sq: float = 0.0) -> np.ndarray:
-    """Damped Gauss-Newton descent on the squared residual, optionally
-    restricted to a support (all other coordinates pinned at zero)."""
+    """Damped Gauss-Newton descent on the squared residual."""
     x = np.array(x0, dtype=float)
-    cols = list(range(system.num_vars)) if support is None else list(support)
-    best = system.residual_sq(x)
+    n = system.num_vars
+    best = _residual_sq(system, values, x)
     for _ in range(max_iters):
         if best <= tol_sq:
             break
-        r = system.residual(x)
-        J = system.jacobian(x, cols)
-        damping = 1e-12 * max(1.0, float(np.trace(J.T @ J)) / max(len(cols), 1))
+        r = system.residual(x, values)
+        J = system.jacobian(x)
+        JtJ = J.T @ J
+        damping = 1e-12 * max(1.0, float(np.trace(JtJ)) / n)
         try:
-            step = np.linalg.solve(J.T @ J + damping * np.eye(len(cols)), -J.T @ r)
+            step = np.linalg.solve(JtJ + damping * np.eye(n), -J.T @ r)
         except np.linalg.LinAlgError:
             break
         improved = False
         t = 1.0
         for _ in range(12):
-            trial = x.copy()
-            trial[cols] += t * step
-            val = system.residual_sq(trial)
+            trial = x + t * step
+            val = _residual_sq(system, values, trial)
             if val < best:
                 # give up on true stalls, and early on plateaus far above the
                 # target (roots attract quadratically, so slow grinding at a
@@ -173,17 +119,16 @@ def _gauss_newton(system: _PolySystem, x0: np.ndarray, support=None,
     return x
 
 
-def refine_solution(polys: list[Polynomial], values, x0,
-                    max_iters: int = 60) -> np.ndarray:
+def refine_solution(polys, values, x0, max_iters: int = 60) -> np.ndarray:
     """Polish an approximate root of the system by damped Gauss-Newton."""
-    system = _PolySystem(polys, values)
     vals = np.asarray(values, dtype=float)
     tol_sq = 1e-28 * (1.0 + float(vals @ vals))
-    return _gauss_newton(system, np.asarray(x0, dtype=float),
+    return _gauss_newton(PolySystem.from_polys(polys), vals,
+                         np.asarray(x0, dtype=float),
                          max_iters=max_iters, tol_sq=tol_sq)
 
 
-def success_criterion(x_hat, x_true, polys: list[Polynomial], values) -> bool:
+def success_criterion(x_hat, x_true, polys, values) -> bool:
     """Frozen success rule used for every reported rate: the estimate matches
     the planted vector in sup norm (relative 1e-4) and solves the original
     system (relative squared residual 1e-8)."""
@@ -198,12 +143,12 @@ def success_criterion(x_hat, x_true, polys: list[Polynomial], values) -> bool:
 
 
 def _run_lifted(
-    model_polys: list[Polynomial],
+    model_polys: PolySystem,
     values,
     order: int,
     config: SolverConfig | None,
     method: Method,
-    original_polys: list[Polynomial],
+    original_polys: PolySystem,
     x_true=None,
 ) -> tuple[BaselineResult, MethodDiagnostics, LiftedRunArtifacts]:
     """Shared lift -> solve -> extract -> polish pipeline.
@@ -240,19 +185,20 @@ def _run_lifted(
 
 
 def solve_nlbp_system(
-    polys: list[Polynomial],
+    polys,
     values,
     order: int = 4,
     config: SolverConfig | None = None,
     x_true=None,
 ) -> BaselineResult:
     """Full lifted pipeline at the given even order."""
-    result, _, _ = _run_lifted(polys, values, order, config, Method.NLBP, polys, x_true)
+    system = PolySystem.from_polys(polys)
+    result, _, _ = _run_lifted(system, values, order, config, Method.NLBP, system, x_true)
     return result
 
 
 def solve_qbp(
-    polys: list[Polynomial],
+    polys,
     values,
     config: SolverConfig | None = None,
     x_true=None,
@@ -260,26 +206,14 @@ def solve_qbp(
     """Quadratic baseline: truncate every polynomial to degree two (its
     second-order Taylor expansion around zero) and run the lifted pipeline at
     order two. Residuals are still judged against the original system."""
-    truncated = [truncate_polynomial(p, 2) for p in polys]
-    result, _, _ = _run_lifted(truncated, values, 2, config, Method.QBP, polys, x_true)
+    system = PolySystem.from_polys(polys)
+    result, _, _ = _run_lifted(system.truncate(2), values, 2, config, Method.QBP,
+                               system, x_true)
     return result
 
 
-def _linear_parts(polys: list[Polynomial]):
-    n = polys[0].num_vars
-    A = np.zeros((len(polys), n))
-    const = np.zeros(len(polys))
-    for i, p in enumerate(polys):
-        for alpha, c in p.terms.items():
-            if alpha.degree == 0:
-                const[i] = c
-            elif alpha.degree == 1:
-                A[i, alpha.exponents.index(1)] = c
-    return A, const
-
-
 def solve_linear(
-    polys: list[Polynomial],
+    polys,
     values,
     lam: float = 0.0,
     x_true=None,
@@ -290,7 +224,8 @@ def solve_linear(
     ADMM; ``lam = 0`` returns the minimum-norm least squares estimate.
     """
     values = np.asarray(values, dtype=float)
-    A, const = _linear_parts(polys)
+    system = PolySystem.from_polys(polys)
+    A, const = system.linear_parts()
     b = values - const
     if lam == 0.0:
         x_hat = np.linalg.lstsq(A, b, rcond=None)[0]
@@ -317,10 +252,10 @@ def solve_linear(
         method=Method.LASSO,
         x_hat=x_hat,
         objective=objective,
-        residual_sq=system_residual_sq(polys, values, x_hat),
+        residual_sq=system_residual_sq(system, values, x_hat),
     )
     if x_true is not None:
-        result.success = success_criterion(x_hat, x_true, polys, values)
+        result.success = success_criterion(x_hat, x_true, system, values)
     return result
 
 
@@ -334,7 +269,7 @@ class OracleBudget:
 
 
 def l0_oracle(
-    polys: list[Polynomial],
+    polys,
     values,
     max_support: int,
     budget: OracleBudget | None = None,
@@ -351,16 +286,17 @@ def l0_oracle(
     """
     if budget is None:
         budget = OracleBudget()
-    n = polys[0].num_vars
-    if n > 8:
-        raise ValueError("oracle is limited to at most 8 variables")
     if max_support > 3:
         raise ValueError("oracle is limited to supports of at most 3")
+    # linear in the stored terms: only the monomials that occur get a column
+    system = PolySystem.from_polys(polys)
+    n = system.num_vars
+    if n > 8:
+        raise ValueError("oracle is limited to at most 8 variables")
     values = np.asarray(values, dtype=float)
-    system = _PolySystem(polys, values)
     tol_sq = 1e-12 * (1.0 + float(values @ values))
 
-    if system.residual_sq(np.zeros(n)) <= tol_sq:
+    if _residual_sq(system, values, np.zeros(n)) <= tol_sq:
         return np.zeros(n)
 
     seed_root = np.random.SeedSequence(rng_seed)
@@ -370,14 +306,13 @@ def l0_oracle(
         for support in itertools.combinations(range(n), size):
             # off-support coordinates are pinned at zero, so only terms whose
             # exponents live inside the support can ever contribute
-            restricted = _PolySystem(
-                [_restrict_polynomial(p, support) for p in polys], values)
+            restricted = system.restrict(support)
             rng = np.random.default_rng(seed_root.spawn(1)[0])
             for _ in range(max(1, budget.starts_per_support)):
                 z0 = rng.normal(0.0, budget.init_std, size)
-                z = _gauss_newton(restricted, z0,
+                z = _gauss_newton(restricted, values, z0,
                                   max_iters=budget.newton_iters, tol_sq=tol_sq)
-                val = restricted.residual_sq(z)
+                val = _residual_sq(restricted, values, z)
                 if val <= tol_sq and val < best_residual:
                     x = np.zeros(n)
                     x[list(support)] = z
@@ -385,15 +320,3 @@ def l0_oracle(
         if best is not None:
             return best
     return None
-
-
-def _restrict_polynomial(p: Polynomial, support) -> Polynomial:
-    """Project onto the support variables, dropping terms that touch others."""
-    cols = list(support)
-    kept: dict[MultiIndex, float] = {}
-    for alpha, c in p.terms.items():
-        if sum(alpha.exponents) != sum(alpha.exponents[j] for j in cols):
-            continue
-        key = MultiIndex(tuple(alpha.exponents[j] for j in cols))
-        kept[key] = kept.get(key, 0.0) + c
-    return Polynomial(num_vars=len(cols), terms=kept)

@@ -19,7 +19,7 @@ from .lifting import (
     lifted_problem_from_json,
     lifted_problem_to_json,
 )
-from .monomials import polynomial_from_json
+from .monomials import PolySystem, polynomial_from_json
 from .recovery import (
     DegenerateTopEigenvalueError,
     certificate_to_json,
@@ -77,7 +77,7 @@ def _load_problem_file(path: str):
         raise UsageError(
             f"{path}: {len(polys)} polynomials but {len(values)} values"
         )
-    return polys, values
+    return PolySystem.from_polys(polys), values
 
 
 def _build_parser() -> _Parser:
@@ -140,7 +140,7 @@ def _cmd_lift(args) -> int:
     polys, values = _load_problem_file(args.problem)
     order = args.order
     if order is None:
-        degree = max(p.degree for p in polys)
+        degree = polys.degree
         order = max(2, degree + (degree % 2))
     problem = build_lifted_problem(polys, values, order, dedup=not args.no_dedup)
     _dump_json(lifted_problem_to_json(problem), args.output)

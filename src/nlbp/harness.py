@@ -3,9 +3,13 @@
 A trial samples a random polynomial system and a planted solution, computes
 consistent right-hand sides, runs each requested method, and records success
 and diagnostics. Seeding is frozen: trial t uses the PCG64 stream seeded by
-SeedSequence([experiment_seed, t]), and within a trial the polynomials are
-drawn before the planted vector. Trials run sequentially here, but every
-trial's stream is independent, so results never depend on execution order.
+SeedSequence([experiment_seed, t]). Within a trial the whole system is drawn
+first, as one (num_equations, T) block of Gaussian coefficients in row-major
+order: row i is equation i, its columns follow the exponent table of
+(num_vars, order). That consumes the stream exactly as drawing the equations
+one after another does. The planted vector is drawn next. Trials run
+sequentially here, but every trial's stream is independent, so results never
+depend on execution order.
 
 CSV output is byte-reproducible for a fixed spec and seed; wall-clock timings
 are therefore excluded unless explicitly requested.
@@ -25,10 +29,17 @@ from .baselines import (
     MethodDiagnostics,
     _run_lifted,
     solve_linear,
-    success_criterion,
+)
+# The per-polynomial functions are no longer called here but stay bound:
+# perfbench's tracer wraps the layer functions at the module names their
+# callers used.
+from .monomials import (  # noqa: F401
+    PolySystem,
+    eval_polynomial,
+    exponent_table,
+    random_polynomial,
     truncate_polynomial,
 )
-from .monomials import Polynomial, eval_polynomial, random_polynomial
 from .sdp_admm import SolverConfig, SolverError
 
 DENSE = "dense"
@@ -61,6 +72,8 @@ class ExperimentSpec:
         if self.sparsity != DENSE:
             if not isinstance(self.sparsity, int) or not 0 <= self.sparsity <= self.num_vars:
                 raise ValueError("sparsity must be 'dense' or an int <= num_vars")
+        if not self.coeff_std > 0:
+            raise ValueError("coeff_std must be > 0")
 
 
 @dataclass
@@ -70,6 +83,10 @@ class MethodOutcome:
     rank1_ratio: float
     iterations: int
     wall_time_ms: float
+    status: str = ""  # solver stop reason (lifted methods)
+    extraction_valid: bool = False
+    polished: bool = False
+    error: str = ""  # class name of the exception the method raised, if any
 
 
 @dataclass
@@ -82,7 +99,7 @@ class TrialRecord:
 class TrialArtifacts:
     """Raw per-trial objects, retained on request for deeper checks."""
 
-    polys: list[Polynomial]
+    polys: PolySystem
     x_true: np.ndarray
     values: np.ndarray
     lifted: dict[Method, object] = field(default_factory=dict)
@@ -131,20 +148,20 @@ def dense_spec(trials: int = 100, seed: int = 42, **overrides) -> ExperimentSpec
 
 
 def sample_trial(spec: ExperimentSpec, trial_index: int):
-    """Draw the polynomials, planted vector, and right-hand sides of a trial."""
+    """Draw the polynomial system, planted vector, and right-hand sides of a
+    trial, in the frozen order of the module docstring."""
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, trial_index]))
-    polys = [
-        random_polynomial(spec.num_vars, spec.order, rng, spec.coeff_std)
-        for _ in range(spec.num_equations)
-    ]
+    num_terms = len(exponent_table(spec.num_vars, spec.order))
+    polys = PolySystem(spec.num_vars, spec.order,
+                       rng.normal(0.0, spec.coeff_std,
+                                  size=(spec.num_equations, num_terms)))
     if spec.sparsity == DENSE:
         x_true = rng.normal(0.0, spec.planted_std, spec.num_vars)
     else:
         x_true = np.zeros(spec.num_vars)
         support = np.sort(rng.choice(spec.num_vars, size=spec.sparsity, replace=False))
         x_true[support] = 1.0
-    values = np.array([eval_polynomial(p, x_true) for p in polys])
-    return polys, x_true, values
+    return polys, x_true, polys.evaluate(x_true)
 
 
 def default_trial_config(spec: ExperimentSpec, values) -> SolverConfig:
@@ -166,8 +183,7 @@ def _run_method(method: Method, polys, values, x_true, spec: ExperimentSpec,
     if method is Method.LASSO:
         result = solve_linear(polys, values, lam=spec.lam, x_true=x_true)
     elif method is Method.QBP:
-        truncated = [truncate_polynomial(p, 2) for p in polys]
-        result, diag, lifted = _run_lifted(truncated, values, 2, config,
+        result, diag, lifted = _run_lifted(polys.truncate(2), values, 2, config,
                                            Method.QBP, polys, x_true)
         if artifacts is not None:
             artifacts.lifted[method] = lifted
@@ -183,6 +199,9 @@ def _run_method(method: Method, polys, values, x_true, spec: ExperimentSpec,
         rank1_ratio=diag.rank1_ratio,
         iterations=diag.iterations,
         wall_time_ms=elapsed_ms,
+        status=diag.status,
+        extraction_valid=diag.extraction_valid,
+        polished=diag.polished,
     )
     if artifacts is not None:
         artifacts.results[method] = result
@@ -198,7 +217,8 @@ def run_experiment(
     """Run every trial of the ensemble and summarize per-method outcomes.
 
     A solver failure inside one trial is recorded as an unsuccessful outcome
-    with infinite residual; it never aborts the ensemble.
+    with infinite residual and the exception's class name in ``error``; it
+    never aborts the ensemble.
     """
     records: list[TrialRecord] = []
     kept: list[TrialArtifacts] | None = [] if keep_artifacts else None
@@ -212,8 +232,9 @@ def run_experiment(
             try:
                 outcomes[method] = _run_method(method, polys, values, x_true,
                                                spec, config, artifacts)
-            except (SolverError, np.linalg.LinAlgError):
-                outcomes[method] = MethodOutcome(False, math.inf, math.nan, 0, 0.0)
+            except (SolverError, np.linalg.LinAlgError) as exc:
+                outcomes[method] = MethodOutcome(False, math.inf, math.nan, 0, 0.0,
+                                                 error=type(exc).__name__)
         records.append(TrialRecord(trial_index=t, outcomes=outcomes))
         if kept is not None:
             kept.append(artifacts)

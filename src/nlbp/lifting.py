@@ -12,6 +12,7 @@ representable entry product.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,8 +22,9 @@ from .monomials import (
     MonomialBasis,
     MultiIndex,
     Polynomial,
+    PolySystem,
     enumerate_basis,
-    eval_monomial,
+    monomial_vector,
 )
 
 
@@ -91,57 +93,55 @@ class LiftedProblem:
         return np.array([c.value for c in self.constraints])
 
 
-def basis_pair_map(basis: MonomialBasis) -> dict[MultiIndex, list[tuple[int, int]]]:
-    """Map each representable exponent sum to its unordered basis index pairs.
+@functools.lru_cache(maxsize=None)
+def _cell_map(n: int, half_degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each cell (i, j) of a basis-indexed matrix takes its value from.
 
-    For every i <= j the sum entries[i] + entries[j] is recorded once; a
-    target multi-index of degree <= 2 * half_degree always has at least one
-    pair (split the exponents greedily between two halves of degree <=
-    half_degree).
+    ``column[i, j]`` is the exponent-table column (degree 2 * half_degree) of
+    entries[i] + entries[j], ``pairs[i, j]`` the number of unordered basis
+    pairs with that exponent sum, and ``half[i, j]`` 1 on the diagonal and
+    1/2 off it. Every cell belongs to exactly one exponent sum.
     """
-    pairs: dict[MultiIndex, list[tuple[int, int]]] = {}
+    basis = enumerate_basis(n, half_degree)
+    table_column = enumerate_basis(n, 2 * half_degree).index_of
     entries = basis.entries
-    for i in range(len(entries)):
-        for j in range(i, len(entries)):
-            pairs.setdefault(entries[i] + entries[j], []).append((i, j))
-    return pairs
+    column = np.array([[table_column[a + b] for b in entries] for a in entries],
+                      dtype=np.intp)
+    upper = column[np.triu_indices(len(entries))]
+    pairs = np.bincount(upper, minlength=len(table_column))[column].astype(float)
+    half = np.full(column.shape, 0.5)
+    np.fill_diagonal(half, 1.0)
+    for a in (column, pairs, half):
+        a.setflags(write=False)
+    return column, pairs, half
 
 
-def polynomial_to_quadratic_form(
-    p: Polynomial,
-    basis: MonomialBasis,
-    pair_map: dict[MultiIndex, list[tuple[int, int]]] | None = None,
-) -> np.ndarray:
-    """Symmetric matrix C with m(x)' C m(x) == p(x) identically.
+def quadratic_forms(system: PolySystem, basis: MonomialBasis) -> np.ndarray:
+    """(N, dim, dim) stack of symmetric matrices C_k with m(x)' C_k m(x) equal
+    to polynomial k of the system, identically.
 
     Each coefficient is split equally over all unordered basis pairs whose
     exponents sum to its multi-index; a diagonal pair receives its full share
     and an off-diagonal pair half the share on each mirrored cell. Any split
     satisfying the identity would do; the equal split is the canonical one.
     """
-    if p.num_vars != basis.num_vars:
+    if system.num_vars != basis.num_vars:
         raise ValueError(
-            f"polynomial has {p.num_vars} variables, basis has {basis.num_vars}"
+            f"polynomial has {system.num_vars} variables, basis has {basis.num_vars}"
         )
     cap = 2 * basis.half_degree
-    if p.degree > cap:
+    if system.degree > cap:
         raise DegreeTooHighError(
-            f"polynomial degree {p.degree} exceeds representable degree {cap}"
+            f"polynomial degree {system.degree} exceeds representable degree {cap}"
         )
-    if pair_map is None:
-        pair_map = basis_pair_map(basis)
-    dim = len(basis)
-    form = np.zeros((dim, dim))
-    for alpha, coeff in p.terms.items():
-        pairs = pair_map[alpha]
-        share = coeff / len(pairs)
-        for i, j in pairs:
-            if i == j:
-                form[i, i] += share
-            else:
-                form[i, j] += share / 2.0
-                form[j, i] += share / 2.0
-    return form
+    column, pairs, half = _cell_map(basis.num_vars, basis.half_degree)
+    return system.full_coeffs(cap)[:, column] / pairs * half
+
+
+def polynomial_to_quadratic_form(p: Polynomial, basis: MonomialBasis) -> np.ndarray:
+    """Symmetric matrix C with m(x)' C m(x) == p(x) identically: the one-row
+    case of ``quadratic_forms``."""
+    return quadratic_forms(PolySystem.from_polys([p]), basis)[0]
 
 
 def generate_dependency_constraints(
@@ -195,53 +195,55 @@ def generate_dependency_constraints(
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _structural_constraints(n: int, half_degree: int, dedup: bool):
+    """The data-independent constraints of a basis, generated once per key
+    and shared, with read-only matrices."""
+    constraints = tuple(
+        generate_dependency_constraints(enumerate_basis(n, half_degree), dedup=dedup))
+    for c in constraints:
+        c.matrix.setflags(write=False)
+    return constraints
+
+
 def build_lifted_problem(
-    polys: list[Polynomial],
+    polys,
     values,
     order: int,
     dedup: bool = True,
 ) -> LiftedProblem:
     """Assemble the lifted problem for the system values[i] = polys[i](x).
 
-    ``order`` is the (even) lift order; every polynomial must have degree <=
-    order. Inconsistent right-hand sides still build fine: infeasibility is a
+    ``polys`` is a ``PolySystem`` or a sequence of ``Polynomial``s. ``order``
+    is the (even) lift order; every polynomial must have degree <= order.
+    Inconsistent right-hand sides still build fine: infeasibility is a
     solver-level property and surfaces as a non-vanishing constraint residual.
     """
+    system = PolySystem.from_polys(polys)
     values = np.asarray(values, dtype=float)
-    if len(polys) == 0:
-        raise ValueError("need at least one polynomial")
-    if values.shape != (len(polys),):
+    if values.shape != (len(system),):
         raise ValueError(
-            f"got {len(polys)} polynomials but {values.shape} right-hand sides"
+            f"got {len(system)} polynomials but {values.shape} right-hand sides"
         )
     if order % 2 != 0 or order < 2:
         raise OddOrderError(f"lift order must be even and >= 2, got {order}")
-    n = polys[0].num_vars
-    for p in polys:
-        if p.num_vars != n:
-            raise ValueError("all polynomials must share the same variable count")
-        if p.degree > order:
-            raise DegreeTooHighError(
-                f"polynomial degree {p.degree} exceeds lift order {order}"
-            )
-    basis = enumerate_basis(n, order // 2)
-    pair_map = basis_pair_map(basis)
+    if system.degree > order:
+        raise DegreeTooHighError(
+            f"polynomial degree {system.degree} exceeds lift order {order}"
+        )
+    basis = enumerate_basis(system.num_vars, order // 2)
     constraints = [
-        LiftedConstraint(float(v), polynomial_to_quadratic_form(p, basis, pair_map),
-                         ConstraintKind.DATA)
-        for p, v in zip(polys, values)
+        LiftedConstraint(float(v), form, ConstraintKind.DATA)
+        for form, v in zip(quadratic_forms(system, basis), values)
     ]
-    constraints.extend(generate_dependency_constraints(basis, dedup=dedup))
+    constraints.extend(_structural_constraints(system.num_vars, order // 2, dedup))
     return LiftedProblem(basis=basis, constraints=tuple(constraints),
-                         num_vars=n, order=order)
+                         num_vars=system.num_vars, order=order)
 
 
 def lift_vector(x, basis: MonomialBasis) -> np.ndarray:
     """Evaluate every basis monomial at x; the leading entry is always 1."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (basis.num_vars,):
-        raise ValueError(f"point has {x.shape} entries, expected {basis.num_vars}")
-    return np.array([eval_monomial(alpha, x) for alpha in basis.entries])
+    return monomial_vector(x, basis.num_vars, basis.half_degree)
 
 
 def lifted_problem_to_json(problem: LiftedProblem) -> dict:

@@ -202,6 +202,19 @@ class TestL0Oracle:
         with pytest.raises(ValueError):
             l0_oracle(big, [0.0], max_support=2)
 
+    def test_sparse_high_degree_input(self):
+        # one x1^25 term over 8 variables: the system stores three monomials,
+        # not the 13.9 million of degree <= 25
+        def power(j, e=1):
+            return MultiIndex(tuple(e * (k == j) for k in range(8)))
+
+        polys = [Polynomial(8, {power(0, 25): 1.0, power(1): 1.0}),
+                 Polynomial(8, {power(1): 1.0}),
+                 Polynomial(8, {power(2): 1.0})]
+        found = l0_oracle(polys, [1.0, 1.0, 2.0], max_support=2, rng_seed=6)
+        assert found is not None
+        assert np.allclose(found, [0, 1, 2, 0, 0, 0, 0, 0], atol=1e-10)
+
     def test_budget_configurable(self):
         polys, x, values = planted_sparse_system(4, 15, 2, (0,), 13)
         found = l0_oracle(polys, values, max_support=1,

@@ -18,6 +18,7 @@ from nlbp.harness import (
     sample_trial,
     table1_spec,
 )
+from nlbp.sdp_admm import SolverError
 
 
 def tiny_spec(**overrides):
@@ -220,3 +221,31 @@ class TestBoxplotData:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             emit_boxplot_data([])
+
+
+class TestOutcomeDiagnostics:
+    def test_lifted_diagnostics_are_recorded(self, small_result):
+        for record in small_result.records:
+            nlbp = record.outcomes[Method.NLBP]
+            assert nlbp.status == "converged"
+            assert nlbp.extraction_valid and nlbp.polished
+            assert nlbp.error == ""
+            assert record.outcomes[Method.LASSO].status == ""
+
+    @pytest.mark.parametrize("error", [SolverError("injected", 3),
+                                       np.linalg.LinAlgError("injected")])
+    def test_solver_exception_class_is_recorded(self, monkeypatch, error):
+        from nlbp import baselines
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(baselines, "solve_nlbp", fail)
+        result = run_experiment(tiny_spec(trials=1))
+        outcomes = result.records[0].outcomes
+        for method in (Method.NLBP, Method.QBP):
+            o = outcomes[method]
+            assert o.error == type(error).__name__
+            assert not o.success and math.isinf(o.residual_sq)
+            assert o.iterations == 0 and math.isnan(o.rank1_ratio)
+        assert outcomes[Method.LASSO].error == ""
