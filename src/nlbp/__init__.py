@@ -19,7 +19,6 @@ from .monomials import (
 from .lifting import (
     ConstraintKind,
     DegreeTooHighError,
-    LiftedConstraint,
     LiftedProblem,
     OddOrderError,
     build_lifted_problem,
@@ -46,13 +45,11 @@ from .recovery import (
     CoherenceCertificate,
     DegenerateTopEigenvalueError,
     ExtractionThresholds,
-    OperatorSizeError,
     RecoveredSolution,
     coherence_certificate,
     estimate_rip_epsilon,
     extract_rank1,
     mutual_coherence,
-    operator_matrix,
 )
 from .baselines import (
     BaselineResult,

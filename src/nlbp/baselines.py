@@ -132,13 +132,20 @@ def success_criterion(x_hat, x_true, polys, values) -> bool:
     """Frozen success rule used for every reported rate: the estimate matches
     the planted vector in sup norm (relative 1e-4) and solves the original
     system (relative squared residual 1e-8)."""
+    return _meets_success_rule(x_hat, x_true,
+                               system_residual_sq(polys, values, x_hat), values)
+
+
+def _meets_success_rule(x_hat, x_true, residual_sq: float, values) -> bool:
+    """``success_criterion`` given the squared residual of x_hat, for callers
+    that have already computed it."""
     x_hat = np.asarray(x_hat, dtype=float)
     x_true = np.asarray(x_true, dtype=float)
     if x_hat.shape != x_true.shape:
         raise ValueError("estimate and ground truth have different shapes")
     values = np.asarray(values, dtype=float)
     sup_ok = np.max(np.abs(x_hat - x_true)) <= 1e-4 * (1.0 + np.max(np.abs(x_true)))
-    res_ok = system_residual_sq(polys, values, x_hat) <= 1e-8 * (1.0 + float(values @ values))
+    res_ok = residual_sq <= 1e-8 * (1.0 + float(values @ values))
     return bool(sup_ok and res_ok)
 
 
@@ -180,7 +187,7 @@ def _run_lifted(
         residual_sq=system_residual_sq(original_polys, values, x_hat),
     )
     if x_true is not None:
-        result.success = success_criterion(x_hat, x_true, original_polys, values)
+        result.success = _meets_success_rule(x_hat, x_true, result.residual_sq, values)
     return result, diag, LiftedRunArtifacts(problem, report, recovered)
 
 
@@ -255,7 +262,7 @@ def solve_linear(
         residual_sq=system_residual_sq(system, values, x_hat),
     )
     if x_true is not None:
-        result.success = success_criterion(x_hat, x_true, system, values)
+        result.success = _meets_success_rule(x_hat, x_true, result.residual_sq, values)
     return result
 
 

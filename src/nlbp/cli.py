@@ -88,8 +88,6 @@ def _build_parser() -> _Parser:
     p.add_argument("problem", help="JSON file with polynomials and values")
     p.add_argument("--order", "--q", dest="order", type=int, default=None,
                    help="even lift order (default: smallest even >= max degree)")
-    p.add_argument("--no-dedup", action="store_true",
-                   help="keep duplicate dependency constraints from the raw sweep")
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("solve", help="solve a lifted problem")
@@ -142,7 +140,7 @@ def _cmd_lift(args) -> int:
     if order is None:
         degree = polys.degree
         order = max(2, degree + (degree % 2))
-    problem = build_lifted_problem(polys, values, order, dedup=not args.no_dedup)
+    problem = build_lifted_problem(polys, values, order)
     _dump_json(lifted_problem_to_json(problem), args.output)
     return 0
 

@@ -8,6 +8,11 @@ of m(x) are algebraically dependent (entry products reproduce other entries),
 a set of structural constraints is generated alongside the data constraints:
 one normalization (the constant entry squares to 1) and one dependency per
 representable entry product.
+
+The whole system is one linear map on the matrix variable, held as a single
+read-only (M, dim, dim) array plus its (M,) right-hand side
+(``LiftedProblem.operator`` and ``.values``); the solver and the
+certificates read those arrays directly.
 """
 
 from __future__ import annotations
@@ -43,39 +48,42 @@ class ConstraintKind(Enum):
 
 
 @dataclass(frozen=True)
-class LiftedConstraint:
-    """One linear trace constraint: trace(matrix @ X) == value.
-
-    ``matrix`` is dense, exactly symmetric, of the basis dimension. Dependency
-    constraints always have value 0 and either 3 or 4 nonzero cells with
-    values in {+-1/2, 1}; the normalization constraint pins the (0, 0) cell
-    to 1.
-    """
-
-    value: float
-    matrix: np.ndarray
-    kind: ConstraintKind
-
-    def __post_init__(self):
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"constraint matrix must be square, got {m.shape}")
-        if not np.array_equal(m, m.T):
-            raise ValueError("constraint matrix must be exactly symmetric")
-
-
-@dataclass(frozen=True)
 class LiftedProblem:
-    """A full lifted instance: basis plus ordered constraints.
+    """A lifted instance: the basis plus one linear map on the matrix variable.
 
-    Constraint order is fixed: the N data constraints first, then the single
-    normalization constraint, then the dependencies in generation order.
+    ``operator`` is an (M, dim, dim) stack of exactly symmetric matrices C_i
+    and ``values`` the (M,) right-hand sides, so row i is the constraint
+    trace(C_i @ X) == values[i]. Both arrays are read-only. Row order is
+    frozen and gives each row its kind: the ``num_data`` data rows first,
+    then (when any row follows) the single normalization row, then the
+    dependencies in generation order. The operator is kept C-contiguous, so
+    its (M, dim * dim) reshape is a view.
     """
 
     basis: MonomialBasis
-    constraints: tuple[LiftedConstraint, ...]
     num_vars: int
     order: int
+    num_data: int
+    operator: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        operator = np.ascontiguousarray(self.operator, dtype=float).view()
+        values = np.ascontiguousarray(self.values, dtype=float).view()
+        dim = len(self.basis)
+        if operator.ndim != 3 or operator.shape[1:] != (dim, dim):
+            raise ValueError(
+                f"operator must have shape (M, {dim}, {dim}), got {operator.shape}")
+        if values.shape != operator.shape[:1]:
+            raise ValueError(
+                f"got {len(operator)} constraint matrices but {values.shape} values")
+        if not 0 <= self.num_data <= len(values):
+            raise ValueError(f"num_data {self.num_data} outside [0, {len(values)}]")
+        if not np.array_equal(operator, operator.transpose(0, 2, 1)):
+            raise ValueError("constraint matrices must be exactly symmetric")
+        for name, a in (("operator", operator), ("values", values)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def dim(self) -> int:
@@ -83,14 +91,14 @@ class LiftedProblem:
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self.values)
 
     @property
-    def num_data(self) -> int:
-        return sum(1 for c in self.constraints if c.kind is ConstraintKind.DATA)
-
-    def values_vector(self) -> np.ndarray:
-        return np.array([c.value for c in self.constraints])
+    def kinds(self) -> tuple[ConstraintKind, ...]:
+        structural = self.num_constraints - self.num_data
+        return ((ConstraintKind.DATA,) * self.num_data
+                + (ConstraintKind.NORMALIZATION,) * min(structural, 1)
+                + (ConstraintKind.DEPENDENCY,) * max(structural - 1, 0))
 
 
 @functools.lru_cache(maxsize=None)
@@ -144,74 +152,50 @@ def polynomial_to_quadratic_form(p: Polynomial, basis: MonomialBasis) -> np.ndar
     return quadratic_forms(PolySystem.from_polys([p]), basis)[0]
 
 
-def generate_dependency_constraints(
-    basis: MonomialBasis, dedup: bool = True
-) -> list[LiftedConstraint]:
-    """Normalization constraint followed by all entry-product dependencies.
+def generate_dependency_constraints(basis: MonomialBasis) -> np.ndarray:
+    """(1 + D, dim, dim) structural block: the normalization matrix followed
+    by one matrix per representable entry product.
 
-    The sweep runs index triples (outer, middle, inner) = (i, l, k) over the
-    basis, emitting a constraint whenever entries[k] * entries[l] equals
-    entries[i]: the product cell gets weight 1/2 (or 1 on the diagonal when
-    k == l) and the cell tying entry i to the constant gets weight -1/2, so
-    the constraint value is 0 on any lifted point. The constant entry itself
-    never participates as a factor.
-
-    The raw sweep visits (k, l) and (l, k) separately and therefore emits
-    each off-diagonal relation twice; with ``dedup`` (default) constraints
-    that are exactly equal as matrices are dropped after their first
-    occurrence, preserving order. ``dedup=False`` reproduces the raw sweep.
+    A dependency ties entries[k] * entries[l] (1 <= l <= k) to the entry i
+    with entries[i] == entries[k] + entries[l]: the product cell gets weight
+    1/2 (or 1 on the diagonal when k == l) and the cell tying entry i to the
+    constant gets weight -1/2, so trace(C X) is 0 on any lifted point. The
+    constant entry never participates as a factor. Rows are ordered by i,
+    then l, then k; the normalization matrix pins the (0, 0) cell, with
+    value 1.
     """
     dim = len(basis)
     entries = basis.entries
-    out: list[LiftedConstraint] = []
-
-    norm = np.zeros((dim, dim))
-    norm[0, 0] = 1.0
-    out.append(LiftedConstraint(1.0, norm, ConstraintKind.NORMALIZATION))
-
-    seen: set[tuple[int, int, int]] = set()
-    for i in range(dim):
-        target = entries[i]
-        for l in range(1, dim):
-            for k in range(1, dim):
-                if entries[k].degree + entries[l].degree != target.degree:
-                    continue
-                if entries[k] + entries[l] != target:
-                    continue
-                key = (i, min(k, l), max(k, l))
-                if dedup:
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                dep = np.zeros((dim, dim))
-                if k == l:
-                    dep[l, l] = 1.0
-                else:
-                    dep[k, l] = 0.5
-                    dep[l, k] = 0.5
-                dep[0, i] = -0.5
-                dep[i, 0] = -0.5
-                out.append(LiftedConstraint(0.0, dep, ConstraintKind.DEPENDENCY))
-    return out
+    products = []
+    for l in range(1, dim):
+        for k in range(l, dim):
+            i = basis.index_of.get(entries[k] + entries[l])
+            if i is not None:
+                products.append((i, l, k))
+    products.sort()
+    block = np.zeros((1 + len(products), dim, dim))
+    block[0, 0, 0] = 1.0
+    for row, (i, l, k) in enumerate(products, start=1):
+        if k == l:
+            block[row, l, l] = 1.0
+        else:
+            block[row, k, l] = 0.5
+            block[row, l, k] = 0.5
+        block[row, 0, i] = -0.5
+        block[row, i, 0] = -0.5
+    return block
 
 
 @functools.lru_cache(maxsize=None)
-def _structural_constraints(n: int, half_degree: int, dedup: bool):
-    """The data-independent constraints of a basis, generated once per key
-    and shared, with read-only matrices."""
-    constraints = tuple(
-        generate_dependency_constraints(enumerate_basis(n, half_degree), dedup=dedup))
-    for c in constraints:
-        c.matrix.setflags(write=False)
-    return constraints
+def _structural_constraints(n: int, half_degree: int) -> np.ndarray:
+    """The data-independent block of a basis, generated once per key and
+    shared read-only."""
+    block = generate_dependency_constraints(enumerate_basis(n, half_degree))
+    block.setflags(write=False)
+    return block
 
 
-def build_lifted_problem(
-    polys,
-    values,
-    order: int,
-    dedup: bool = True,
-) -> LiftedProblem:
+def build_lifted_problem(polys, values, order: int) -> LiftedProblem:
     """Assemble the lifted problem for the system values[i] = polys[i](x).
 
     ``polys`` is a ``PolySystem`` or a sequence of ``Polynomial``s. ``order``
@@ -232,13 +216,16 @@ def build_lifted_problem(
             f"polynomial degree {system.degree} exceeds lift order {order}"
         )
     basis = enumerate_basis(system.num_vars, order // 2)
-    constraints = [
-        LiftedConstraint(float(v), form, ConstraintKind.DATA)
-        for form, v in zip(quadratic_forms(system, basis), values)
-    ]
-    constraints.extend(_structural_constraints(system.num_vars, order // 2, dedup))
-    return LiftedProblem(basis=basis, constraints=tuple(constraints),
-                         num_vars=system.num_vars, order=order)
+    structural = _structural_constraints(system.num_vars, order // 2)
+    num_data = len(values)
+    operator = np.empty((num_data + len(structural), len(basis), len(basis)))
+    operator[:num_data] = quadratic_forms(system, basis)
+    operator[num_data:] = structural
+    rhs = np.zeros(len(operator))
+    rhs[:num_data] = values
+    rhs[num_data] = 1.0
+    return LiftedProblem(basis=basis, num_vars=system.num_vars, order=order,
+                         num_data=num_data, operator=operator, values=rhs)
 
 
 def lift_vector(x, basis: MonomialBasis) -> np.ndarray:
@@ -249,13 +236,13 @@ def lift_vector(x, basis: MonomialBasis) -> np.ndarray:
 def lifted_problem_to_json(problem: LiftedProblem) -> dict:
     """Sparse triplet export; only cells with row <= col are stored."""
     constraints = []
-    for c in problem.constraints:
-        rows, cols = np.nonzero(np.triu(c.matrix))
+    for matrix, value, kind in zip(problem.operator, problem.values, problem.kinds):
+        rows, cols = np.nonzero(np.triu(matrix))
         constraints.append({
-            "y": c.value,
-            "kind": c.kind.value,
+            "y": float(value),
+            "kind": kind.value,
             "entries": [
-                {"row": int(r), "col": int(col), "value": float(c.matrix[r, col])}
+                {"row": int(r), "col": int(col), "value": float(matrix[r, col])}
                 for r, col in zip(rows, cols)
             ],
         })
@@ -274,16 +261,21 @@ def lifted_problem_from_json(data: dict) -> LiftedProblem:
     stored = [MultiIndex(tuple(int(e) for e in a)) for a in data["basis"]]
     if stored != list(basis.entries):
         raise ValueError("stored basis does not match the frozen basis order")
+    items = data["constraints"]
     dim = len(basis)
-    constraints = []
-    for item in data["constraints"]:
-        m = np.zeros((dim, dim))
+    operator = np.zeros((len(items), dim, dim))
+    for m, item in zip(operator, items):
         for cell in item["entries"]:
             r, c, v = int(cell["row"]), int(cell["col"]), float(cell["value"])
             m[r, c] = v
             m[c, r] = v
-        constraints.append(
-            LiftedConstraint(float(item["y"]), m, ConstraintKind(item["kind"]))
-        )
-    return LiftedProblem(basis=basis, constraints=tuple(constraints),
-                         num_vars=n, order=order)
+    kinds = [ConstraintKind(item["kind"]) for item in items]
+    num_data = next((i for i, k in enumerate(kinds) if k is not ConstraintKind.DATA),
+                    len(kinds))
+    problem = LiftedProblem(basis=basis, num_vars=n, order=order,
+                            num_data=num_data, operator=operator,
+                            values=[float(item["y"]) for item in items])
+    if tuple(kinds) != problem.kinds:
+        raise ValueError("constraint kinds are not in the frozen order: data, "
+                         "then one normalization, then dependencies")
+    return problem

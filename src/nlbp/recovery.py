@@ -6,6 +6,9 @@ hence the unknowns from the degree-one positions. Two checkable certificates
 accompany extraction: a mutual-coherence sparsity bound on the constraint
 operator, and a Monte-Carlo lower-bound estimate of the operator's restricted
 isometry constant (usable to refute isometry claims, never to confirm them).
+Both read the lifted problem's (M, dim, dim) ``operator`` as the M x dim^2
+matrix whose i-th row is the vectorized i-th constraint matrix (full, not
+symmetry-reduced, vectorization).
 """
 
 from __future__ import annotations
@@ -26,10 +29,6 @@ class DegenerateTopEigenvalueError(ValueError):
 
 class AllZeroColumnsError(ValueError):
     """Mutual coherence is undefined: fewer than two nonzero columns."""
-
-
-class OperatorSizeError(ValueError):
-    """The dense constraint operator would exceed the configured size cap."""
 
 
 @dataclass(frozen=True)
@@ -121,21 +120,6 @@ def extract_rank1(
                              lift_consistency=consistency, valid=valid)
 
 
-def operator_matrix(problem: LiftedProblem, max_columns: int = 4_000_000) -> np.ndarray:
-    """Dense matrix whose i-th row is the vectorized i-th constraint matrix,
-    so ``rows @ X.ravel()`` evaluates every trace constraint at once.
-
-    Full (not symmetry-reduced) vectorization of the square matrix is used;
-    the column count is the squared basis dimension, guarded by a cap.
-    """
-    cols = problem.dim * problem.dim
-    if cols > max_columns:
-        raise OperatorSizeError(
-            f"operator would have {cols} columns, above the cap {max_columns}"
-        )
-    return np.stack([c.matrix.ravel() for c in problem.constraints])
-
-
 def mutual_coherence(B: np.ndarray) -> float:
     """Largest normalized inner product between distinct nonzero columns.
 
@@ -170,7 +154,7 @@ def coherence_certificate(
     ``zero_tol`` times the largest magnitude), since exact zeros never occur
     in floating point.
     """
-    B = operator_matrix(problem)
+    B = problem.operator.reshape(problem.num_constraints, -1)
     mu = mutual_coherence(B)
     bound = 0.5 * (1.0 + 1.0 / mu) if mu > 0 else math.inf
     X = np.asarray(X, dtype=float)
@@ -246,7 +230,7 @@ def estimate_rip_epsilon(
         raise ValueError("k must be >= 1")
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
-    B = operator_matrix(problem)
+    B = problem.operator.reshape(problem.num_constraints, -1)
     dim = problem.dim
     num_blocks = (num_samples + block_size - 1) // block_size
     seeds = np.random.SeedSequence(rng_seed).spawn(num_blocks)

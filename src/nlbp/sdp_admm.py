@@ -42,17 +42,17 @@ class SolveStatus(Enum):
 
 @dataclass
 class SolverConfig:
-    """Solver knobs. ``lam`` is the l1 weight of the objective; the rest is
-    ADMM plumbing. Defaults are sized so the reference experiments (basis
-    dimension ~21) converge in seconds."""
+    """Solver knobs. ``lam`` is the l1 weight of the objective, ``rho`` the
+    (fixed) ADMM penalty, ``max_iters`` the iteration cap and ``eps_abs`` /
+    ``eps_rel`` the absolute and relative parts of the stopping rule. Defaults
+    are sized so the reference experiments (basis dimension ~21) converge in
+    seconds."""
 
     lam: float = 0.0
     rho: float = 1.0
     max_iters: int = 20000
     eps_abs: float = 1e-7
     eps_rel: float = 1e-5
-    over_relaxation: float = 1.0
-    adaptive_rho: bool = False
 
     def __post_init__(self):
         if self.lam < 0:
@@ -63,8 +63,6 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if self.eps_abs <= 0 or self.eps_rel <= 0:
             raise ValueError("tolerances must be > 0")
-        if not 1.0 <= self.over_relaxation <= 1.8:
-            raise ValueError("over_relaxation must be in [1, 1.8]")
 
 
 @dataclass
@@ -97,8 +95,8 @@ class AffineCache:
     dim: int
     row_mat: np.ndarray          # (M, dim*dim), normalized vectorized constraints
     rhs: np.ndarray              # (M,) normalized right-hand sides
-    row_mat_raw: np.ndarray      # (M, dim*dim), original scaling
-    rhs_raw: np.ndarray          # (M,)
+    row_mat_raw: np.ndarray      # (M, dim*dim) view of problem.operator
+    rhs_raw: np.ndarray          # (M,) view of problem.values
     gram_vecs: np.ndarray = field(repr=False)
     gram_inv_vals: np.ndarray = field(repr=False)
     rank: int = 0
@@ -107,8 +105,8 @@ class AffineCache:
     @classmethod
     def build(cls, problem: LiftedProblem) -> "AffineCache":
         dim = problem.dim
-        rows_raw = np.stack([c.matrix.ravel() for c in problem.constraints])
-        rhs_raw = problem.values_vector()
+        rows_raw = problem.operator.reshape(problem.num_constraints, dim * dim)
+        rhs_raw = problem.values
         norms = np.linalg.norm(rows_raw, axis=1)
         scale = np.where(norms > 0, norms, 1.0)
         rows = rows_raw / scale[:, None]
@@ -121,14 +119,12 @@ class AffineCache:
         inv_vals = np.where(active, 1.0 / np.where(active, vals, 1.0), 0.0)
         rank = int(active.sum())
 
-        # Distance from the raw right-hand side to the range of the raw
-        # constraint operator, in the l2 metric; any X violates some
-        # constraint by at least this distance / sqrt(M).
-        gram_raw = rows_raw @ rows_raw.T
-        vals_r, vecs_r = np.linalg.eigh(gram_raw)
-        active_r = vals_r > 1e-12 * max(vals_r[-1], 0.0)
-        proj = vecs_r[:, active_r] @ (vecs_r[:, active_r].T @ rhs_raw)
-        lb = float(np.linalg.norm(rhs_raw - proj)) / np.sqrt(len(rhs_raw))
+        # Every X has ||rows @ x - rhs|| >= ||rhs - P rhs||, P the projection
+        # onto the range of the normalized operator. Raw residuals are the
+        # normalized ones times scale, so max_i |raw residual_i| is at least
+        # min(scale) * ||rhs - P rhs|| / sqrt(M).
+        proj = vecs[:, active] @ (vecs[:, active].T @ rhs)
+        lb = float(scale.min() * np.linalg.norm(rhs - proj)) / np.sqrt(len(rhs))
 
         return cls(dim=dim, row_mat=rows, rhs=rhs, row_mat_raw=rows_raw,
                    rhs_raw=rhs_raw, gram_vecs=vecs, gram_inv_vals=inv_vals,
@@ -196,7 +192,6 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None,
     cache = AffineCache.build(problem)
     dim = problem.dim
     rho = config.rho
-    alpha = config.over_relaxation
 
     Z = np.zeros((dim, dim))
     U1 = np.zeros((dim, dim))
@@ -223,17 +218,10 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None,
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"eigendecomposition failed: {exc}", iteration) from exc
 
-        if alpha != 1.0:
-            X1_mix = alpha * X1 + (1.0 - alpha) * Z
-            X2_mix = alpha * X2 + (1.0 - alpha) * Z
-        else:
-            X1_mix, X2_mix = X1, X2
-
         Z_prev = Z
-        Z = soft_threshold(0.5 * (X1_mix + U1 + X2_mix + U2),
-                           config.lam / (2.0 * rho))
-        U1 = U1 + X1_mix - Z
-        U2 = U2 + X2_mix - Z
+        Z = soft_threshold(0.5 * (X1 + U1 + X2 + U2), config.lam / (2.0 * rho))
+        U1 = U1 + X1 - Z
+        U2 = U2 + X2 - Z
 
         primal = np.sqrt(np.linalg.norm(X1 - Z) ** 2 + np.linalg.norm(X2 - Z) ** 2)
         dual = rho * np.sqrt(2.0) * np.linalg.norm(Z - Z_prev)
@@ -257,16 +245,6 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None,
             if primal > 0.999 * stall_ref and iteration >= 600:
                 break  # residuals have plateaued; no point burning the budget
             stall_ref = primal
-
-        if config.adaptive_rho and iteration % 10 == 0:
-            if primal > 10.0 * dual:
-                rho *= 2.0
-                U1 *= 0.5
-                U2 *= 0.5
-            elif dual > 10.0 * primal:
-                rho *= 0.5
-                U1 *= 2.0
-                U2 *= 2.0
 
     violation = cache.violation(Z)
     # A plateau call needs a meaningful budget: a run cut off after a handful

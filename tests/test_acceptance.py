@@ -124,9 +124,9 @@ def test_criterion_4_planted_lift_feasibility():
         problem = build_lifted_problem(polys, values, order)
         lifted = lift_vector(x, problem.basis)
         planted = np.outer(lifted, lifted)
-        for c in problem.constraints:
-            err = abs(float(np.sum(c.matrix * planted)) - c.value)
-            bound = 1e-9 * (1 + abs(c.value))
+        for c, value in zip(problem.operator, problem.values):
+            err = abs(float(np.sum(c * planted)) - value)
+            bound = 1e-9 * (1 + abs(value))
             worst = max(worst, err / bound)
             assert err <= bound
     verdict(4, "planted-lift feasibility", True,
@@ -168,8 +168,8 @@ def test_criterion_6_solver_against_reference():
         dim = problem.dim
         X = cvxpy.Variable((dim, dim), symmetric=True)
         constraints = [X >> 0]
-        for c in problem.constraints:
-            constraints.append(cvxpy.trace(c.matrix @ X) == c.value)
+        for c, value in zip(problem.operator, problem.values):
+            constraints.append(cvxpy.trace(c @ X) == value)
         objective = cvxpy.trace(X) + lam * cvxpy.sum(cvxpy.abs(X))
         prob = cvxpy.Problem(cvxpy.Minimize(objective), constraints)
         prob.solve(solver=cvxpy.CLARABEL)

@@ -47,16 +47,12 @@ class TestLift:
         assert cli_main(["lift", str(path), "--q", "4", "-o", str(out)]) == 0
         assert len(json.loads(out.read_text())["basis"]) == 6
 
-    def test_no_dedup_flag(self, tmp_path):
+    def test_no_dedup_flag_rejected(self, tmp_path, capsys):
         polys = [random_polynomial(2, 4, 2, 1.0)]
         path = tmp_path / "p.json"
         write_problem(path, polys, [0.0])
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert cli_main(["lift", str(path), "-o", str(a)]) == 0
-        assert cli_main(["lift", str(path), "--no-dedup", "-o", str(b)]) == 0
-        na = len(json.loads(a.read_text())["constraints"])
-        nb = len(json.loads(b.read_text())["constraints"])
-        assert nb > na
+        assert cli_main(["lift", str(path), "--no-dedup"]) == 1
+        assert "--no-dedup" in capsys.readouterr().err
 
     def test_malformed_json_exits_1_with_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

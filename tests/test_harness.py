@@ -144,6 +144,20 @@ class TestQuartiles:
         with pytest.raises(ValueError):
             five_number_summary([])
 
+    def test_finite_input_equals_np_quantile_bitwise(self):
+        rng = np.random.default_rng(1)
+        for size in (1, 2, 3, 7, 100):
+            data = rng.lognormal(size=size) * 10.0 ** rng.integers(-30, 10, size)
+            expected = np.quantile(data, [0.0, 0.25, 0.5, 0.75, 1.0])
+            assert five_number_summary(data) == tuple(float(v) for v in expected)
+
+    def test_infinite_residuals_do_not_blank_the_summary(self):
+        inf = math.inf
+        assert five_number_summary([1.0, inf, inf]) == (1.0, inf, inf, inf, inf)
+        assert five_number_summary([inf]) == (inf,) * 5
+        assert five_number_summary([2.0, 1.0, 4.0, 3.0, inf]) == (1.0, 2.0, 3.0, 4.0, inf)
+        assert five_number_summary([1.0, 2.0, inf]) == (1.0, 1.5, 2.0, inf, inf)
+
 
 def fake_records(residuals_by_method):
     n = len(next(iter(residuals_by_method.values())))
@@ -248,4 +262,25 @@ class TestOutcomeDiagnostics:
             assert o.error == type(error).__name__
             assert not o.success and math.isinf(o.residual_sq)
             assert o.iterations == 0 and math.isnan(o.rank1_ratio)
+            assert result.summary[method].residual_min == math.inf
         assert outcomes[Method.LASSO].error == ""
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_one_residual_sum_per_method_and_trial(self, monkeypatch, method):
+        from nlbp import baselines
+
+        calls = []
+        residual = baselines.system_residual_sq
+
+        def counted(*args):
+            calls.append(args)
+            return residual(*args)
+
+        monkeypatch.setattr(baselines, "system_residual_sq", counted)
+        result = run_experiment(tiny_spec(methods=(method,)))
+        assert len(calls) == result.spec.trials
+        for record, (polys, values, x_hat) in zip(result.records, list(calls)):
+            o = record.outcomes[method]
+            assert o.residual_sq == residual(polys, values, x_hat)
+            x_true = sample_trial(result.spec, record.trial_index)[1]
+            assert o.success == baselines.success_criterion(x_hat, x_true, polys, values)

@@ -7,7 +7,7 @@ import pytest
 from nlbp.lifting import (
     ConstraintKind,
     DegreeTooHighError,
-    LiftedConstraint,
+    LiftedProblem,
     OddOrderError,
     build_lifted_problem,
     generate_dependency_constraints,
@@ -27,6 +27,38 @@ from nlbp.monomials import (
 
 def quad_value(matrix, vec):
     return float(vec @ matrix @ vec)
+
+
+def raw_sweep(basis):
+    """Reference dependency sweep over index triples (outer, middle, inner) =
+    (i, l, k), emitting (i, k, l) whenever entries[k] * entries[l] equals
+    entries[i]. It visits (k, l) and (l, k) separately, so every off-diagonal
+    relation appears twice."""
+    entries = basis.entries
+    dim = len(basis)
+    return [(i, k, l) for i in range(dim) for l in range(1, dim)
+            for k in range(1, dim) if entries[k] + entries[l] == entries[i]]
+
+
+def first_occurrences(triples):
+    seen = set()
+    out = []
+    for i, k, l in triples:
+        key = (i, min(k, l), max(k, l))
+        if key not in seen:
+            seen.add(key)
+            out.append((i, k, l))
+    return out
+
+
+def dependency_matrix(dim, i, k, l):
+    m = np.zeros((dim, dim))
+    if k == l:
+        m[l, l] = 1.0
+    else:
+        m[k, l] = m[l, k] = 0.5
+    m[0, i] = m[i, 0] = -0.5
+    return m
 
 
 class TestQuadraticForm:
@@ -89,12 +121,12 @@ class TestDependencyGeneration:
     def test_normalization_first(self):
         basis = enumerate_basis(2, 2)
         cons = generate_dependency_constraints(basis)
-        first = cons[0]
-        assert first.kind is ConstraintKind.NORMALIZATION
-        assert first.value == 1.0
         expected = np.zeros((6, 6))
         expected[0, 0] = 1.0
-        assert np.array_equal(first.matrix, expected)
+        assert np.array_equal(cons[0], expected)
+        problem = build_lifted_problem([Polynomial(2, {})], [0.0], 4)
+        assert problem.kinds[1] is ConstraintKind.NORMALIZATION
+        assert problem.values[1] == 1.0
 
     def test_product_relation_cells(self):
         # x1 * x2 reproduces the x1*x2 entry: product cell 1/2, tie to the
@@ -104,47 +136,35 @@ class TestDependencyGeneration:
         i_prod = basis.index_of[MultiIndex((1, 1))]
         k = basis.index_of[MultiIndex((1, 0))]
         l = basis.index_of[MultiIndex((0, 1))]
-        match = [
-            c for c in cons
-            if c.kind is ConstraintKind.DEPENDENCY and c.matrix[k, l] == 0.5
-            and c.matrix[0, i_prod] == -0.5
-        ]
+        match = [c for c in cons[1:] if c[k, l] == 0.5 and c[0, i_prod] == -0.5]
         assert len(match) == 1
         c = match[0]
-        assert c.value == 0.0
-        assert c.matrix[l, k] == 0.5
-        assert c.matrix[i_prod, 0] == -0.5
-        assert np.count_nonzero(c.matrix) == 4
+        assert c[l, k] == 0.5
+        assert c[i_prod, 0] == -0.5
+        assert np.count_nonzero(c) == 4
 
     def test_square_relation_cells(self):
         basis = enumerate_basis(2, 2)
         cons = generate_dependency_constraints(basis)
         i_sq = basis.index_of[MultiIndex((2, 0))]
         k = basis.index_of[MultiIndex((1, 0))]
-        match = [
-            c for c in cons
-            if c.kind is ConstraintKind.DEPENDENCY and c.matrix[k, k] == 1.0
-            and c.matrix[0, i_sq] == -0.5
-        ]
+        match = [c for c in cons[1:] if c[k, k] == 1.0 and c[0, i_sq] == -0.5]
         assert len(match) == 1
-        assert np.count_nonzero(match[0].matrix) == 3
+        assert np.count_nonzero(match[0]) == 3
 
     def test_no_dependencies_when_unrepresentable(self):
         # basis {1, x1}: the only candidate product x1*x1 leaves the basis
         basis = enumerate_basis(1, 1)
         cons = generate_dependency_constraints(basis)
-        assert len(cons) == 1
-        assert cons[0].kind is ConstraintKind.NORMALIZATION
+        assert cons.shape == (1, 2, 2)
+        assert cons[0, 0, 0] == 1.0
 
     def test_dependency_shape_and_values(self):
         basis = enumerate_basis(3, 2)
-        for c in generate_dependency_constraints(basis):
-            if c.kind is not ConstraintKind.DEPENDENCY:
-                continue
-            assert c.value == 0.0
-            nz = np.count_nonzero(c.matrix)
+        for c in generate_dependency_constraints(basis)[1:]:
+            nz = np.count_nonzero(c)
             assert nz in (3, 4)
-            assert set(np.unique(c.matrix[c.matrix != 0.0])) <= {-0.5, 0.5, 1.0}
+            assert set(np.unique(c[c != 0.0])) <= {-0.5, 0.5, 1.0}
 
     def test_planted_lift_satisfies_dependencies(self):
         rng = np.random.default_rng(4)
@@ -153,38 +173,37 @@ class TestDependencyGeneration:
         for _ in range(20):
             x = rng.normal(size=3)
             lifted = lift_vector(x, basis)
-            for c in cons:
-                assert abs(quad_value(c.matrix, lifted) - c.value) < 1e-12 * (
+            for c, value in zip(cons, [1.0] + [0.0] * (len(cons) - 1)):
+                assert abs(quad_value(c, lifted) - value) < 1e-12 * (
                     1 + np.max(lifted) ** 2)
 
     def test_dedup_counts_two_vars(self):
         basis = enumerate_basis(2, 2)
-        dedup = generate_dependency_constraints(basis, dedup=True)
-        raw = generate_dependency_constraints(basis, dedup=False)
         # three representable products: x1^2, x1*x2, x2^2; the mixed one is
-        # emitted twice by the raw sweep
-        assert len(dedup) == 1 + 3
-        assert len(raw) == 1 + 4
+        # emitted twice by the raw sweep and once by the generator
+        assert len(generate_dependency_constraints(basis)) == 1 + 3
+        assert len(raw_sweep(basis)) == 4
 
     def test_dedup_preserves_order_and_prefix(self):
-        basis = enumerate_basis(3, 2)
-        dedup = generate_dependency_constraints(basis, dedup=True)
-        raw = generate_dependency_constraints(basis, dedup=False)
-        # every dedup constraint appears in the raw list, in the same order
-        raw_iter = iter(raw)
-        for c in dedup:
-            for r in raw_iter:
-                if r.value == c.value and np.array_equal(r.matrix, c.matrix):
-                    break
-            else:
-                pytest.fail("dedup emitted a constraint missing from the raw sweep")
+        # the generator equals the raw sweep followed by first-occurrence
+        # dedup, matrix for matrix and in the same order (half degree 3 is
+        # where ordering by entry product alone would interleave targets)
+        for n, half in [(1, 1), (2, 2), (3, 2), (5, 1), (5, 2), (8, 2),
+                        (3, 3), (2, 3), (4, 3)]:
+            basis = enumerate_basis(n, half)
+            dim = len(basis)
+            expected = [dependency_matrix(dim, *t)
+                        for t in first_occurrences(raw_sweep(basis))]
+            block = generate_dependency_constraints(basis)
+            assert len(block) == 1 + len(expected)
+            for got, want in zip(block[1:], expected):
+                assert np.array_equal(got, want)
 
     def test_dependency_completeness(self):
         # independent enumeration: every representable product of two
         # non-constant entries must be covered by some dependency
         basis = enumerate_basis(2, 3)
-        cons = generate_dependency_constraints(basis)
-        deps = [c for c in cons if c.kind is ConstraintKind.DEPENDENCY]
+        deps = generate_dependency_constraints(basis)[1:]
         for k, l in itertools.combinations_with_replacement(
                 range(1, len(basis)), 2):
             total = basis.entries[k] + basis.entries[l]
@@ -192,8 +211,7 @@ class TestDependencyGeneration:
                 continue
             i = basis.index_of[total]
             found = any(
-                c.matrix[0, i] == -0.5
-                and (c.matrix[k, l] == (1.0 if k == l else 0.5))
+                c[0, i] == -0.5 and (c[k, l] == (1.0 if k == l else 0.5))
                 for c in deps
             )
             assert found, f"missing dependency for entries {k} * {l} -> {i}"
@@ -201,10 +219,8 @@ class TestDependencyGeneration:
     def test_count_is_function_of_shape_only(self):
         # frozen counts: 15 products of degree-one entries over 5 variables
         basis = enumerate_basis(5, 2)
-        dedup = generate_dependency_constraints(basis, dedup=True)
-        raw = generate_dependency_constraints(basis, dedup=False)
-        assert len(dedup) == 1 + 15
-        assert len(raw) == 1 + 25
+        assert len(generate_dependency_constraints(basis)) == 1 + 15
+        assert len(raw_sweep(basis)) == 25
 
 
 class TestBuildLiftedProblem:
@@ -213,12 +229,16 @@ class TestBuildLiftedProblem:
         values = np.zeros(50)
         problem = build_lifted_problem(polys, values, 4)
         assert problem.dim == 21
-        kinds = [c.kind for c in problem.constraints]
-        assert kinds[:50] == [ConstraintKind.DATA] * 50
+        kinds = problem.kinds
+        assert kinds[:50] == (ConstraintKind.DATA,) * 50
         assert kinds[50] is ConstraintKind.NORMALIZATION
         assert all(k is ConstraintKind.DEPENDENCY for k in kinds[51:])
         assert problem.num_constraints == 66
         assert problem.num_data == 50
+        assert problem.operator.shape == (66, 21, 21)
+        assert problem.values.shape == (66,)
+        assert not problem.operator.flags.writeable
+        assert not problem.values.flags.writeable
 
     def test_trivial_problem(self):
         p = Polynomial(1, {MultiIndex((1,)): 1.0})
@@ -236,9 +256,9 @@ class TestBuildLiftedProblem:
             problem = build_lifted_problem(polys, values, 4)
             lifted = lift_vector(x, problem.basis)
             planted = np.outer(lifted, lifted)
-            for c in problem.constraints:
-                err = abs(float(np.sum(c.matrix * planted)) - c.value)
-                assert err < 1e-9 * (1 + abs(c.value))
+            for c, value in zip(problem.operator, problem.values):
+                err = abs(float(np.sum(c * planted)) - value)
+                assert err < 1e-9 * (1 + abs(value))
 
     def test_odd_order_rejected(self):
         p = Polynomial(1, {MultiIndex((1,)): 1.0})
@@ -284,15 +304,38 @@ class TestLiftVector:
             lift_vector((1.0,), enumerate_basis(2, 1))
 
 
+def one_var_problem(operator, values, num_data=None):
+    return LiftedProblem(basis=enumerate_basis(1, 1), num_vars=1, order=2,
+                         num_data=len(values) if num_data is None else num_data,
+                         operator=operator, values=values)
+
+
 class TestConstraintType:
     def test_asymmetric_matrix_rejected(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            LiftedConstraint(0.0, m, ConstraintKind.DATA)
+        with pytest.raises(ValueError, match="symmetric"):
+            one_var_problem(np.stack([np.eye(2), m]), [1.0, 0.0])
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            LiftedConstraint(0.0, np.zeros((2, 3)), ConstraintKind.DATA)
+            one_var_problem(np.zeros((1, 2, 3)), [0.0])
+        with pytest.raises(ValueError):
+            one_var_problem(np.zeros((1, 3, 3)), [0.0])
+
+    def test_values_length_and_num_data_checked(self):
+        with pytest.raises(ValueError):
+            one_var_problem(np.zeros((2, 2, 2)), [0.0])
+        with pytest.raises(ValueError):
+            one_var_problem(np.zeros((1, 2, 2)), [0.0], num_data=2)
+
+    def test_arrays_read_only_and_caller_array_untouched(self):
+        operator = np.zeros((1, 2, 2))
+        problem = one_var_problem(operator, np.array([0.0]))
+        assert operator.flags.writeable
+        with pytest.raises(ValueError):
+            problem.operator[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            problem.values[0] = 1.0
 
 
 class TestProblemJson:
@@ -306,10 +349,25 @@ class TestProblemJson:
         assert back.num_vars == problem.num_vars
         assert back.order == problem.order
         assert back.num_constraints == problem.num_constraints
-        for a, b in zip(problem.constraints, back.constraints):
-            assert a.kind == b.kind
-            assert a.value == b.value
-            assert np.array_equal(a.matrix, b.matrix)
+        assert back.num_data == problem.num_data
+        assert back.kinds == problem.kinds
+        assert np.array_equal(back.values, problem.values)
+        assert np.array_equal(back.operator, problem.operator)
+
+    @pytest.mark.parametrize("kinds", [
+        ["normalization", "data", "dependency"],
+        ["data", "dependency", "dependency"],
+        ["data", "normalization", "normalization"],
+    ])
+    def test_kinds_out_of_frozen_order_rejected(self, kinds):
+        p = Polynomial(1, {MultiIndex((1,)): 1.0})
+        data = lifted_problem_to_json(build_lifted_problem([p], [0.0], 4))
+        assert [c["kind"] for c in data["constraints"]] == [
+            "data", "normalization", "dependency"]
+        for c, kind in zip(data["constraints"], kinds):
+            c["kind"] = kind
+        with pytest.raises(ValueError, match="frozen order"):
+            lifted_problem_from_json(data)
 
     def test_upper_triangle_only(self):
         p = Polynomial(2, {MultiIndex((1, 1)): 2.0})

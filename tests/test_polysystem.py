@@ -11,6 +11,7 @@ import pytest
 
 from nlbp.harness import sample_trial, table1_spec
 from nlbp.lifting import (
+    _structural_constraints,
     build_lifted_problem,
     generate_dependency_constraints,
     polynomial_to_quadratic_form,
@@ -273,12 +274,11 @@ def test_restrict_keeps_the_terms_inside_the_support():
 
 def test_dependency_constraints_are_shared_and_read_only():
     _, (system, _, values) = trial(3)
-    a = build_lifted_problem(system, values, 4)
-    b = build_lifted_problem(system, values, 4)
-    structural = a.constraints[NUM_EQS:]
-    assert all(c is d for c, d in zip(structural, b.constraints[NUM_EQS:]))
+    cached = _structural_constraints(3, 2)
+    assert cached is _structural_constraints(3, 2)
+    assert not cached.flags.writeable
     fresh = generate_dependency_constraints(enumerate_basis(3, 2))
-    assert len(structural) == len(fresh)
-    for c, f in zip(structural, fresh):
-        assert np.array_equal(c.matrix, f.matrix) and c.kind is f.kind
-        assert not c.matrix.flags.writeable
+    assert np.array_equal(cached, fresh)
+    problem = build_lifted_problem(system, values, 4)
+    assert np.array_equal(problem.operator[NUM_EQS:], fresh)
+    assert not problem.operator.flags.writeable

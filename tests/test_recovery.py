@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from nlbp.lifting import (
-    ConstraintKind,
-    LiftedConstraint,
     LiftedProblem,
     build_lifted_problem,
     lift_vector,
@@ -14,23 +12,24 @@ from nlbp.monomials import MultiIndex, Polynomial, enumerate_basis, eval_polynom
 from nlbp.recovery import (
     AllZeroColumnsError,
     DegenerateTopEigenvalueError,
-    OperatorSizeError,
     coherence_certificate,
     count_zero_columns,
     estimate_rip_epsilon,
     extract_rank1,
     mutual_coherence,
-    operator_matrix,
 )
 
 
 def manual_problem(constraint_matrices, values, n=1, order=2):
-    basis = enumerate_basis(n, order // 2)
-    cons = tuple(
-        LiftedConstraint(float(v), m, ConstraintKind.DATA)
-        for m, v in zip(constraint_matrices, values)
-    )
-    return LiftedProblem(basis=basis, constraints=cons, num_vars=n, order=order)
+    return LiftedProblem(basis=enumerate_basis(n, order // 2), num_vars=n,
+                         order=order, num_data=len(values),
+                         operator=np.stack(constraint_matrices), values=values)
+
+
+def operator_rows(problem):
+    """The M x dim^2 matrix the certificates read: row i is the vectorized
+    i-th constraint matrix."""
+    return problem.operator.reshape(problem.num_constraints, -1)
 
 
 def planted_problem(n, num_eqs, order, seed):
@@ -98,28 +97,24 @@ class TestExtractRank1:
 class TestOperatorMatrix:
     def test_identity_constraint_row(self):
         problem = manual_problem([np.eye(2)], [1.0])
-        B = operator_matrix(problem)
+        B = operator_rows(problem)
         assert np.array_equal(B, np.array([[1.0, 0.0, 0.0, 1.0]]))
 
     def test_trace_oracle(self):
         problem, _ = planted_problem(2, 5, 4, 2)
-        B = operator_matrix(problem)
+        B = operator_rows(problem)
         rng = np.random.default_rng(3)
         for _ in range(100):
             X = rng.normal(size=(problem.dim, problem.dim))
             X = 0.5 * (X + X.T)
-            direct = np.array([float(np.sum(c.matrix * X)) for c in problem.constraints])
+            direct = np.array([float(np.sum(c * X)) for c in problem.operator])
             assert np.max(np.abs(B @ X.ravel() - direct)) < 1e-12 * (1 + np.max(np.abs(direct)))
 
     def test_reference_shape(self):
         problem, _ = planted_problem(5, 50, 4, 4)
-        B = operator_matrix(problem)
+        B = operator_rows(problem)
         assert B.shape == (66, 441)
-
-    def test_size_guard(self):
-        problem, _ = planted_problem(2, 3, 2, 5)
-        with pytest.raises(OperatorSizeError):
-            operator_matrix(problem, max_columns=4)
+        assert np.shares_memory(B, problem.operator)
 
 
 class TestMutualCoherence:
@@ -245,7 +240,7 @@ class TestRipEstimate:
         problem, _ = planted_problem(2, 5, 2, 15)
         dim = problem.dim
         assert dim == 3
-        B = operator_matrix(problem)
+        B = np.stack([c.ravel() for c in problem.operator])
 
         def support_deviation(cells):
             cols = []

@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
 
-from nlbp.lifting import build_lifted_problem, lift_vector
-from nlbp.monomials import MultiIndex, Polynomial, eval_polynomial, random_polynomial
+from nlbp.harness import sample_trial, table1_spec
+from nlbp.lifting import (
+    build_lifted_problem,
+    generate_dependency_constraints,
+    lift_vector,
+    polynomial_to_quadratic_form,
+)
+from nlbp.monomials import (
+    MultiIndex,
+    Polynomial,
+    enumerate_basis,
+    eval_polynomial,
+    random_polynomial,
+)
 from nlbp.sdp_admm import (
     AffineCache,
     SolverConfig,
@@ -24,8 +36,8 @@ def planted_problem(n, num_eqs, order, seed):
 
 def kkt_projection_oracle(problem, X):
     """Independent dense KKT solve for the affine projection."""
-    rows = np.stack([c.matrix.ravel() for c in problem.constraints])
-    values = problem.values_vector()
+    rows = np.stack([c.ravel() for c in problem.operator])
+    values = problem.values
     m, d2 = rows.shape
     kkt = np.block([[np.eye(d2), rows.T], [rows, np.zeros((m, m))]])
     rhs = np.concatenate([X.ravel(), values])
@@ -83,6 +95,61 @@ class TestProjectAffine:
         assert AffineCache.build(feasible).infeasibility_lb < 1e-10
         clash = build_lifted_problem([p, p], [0.0, 1.0], 2)
         assert AffineCache.build(clash).infeasibility_lb > 0.1
+
+    def test_raw_rows_are_views_of_the_problem(self):
+        problem, _ = planted_problem(2, 4, 4, 3)
+        cache = AffineCache.build(problem)
+        assert np.shares_memory(cache.row_mat_raw, problem.operator)
+        assert np.shares_memory(cache.rhs_raw, problem.values)
+
+    @pytest.mark.parametrize("n, order, num_eqs", [(5, 2, 30), (5, 4, 50), (8, 4, 120)])
+    def test_matches_cache_of_per_constraint_stack(self, n, order, num_eqs):
+        # reference: the constraints lifted one at a time, stacked row by row
+        # and normalized, decomposed and projected as written out here
+        polys = [random_polynomial(n, order, 7000 + j, 1.0) for j in range(num_eqs)]
+        x = np.random.default_rng(n + order).normal(size=n)
+        values = [eval_polynomial(p, x) for p in polys]
+        basis = enumerate_basis(n, order // 2)
+        structural = generate_dependency_constraints(basis)
+        matrices = [polynomial_to_quadratic_form(p, basis) for p in polys] + list(structural)
+        rows_raw = np.stack([m.ravel() for m in matrices])
+        rhs_raw = np.array(values + [1.0] + [0.0] * (len(structural) - 1))
+        norms = np.linalg.norm(rows_raw, axis=1)
+        scale = np.where(norms > 0, norms, 1.0)
+        rows, rhs = rows_raw / scale[:, None], rhs_raw / scale
+        vals, vecs = np.linalg.eigh(rows @ rows.T)
+        active = vals > 1e-12 * max(vals[-1], 0.0)
+        inv_vals = np.where(active, 1.0 / np.where(active, vals, 1.0), 0.0)
+
+        cache = AffineCache.build(build_lifted_problem(polys, values, order))
+        rng = np.random.default_rng(n * order)
+        for _ in range(3):
+            X = rng.normal(size=(len(basis), len(basis)))
+            vec = X.ravel()
+            mult = vecs @ (inv_vals * (vecs.T @ (rows @ vec - rhs)))
+            expected = (vec - rows.T @ mult).reshape(X.shape)
+            assert np.array_equal(cache.project(X), expected)
+            assert cache.violation(X) == float(np.max(np.abs(rows_raw @ vec - rhs_raw)))
+
+    def inconsistent_systems(self):
+        p = Polynomial(1, {MultiIndex((1,)): 1.0})
+        yield build_lifted_problem([p, p], [0.0, 1.0], 2)
+        polys, _, values = sample_trial(table1_spec(trials=1, seed=42), 0)
+        yield build_lifted_problem(polys.truncate(2), values, 2)
+
+    def test_infeasibility_lb_is_a_lower_bound(self):
+        # no X, random or least squares, violates some constraint by less
+        rng = np.random.default_rng(15)
+        for problem in self.inconsistent_systems():
+            cache = AffineCache.build(problem)
+            assert cache.infeasibility_lb > 1e-3
+            rows = cache.row_mat_raw
+            best = np.linalg.lstsq(rows, cache.rhs_raw, rcond=None)[0]
+            candidates = [best.reshape(problem.dim, problem.dim)] + [
+                rng.normal(scale=s, size=(problem.dim, problem.dim))
+                for s in (1e-3, 1.0, 1e3) for _ in range(20)]
+            for X in candidates:
+                assert cache.infeasibility_lb <= cache.violation(X)
 
 
 class TestProjectPsd:
@@ -153,8 +220,6 @@ class TestSolverConfig:
             SolverConfig(lam=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(rho=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(over_relaxation=2.0)
         with pytest.raises(ValueError):
             SolverConfig(eps_abs=0.0)
 
@@ -229,16 +294,6 @@ class TestSolve:
         windows = [combined[i:i + 50] for i in range(0, len(combined) - 50, 50)]
         for prev, cur in zip(windows, windows[1:]):
             assert cur.max() <= 10.0 * prev.max()
-
-    def test_over_relaxation_still_solves(self):
-        problem, x = planted_problem(2, 6, 2, 12)
-        report = solve_nlbp(problem, SolverConfig(over_relaxation=1.5))
-        assert report.status is SolveStatus.CONVERGED
-
-    def test_adaptive_rho_still_solves(self):
-        problem, _ = planted_problem(2, 6, 2, 13)
-        report = solve_nlbp(problem, SolverConfig(adaptive_rho=True))
-        assert report.status is SolveStatus.CONVERGED
 
     def test_lambda_zero_matches_manual_threshold_free_run(self):
         # with lam = 0 the shrinkage step is the identity, so the solver is
