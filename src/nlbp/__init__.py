@@ -41,20 +41,15 @@ from .sdp_admm import (
     solve_nlbp,
 )
 from .recovery import (
-    AllZeroColumnsError,
-    CoherenceCertificate,
     DegenerateTopEigenvalueError,
-    ExtractionThresholds,
+    DualCertificate,
     RecoveredSolution,
-    coherence_certificate,
-    estimate_rip_epsilon,
+    dual_certificate,
     extract_rank1,
-    mutual_coherence,
 )
 from .baselines import (
     BaselineResult,
     Method,
-    OracleBudget,
     l0_oracle,
     refine_solution,
     solve_linear,

@@ -266,33 +266,25 @@ def solve_linear(
     return result
 
 
-@dataclass
-class OracleBudget:
-    """Search effort for the support-enumeration oracle."""
-
-    starts_per_support: int = 20
-    newton_iters: int = 100
-    init_std: float = 1.0
-
-
 def l0_oracle(
     polys,
     values,
     max_support: int,
-    budget: OracleBudget | None = None,
+    starts: int = 20,
     rng_seed: int = 0,
 ) -> np.ndarray | None:
     """Brute-force sparsest solution of the system, or None when no support
     of size <= max_support admits one.
 
-    Every support is attacked by multi-start damped Gauss-Newton with
-    Gaussian initialization; a support counts as solved when the squared
-    residual falls below 1e-12 * (1 + ||values||^2). The sparsest solved
-    support wins, ties broken by smaller residual. Only intended for small
-    instances (at most 8 variables, supports of at most 3).
+    Every support is attacked by ``starts`` (>= 1) runs of damped
+    Gauss-Newton, 100 iterations each, from standard Gaussian initial points;
+    a support counts as solved when the squared residual falls below
+    1e-12 * (1 + ||values||^2). The sparsest solved support wins, ties broken
+    by smaller residual. Only intended for small instances (at most 8
+    variables, supports of at most 3).
     """
-    if budget is None:
-        budget = OracleBudget()
+    if starts < 1:
+        raise ValueError("starts must be >= 1")
     if max_support > 3:
         raise ValueError("oracle is limited to supports of at most 3")
     # linear in the stored terms: only the monomials that occur get a column
@@ -315,10 +307,10 @@ def l0_oracle(
             # exponents live inside the support can ever contribute
             restricted = system.restrict(support)
             rng = np.random.default_rng(seed_root.spawn(1)[0])
-            for _ in range(max(1, budget.starts_per_support)):
-                z0 = rng.normal(0.0, budget.init_std, size)
+            for _ in range(starts):
+                z0 = rng.normal(0.0, 1.0, size)
                 z = _gauss_newton(restricted, values, z0,
-                                  max_iters=budget.newton_iters, tol_sq=tol_sq)
+                                  max_iters=100, tol_sq=tol_sq)
                 val = _residual_sq(restricted, values, z)
                 if val <= tol_sq and val < best_residual:
                     x = np.zeros(n)

@@ -1,29 +1,34 @@
 """Command-line interface: lift, solve, recover, certify, bench, oracle.
 
+``certify`` checks the dual certificate of ``recovery.dual_certificate`` on
+a report written by ``solve --dump-x`` (which carries the solution matrix
+and the solver's final multipliers).
+
 Exit codes: 0 on success, 1 on usage or input errors (including malformed
-JSON, reported with line and column), 2 on solver failure.
+JSON, reported with line and column, non-finite numbers and out-of-range
+indices), 2 on solver failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
-from .baselines import OracleBudget, l0_oracle
+from .baselines import l0_oracle
 from .harness import dense_spec, emit_boxplot_data, results_to_csv, run_experiment, table1_spec
 from .lifting import (
     build_lifted_problem,
     lifted_problem_from_json,
     lifted_problem_to_json,
 )
-from .monomials import PolySystem, polynomial_from_json
+from .monomials import PolySystem, checked_float, polynomial_from_json
 from .recovery import (
     DegenerateTopEigenvalueError,
-    certificate_to_json,
-    coherence_certificate,
+    dual_certificate,
     extract_rank1,
 )
 from .sdp_admm import (
@@ -66,17 +71,21 @@ def _dump_json(data, path: str | None):
             fh.write(text)
 
 
-def _load_problem_file(path: str):
+def _parse_file(path: str, parse, what: str):
+    """``parse`` applied to a JSON file; a malformed document is an input
+    error."""
     data = _load_json(path)
     try:
-        polys = [polynomial_from_json(p) for p in data["polynomials"]]
-        values = [float(v) for v in data["values"]]
+        return parse(data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{path}: bad problem file: {exc}")
+        raise UsageError(f"{path}: bad {what} file: {exc}")
+
+
+def _problem_from_json(data: dict):
+    polys = [polynomial_from_json(p) for p in data["polynomials"]]
+    values = [checked_float(v) for v in data["values"]]
     if len(polys) != len(values):
-        raise UsageError(
-            f"{path}: {len(polys)} polynomials but {len(values)} values"
-        )
+        raise ValueError(f"{len(polys)} polynomials but {len(values)} values")
     return PolySystem.from_polys(polys), values
 
 
@@ -106,10 +115,9 @@ def _build_parser() -> _Parser:
     p.add_argument("lifted", help="the lifted problem the report solves")
     p.add_argument("-o", "--output", default=None)
 
-    p = sub.add_parser("certify", help="coherence certificate for a solved problem")
+    p = sub.add_parser("certify", help="dual optimality certificate for a solved problem")
     p.add_argument("lifted")
     p.add_argument("report", help="report JSON written by solve --dump-x")
-    p.add_argument("--zero-tol", type=float, default=1e-6)
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("bench", help="run a Monte-Carlo ensemble")
@@ -135,7 +143,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_lift(args) -> int:
-    polys, values = _load_problem_file(args.problem)
+    polys, values = _parse_file(args.problem, _problem_from_json, "problem")
     order = args.order
     if order is None:
         degree = polys.degree
@@ -146,7 +154,7 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    problem = lifted_problem_from_json(_load_json(args.lifted))
+    problem = _parse_file(args.lifted, lifted_problem_from_json, "lifted")
     config = SolverConfig(lam=args.lam, rho=args.rho, max_iters=args.max_iters,
                           eps_abs=args.eps_abs, eps_rel=args.eps_rel)
     report = solve_nlbp(problem, config)
@@ -154,18 +162,20 @@ def _cmd_solve(args) -> int:
     return 0 if report.status is SolveStatus.CONVERGED else 2
 
 
-def _load_report_matrix(path: str):
-    report = report_from_json(_load_json(path))
-    if report.X.size == 0:
+def _load_dumped_report(path: str, keys: tuple[str, ...]):
+    """A solve report that must carry the matrices named in ``keys``."""
+    report = _parse_file(path, report_from_json, "report")
+    missing = [key for key in keys if getattr(report, key).size == 0]
+    if missing:
         raise UsageError(
-            f"{path}: report has no solution matrix; rerun solve with --dump-x"
+            f"{path}: report has no {', '.join(missing)}; rerun solve with --dump-x"
         )
     return report
 
 
 def _cmd_recover(args) -> int:
-    report = _load_report_matrix(args.report)
-    problem = lifted_problem_from_json(_load_json(args.lifted))
+    report = _load_dumped_report(args.report, ("X",))
+    problem = _parse_file(args.lifted, lifted_problem_from_json, "lifted")
     solution = extract_rank1(report.X, problem.basis)
     _dump_json({
         "x": [float(v) for v in solution.x],
@@ -178,10 +188,11 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    problem = lifted_problem_from_json(_load_json(args.lifted))
-    report = _load_report_matrix(args.report)
-    cert = coherence_certificate(problem, report.X, zero_tol=args.zero_tol)
-    _dump_json(certificate_to_json(cert), args.output)
+    problem = _parse_file(args.lifted, lifted_problem_from_json, "lifted")
+    report = _load_dumped_report(args.report, ("X", "dual_affine", "dual_psd"))
+    x = extract_rank1(report.X, problem.basis).x
+    cert = dual_certificate(problem, report, x)
+    _dump_json(dataclasses.asdict(cert), args.output)
     return 0
 
 
@@ -205,10 +216,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    polys, values = _load_problem_file(args.problem)
-    budget = OracleBudget(starts_per_support=args.starts)
+    polys, values = _parse_file(args.problem, _problem_from_json, "problem")
     found = l0_oracle(polys, values, max_support=args.max_support,
-                      budget=budget, rng_seed=args.seed)
+                      starts=args.starts, rng_seed=args.seed)
     if found is None:
         _dump_json({"found": False}, args.output)
     else:

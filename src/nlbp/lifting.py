@@ -28,6 +28,8 @@ from .monomials import (
     MultiIndex,
     Polynomial,
     PolySystem,
+    checked_float,
+    checked_int,
     enumerate_basis,
     monomial_vector,
 )
@@ -255,10 +257,12 @@ def lifted_problem_to_json(problem: LiftedProblem) -> dict:
 
 
 def lifted_problem_from_json(data: dict) -> LiftedProblem:
-    n = int(data["num_vars"])
-    order = int(data["order"])
+    """Inverse of ``lifted_problem_to_json``; rejects non-finite numbers and
+    cell indices outside [0, dim)."""
+    n = checked_int(data["num_vars"], 1)
+    order = checked_int(data["order"], 2)
     basis = enumerate_basis(n, order // 2)
-    stored = [MultiIndex(tuple(int(e) for e in a)) for a in data["basis"]]
+    stored = [MultiIndex(tuple(checked_int(e, 0) for e in a)) for a in data["basis"]]
     if stored != list(basis.entries):
         raise ValueError("stored basis does not match the frozen basis order")
     items = data["constraints"]
@@ -266,7 +270,8 @@ def lifted_problem_from_json(data: dict) -> LiftedProblem:
     operator = np.zeros((len(items), dim, dim))
     for m, item in zip(operator, items):
         for cell in item["entries"]:
-            r, c, v = int(cell["row"]), int(cell["col"]), float(cell["value"])
+            r, c = checked_int(cell["row"], 0, dim), checked_int(cell["col"], 0, dim)
+            v = checked_float(cell["value"])
             m[r, c] = v
             m[c, r] = v
     kinds = [ConstraintKind(item["kind"]) for item in items]
@@ -274,7 +279,7 @@ def lifted_problem_from_json(data: dict) -> LiftedProblem:
                     len(kinds))
     problem = LiftedProblem(basis=basis, num_vars=n, order=order,
                             num_data=num_data, operator=operator,
-                            values=[float(item["y"]) for item in items])
+                            values=[checked_float(item["y"]) for item in items])
     if tuple(kinds) != problem.kinds:
         raise ValueError("constraint kinds are not in the frozen order: data, "
                          "then one normalization, then dependencies")

@@ -458,10 +458,30 @@ def polynomial_to_json(p: Polynomial) -> dict:
     }
 
 
+def checked_float(value) -> float:
+    """A number read from a file; nan and infinities are rejected."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
+def checked_int(value, low: int, high: int | None = None) -> int:
+    """An integer in [low, high) read from a file. Integral floats such as
+    2.0 are accepted; a fraction is rejected rather than truncated."""
+    number = float(value)
+    if not number.is_integer() or number < low or (high is not None and number >= high):
+        bounds = f"[{low}, {high})" if high is not None else f">= {low}"
+        raise ValueError(f"expected an integer {bounds}, got {value!r}")
+    return int(number)
+
+
 def polynomial_from_json(data: dict) -> Polynomial:
-    n = int(data["num_vars"])
+    """Inverse of ``polynomial_to_json``; rejects non-finite coefficients and
+    exponents that are not non-negative integers."""
+    n = checked_int(data["num_vars"], 1)
     terms: dict[MultiIndex, float] = {}
     for item in data["terms"]:
-        alpha = MultiIndex(tuple(int(e) for e in item["alpha"]))
-        terms[alpha] = terms.get(alpha, 0.0) + float(item["coeff"])
+        alpha = MultiIndex(tuple(checked_int(e, 0) for e in item["alpha"]))
+        terms[alpha] = terms.get(alpha, 0.0) + checked_float(item["coeff"])
     return Polynomial(num_vars=n, terms=terms)

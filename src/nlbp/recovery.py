@@ -1,14 +1,12 @@
-"""Recovering the unknown vector from the solved matrix, plus certificates.
+"""Recovering the unknown vector from the solved matrix, and certifying it.
 
 The solved matrix should be (near) rank one; its top eigenpair, rescaled so
 the constant-monomial entry equals 1, yields the lifted monomial vector and
-hence the unknowns from the degree-one positions. Two checkable certificates
-accompany extraction: a mutual-coherence sparsity bound on the constraint
-operator, and a Monte-Carlo lower-bound estimate of the operator's restricted
-isometry constant (usable to refute isometry claims, never to confirm them).
-Both read the lifted problem's (M, dim, dim) ``operator`` as the M x dim^2
-matrix whose i-th row is the vectorized i-th constraint matrix (full, not
-symmetry-reduced, vectorization).
+hence the unknowns from the degree-one positions. A dual certificate built
+from the solver's final multipliers then checks, without trusting the
+solver, that the rank-one lift of that vector is the unique optimum of the
+relaxation. It reads the lifted problem's (M, dim, dim) ``operator`` as the
+M x dim^2 matrix whose i-th row is the vectorized i-th constraint matrix.
 """
 
 from __future__ import annotations
@@ -20,6 +18,7 @@ import numpy as np
 
 from .lifting import LiftedProblem, lift_vector
 from .monomials import MultiIndex
+from .sdp_admm import SolveReport, SolveStatus
 
 
 class DegenerateTopEigenvalueError(ValueError):
@@ -27,16 +26,16 @@ class DegenerateTopEigenvalueError(ValueError):
     extraction relies on is impossible."""
 
 
-class AllZeroColumnsError(ValueError):
-    """Mutual coherence is undefined: fewer than two nonzero columns."""
+# An extraction is valid when lambda_2 / lambda_1 of the solved matrix is at
+# most RANK1_RATIO and the candidate lifted vector agrees with the exact lift
+# of its unknowns to LIFT_CONSISTENCY * (1 + max |x_bar|).
+RANK1_RATIO = 1e-3
+LIFT_CONSISTENCY = 1e-4
 
-
-@dataclass(frozen=True)
-class ExtractionThresholds:
-    """Acceptance thresholds for rank-one extraction."""
-
-    rank1_ratio: float = 1e-3
-    lift_consistency_coeff: float = 1e-4
+# Every dual-certificate check is relative, at tolerance CERT_TOL; the second
+# eigenvalue of the slack must clear CERT_TOL * ||S|| by CERT_RANK_GAP.
+CERT_TOL = 1e-6
+CERT_RANK_GAP = 1e3
 
 
 @dataclass
@@ -51,28 +50,7 @@ class RecoveredSolution:
     valid: bool
 
 
-@dataclass
-class CoherenceCertificate:
-    """Sparsity-based recovery certificate.
-
-    ``holds`` is True when the nonzero count of the solved matrix is strictly
-    below 0.5 * (1 + 1 / coherence); columns of the operator that are
-    identically zero carry no measurement and are excluded from the coherence
-    maximum (their count is reported).
-    """
-
-    mu: float
-    sparsity_bound: float
-    matrix_l0: int
-    holds: bool
-    zero_columns_excluded: int
-
-
-def extract_rank1(
-    X: np.ndarray,
-    basis,
-    thresholds: ExtractionThresholds | None = None,
-) -> RecoveredSolution:
+def extract_rank1(X: np.ndarray, basis) -> RecoveredSolution:
     """Extract the unknown vector from a near-rank-one PSD matrix.
 
     The top eigenpair gives a candidate lifted vector, sign-normalized so its
@@ -81,8 +59,6 @@ def extract_rank1(
     both a small second-to-first eigenvalue ratio and agreement between the
     candidate and the exact lift of the extracted unknowns.
     """
-    if thresholds is None:
-        thresholds = ExtractionThresholds()
     X = np.asarray(X, dtype=float)
     vals, vecs = np.linalg.eigh(0.5 * (X + X.T))
     sigma1 = vals[-1]
@@ -113,137 +89,95 @@ def extract_rank1(
 
     consistency = float(np.max(np.abs(lift_vector(x, basis) - x_bar)))
     valid = bool(
-        ratio <= thresholds.rank1_ratio
-        and consistency <= thresholds.lift_consistency_coeff * (1.0 + np.max(np.abs(x_bar)))
+        ratio <= RANK1_RATIO
+        and consistency <= LIFT_CONSISTENCY * (1.0 + np.max(np.abs(x_bar)))
     )
     return RecoveredSolution(x=x, x_bar=x_bar, rank1_ratio=float(ratio),
                              lift_consistency=consistency, valid=valid)
 
 
-def mutual_coherence(B: np.ndarray) -> float:
-    """Largest normalized inner product between distinct nonzero columns.
+@dataclass
+class DualCertificate:
+    """A-posteriori optimality certificate for an estimate x of the unknowns,
+    built from the solver's final multipliers. X_bar = x_bar x_bar' with
+    x_bar the lift of x, S = rho * U2 is the PSD slack and w the
+    least-squares affine multiplier. Every number is relative:
 
-    Columns that are identically zero are skipped (the ratio is 0/0 there);
-    the result is clipped into [0, 1] against roundoff.
+    ``min_eigenvalue`` and ``second_eigenvalue`` are the two smallest
+    eigenvalues of S over ``slack_norm`` = ||S||_2; ``complementarity`` is
+    ||S x_bar|| / (||S|| ||x_bar||); ``dual_residual`` is
+    ||sum_i w_i C_i - (I + rho U1)||_F / ||I + rho U1||_F; ``primal_residual``
+    is max_i |trace(C_i X_bar) - v_i| / (1 + max |v|); ``duality_gap`` is
+    |f - v'w| / (1 + f) with f = trace(X_bar) + lam ||X_bar||_1 the primal
+    objective; ``l1_multiplier`` is the largest distance of an entry of
+    rho (U1 + U2) from lam times the subdifferential of ||X_bar||_1 (entries
+    of X_bar below CERT_TOL * max |X_bar| count as zero), over ||S|| + lam.
     """
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or B.shape[1] < 2:
-        raise ValueError("need a matrix with at least 2 columns")
-    norms = np.linalg.norm(B, axis=0)
-    keep = norms > 0.0
-    if keep.sum() < 2:
-        raise AllZeroColumnsError("fewer than two nonzero columns")
-    unit = B[:, keep] / norms[keep]
-    gram = np.abs(unit.T @ unit)
-    np.fill_diagonal(gram, 0.0)
-    return float(min(gram.max(), 1.0))
+
+    slack_norm: float
+    min_eigenvalue: float
+    second_eigenvalue: float
+    complementarity: float
+    dual_residual: float
+    primal_residual: float
+    duality_gap: float
+    l1_multiplier: float
+    holds: bool
 
 
-def count_zero_columns(B: np.ndarray) -> int:
-    return int(np.sum(np.linalg.norm(np.asarray(B, dtype=float), axis=0) == 0.0))
+def dual_certificate(problem: LiftedProblem, report: SolveReport,
+                     x) -> DualCertificate:
+    """Check that the lift of the estimate x is the unique optimum of the
+    lifted program.
 
-
-def coherence_certificate(
-    problem: LiftedProblem,
-    X: np.ndarray,
-    zero_tol: float = 1e-6,
-) -> CoherenceCertificate:
-    """Check the coherence sparsity bound on a solved matrix.
-
-    The matrix nonzero count uses a relative threshold (entries above
-    ``zero_tol`` times the largest magnitude), since exact zeros never occur
-    in floating point.
+    With S = rho * U2 and w solving sum_i w_i C_i = I + rho * U1 by least
+    squares, (w, S) is a dual point and X_bar = x_bar x_bar' a primal one.
+    When X_bar is feasible (x solves the system), the dual point is feasible
+    (small residual, S PSD, rho (U1 + U2) an l1 multiplier of X_bar) and the
+    duality gap closes, X_bar is optimal and every optimum X has
+    trace(S X) = 0. If S also has rank dim - 1 (a second eigenvalue clear of
+    zero) and S x_bar = 0, every optimum is a multiple of X_bar, and the
+    normalization row fixes the multiple: X_bar is the unique optimum
+    (strict complementarity; Alizadeh, Haeberly and Overton 1997). The
+    certificate holds only on a CONVERGED report and only when every check
+    passes at tolerance CERT_TOL.
     """
-    B = problem.operator.reshape(problem.num_constraints, -1)
-    mu = mutual_coherence(B)
-    bound = 0.5 * (1.0 + 1.0 / mu) if mu > 0 else math.inf
-    X = np.asarray(X, dtype=float)
-    top = np.max(np.abs(X))
-    l0 = int(np.sum(np.abs(X) > zero_tol * top)) if top > 0 else 0
-    return CoherenceCertificate(
-        mu=mu,
-        sparsity_bound=bound,
-        matrix_l0=l0,
-        holds=l0 < bound,
-        zero_columns_excluded=count_zero_columns(B),
+    x_bar = lift_vector(x, problem.basis)
+    S = report.dual_psd
+    vals = np.linalg.eigvalsh(S)
+    slack_norm = float(np.max(np.abs(vals)))
+    scale = slack_norm if slack_norm > 0 else 1.0
+
+    rows = problem.operator.reshape(problem.num_constraints, -1)
+    target = (np.eye(problem.dim) + report.dual_affine).ravel()
+    w = np.linalg.lstsq(rows.T, target, rcond=None)[0]
+    dual_residual = float(np.linalg.norm(rows.T @ w - target) / np.linalg.norm(target))
+
+    X_bar = np.outer(x_bar, x_bar)
+    values = problem.values
+    primal_residual = float(np.max(np.abs(rows @ X_bar.ravel() - values))
+                            / (1.0 + np.max(np.abs(values))))
+    primal_objective = float(np.trace(X_bar) + report.lam * np.sum(np.abs(X_bar)))
+    duality_gap = abs(primal_objective - float(values @ w)) / (1.0 + abs(primal_objective))
+
+    # rho (U1 + U2) must equal lam * sign(X_bar) on the support of X_bar and
+    # stay within [-lam, lam] off it.
+    multiplier = report.dual_affine + report.dual_psd
+    support = np.abs(X_bar) > CERT_TOL * np.max(np.abs(X_bar))
+    off_l1 = np.where(support, np.abs(multiplier - report.lam * np.sign(X_bar)),
+                      np.maximum(np.abs(multiplier) - report.lam, 0.0))
+    l1_multiplier = float(np.max(off_l1) / (scale + report.lam))
+
+    min_eig, second_eig = float(vals[0] / scale), float(vals[1] / scale)
+    complementarity = float(np.linalg.norm(S @ x_bar) / (scale * np.linalg.norm(x_bar)))
+    holds = bool(
+        report.status is SolveStatus.CONVERGED
+        and min_eig >= -CERT_TOL
+        and second_eig > CERT_RANK_GAP * CERT_TOL
+        and max(complementarity, dual_residual, primal_residual, duality_gap,
+                l1_multiplier) <= CERT_TOL
     )
+    return DualCertificate(slack_norm, min_eig, second_eig, complementarity,
+                           dual_residual, primal_residual, duality_gap,
+                           l1_multiplier, holds)
 
-
-def certificate_to_json(cert: CoherenceCertificate) -> dict:
-    return {
-        "mu": cert.mu,
-        "sparsity_bound": cert.sparsity_bound,
-        "X_l0": cert.matrix_l0,
-        "holds": cert.holds,
-        "zero_columns_excluded": cert.zero_columns_excluded,
-    }
-
-
-def _sparse_symmetric_sample(rng, dim: int, k: int) -> np.ndarray:
-    """Random symmetric matrix with at most k nonzero entries: pick diagonal
-    cells (cost 1) and mirrored off-diagonal pairs (cost 2) until the budget
-    runs out, with Gaussian values."""
-    X = np.zeros((dim, dim))
-    budget = k
-    used_diag: set[int] = set()
-    used_off: set[tuple[int, int]] = set()
-    while budget > 0:
-        diag_left = dim - len(used_diag)
-        off_left = dim * (dim - 1) // 2 - len(used_off) if budget >= 2 else 0
-        total = diag_left + off_left
-        if total == 0:
-            break
-        pick = rng.integers(total)
-        if pick < diag_left:
-            i = [d for d in range(dim) if d not in used_diag][pick]
-            X[i, i] = rng.normal()
-            used_diag.add(i)
-            budget -= 1
-        else:
-            pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)
-                     if (i, j) not in used_off]
-            i, j = pairs[pick - diag_left]
-            v = rng.normal()
-            X[i, j] = v
-            X[j, i] = v
-            used_off.add((i, j))
-            budget -= 2
-    return X
-
-
-def estimate_rip_epsilon(
-    problem: LiftedProblem,
-    k: int,
-    num_samples: int,
-    rng_seed,
-    block_size: int = 1024,
-) -> float:
-    """Monte-Carlo lower bound on the restricted isometry constant of the
-    constraint operator over symmetric matrices with at most k nonzeros.
-
-    Samples are drawn in blocks with per-block seeds derived from
-    ``rng_seed``, so extending ``num_samples`` only appends blocks and the
-    estimate is monotone non-decreasing in the sample count. Being a max over
-    samples, the value can only refute an isometry claim, never confirm one.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
-    B = problem.operator.reshape(problem.num_constraints, -1)
-    dim = problem.dim
-    num_blocks = (num_samples + block_size - 1) // block_size
-    seeds = np.random.SeedSequence(rng_seed).spawn(num_blocks)
-    worst = 0.0
-    remaining = num_samples
-    for block_seed in seeds:
-        rng = np.random.default_rng(block_seed)
-        for _ in range(min(block_size, remaining)):
-            X = _sparse_symmetric_sample(rng, dim, k)
-            norm_sq = float(np.sum(X * X))
-            if norm_sq == 0.0:
-                continue
-            image = B @ X.ravel()
-            worst = max(worst, abs(float(image @ image) / norm_sq - 1.0))
-        remaining -= block_size
-    return worst

@@ -18,6 +18,7 @@ identical iterate sequence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -67,7 +68,19 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Solver output: final consensus iterate plus diagnostics."""
+    """Solver output: final consensus iterate, final multipliers and
+    diagnostics.
+
+    ``dual_affine`` and ``dual_psd`` are the scaled multipliers rho * U1 and
+    rho * U2 at exit. At an exact fixed point I + dual_affine is a
+    combination sum_i w_i C_i of the constraint matrices, dual_psd is the PSD
+    slack, and their sum lies in lam times the subdifferential of ||X||_1:
+    together with ``lam`` they are the dual point the recovery certificate
+    checks. ``infeasibility_lb`` is the affine cache's provable lower bound
+    on the constraint violation of every matrix; it tells apart the two
+    causes of INFEASIBLE: proven before the first iteration (lb above the
+    feasibility tolerance) or a plateau at the iteration cap (lb near zero).
+    """
 
     X: np.ndarray
     iterations: int
@@ -77,6 +90,10 @@ class SolveReport:
     constraint_violation: float
     min_eigenvalue: float
     status: SolveStatus
+    lam: float
+    infeasibility_lb: float
+    dual_affine: np.ndarray
+    dual_psd: np.ndarray
     history: np.ndarray | None = None  # (iters, 2) primal/dual residuals
 
 
@@ -273,6 +290,10 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None,
         constraint_violation=violation,
         min_eigenvalue=min_eig,
         status=status,
+        lam=config.lam,
+        infeasibility_lb=cache.infeasibility_lb,
+        dual_affine=rho * U1,
+        dual_psd=rho * U2,
         history=np.array(history) if history is not None else None,
     )
 
@@ -286,16 +307,26 @@ def report_to_json(report: SolveReport, include_matrix: bool = False) -> dict:
         "constraint_violation": report.constraint_violation,
         "min_eigenvalue": report.min_eigenvalue,
         "status": report.status.value,
+        "lambda": report.lam,
+        "infeasibility_lb": report.infeasibility_lb,
     }
     if include_matrix:
-        out["X"] = [[float(v) for v in row] for row in report.X]
+        for key, matrix in (("X", report.X), ("dual_affine", report.dual_affine),
+                            ("dual_psd", report.dual_psd)):
+            out[key] = [[float(v) for v in row] for row in matrix]
     return out
 
 
 def report_from_json(data: dict) -> SolveReport:
-    X = np.array(data["X"], dtype=float) if "X" in data else np.zeros((0, 0))
+    """Inverse of ``report_to_json``. Matrices a report was written without
+    come back as empty (0, 0) arrays; ``lam`` and ``infeasibility_lb`` as nan
+    when absent."""
+
+    def matrix(key: str) -> np.ndarray:
+        return np.array(data[key], dtype=float) if key in data else np.zeros((0, 0))
+
     return SolveReport(
-        X=X,
+        X=matrix("X"),
         iterations=int(data["iterations"]),
         primal_residual=float(data["primal_residual"]),
         dual_residual=float(data["dual_residual"]),
@@ -303,4 +334,8 @@ def report_from_json(data: dict) -> SolveReport:
         constraint_violation=float(data["constraint_violation"]),
         min_eigenvalue=float(data["min_eigenvalue"]),
         status=SolveStatus(data["status"]),
+        lam=float(data.get("lambda", math.nan)),
+        infeasibility_lb=float(data.get("infeasibility_lb", math.nan)),
+        dual_affine=matrix("dual_affine"),
+        dual_psd=matrix("dual_psd"),
     )

@@ -23,7 +23,7 @@ from nlbp.monomials import (
     eval_polynomial,
     random_polynomial,
 )
-from nlbp.recovery import coherence_certificate
+from nlbp.recovery import dual_certificate
 from nlbp.sdp_admm import SolverConfig, SolveStatus, project_affine, project_psd, soft_threshold, solve_nlbp
 from nlbp.cli import cli_main
 
@@ -252,9 +252,12 @@ def test_criterion_7_oracle_equivalence():
 
 
 def test_criterion_8_certificate_soundness(table1_result, dense_result):
-    checked = 0
-    held = 0
+    # the dual certificate of each converged, valid NLBP solve, at the
+    # ensemble's final estimate; a certificate that holds must never
+    # accompany a failed recovery
+    counts = []
     for result in (table1_result, dense_result):
+        checked = held = 0
         for record, art in zip(result.records, result.artifacts):
             lifted = art.lifted.get(Method.NLBP)
             if lifted is None or lifted.recovered is None:
@@ -264,16 +267,18 @@ def test_criterion_8_certificate_soundness(table1_result, dense_result):
             if not lifted.recovered.valid:
                 continue
             checked += 1
-            cert = coherence_certificate(lifted.problem, lifted.report.X)
+            cert = dual_certificate(lifted.problem, lifted.report,
+                                    art.results[Method.NLBP].x_hat)
             if cert.holds:
                 held += 1
                 assert record.outcomes[Method.NLBP].success, (
                     f"certificate held but recovery failed on trial "
                     f"{record.trial_index}")
-    verdict(8, "coherence certificate soundness", True,
-            f"{checked} converged valid rank-1 solves checked, "
-            f"{held} certificates held, no soundness violation")
-    assert checked > 0
+        counts.append(f"{result.spec.name} {held}/{checked}")
+        assert held > 0, f"{result.spec.name}: the certificate never held"
+    verdict(8, "dual certificate soundness", True,
+            f"held/checked on converged valid rank-1 solves: {', '.join(counts)}; "
+            f"no soundness violation")
 
 
 def test_criterion_9_bench_determinism(tmp_path):

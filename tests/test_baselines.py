@@ -3,7 +3,6 @@ import pytest
 
 from nlbp.baselines import (
     Method,
-    OracleBudget,
     l0_oracle,
     refine_solution,
     solve_linear,
@@ -201,6 +200,8 @@ class TestL0Oracle:
         big = [random_polynomial(9, 2, 12_001, 1.0)]
         with pytest.raises(ValueError):
             l0_oracle(big, [0.0], max_support=2)
+        with pytest.raises(ValueError):
+            l0_oracle(polys, [0.0], max_support=1, starts=0)
 
     def test_sparse_high_degree_input(self):
         # one x1^25 term over 8 variables: the system stores three monomials,
@@ -217,8 +218,7 @@ class TestL0Oracle:
 
     def test_budget_configurable(self):
         polys, x, values = planted_sparse_system(4, 15, 2, (0,), 13)
-        found = l0_oracle(polys, values, max_support=1,
-                          budget=OracleBudget(starts_per_support=5), rng_seed=5)
+        found = l0_oracle(polys, values, max_support=1, starts=5, rng_seed=5)
         assert found is not None
 
 

@@ -73,12 +73,13 @@ class TestLift:
 
 
 class TestSolveRecoverCertify:
-    def run_pipeline(self, tmp_path, problem_file):
+    def run_pipeline(self, tmp_path, problem_file, solve_args=()):
         lifted = tmp_path / "lifted.json"
         report = tmp_path / "report.json"
         solution = tmp_path / "solution.json"
         assert cli_main(["lift", str(problem_file), "-o", str(lifted)]) == 0
-        code = cli_main(["solve", str(lifted), "--dump-x", "-o", str(report)])
+        code = cli_main(["solve", str(lifted), "--dump-x", "-o", str(report),
+                         *solve_args])
         assert code == 0
         assert cli_main(["recover", str(report), str(lifted),
                          "-o", str(solution)]) == 0
@@ -93,11 +94,44 @@ class TestSolveRecoverCertify:
         assert abs(sol["x"][0] - 1.0) < 1e-3
 
     def test_certify_outputs_fields(self, tmp_path, trivial_problem_file, capsys):
-        lifted, report, _ = self.run_pipeline(tmp_path, trivial_problem_file)
+        # x = 1 is the unique optimum: X = [[1, 1], [1, t]] is PSD only for
+        # t >= 1, and the dual slack is [[1, -1], [-1, 1]]. The default
+        # tolerances stop too early for the certificate's 1e-6.
+        lifted, report, _ = self.run_pipeline(
+            tmp_path, trivial_problem_file, ["--eps-abs", "1e-12", "--eps-rel", "1e-11"])
+        capsys.readouterr()
         assert cli_main(["certify", str(lifted), str(report)]) == 0
         cert = json.loads(capsys.readouterr().out)
-        assert {"mu", "sparsity_bound", "X_l0", "holds",
-                "zero_columns_excluded"} <= set(cert)
+        assert set(cert) == {"slack_norm", "min_eigenvalue", "second_eigenvalue",
+                             "complementarity", "dual_residual", "primal_residual",
+                             "duality_gap", "l1_multiplier", "holds"}
+        assert cert["holds"] is True
+        assert cert["slack_norm"] == pytest.approx(2.0, rel=1e-4)
+        assert cert["second_eigenvalue"] == pytest.approx(1.0, rel=1e-4)
+
+    @pytest.mark.parametrize("dump_x", [False, True])
+    def test_certify_without_multipliers_exits_1(self, tmp_path, trivial_problem_file,
+                                                 capsys, dump_x):
+        # a report written without --dump-x, or one that has the matrix but
+        # not the multipliers (as earlier versions wrote it)
+        lifted = tmp_path / "lifted.json"
+        report = tmp_path / "report.json"
+        assert cli_main(["lift", str(trivial_problem_file), "-o", str(lifted)]) == 0
+        args = ["solve", str(lifted), "-o", str(report)]
+        assert cli_main(args + ["--dump-x"] * dump_x) == 0
+        data = json.loads(report.read_text())
+        data.pop("dual_affine", None)
+        report.write_text(json.dumps(data))
+        assert cli_main(["certify", str(lifted), str(report)]) == 1
+        assert "--dump-x" in capsys.readouterr().err
+
+    def test_solve_reports_multipliers_and_infeasibility_lb(self, tmp_path,
+                                                           trivial_problem_file):
+        _, report, _ = self.run_pipeline(tmp_path, trivial_problem_file)
+        rep = json.loads(report.read_text())
+        assert rep["lambda"] == 0.0
+        assert 0.0 <= rep["infeasibility_lb"] < 1e-12
+        assert np.array(rep["dual_psd"]).shape == np.array(rep["X"]).shape == (2, 2)
 
     def test_recover_without_matrix_exits_1(self, tmp_path, trivial_problem_file,
                                             capsys):
@@ -117,7 +151,9 @@ class TestSolveRecoverCertify:
         assert cli_main(["lift", str(path), "-o", str(lifted)]) == 0
         code = cli_main(["solve", str(lifted), "-o", str(report)])
         assert code == 2
-        assert json.loads(report.read_text())["status"] == "infeasible"
+        rep = json.loads(report.read_text())
+        assert rep["status"] == "infeasible"
+        assert rep["infeasibility_lb"] > 1e-6 * 2.0  # proven, not a plateau
 
 
 class TestBench:
@@ -161,6 +197,48 @@ class TestOracle:
         write_problem(path, polys, np.arange(1.0, 9.0))
         assert cli_main(["oracle", str(path), "--max-support", "1"]) == 0
         assert json.loads(capsys.readouterr().out) == {"found": False}
+
+
+    def test_starts_below_one_exits_1(self, tmp_path, capsys):
+        polys = [random_polynomial(2, 2, 90, 1.0)]
+        path = tmp_path / "p.json"
+        write_problem(path, polys, [1.0])
+        assert cli_main(["oracle", str(path), "--max-support", "1",
+                         "--starts", "0"]) == 1
+        assert "starts" in capsys.readouterr().err
+
+
+class TestMalformedInput:
+    TRIVIAL = {"polynomials": [{"num_vars": 1, "terms": [{"alpha": [1], "coeff": 1.0}]}],
+               "values": [1.0]}
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["values"].__setitem__(0, float("nan")),
+        lambda d: d["polynomials"][0]["terms"][0].__setitem__("coeff", float("inf")),
+        lambda d: d["polynomials"][0]["terms"][0].__setitem__("alpha", [1.5]),
+    ], ids=["nan_value", "inf_coeff", "fractional_exponent"])
+    def test_problem_file_rejected(self, tmp_path, capsys, edit):
+        data = json.loads(json.dumps(self.TRIVIAL))
+        edit(data)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        assert cli_main(["lift", str(path)]) == 1
+        assert "bad problem file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("row", -1), ("row", 9), ("col", 2), ("y", float("inf")), ("row", None),
+    ])
+    def test_lifted_file_rejected(self, tmp_path, capsys, field, value):
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps(self.TRIVIAL))
+        lifted = tmp_path / "lifted.json"
+        assert cli_main(["lift", str(problem), "-o", str(lifted)]) == 0
+        data = json.loads(lifted.read_text())
+        constraint = data["constraints"][0]
+        (constraint if field == "y" else constraint["entries"][0])[field] = value
+        lifted.write_text(json.dumps(data))
+        assert cli_main(["solve", str(lifted)]) == 1
+        assert "bad lifted file" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -1,4 +1,4 @@
-import itertools
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,16 +8,15 @@ from nlbp.lifting import (
     build_lifted_problem,
     lift_vector,
 )
-from nlbp.monomials import MultiIndex, Polynomial, enumerate_basis, eval_polynomial, random_polynomial
+from nlbp.monomials import enumerate_basis, eval_polynomial, random_polynomial
 from nlbp.recovery import (
-    AllZeroColumnsError,
+    CERT_RANK_GAP,
+    CERT_TOL,
     DegenerateTopEigenvalueError,
-    coherence_certificate,
-    count_zero_columns,
-    estimate_rip_epsilon,
+    dual_certificate,
     extract_rank1,
-    mutual_coherence,
 )
+from nlbp.sdp_admm import SolverConfig, SolveStatus, solve_nlbp
 
 
 def manual_problem(constraint_matrices, values, n=1, order=2):
@@ -27,7 +26,7 @@ def manual_problem(constraint_matrices, values, n=1, order=2):
 
 
 def operator_rows(problem):
-    """The M x dim^2 matrix the certificates read: row i is the vectorized
+    """The M x dim^2 matrix the certificate reads: row i is the vectorized
     i-th constraint matrix."""
     return problem.operator.reshape(problem.num_constraints, -1)
 
@@ -117,153 +116,116 @@ class TestOperatorMatrix:
         assert np.shares_memory(B, problem.operator)
 
 
-class TestMutualCoherence:
-    def test_orthogonal_columns(self):
-        assert mutual_coherence(np.eye(4)) == 0.0
-
-    def test_duplicate_column(self):
-        B = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]])
-        assert mutual_coherence(B) == pytest.approx(1.0)
-
-    def test_matches_double_loop_reference(self):
-        rng = np.random.default_rng(6)
-        B = rng.normal(size=(10, 6))
-        worst = 0.0
-        for i in range(6):
-            for j in range(6):
-                if i == j:
-                    continue
-                num = abs(float(B[:, i] @ B[:, j]))
-                den = np.linalg.norm(B[:, i]) * np.linalg.norm(B[:, j])
-                worst = max(worst, num / den)
-        assert mutual_coherence(B) == pytest.approx(worst, rel=1e-12)
-
-    def test_invariant_under_positive_column_scaling(self):
-        rng = np.random.default_rng(7)
-        B = rng.normal(size=(8, 5))
-        scales = rng.uniform(0.1, 10.0, size=5)
-        assert mutual_coherence(B * scales) == pytest.approx(
-            mutual_coherence(B), rel=1e-12)
-
-    def test_range(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            mu = mutual_coherence(rng.normal(size=(6, 9)))
-            assert 0.0 <= mu <= 1.0
-
-    def test_zero_columns_skipped(self):
-        rng = np.random.default_rng(9)
-        B = rng.normal(size=(5, 4))
-        padded = np.hstack([B, np.zeros((5, 2))])
-        assert mutual_coherence(padded) == pytest.approx(mutual_coherence(B))
-        assert count_zero_columns(padded) == 2
-
-    def test_all_zero_columns_error(self):
-        with pytest.raises(AllZeroColumnsError):
-            mutual_coherence(np.zeros((4, 3)))
-
-    def test_needs_two_columns(self):
-        with pytest.raises(ValueError):
-            mutual_coherence(np.ones((3, 1)))
+def solved_planted(n, num_eqs, seed, lam=0.0):
+    """A planted problem solved at a tight tolerance, with the extracted
+    estimate of its unknowns."""
+    problem, _ = planted_problem(n, num_eqs, 4, seed)
+    report = solve_nlbp(problem, SolverConfig(lam=lam, eps_abs=1e-10, eps_rel=1e-9))
+    return problem, report, extract_rank1(report.X, problem.basis).x
 
 
-class TestCoherenceCertificate:
-    def test_mirror_columns_pin_mu_to_one(self):
-        # full vectorization duplicates every off-diagonal cell, so any
-        # problem with off-diagonal structure has coherence exactly 1 and the
-        # bound degenerates to "fewer than one nonzero"
-        problem, _ = planted_problem(2, 4, 2, 10)
-        cert = coherence_certificate(problem, np.eye(problem.dim))
-        assert cert.mu == 1.0
-        assert cert.sparsity_bound == 1.0
-        assert cert.matrix_l0 >= 1
+def with_slack_eigenvalues(report, edit):
+    """The report with its PSD slack's eigenvalues passed through ``edit``
+    (eigenvectors kept)."""
+    vals, vecs = np.linalg.eigh(report.dual_psd)
+    return dataclasses.replace(report, dual_psd=(vecs * edit(vals)) @ vecs.T)
+
+
+class TestDualCertificate:
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_holds_on_unique_rank_one_optimum(self, lam):
+        problem, report, x = solved_planted(3, 10, 4, lam)
+        cert = dual_certificate(problem, report, x)
+        assert cert.holds, cert
+        assert cert.slack_norm > 0
+        assert cert.second_eigenvalue > 1e-2
+        assert max(cert.dual_residual, cert.primal_residual, cert.duality_gap,
+                   cert.l1_multiplier) <= CERT_TOL
+
+    def test_refuses_negative_slack_eigenvalue(self):
+        problem, report, x = solved_planted(3, 10, 4)
+        flipped = with_slack_eigenvalues(report, lambda v: np.append(v[:-1], -v[-1]))
+        cert = dual_certificate(problem, flipped, x)
+        assert cert.min_eigenvalue == pytest.approx(-1.0)
         assert not cert.holds
 
-    def test_boundary_one_nonzero_fails_strict_bound(self):
-        problem, _ = planted_problem(2, 4, 2, 11)
-        X = np.zeros((problem.dim, problem.dim))
-        X[0, 0] = 1.0
-        cert = coherence_certificate(problem, X)
-        assert cert.matrix_l0 == 1
-        assert not cert.holds  # 1 < 1 is false
+    def test_refuses_second_null_direction(self):
+        # this system's relaxation has a second optimal direction: every other
+        # check passes, only the eigenvalue gap refuses
+        problem, report, x = solved_planted(2, 4, 1)
+        cert = dual_certificate(problem, report, x)
+        assert report.status is SolveStatus.CONVERGED
+        assert abs(cert.second_eigenvalue) < CERT_RANK_GAP * CERT_TOL
+        assert cert.min_eigenvalue >= -CERT_TOL
+        assert max(cert.complementarity, cert.dual_residual, cert.primal_residual,
+                   cert.duality_gap, cert.l1_multiplier) <= CERT_TOL
+        assert not cert.holds
 
-    def test_zero_tolerance_counting(self):
-        problem, _ = planted_problem(2, 4, 2, 12)
-        X = np.zeros((problem.dim, problem.dim))
-        X[0, 0] = 1.0
-        X[1, 1] = 1e-9  # below the relative threshold
-        cert = coherence_certificate(problem, X, zero_tol=1e-6)
-        assert cert.matrix_l0 == 1
+    def test_refuses_estimate_outside_slack_null_space(self):
+        problem, report, x = solved_planted(3, 10, 4)
+        cert = dual_certificate(problem, report, x + 0.1)
+        assert cert.complementarity > CERT_TOL
+        assert not cert.holds
 
-    def test_zero_column_count_reported(self):
-        p = Polynomial(1, {MultiIndex((1,)): 1.0})
-        problem = build_lifted_problem([p], [1.0], 2)
-        cert = coherence_certificate(problem, np.ones((2, 2)))
-        # the bottom-right cell is touched by no constraint
-        assert cert.zero_columns_excluded == 1
-
-
-def isometric_problem():
-    """Constraint rows orthonormal over symmetric matrices: the squared image
-    norm equals the squared Frobenius norm for every symmetric input."""
-    e01 = np.zeros((2, 2))
-    e01[0, 1] = e01[1, 0] = 1.0 / np.sqrt(2.0)
-    mats = [np.diag([1.0, 0.0]), e01, np.diag([0.0, 1.0])]
-    return manual_problem(mats, [0.0, 0.0, 0.0])
-
-
-class TestRipEstimate:
-    def test_isometry_gives_zero(self):
-        est = estimate_rip_epsilon(isometric_problem(), k=2, num_samples=500,
-                                   rng_seed=0)
-        assert est < 1e-12
-
-    def test_monotone_in_sample_count(self):
-        problem, _ = planted_problem(2, 4, 2, 13)
-        estimates = [
-            estimate_rip_epsilon(problem, k=2, num_samples=m, rng_seed=42)
-            for m in (100, 500, 2000)
-        ]
-        assert estimates[0] <= estimates[1] <= estimates[2]
-
-    def test_input_validation(self):
-        problem, _ = planted_problem(2, 3, 2, 14)
-        with pytest.raises(ValueError):
-            estimate_rip_epsilon(problem, k=0, num_samples=10, rng_seed=0)
-        with pytest.raises(ValueError):
-            estimate_rip_epsilon(problem, k=1, num_samples=0, rng_seed=0)
-
-    def test_lower_bounds_exact_search_small_case(self):
-        # exact oracle: for each support the deviation extremes are singular
-        # values of the weighted column submatrix; enumerate every support of
-        # ell0 cost <= 2 for a 3x3 symmetric matrix
-        problem, _ = planted_problem(2, 5, 2, 15)
+    def test_refuses_affine_multiplier_outside_constraint_span(self):
+        # move a symmetric E with E x_bar = 0 and trace(C_i E) = 0 for every
+        # i from the PSD slack to the affine multiplier: S stays PSD with
+        # x_bar in its null space, rho (U1 + U2), w and the gap are
+        # unchanged, only the dual residual sees I + rho U1 leave the span
+        problem, report, x = solved_planted(3, 10, 4)
+        x_bar = lift_vector(x, problem.basis)
         dim = problem.dim
-        assert dim == 3
-        B = np.stack([c.ravel() for c in problem.operator])
+        cells = [(i, j) for i in range(dim) for j in range(i, dim)]
+        basis = []
+        for i, j in cells:
+            E = np.zeros((dim, dim))
+            E[i, j] = E[j, i] = 1.0
+            basis.append(E)
+        # linear conditions on the coefficients of the symmetric basis
+        conditions = np.vstack([
+            np.array([[np.sum(C * E) for E in basis] for C in problem.operator]),
+            np.array([E @ x_bar for E in basis]).T,
+        ])
+        null = np.linalg.svd(conditions)[2][np.linalg.matrix_rank(conditions):]
+        E = np.tensordot(null[0], np.array(basis), axes=1)
+        E *= 1e-3 * np.linalg.norm(report.dual_psd, 2) / np.linalg.norm(E, 2)
+        moved = dataclasses.replace(report, dual_affine=report.dual_affine + E,
+                                    dual_psd=report.dual_psd - E)
+        cert = dual_certificate(problem, moved, x)
+        assert cert.dual_residual > CERT_TOL
+        assert not cert.holds
+        assert max(cert.complementarity, cert.primal_residual, cert.duality_gap,
+                   cert.l1_multiplier) <= CERT_TOL
+        assert cert.second_eigenvalue > CERT_RANK_GAP * CERT_TOL
 
-        def support_deviation(cells):
-            cols = []
-            weights = []
-            for (i, j) in cells:
-                if i == j:
-                    cols.append(B[:, i * dim + j])
-                    weights.append(1.0)
-                else:
-                    cols.append(B[:, i * dim + j] + B[:, j * dim + i])
-                    weights.append(np.sqrt(2.0))
-            A = np.stack(cols, axis=1) / np.array(weights)
-            sv = np.linalg.svd(A, compute_uv=False)
-            return max(abs(sv.max() ** 2 - 1.0), abs(sv.min() ** 2 - 1.0))
+    def test_refuses_infeasible_estimate(self):
+        # change the right-hand sides along a direction orthogonal to w: the
+        # dual point, the gap and complementarity are untouched, but X_bar no
+        # longer satisfies the constraints
+        problem, report, x = solved_planted(3, 10, 4)
+        target = (np.eye(problem.dim) + report.dual_affine).ravel()
+        rows = problem.operator.reshape(problem.num_constraints, -1)
+        w = np.linalg.lstsq(rows.T, target, rcond=None)[0]
+        shift = np.zeros_like(w)
+        shift[0], shift[1] = w[1], -w[0]
+        shift *= 1e-3 / np.max(np.abs(shift))
+        moved = dataclasses.replace(problem, values=problem.values + shift)
+        cert = dual_certificate(moved, report, x)
+        assert cert.primal_residual > CERT_TOL
+        assert not cert.holds
+        assert max(cert.complementarity, cert.dual_residual, cert.duality_gap,
+                   cert.l1_multiplier) <= CERT_TOL
 
-        supports = []
-        diag = [(i, i) for i in range(dim)]
-        off = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-        supports += [[c] for c in diag]              # cost 1
-        supports += [list(p) for p in itertools.combinations(diag, 2)]  # cost 2
-        supports += [[c] for c in off]               # cost 2
-        exact = max(support_deviation(s) for s in supports)
+    def test_refuses_unconverged_report(self):
+        problem, report, x = solved_planted(3, 10, 4)
+        capped = dataclasses.replace(report, status=SolveStatus.MAX_ITERS)
+        assert dual_certificate(problem, report, x).holds
+        assert not dual_certificate(problem, capped, x).holds
 
-        est = estimate_rip_epsilon(problem, k=2, num_samples=100_000, rng_seed=7)
-        assert est <= exact + 1e-9
-        assert est >= 0.95 * exact
+    def test_refuses_relaxation_with_higher_rank_optimum(self):
+        # converged, but the optimum is not the lift of the planted root
+        problem, report, x = solved_planted(2, 5, 3)
+        cert = dual_certificate(problem, report, x)
+        assert report.status is SolveStatus.CONVERGED
+        assert cert.primal_residual > CERT_TOL
+        assert not cert.holds

@@ -21,6 +21,8 @@ from nlbp.sdp_admm import (
     SolveStatus,
     project_affine,
     project_psd,
+    report_from_json,
+    report_to_json,
     soft_threshold,
     solve_nlbp,
 )
@@ -273,6 +275,39 @@ class TestSolve:
         assert report.status is SolveStatus.INFEASIBLE
         assert report.constraint_violation > 1e-3
         assert report.iterations < 20000  # plateau exit, not a full burn
+
+    def test_infeasibility_lb_reported(self):
+        # proven infeasible before the first iteration: the bound clears the
+        # feasibility tolerance 1e-6 * (1 + max |v|); a consistent system's
+        # bound is roundoff
+        p = Polynomial(1, {MultiIndex((1,)): 1.0})
+        clash = solve_nlbp(build_lifted_problem([p, p], [0.0, 1.0], 2))
+        assert clash.infeasibility_lb > 1e-6 * 2.0
+        assert report_to_json(clash)["infeasibility_lb"] == clash.infeasibility_lb
+        consistent = solve_nlbp(self.trivial_problem())
+        assert consistent.status is SolveStatus.CONVERGED
+        assert consistent.infeasibility_lb < 1e-12
+
+    def test_multipliers_are_the_final_scaled_duals(self):
+        # the Z-step makes rho (U1 + U2) a subgradient multiple: zero at
+        # lam = 0, within [-lam, lam] entrywise otherwise
+        problem, _ = planted_problem(2, 4, 4, 7)
+        for lam in (0.0, 0.3):
+            report = solve_nlbp(problem, SolverConfig(lam=lam, rho=0.5, max_iters=600))
+            total = report.dual_affine + report.dual_psd
+            assert report.lam == lam
+            assert np.max(np.abs(report.dual_psd)) > 0.1
+            assert np.max(np.abs(total)) <= lam + 1e-15 * np.max(np.abs(report.dual_psd))
+
+    def test_report_json_round_trip(self):
+        report = solve_nlbp(self.trivial_problem(), SolverConfig(lam=0.25))
+        back = report_from_json(report_to_json(report, include_matrix=True))
+        for key in ("X", "dual_affine", "dual_psd"):
+            assert np.array_equal(getattr(back, key), getattr(report, key))
+        assert back.lam == 0.25
+        assert back.infeasibility_lb == report.infeasibility_lb
+        bare = report_from_json(report_to_json(report))
+        assert bare.X.size == bare.dual_affine.size == bare.dual_psd.size == 0
 
     def test_converged_implies_residuals_below_tolerance(self):
         problem, _ = planted_problem(2, 6, 4, 10)
