@@ -101,11 +101,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="solve a lifted problem")
     p.add_argument("lifted", help="JSON file produced by lift")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--max-iters", type=int, default=20000)
-    p.add_argument("--eps-abs", type=float, default=1e-7)
-    p.add_argument("--eps-rel", type=float, default=1e-5)
+    p.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.lam)
+    p.add_argument("--rho", type=float, default=SolverConfig.rho)
+    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
+    p.add_argument("--eps-abs", type=float, default=SolverConfig.eps_abs)
+    p.add_argument("--eps-rel", type=float, default=SolverConfig.eps_rel)
     p.add_argument("--dump-x", action="store_true",
                    help="include the dense solution matrix in the report")
     p.add_argument("-o", "--output", default=None)

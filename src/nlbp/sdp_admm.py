@@ -45,15 +45,16 @@ class SolveStatus(Enum):
 class SolverConfig:
     """Solver knobs. ``lam`` is the l1 weight of the objective, ``rho`` the
     (fixed) ADMM penalty, ``max_iters`` the iteration cap and ``eps_abs`` /
-    ``eps_rel`` the absolute and relative parts of the stopping rule. Defaults
-    are sized so the reference experiments (basis dimension ~21) converge in
-    seconds."""
+    ``eps_rel`` the absolute and relative parts of the stopping rule. The
+    default tolerances are the ensemble harness's, tight enough for the dual
+    certificate of ``recovery`` to hold on small problems with a unique
+    optimum."""
 
     lam: float = 0.0
     rho: float = 1.0
     max_iters: int = 20000
-    eps_abs: float = 1e-7
-    eps_rel: float = 1e-5
+    eps_abs: float = 1e-9
+    eps_rel: float = 1e-7
 
     def __post_init__(self):
         if self.lam < 0:
@@ -79,7 +80,8 @@ class SolveReport:
     checks. ``infeasibility_lb`` is the affine cache's provable lower bound
     on the constraint violation of every matrix; it tells apart the two
     causes of INFEASIBLE: proven before the first iteration (lb above the
-    feasibility tolerance) or a plateau at the iteration cap (lb near zero).
+    feasibility tolerance; 0 iterations, zero multipliers, X the least-squares
+    iterate of ``solve_nlbp``) or a plateau at the iteration cap (lb near 0).
     """
 
     X: np.ndarray
@@ -198,32 +200,38 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None,
     dual residuals meet the absolute-plus-relative stopping rule, or the
     iteration cap is reached.
 
-    The report carries the final consensus iterate. Status is INFEASIBLE when
-    the constraint residual stays above 1e-6 * (1 + max |v_i|) while the ADMM
-    residuals have either converged or plateaued; for provably inconsistent
-    systems (positive infeasibility lower bound) the plateau exit fires early
-    instead of burning the full iteration budget.
+    A system the affine cache proves inconsistent returns INFEASIBLE at
+    iteration 0, with the first affine step (the affine least-squares point)
+    projected onto the PSD cone. Otherwise INFEASIBLE means the residuals
+    plateaued at the cap above the feasibility tolerance 1e-6 * (1 + max |v_i|).
     """
     if config is None:
         config = SolverConfig()
     cache = AffineCache.build(problem)
     dim = problem.dim
     rho = config.rho
+    feas_tol = _feasibility_tolerance(cache)
+    if cache.infeasibility_lb > feas_tol:
+        # Proven inconsistent: no iterate can become feasible, so return the
+        # first affine step (the least-squares point) projected onto the cone.
+        affine = cache.project(-(1.0 / rho) * np.eye(dim))
+        try:
+            X = project_psd(affine)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"eigendecomposition failed: {exc}", 0) from exc
+        return _report(X, 0, np.linalg.norm(affine - X), 0.0, cache.violation(X),
+                       SolveStatus.INFEASIBLE, cache, config, np.zeros((dim, dim)),
+                       np.zeros((dim, dim)), np.zeros((0, 2)) if record_history else None)
 
     Z = np.zeros((dim, dim))
     U1 = np.zeros((dim, dim))
     U2 = np.zeros((dim, dim))
-    X1 = np.zeros((dim, dim))
-    X2 = np.zeros((dim, dim))
 
-    feas_tol = _feasibility_tolerance(cache)
-    hopeless = cache.infeasibility_lb > feas_tol
     scale = np.sqrt(2.0) * dim  # sqrt of the stacked primal dimension
 
     history = [] if record_history else None
     converged = False
     primal = dual = np.inf
-    stall_ref = np.inf
     primal_checkpoint = np.inf  # primal residual at 3/4 of the budget
     checkpoint_at = max(1, (3 * config.max_iters) // 4)
     iteration = 0
@@ -258,43 +266,37 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None,
         if iteration == checkpoint_at:
             primal_checkpoint = primal
 
-        if hopeless and iteration % 200 == 0:
-            if primal > 0.999 * stall_ref and iteration >= 600:
-                break  # residuals have plateaued; no point burning the budget
-            stall_ref = primal
-
     violation = cache.violation(Z)
     # A plateau call needs a meaningful budget: a run cut off after a handful
     # of iterations is just unfinished.
     plateaued = config.max_iters >= 200 and primal >= 0.5 * primal_checkpoint
-    if hopeless:
-        # No matrix can satisfy the constraints to within the feasibility
-        # tolerance; the iterate is the least-squares compromise.
-        status = SolveStatus.INFEASIBLE
-    elif converged:
+    if converged:
         status = SolveStatus.CONVERGED
     elif violation > feas_tol and plateaued:
         # Budget exhausted with residuals plateaued above tolerance.
         status = SolveStatus.INFEASIBLE
     else:
         status = SolveStatus.MAX_ITERS
+    return _report(Z, iteration, primal, dual, violation, status, cache, config,
+                   rho * U1, rho * U2, np.array(history) if history is not None else None)
 
-    objective = float(np.trace(Z) + config.lam * np.sum(np.abs(Z)))
-    min_eig = float(np.linalg.eigvalsh(0.5 * (Z + Z.T))[0])
+
+def _report(X, iterations, primal, dual, violation, status, cache, config,
+            dual_affine, dual_psd, history) -> SolveReport:
     return SolveReport(
-        X=Z,
-        iterations=iteration,
+        X=X,
+        iterations=iterations,
         primal_residual=float(primal),
         dual_residual=float(dual),
-        objective=objective,
+        objective=float(np.trace(X) + config.lam * np.sum(np.abs(X))),
         constraint_violation=violation,
-        min_eigenvalue=min_eig,
+        min_eigenvalue=float(np.linalg.eigvalsh(0.5 * (X + X.T))[0]),
         status=status,
         lam=config.lam,
         infeasibility_lb=cache.infeasibility_lb,
-        dual_affine=rho * U1,
-        dual_psd=rho * U2,
-        history=np.array(history) if history is not None else None,
+        dual_affine=dual_affine,
+        dual_psd=dual_psd,
+        history=history,
     )
 
 

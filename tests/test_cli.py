@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nlbp.cli import cli_main
+from nlbp.cli import _build_parser, cli_main
 from nlbp.monomials import (
     MultiIndex,
     Polynomial,
@@ -11,6 +11,7 @@ from nlbp.monomials import (
     polynomial_to_json,
     random_polynomial,
 )
+from nlbp.sdp_admm import SolverConfig
 
 
 def write_problem(path, polys, values):
@@ -95,8 +96,7 @@ class TestSolveRecoverCertify:
 
     def test_certify_outputs_fields(self, tmp_path, trivial_problem_file, capsys):
         # x = 1 is the unique optimum: X = [[1, 1], [1, t]] is PSD only for
-        # t >= 1, and the dual slack is [[1, -1], [-1, 1]]. The default
-        # tolerances stop too early for the certificate's 1e-6.
+        # t >= 1, and the dual slack is [[1, -1], [-1, 1]].
         lifted, report, _ = self.run_pipeline(
             tmp_path, trivial_problem_file, ["--eps-abs", "1e-12", "--eps-rel", "1e-11"])
         capsys.readouterr()
@@ -108,6 +108,18 @@ class TestSolveRecoverCertify:
         assert cert["holds"] is True
         assert cert["slack_norm"] == pytest.approx(2.0, rel=1e-4)
         assert cert["second_eigenvalue"] == pytest.approx(1.0, rel=1e-4)
+
+    def test_certify_holds_after_a_default_solve(self, tmp_path, trivial_problem_file,
+                                                 capsys):
+        lifted, report, _ = self.run_pipeline(tmp_path, trivial_problem_file)
+        capsys.readouterr()
+        assert cli_main(["certify", str(lifted), str(report)]) == 0
+        assert json.loads(capsys.readouterr().out)["holds"] is True
+
+    def test_solve_defaults_are_the_solver_config_defaults(self):
+        args = _build_parser().parse_args(["solve", "lifted.json"])
+        assert SolverConfig(lam=args.lam, rho=args.rho, max_iters=args.max_iters,
+                            eps_abs=args.eps_abs, eps_rel=args.eps_rel) == SolverConfig()
 
     @pytest.mark.parametrize("dump_x", [False, True])
     def test_certify_without_multipliers_exits_1(self, tmp_path, trivial_problem_file,
@@ -154,6 +166,7 @@ class TestSolveRecoverCertify:
         rep = json.loads(report.read_text())
         assert rep["status"] == "infeasible"
         assert rep["infeasibility_lb"] > 1e-6 * 2.0  # proven, not a plateau
+        assert rep["iterations"] == 0
 
 
 class TestBench:

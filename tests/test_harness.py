@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -284,3 +285,21 @@ class TestOutcomeDiagnostics:
             assert o.residual_sq == residual(polys, values, x_hat)
             x_true = sample_trial(result.spec, record.trial_index)[1]
             assert o.success == baselines.success_criterion(x_hat, x_true, polys, values)
+
+
+class TestMethodIsolation:
+    def test_qbp_neither_iterates_nor_touches_the_other_methods(self):
+        # every QBP system of table1 is proven inconsistent before the first
+        # iteration; dropping QBP leaves NLBP and LASSO outcomes as they were
+        full = run_experiment(table1_spec(trials=5))
+        pair = run_experiment(table1_spec(trials=5, methods=(Method.NLBP, Method.LASSO)))
+
+        def timeless(outcome):
+            return dataclasses.replace(outcome, wall_time_ms=0.0)
+
+        for whole, part in zip(full.records, pair.records, strict=True):
+            qbp = whole.outcomes[Method.QBP]
+            assert qbp.status == "infeasible" and qbp.iterations == 0
+            assert set(part.outcomes) == {Method.NLBP, Method.LASSO}
+            for method, outcome in part.outcomes.items():
+                assert timeless(outcome) == timeless(whole.outcomes[method])

@@ -15,9 +15,11 @@ from nlbp.monomials import (
     eval_polynomial,
     random_polynomial,
 )
+from nlbp import sdp_admm
 from nlbp.sdp_admm import (
     AffineCache,
     SolverConfig,
+    SolverError,
     SolveStatus,
     project_affine,
     project_psd,
@@ -45,6 +47,14 @@ def kkt_projection_oracle(problem, X):
     rhs = np.concatenate([X.ravel(), values])
     sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
     return sol[:d2].reshape(X.shape)
+
+
+def inconsistent_systems():
+    """The x = 0, x = 1 clash and a QBP-truncated table1 trial."""
+    p = Polynomial(1, {MultiIndex((1,)): 1.0})
+    yield build_lifted_problem([p, p], [0.0, 1.0], 2)
+    polys, _, values = sample_trial(table1_spec(trials=1, seed=42), 0)
+    yield build_lifted_problem(polys.truncate(2), values, 2)
 
 
 class TestProjectAffine:
@@ -133,16 +143,10 @@ class TestProjectAffine:
             assert np.array_equal(cache.project(X), expected)
             assert cache.violation(X) == float(np.max(np.abs(rows_raw @ vec - rhs_raw)))
 
-    def inconsistent_systems(self):
-        p = Polynomial(1, {MultiIndex((1,)): 1.0})
-        yield build_lifted_problem([p, p], [0.0, 1.0], 2)
-        polys, _, values = sample_trial(table1_spec(trials=1, seed=42), 0)
-        yield build_lifted_problem(polys.truncate(2), values, 2)
-
     def test_infeasibility_lb_is_a_lower_bound(self):
         # no X, random or least squares, violates some constraint by less
         rng = np.random.default_rng(15)
-        for problem in self.inconsistent_systems():
+        for problem in inconsistent_systems():
             cache = AffineCache.build(problem)
             assert cache.infeasibility_lb > 1e-3
             rows = cache.row_mat_raw
@@ -274,7 +278,7 @@ class TestSolve:
         report = solve_nlbp(clash)
         assert report.status is SolveStatus.INFEASIBLE
         assert report.constraint_violation > 1e-3
-        assert report.iterations < 20000  # plateau exit, not a full burn
+        assert report.iterations == 0  # proven before the first iteration
 
     def test_infeasibility_lb_reported(self):
         # proven infeasible before the first iteration: the bound clears the
@@ -336,3 +340,49 @@ class TestSolve:
         rng = np.random.default_rng(14)
         Z = rng.normal(size=(4, 4))
         assert np.array_equal(soft_threshold(Z, 0.0 / 2.0), Z)
+
+
+class TestProvenInconsistentExit:
+    @pytest.mark.parametrize("problem", list(inconsistent_systems()),
+                             ids=["clash", "table1_qbp"])
+    def test_returns_least_squares_iterate_at_iteration_0(self, problem):
+        config = SolverConfig(rho=0.5)
+        report = solve_nlbp(problem, config, record_history=True)
+        assert report.status is SolveStatus.INFEASIBLE
+        assert report.iterations == 0
+        # the first ADMM affine step, projected onto the PSD cone
+        cache = AffineCache.build(problem)
+        affine = cache.project(-(1.0 / config.rho) * np.eye(problem.dim))
+        assert np.array_equal(report.X, project_psd(affine))
+        assert report.primal_residual == np.linalg.norm(affine - report.X)
+        assert report.dual_residual == 0.0
+        assert np.array_equal(report.X, report.X.T)
+        assert report.min_eigenvalue >= -1e-10 * max(np.linalg.norm(report.X), 1.0)
+        assert report.constraint_violation >= report.infeasibility_lb > 1e-3
+        assert report.constraint_violation == cache.violation(report.X)
+        assert report.objective == pytest.approx(np.trace(report.X))
+        assert not report.dual_affine.any() and not report.dual_psd.any()
+        assert report.dual_affine.shape == report.dual_psd.shape == report.X.shape
+        assert report.history.shape == (0, 2)
+        assert solve_nlbp(problem, config).history is None
+
+    def test_eigendecomposition_failure_is_a_solver_error(self, monkeypatch):
+        def broken(X):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(sdp_admm, "project_psd", broken)
+        for problem in inconsistent_systems():
+            with pytest.raises(SolverError) as info:
+                solve_nlbp(problem)
+            assert info.value.iteration == 0
+            assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_consistent_system_cut_short_still_iterates(self):
+        # far from feasible after 3 iterations, but not proven inconsistent:
+        # the cap, not the early exit, ends the run
+        problem, _ = planted_problem(2, 4, 4, 12)
+        report = solve_nlbp(problem, SolverConfig(max_iters=3), record_history=True)
+        assert report.infeasibility_lb < 1e-10
+        assert report.status is SolveStatus.MAX_ITERS
+        assert report.iterations == 3 and report.history.shape == (3, 2)
+        assert report.dual_psd.any()
