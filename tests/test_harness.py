@@ -1,9 +1,15 @@
 import dataclasses
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlbp
 from nlbp.baselines import Method
 from nlbp.harness import (
     BOXPLOT_HEADER,
@@ -303,3 +309,42 @@ class TestMethodIsolation:
             assert set(part.outcomes) == {Method.NLBP, Method.LASSO}
             for method, outcome in part.outcomes.items():
                 assert timeless(outcome) == timeless(whole.outcomes[method])
+
+
+def csv_sha256(spec) -> str:
+    return hashlib.sha256(results_to_csv(run_experiment(spec)).encode()).hexdigest()
+
+
+class TestGoldenDigests:
+    """sha256 of ``results_to_csv`` for fixed ensembles. A change that moves
+    any byte of the solver's output fails here and has to say why."""
+
+    @pytest.mark.parametrize("spec, digest", [
+        (table1_spec(trials=5, seed=1000),
+         "afe1fb080d6f3413156d3efd1e60047e398f7066d10de87c8d41bff014f493b1"),
+        (dense_spec(trials=5, seed=1000),
+         "6b6eab7c96e22202474102e2b307d52f14154075c6237fb5b619ecfa7b940c8e"),
+    ], ids=["table1", "dense"])
+    def test_n5_ensembles(self, spec, digest):
+        # at n = 5 the bytes do not depend on the BLAS thread count
+        assert csv_sha256(spec) == digest
+
+    def test_sparse_n8_with_one_blas_thread(self):
+        # at n = 8 they do, so the ensemble runs in a child pinned to one
+        # thread, as perfbench pins its workers
+        env = dict(os.environ, PYTHONPATH=str(Path(nlbp.__file__).parent.parent))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+        code = (
+            "import hashlib\n"
+            "from nlbp.baselines import Method\n"
+            "from nlbp.harness import results_to_csv, run_experiment, table1_spec\n"
+            "spec = table1_spec(trials=1, seed=1000, num_vars=8, num_equations=120,\n"
+            "                   methods=(Method.NLBP,))\n"
+            "csv = results_to_csv(run_experiment(spec))\n"
+            "print(hashlib.sha256(csv.encode()).hexdigest())\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=300)
+        assert out.stdout.strip() == (
+            "cdf608306e58c3b9fea35416e93af9d659021442ed90205ad929ac618cd9d7cd")
