@@ -189,6 +189,14 @@ def soft_threshold(Z: np.ndarray, t: float) -> np.ndarray:
     return np.sign(Z) * np.maximum(np.abs(Z) - t, 0.0)
 
 
+def _norm(A: np.ndarray) -> np.float64:
+    """Frobenius norm, computed exactly as ``np.linalg.norm(A)`` computes it
+    (the dot product of the K-order ravel with itself, then its square root)
+    without that function's argument dispatch."""
+    v = A.ravel(order="K")
+    return np.sqrt(v.dot(v))
+
+
 def _feasibility_tolerance(cache: AffineCache) -> float:
     rhs_max = float(np.max(np.abs(cache.rhs_raw))) if len(cache.rhs_raw) else 0.0
     return 1e-6 * (1.0 + rhs_max)
@@ -211,10 +219,11 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None,
     dim = problem.dim
     rho = config.rho
     feas_tol = _feasibility_tolerance(cache)
+    shift = (1.0 / rho) * np.eye(dim)  # gradient step of the trace objective
     if cache.infeasibility_lb > feas_tol:
         # Proven inconsistent: no iterate can become feasible, so return the
         # first affine step (the least-squares point) projected onto the cone.
-        affine = cache.project(-(1.0 / rho) * np.eye(dim))
+        affine = cache.project(-shift)
         try:
             X = project_psd(affine)
         except np.linalg.LinAlgError as exc:
@@ -227,7 +236,9 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None,
     U1 = np.zeros((dim, dim))
     U2 = np.zeros((dim, dim))
 
+    threshold = config.lam / (2.0 * rho)
     scale = np.sqrt(2.0) * dim  # sqrt of the stacked primal dimension
+    abs_floor = scale * config.eps_abs
 
     history = [] if record_history else None
     converged = False
@@ -237,30 +248,30 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None,
     iteration = 0
 
     for iteration in range(1, config.max_iters + 1):
-        X1 = cache.project(Z - U1 - (1.0 / rho) * np.eye(dim))
+        X1 = cache.project(Z - U1 - shift)
         try:
             X2 = project_psd(Z - U2)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"eigendecomposition failed: {exc}", iteration) from exc
 
         Z_prev = Z
-        Z = soft_threshold(0.5 * (X1 + U1 + X2 + U2), config.lam / (2.0 * rho))
+        Z = 0.5 * (X1 + U1 + X2 + U2)
+        if threshold > 0:  # at lam = 0 the shrinkage is the identity
+            Z = soft_threshold(Z, threshold)
         U1 = U1 + X1 - Z
         U2 = U2 + X2 - Z
 
-        primal = np.sqrt(np.linalg.norm(X1 - Z) ** 2 + np.linalg.norm(X2 - Z) ** 2)
-        dual = rho * np.sqrt(2.0) * np.linalg.norm(Z - Z_prev)
+        primal = np.sqrt(_norm(X1 - Z) ** 2 + _norm(X2 - Z) ** 2)
+        dual = rho * np.sqrt(2.0) * _norm(Z - Z_prev)
         if history is not None:
             history.append((primal, dual))
 
-        eps_pri = scale * config.eps_abs + config.eps_rel * max(
-            np.sqrt(np.linalg.norm(X1) ** 2 + np.linalg.norm(X2) ** 2),
-            np.sqrt(2.0) * np.linalg.norm(Z),
+        eps_pri = abs_floor + config.eps_rel * max(
+            np.sqrt(_norm(X1) ** 2 + _norm(X2) ** 2),
+            np.sqrt(2.0) * _norm(Z),
         )
-        eps_dual = scale * config.eps_abs + config.eps_rel * rho * np.sqrt(
-            np.linalg.norm(U1) ** 2 + np.linalg.norm(U2) ** 2
-        )
-        if primal <= eps_pri and dual <= eps_dual:
+        if primal <= eps_pri and dual <= abs_floor + config.eps_rel * rho * np.sqrt(
+                _norm(U1) ** 2 + _norm(U2) ** 2):
             converged = True
             break
         if iteration == checkpoint_at:

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from nlbp.harness import sample_trial, table1_spec
+from nlbp.harness import default_trial_config, sample_trial, table1_spec
 from nlbp.lifting import (
     build_lifted_problem,
     generate_dependency_constraints,
@@ -340,6 +342,54 @@ class TestSolve:
         rng = np.random.default_rng(14)
         Z = rng.normal(size=(4, 4))
         assert np.array_equal(soft_threshold(Z, 0.0 / 2.0), Z)
+
+
+def reference_loop(problem, config):
+    """The ADMM loop of ``solve_nlbp`` written out as it first stood: a fresh
+    identity, a shrinkage call and ``np.linalg.norm`` every iteration, the
+    same ``cache.project``. Returns (X, iterations, primal, dual,
+    dual_affine, dual_psd)."""
+    cache = AffineCache.build(problem)
+    dim, rho = problem.dim, config.rho
+    Z = np.zeros((dim, dim))
+    U1 = np.zeros((dim, dim))
+    U2 = np.zeros((dim, dim))
+    scale = np.sqrt(2.0) * dim
+    for iteration in range(1, config.max_iters + 1):
+        X1 = cache.project(Z - U1 - (1.0 / rho) * np.eye(dim))
+        X2 = project_psd(Z - U2)
+        Z_prev = Z
+        Z = soft_threshold(0.5 * (X1 + U1 + X2 + U2), config.lam / (2.0 * rho))
+        U1 = U1 + X1 - Z
+        U2 = U2 + X2 - Z
+        primal = np.sqrt(np.linalg.norm(X1 - Z) ** 2 + np.linalg.norm(X2 - Z) ** 2)
+        dual = rho * np.sqrt(2.0) * np.linalg.norm(Z - Z_prev)
+        eps_pri = scale * config.eps_abs + config.eps_rel * max(
+            np.sqrt(np.linalg.norm(X1) ** 2 + np.linalg.norm(X2) ** 2),
+            np.sqrt(2.0) * np.linalg.norm(Z),
+        )
+        eps_dual = scale * config.eps_abs + config.eps_rel * rho * np.sqrt(
+            np.linalg.norm(U1) ** 2 + np.linalg.norm(U2) ** 2
+        )
+        if primal <= eps_pri and dual <= eps_dual:
+            break
+    return Z, iteration, primal, dual, rho * U1, rho * U2
+
+
+class TestLoopPinned:
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_matches_reference_loop_bitwise(self, lam):
+        spec = table1_spec(trials=1, seed=42)
+        polys, _, values = sample_trial(spec, 0)
+        problem = build_lifted_problem(polys, values, spec.order)
+        config = dataclasses.replace(default_trial_config(spec, values), lam=lam)
+        report = solve_nlbp(problem, config)
+        X, iterations, primal, dual, dual_affine, dual_psd = reference_loop(problem, config)
+        assert report.iterations == iterations
+        assert np.array_equal(report.X, X)
+        assert report.primal_residual == primal and report.dual_residual == dual
+        assert np.array_equal(report.dual_affine, dual_affine)
+        assert np.array_equal(report.dual_psd, dual_psd)
 
 
 class TestProvenInconsistentExit:
