@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,6 +101,42 @@ class SolveReport:
     history: np.ndarray | None = None  # (iters, 2) primal/dual residuals
 
 
+class _SvecIndex(NamedTuple):
+    """Index arrays of the half-width (svec) layout of dim x dim symmetric
+    matrices: the upper triangle row by row, off-diagonal entries times
+    sqrt(2), so that svec(A) . svec(B) = trace(A B).
+
+    ``upper`` and ``lower`` hold the flat positions of entry (i, j), i <= j,
+    and of its mirror (j, i); ``weight`` is 1 on the diagonal and sqrt(2) off
+    it, and ``half`` is weight / 2. For any X, not only a symmetric one,
+    (X[upper] + X[lower]) * half pairs with a svec row exactly as vec(X)
+    pairs with the full row. ``full`` maps each of the dim * dim flat
+    positions back to its svec index.
+    """
+
+    upper: np.ndarray
+    lower: np.ndarray
+    weight: np.ndarray
+    half: np.ndarray
+    full: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _svec_index(dim: int) -> _SvecIndex:
+    """The svec index of dimension dim, built once per dimension; its arrays
+    are read-only because every cache of that dimension shares them."""
+    rows, cols = np.triu_indices(dim)
+    upper = rows * dim + cols
+    lower = cols * dim + rows
+    weight = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    full = np.empty(dim * dim, dtype=np.intp)
+    full[upper] = full[lower] = np.arange(len(upper))
+    index = _SvecIndex(upper, lower, weight, 0.5 * weight, full)
+    for a in index:
+        a.setflags(write=False)
+    return index
+
+
 @dataclass
 class AffineCache:
     """Precomputed data for projecting onto {X : trace(C_i X) = v_i for all i}.
@@ -109,10 +147,15 @@ class AffineCache:
     constraints are handled by pseudo-inversion. ``infeasibility_lb`` is a
     provable lower bound on max_i |trace(C_i X) - v_i| over all X; it is zero
     (up to roundoff) exactly when the constraint system is consistent.
+
+    The constraint matrices are symmetric, so the projection keeps each
+    normalized row in the half-width layout of ``_svec_index``:
+    dim(dim+1)/2 columns instead of dim * dim, with the same inner products.
+    The norms, the Gram matrix and the bound come from the full rows.
     """
 
     dim: int
-    row_mat: np.ndarray          # (M, dim*dim), normalized vectorized constraints
+    row_mat: np.ndarray          # (M, dim*(dim+1)/2), normalized rows in svec layout
     rhs: np.ndarray              # (M,) normalized right-hand sides
     row_mat_raw: np.ndarray      # (M, dim*dim) view of problem.operator
     rhs_raw: np.ndarray          # (M,) view of problem.values
@@ -145,16 +188,25 @@ class AffineCache:
         proj = vecs[:, active] @ (vecs[:, active].T @ rhs)
         lb = float(scale.min() * np.linalg.norm(rhs - proj)) / np.sqrt(len(rhs))
 
-        return cls(dim=dim, row_mat=rows, rhs=rhs, row_mat_raw=rows_raw,
+        svec = _svec_index(dim)
+        row_mat = rows[:, svec.upper]
+        row_mat *= svec.weight
+        return cls(dim=dim, row_mat=row_mat, rhs=rhs, row_mat_raw=rows_raw,
                    rhs_raw=rhs_raw, gram_vecs=vecs, gram_inv_vals=inv_vals,
                    rank=rank, infeasibility_lb=lb)
 
     def project(self, X: np.ndarray) -> np.ndarray:
-        """Frobenius projection of X onto the affine constraint set."""
+        """Frobenius projection of X onto the affine constraint set. X need
+        not be symmetric: its skew part is orthogonal to every constraint
+        and passes through unchanged."""
+        svec = _svec_index(self.dim)
         vec = X.ravel()
-        resid = self.row_mat @ vec - self.rhs
+        pairs = (vec[svec.upper] + vec[svec.lower]) * svec.half
+        resid = self.row_mat @ pairs - self.rhs
         mult = self.gram_vecs @ (self.gram_inv_vals * (self.gram_vecs.T @ resid))
-        return (vec - self.row_mat.T @ mult).reshape(self.dim, self.dim)
+        # back from svec: each entry over its weight, into both mirrored cells
+        correction = (self.row_mat.T @ mult) / svec.weight
+        return (vec - correction[svec.full]).reshape(self.dim, self.dim)
 
     def violation(self, X: np.ndarray) -> float:
         """max_i |trace(C_i X) - v_i| against the original (unscaled) rows."""

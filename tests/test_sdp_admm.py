@@ -76,13 +76,16 @@ class TestProjectAffine:
         twice = project_affine(once, problem)
         assert np.max(np.abs(twice - once)) < 1e-10
 
-    def test_matches_kkt_oracle(self):
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_matches_kkt_oracle(self, symmetric):
+        # a non-symmetric X keeps its skew part, which no constraint sees
         rng = np.random.default_rng(1)
         for seed in range(5):
             problem, _ = planted_problem(1 + seed % 2, 3, 2 + 2 * (seed % 2), seed + 3)
             assert problem.dim <= 6
             X = rng.normal(size=(problem.dim, problem.dim))
-            X = 0.5 * (X + X.T)
+            if symmetric:
+                X = 0.5 * (X + X.T)
             ours = project_affine(X, problem)
             oracle = kkt_projection_oracle(problem, X)
             assert np.max(np.abs(ours - oracle)) < 1e-8
@@ -116,10 +119,21 @@ class TestProjectAffine:
         assert np.shares_memory(cache.row_mat_raw, problem.operator)
         assert np.shares_memory(cache.rhs_raw, problem.values)
 
+    def test_rows_are_half_width(self):
+        # svec rows: dim (dim + 1) / 2 columns, still of unit norm
+        problem, _ = planted_problem(2, 4, 4, 3)
+        cache = AffineCache.build(problem)
+        dim = problem.dim
+        assert cache.row_mat.shape == (problem.num_constraints, dim * (dim + 1) // 2)
+        assert cache.row_mat_raw.shape == (problem.num_constraints, dim * dim)
+        assert np.shares_memory(cache.row_mat_raw, problem.operator)
+        assert np.allclose(np.linalg.norm(cache.row_mat, axis=1), 1.0, rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("n, order, num_eqs", [(5, 2, 30), (5, 4, 50), (8, 4, 120)])
     def test_matches_cache_of_per_constraint_stack(self, n, order, num_eqs):
         # reference: the constraints lifted one at a time, stacked row by row
-        # and normalized, decomposed and projected as written out here
+        # and normalized, decomposed, cut to their svec upper triangles and
+        # projected as written out here
         polys = [random_polynomial(n, order, 7000 + j, 1.0) for j in range(num_eqs)]
         x = np.random.default_rng(n + order).normal(size=n)
         values = [eval_polynomial(p, x) for p in polys]
@@ -134,15 +148,22 @@ class TestProjectAffine:
         vals, vecs = np.linalg.eigh(rows @ rows.T)
         active = vals > 1e-12 * max(vals[-1], 0.0)
         inv_vals = np.where(active, 1.0 / np.where(active, vals, 1.0), 0.0)
+        d = len(basis)
+        i, j = np.triu_indices(d)
+        weight = np.where(i == j, 1.0, np.sqrt(2.0))
+        svec_rows = rows[:, i * d + j] * weight
 
         cache = AffineCache.build(build_lifted_problem(polys, values, order))
+        assert np.array_equal(cache.row_mat, svec_rows)
         rng = np.random.default_rng(n * order)
         for _ in range(3):
-            X = rng.normal(size=(len(basis), len(basis)))
+            X = rng.normal(size=(d, d))
+            x_svec = (X[i, j] + X[j, i]) * (0.5 * weight)
+            mult = vecs @ (inv_vals * (vecs.T @ (svec_rows @ x_svec - rhs)))
+            correction = np.zeros((d, d))
+            correction[i, j] = correction[j, i] = (svec_rows.T @ mult) / weight
+            assert np.array_equal(cache.project(X), X - correction)
             vec = X.ravel()
-            mult = vecs @ (inv_vals * (vecs.T @ (rows @ vec - rhs)))
-            expected = (vec - rows.T @ mult).reshape(X.shape)
-            assert np.array_equal(cache.project(X), expected)
             assert cache.violation(X) == float(np.max(np.abs(rows_raw @ vec - rhs_raw)))
 
     def test_infeasibility_lb_is_a_lower_bound(self):
