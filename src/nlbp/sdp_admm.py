@@ -322,10 +322,13 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None,
             np.sqrt(_norm(X1) ** 2 + _norm(X2) ** 2),
             np.sqrt(2.0) * _norm(Z),
         )
-        if primal <= eps_pri and dual <= abs_floor + config.eps_rel * rho * np.sqrt(
-                _norm(U1) ** 2 + _norm(U2) ** 2):
-            converged = True
-            break
+        if primal <= eps_pri:  # only then is the dual tolerance needed
+            eps_dual = abs_floor + config.eps_rel * rho * np.sqrt(
+                _norm(U1) ** 2 + _norm(U2) ** 2
+            )
+            if dual <= eps_dual:
+                converged = True
+                break
         if iteration == checkpoint_at:
             primal_checkpoint = primal
 
