@@ -102,16 +102,15 @@ class SolveReport:
 
 
 class _SvecIndex(NamedTuple):
-    """Index arrays of the half-width (svec) layout of dim x dim symmetric
-    matrices: the upper triangle row by row, off-diagonal entries times
-    sqrt(2), so that svec(A) . svec(B) = trace(A B).
+    """The half-width (svec) layout of dim x dim symmetric matrices: the
+    upper triangle row by row, off-diagonal entries times sqrt(2), so that
+    svec(A) . svec(B) = trace(A B).
 
-    ``upper`` and ``lower`` hold the flat positions of entry (i, j), i <= j,
+    ``upper`` and ``lower`` are the flat positions of entry (i, j), i <= j,
     and of its mirror (j, i); ``weight`` is 1 on the diagonal and sqrt(2) off
-    it, and ``half`` is weight / 2. For any X, not only a symmetric one,
-    (X[upper] + X[lower]) * half pairs with a svec row exactly as vec(X)
-    pairs with the full row. ``full`` maps each of the dim * dim flat
-    positions back to its svec index.
+    it, ``half`` is weight / 2, and ``full`` maps each flat position back to
+    its svec index. For any X, symmetric or not, (X[upper] + X[lower]) * half
+    pairs with a svec row exactly as vec(X) pairs with the full row.
     """
 
     upper: np.ndarray
@@ -123,8 +122,7 @@ class _SvecIndex(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _svec_index(dim: int) -> _SvecIndex:
-    """The svec index of dimension dim, built once per dimension; its arrays
-    are read-only because every cache of that dimension shares them."""
+    """Built once per dimension and shared, hence read-only."""
     rows, cols = np.triu_indices(dim)
     upper = rows * dim + cols
     lower = cols * dim + rows
