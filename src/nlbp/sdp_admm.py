@@ -12,6 +12,14 @@ a cone block (projection onto the PSD cone), and an elementwise shrinkage
 block for the l1 term. The three blocks are tied together by a consensus
 variable and scaled dual variables.
 
+The consensus and multiplier updates are over-relaxed: each block's output
+X_i enters them as alpha X_i + (1 - alpha) Z_prev, Z_prev the previous
+consensus iterate, with the fixed alpha = 1.6 (Eckstein and Bertsekas,
+Math. Programming 1992; Boyd et al., "Distributed Optimization and
+Statistical Learning via ADMM", 2011, section 3.4.3). The fixed points are
+those of plain ADMM; the residuals and the stopping rule use the unrelaxed
+outputs.
+
 All steps are deterministic: identical problem and config give a bitwise
 identical iterate sequence.
 """
@@ -247,6 +255,12 @@ def _norm(A: np.ndarray) -> np.float64:
     return np.sqrt(v.dot(v))
 
 
+# Over-relaxation factor alpha (see the module docstring). At 1.6 the seed-42
+# ensembles take about a third fewer iterations than at 1; 1.7 and 1.8 take
+# fewer still on the dense ensemble but more on table1 and at n = 8.
+_RELAX = 1.6
+
+
 def _feasibility_tolerance(cache: AffineCache) -> float:
     rhs_max = float(np.max(np.abs(cache.rhs_raw))) if len(cache.rhs_raw) else 0.0
     return 1e-6 * (1.0 + rhs_max)
@@ -254,9 +268,11 @@ def _feasibility_tolerance(cache: AffineCache) -> float:
 
 def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None,
                record_history: bool = False) -> SolveReport:
-    """Run consensus ADMM on the lifted program until the combined primal and
-    dual residuals meet the absolute-plus-relative stopping rule, or the
-    iteration cap is reached.
+    """Run over-relaxed consensus ADMM on the lifted program until the
+    combined primal and dual residuals meet the absolute-plus-relative
+    stopping rule, or the iteration cap is reached. The primal residual is
+    measured on the unrelaxed block outputs, the dual residual on the change
+    of the consensus iterate.
 
     A system the affine cache proves inconsistent returns INFEASIBLE at
     iteration 0, with the first affine step (the affine least-squares point)
@@ -304,13 +320,25 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None,
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"eigendecomposition failed: {exc}", iteration) from exc
 
+        # V_i = H_i + U_i, where H_i = alpha X_i + (1 - alpha) Z_prev is the
+        # relaxed output of block i; built in place, because at dim 21 every
+        # temporary array costs about a microsecond
         Z_prev = Z
-        Z = 0.5 * (X1 + U1 + X2 + U2)
+        relaxed = (1.0 - _RELAX) * Z_prev
+        V1 = _RELAX * X1
+        V1 += relaxed
+        V1 += U1
+        V2 = _RELAX * X2
+        V2 += relaxed
+        V2 += U2
+        Z = 0.5 * (V1 + V2)
         if threshold > 0:  # at lam = 0 the shrinkage is the identity
             Z = soft_threshold(Z, threshold)
-        U1 = U1 + X1 - Z
-        U2 = U2 + X2 - Z
+        V1 -= Z
+        V2 -= Z
+        U1, U2 = V1, V2
 
+        # the residuals and tolerances take the unrelaxed X1, X2
         primal = np.sqrt(_norm(X1 - Z) ** 2 + _norm(X2 - Z) ** 2)
         dual = rho * np.sqrt(2.0) * _norm(Z - Z_prev)
         if history is not None:

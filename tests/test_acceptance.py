@@ -24,7 +24,16 @@ from nlbp.monomials import (
     random_polynomial,
 )
 from nlbp.recovery import dual_certificate
-from nlbp.sdp_admm import SolverConfig, SolveStatus, project_affine, project_psd, soft_threshold, solve_nlbp
+from nlbp import sdp_admm
+from nlbp.sdp_admm import (
+    AffineCache,
+    SolverConfig,
+    SolveStatus,
+    project_affine,
+    project_psd,
+    soft_threshold,
+    solve_nlbp,
+)
 from nlbp.cli import cli_main
 
 
@@ -194,15 +203,19 @@ def test_criterion_6_solver_against_reference():
         rel = abs(report.objective - ref) / (1 + abs(ref))
         worst = max(worst, rel)
         assert rel <= 1e-5
+    verdict(6, "solver matches reference at desk scale", True,
+            f"20 problems, worst relative objective gap={worst:.2e}")
 
-    # iterate invariants on a toy run of the same splitting
+
+def test_relaxed_splitting_iterate_invariants():
+    # a toy run of the solver's over-relaxed splitting: every affine-block
+    # output is feasible and every cone-block output is PSD
     rng = np.random.default_rng(77)
     polys = [random_polynomial(2, 2, 5000 + j, 1.0) for j in range(4)]
     x = rng.normal(size=2)
     problem = build_lifted_problem(polys, [eval_polynomial(p, x) for p in polys], 2)
-    from nlbp.sdp_admm import AffineCache
     cache = AffineCache.build(problem)
-    dim = problem.dim
+    dim, alpha = problem.dim, sdp_admm._RELAX
     Z = np.zeros((dim, dim))
     U1 = np.zeros((dim, dim))
     U2 = np.zeros((dim, dim))
@@ -211,11 +224,11 @@ def test_criterion_6_solver_against_reference():
         X2 = project_psd(Z - U2)
         assert cache.violation(X1) <= 1e-8
         assert np.linalg.eigvalsh(X2)[0] >= -1e-8 * max(1.0, np.linalg.norm(X2))
-        Z = soft_threshold(0.5 * (X1 + U1 + X2 + U2), 0.0)
-        U1 = U1 + X1 - Z
-        U2 = U2 + X2 - Z
-    verdict(6, "solver matches reference at desk scale", True,
-            f"20 problems, worst relative objective gap={worst:.2e}")
+        H1 = alpha * X1 + (1.0 - alpha) * Z
+        H2 = alpha * X2 + (1.0 - alpha) * Z
+        Z = soft_threshold(0.5 * (H1 + U1 + H2 + U2), 0.0)
+        U1 = U1 + H1 - Z
+        U2 = U2 + H2 - Z
 
 
 def test_criterion_7_oracle_equivalence():

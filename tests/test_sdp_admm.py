@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nlbp.harness import default_trial_config, sample_trial, table1_spec
+from nlbp.baselines import refine_solution
+from nlbp.harness import default_trial_config, dense_spec, sample_trial, table1_spec
 from nlbp.lifting import (
     build_lifted_problem,
     generate_dependency_constraints,
@@ -18,6 +19,7 @@ from nlbp.monomials import (
     random_polynomial,
 )
 from nlbp import sdp_admm
+from nlbp.recovery import extract_rank1
 from nlbp.sdp_admm import (
     AffineCache,
     SolverConfig,
@@ -373,11 +375,13 @@ class TestSolve:
         assert np.array_equal(soft_threshold(Z, 0.0 / 2.0), Z)
 
 
-def reference_loop(problem, config):
-    """The ADMM loop of ``solve_nlbp`` written out as it first stood: a fresh
-    identity, a shrinkage call and ``np.linalg.norm`` every iteration, the
-    same ``cache.project``. Returns (X, iterations, primal, dual,
-    dual_affine, dual_psd)."""
+def reference_loop(problem, config, alpha=sdp_admm._RELAX):
+    """The ADMM loop of ``solve_nlbp`` written out plainly: a fresh identity,
+    a shrinkage call and ``np.linalg.norm`` every iteration, the same
+    ``cache.project``, and each block's output over-relaxed by ``alpha``
+    before the consensus and multiplier updates (alpha = 1 is plain ADMM).
+    The residuals and the stopping rule use the unrelaxed outputs. Returns
+    (X, iterations, primal, dual, dual_affine, dual_psd)."""
     cache = AffineCache.build(problem)
     dim, rho = problem.dim, config.rho
     Z = np.zeros((dim, dim))
@@ -388,9 +392,11 @@ def reference_loop(problem, config):
         X1 = cache.project(Z - U1 - (1.0 / rho) * np.eye(dim))
         X2 = project_psd(Z - U2)
         Z_prev = Z
-        Z = soft_threshold(0.5 * (X1 + U1 + X2 + U2), config.lam / (2.0 * rho))
-        U1 = U1 + X1 - Z
-        U2 = U2 + X2 - Z
+        H1 = alpha * X1 + (1.0 - alpha) * Z_prev
+        H2 = alpha * X2 + (1.0 - alpha) * Z_prev
+        Z = soft_threshold(0.5 * ((H1 + U1) + (H2 + U2)), config.lam / (2.0 * rho))
+        U1 = U1 + H1 - Z
+        U2 = U2 + H2 - Z
         primal = np.sqrt(np.linalg.norm(X1 - Z) ** 2 + np.linalg.norm(X2 - Z) ** 2)
         dual = rho * np.sqrt(2.0) * np.linalg.norm(Z - Z_prev)
         eps_pri = scale * config.eps_abs + config.eps_rel * max(
@@ -419,6 +425,64 @@ class TestLoopPinned:
         assert report.primal_residual == primal and report.dual_residual == dual
         assert np.array_equal(report.dual_affine, dual_affine)
         assert np.array_equal(report.dual_psd, dual_psd)
+
+
+class TestOverRelaxation:
+    """The relaxed loop reaches the optimum that plain ADMM (alpha = 1)
+    reaches, and at lam = 0, which both ensembles use, in fewer iterations.
+    At lam = 0.1 it needs more on these trials (about 1.4x over table1
+    trials 0-9), so there only the optimum is compared."""
+
+    @pytest.mark.parametrize("spec, trial, lam", [
+        *(pytest.param(table1_spec(trials=3, seed=42), trial, lam,
+                       id=f"table1-{trial}-lam{lam}")
+          for lam in (0.0, 0.1) for trial in range(3)),
+        pytest.param(dense_spec(trials=1, seed=42), 0, 0.0, id="dense-0-lam0.0"),
+    ])
+    def test_same_optimum_in_fewer_iterations(self, spec, trial, lam):
+        polys, _, values = sample_trial(spec, trial)
+        problem = build_lifted_problem(polys, values, spec.order)
+        config = dataclasses.replace(default_trial_config(spec, values), lam=lam)
+        report = solve_nlbp(problem, config)
+        X_ref, iterations_ref, *_ = reference_loop(problem, config, alpha=1.0)
+        assert report.status is SolveStatus.CONVERGED
+        assert np.linalg.norm(report.X - X_ref) <= 1e-6 * np.linalg.norm(X_ref)
+        if lam == 0.0:
+            assert report.iterations < iterations_ref
+
+        def polished(X):
+            recovered = extract_rank1(X, problem.basis)
+            assert recovered.valid
+            return refine_solution(polys, values, recovered.x)
+
+        np.testing.assert_allclose(polished(report.X), polished(X_ref), rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_one_step_relaxes_the_updates_not_the_residuals(self, lam):
+        # iteration k, rebuilt from the state solve_nlbp returns after k - 1
+        spec = table1_spec(trials=1, seed=42)
+        polys, _, values = sample_trial(spec, 0)
+        problem = build_lifted_problem(polys, values, spec.order)
+        config = dataclasses.replace(default_trial_config(spec, values), lam=lam,
+                                     max_iters=40)
+        before = solve_nlbp(problem, dataclasses.replace(config, max_iters=39))
+        after = solve_nlbp(problem, config)
+        rho, alpha = config.rho, sdp_admm._RELAX
+        U1, U2 = before.dual_affine / rho, before.dual_psd / rho
+        X1 = AffineCache.build(problem).project(
+            before.X - U1 - (1.0 / rho) * np.eye(problem.dim))
+        X2 = project_psd(before.X - U2)
+        H1 = alpha * X1 + (1.0 - alpha) * before.X
+        H2 = alpha * X2 + (1.0 - alpha) * before.X
+        Z = soft_threshold(0.5 * (H1 + U1 + H2 + U2), lam / (2.0 * rho))
+        close = dict(rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(after.X, Z, **close)
+        np.testing.assert_allclose(after.dual_affine, rho * (U1 + H1 - Z), **close)
+        np.testing.assert_allclose(after.dual_psd, rho * (U2 + H2 - Z), **close)
+        primal = np.sqrt(np.linalg.norm(X1 - Z) ** 2 + np.linalg.norm(X2 - Z) ** 2)
+        assert after.primal_residual == pytest.approx(primal, rel=1e-9)
+        assert after.dual_residual == pytest.approx(
+            rho * np.sqrt(2.0) * np.linalg.norm(Z - before.X), rel=1e-9)
 
 
 class TestProvenInconsistentExit:
