@@ -102,7 +102,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("solve", help="solve a lifted problem")
     p.add_argument("lifted", help="JSON file produced by lift")
     p.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.lam)
-    p.add_argument("--rho", type=float, default=SolverConfig.rho)
+    p.add_argument("--rho", type=float, default=SolverConfig.rho,
+                   help="initial ADMM penalty (balanced during the solve)")
     p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
     p.add_argument("--eps-abs", type=float, default=SolverConfig.eps_abs)
     p.add_argument("--eps-rel", type=float, default=SolverConfig.eps_rel)

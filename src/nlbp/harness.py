@@ -169,9 +169,10 @@ def sample_trial(spec: ExperimentSpec, trial_index: int):
 def default_trial_config(spec: ExperimentSpec, values) -> SolverConfig:
     """Per-trial solver settings used when no explicit config is given.
 
-    The ADMM penalty works best near the reciprocal of the solution scale,
-    which the measurement magnitudes track; tolerances are tight enough for
-    rank-one extraction to pass its validity thresholds at that scale.
+    The ADMM penalty starts near the reciprocal of the solution scale, which
+    the measurement magnitudes track; the solver balances it from there, so
+    this is a starting point, not a tuned value. Tolerances are tight enough
+    for rank-one extraction to pass its validity thresholds at that scale.
     """
     rho = 1.0 / (1.0 + float(np.max(np.abs(values))))
     return SolverConfig(lam=spec.lam, rho=rho, eps_abs=1e-9, eps_rel=1e-7,

@@ -20,6 +20,17 @@ Statistical Learning via ADMM", 2011, section 3.4.3). The fixed points are
 those of plain ADMM; the residuals and the stopping rule use the unrelaxed
 outputs.
 
+The penalty rho is balanced while the solve runs. ``SolverConfig.rho`` is
+only the starting value: every 50 iterations rho is scaled by
+sqrt((r_pri / s_pri) / (r_dual / s_dual)), the primal and dual residuals
+each over the scale its relative tolerance uses, clamped to [1/4, 4] and
+skipped when it lies within [1/2, 2]; the scaled multipliers U_i are divided
+by the same factor, so the unscaled duals rho U_i carry on unchanged
+(residual balancing, Boyd et al. 2011, section 3.4.1, on normalized
+residuals as in OSQP, Stellato et al., Math. Prog. Comp. 2020). The affine
+projection does not depend on rho, so a change costs nothing but the new
+gradient step (1/rho) I and shrinkage threshold.
+
 All steps are deterministic: identical problem and config give a bitwise
 identical iterate sequence.
 """
@@ -54,11 +65,11 @@ class SolveStatus(Enum):
 @dataclass
 class SolverConfig:
     """Solver knobs. ``lam`` is the l1 weight of the objective, ``rho`` the
-    (fixed) ADMM penalty, ``max_iters`` the iteration cap and ``eps_abs`` /
-    ``eps_rel`` the absolute and relative parts of the stopping rule. The
-    default tolerances are the ensemble harness's, tight enough for the dual
-    certificate of ``recovery`` to hold on small problems with a unique
-    optimum."""
+    initial ADMM penalty (the solver balances it, see the module docstring),
+    ``max_iters`` the iteration cap and ``eps_abs`` / ``eps_rel`` the
+    absolute and relative parts of the stopping rule. The default tolerances
+    are the ensemble harness's, tight enough for the dual certificate of
+    ``recovery`` to hold on small problems with a unique optimum."""
 
     lam: float = 0.0
     rho: float = 1.0
@@ -83,15 +94,17 @@ class SolveReport:
     diagnostics.
 
     ``dual_affine`` and ``dual_psd`` are the scaled multipliers rho * U1 and
-    rho * U2 at exit. At an exact fixed point I + dual_affine is a
-    combination sum_i w_i C_i of the constraint matrices, dual_psd is the PSD
-    slack, and their sum lies in lam times the subdifferential of ||X||_1:
-    together with ``lam`` they are the dual point the recovery certificate
-    checks. ``infeasibility_lb`` is the affine cache's provable lower bound
-    on the constraint violation of every matrix; it tells apart the two
-    causes of INFEASIBLE: proven before the first iteration (lb above the
-    feasibility tolerance; 0 iterations, zero multipliers, X the least-squares
-    iterate of ``solve_nlbp``) or a plateau at the iteration cap (lb near 0).
+    rho * U2 at exit, and ``rho`` is the penalty at exit (the starting
+    penalty if balancing never changed it). At an exact fixed point
+    I + dual_affine is a combination sum_i w_i C_i of the constraint
+    matrices, dual_psd is the PSD slack, and their sum lies in lam times the
+    subdifferential of ||X||_1: together with ``lam`` they are the dual point
+    the recovery certificate checks. ``infeasibility_lb`` is the affine
+    cache's provable lower bound on the constraint violation of every matrix;
+    it tells apart the two causes of INFEASIBLE: proven before the first
+    iteration (lb above the feasibility tolerance; 0 iterations, zero
+    multipliers, X the least-squares iterate of ``solve_nlbp``) or a plateau
+    at the iteration cap (lb near 0).
     """
 
     X: np.ndarray
@@ -106,6 +119,7 @@ class SolveReport:
     infeasibility_lb: float
     dual_affine: np.ndarray
     dual_psd: np.ndarray
+    rho: float
     history: np.ndarray | None = None  # (iters, 2) primal/dual residuals
 
 
@@ -260,10 +274,30 @@ def _norm(A: np.ndarray) -> np.float64:
 # fewer still on the dense ensemble but more on table1 and at n = 8.
 _RELAX = 1.6
 
+# Penalty balancing (see the module docstring): the check interval, the
+# clamp on one step's factor and the dead band inside which rho is kept. The
+# clamp matters: unclamped, a stalled dual residual can cut rho by 1e12 in
+# three steps, after which the iterates no longer move.
+_ADAPT_EVERY = 50
+_ADAPT_CLAMP = 4.0
+_ADAPT_BAND = 2.0
+
 
 def _feasibility_tolerance(cache: AffineCache) -> float:
     rhs_max = float(np.max(np.abs(cache.rhs_raw))) if len(cache.rhs_raw) else 0.0
     return 1e-6 * (1.0 + rhs_max)
+
+
+def _penalty_factor(primal, primal_scale, dual, dual_scale) -> float:
+    """Factor by which to scale rho so that the normalized primal and dual
+    residuals balance, or 1.0 to keep it."""
+    if primal_scale == 0 or dual_scale == 0 or dual == 0:
+        return 1.0
+    factor = math.sqrt((primal / primal_scale) / (dual / dual_scale))
+    factor = min(max(factor, 1.0 / _ADAPT_CLAMP), _ADAPT_CLAMP)
+    if 1.0 / _ADAPT_BAND <= factor <= _ADAPT_BAND:
+        return 1.0
+    return factor
 
 
 def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None,
@@ -272,7 +306,8 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None,
     combined primal and dual residuals meet the absolute-plus-relative
     stopping rule, or the iteration cap is reached. The primal residual is
     measured on the unrelaxed block outputs, the dual residual on the change
-    of the consensus iterate.
+    of the consensus iterate. The penalty starts at ``config.rho`` and is
+    rebalanced every ``_ADAPT_EVERY`` iterations.
 
     A system the affine cache proves inconsistent returns INFEASIBLE at
     iteration 0, with the first affine step (the affine least-squares point)
@@ -295,8 +330,9 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None,
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"eigendecomposition failed: {exc}", 0) from exc
         return _report(X, 0, np.linalg.norm(affine - X), 0.0, cache.violation(X),
-                       SolveStatus.INFEASIBLE, cache, config, np.zeros((dim, dim)),
-                       np.zeros((dim, dim)), np.zeros((0, 2)) if record_history else None)
+                       SolveStatus.INFEASIBLE, cache, config, rho,
+                       np.zeros((dim, dim)), np.zeros((dim, dim)),
+                       np.zeros((0, 2)) if record_history else None)
 
     Z = np.zeros((dim, dim))
     U1 = np.zeros((dim, dim))
@@ -344,10 +380,9 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None,
         if history is not None:
             history.append((primal, dual))
 
-        eps_pri = abs_floor + config.eps_rel * max(
-            np.sqrt(_norm(X1) ** 2 + _norm(X2) ** 2),
-            np.sqrt(2.0) * _norm(Z),
-        )
+        primal_scale = max(np.sqrt(_norm(X1) ** 2 + _norm(X2) ** 2),
+                           np.sqrt(2.0) * _norm(Z))
+        eps_pri = abs_floor + config.eps_rel * primal_scale
         if primal <= eps_pri:  # only then is the dual tolerance needed
             eps_dual = abs_floor + config.eps_rel * rho * np.sqrt(
                 _norm(U1) ** 2 + _norm(U2) ** 2
@@ -357,6 +392,15 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None,
                 break
         if iteration == checkpoint_at:
             primal_checkpoint = primal
+        if iteration % _ADAPT_EVERY == 0:
+            factor = _penalty_factor(primal, primal_scale, dual,
+                                     rho * np.sqrt(_norm(U1) ** 2 + _norm(U2) ** 2))
+            if factor != 1.0:
+                rho *= factor
+                U1 /= factor
+                U2 /= factor
+                shift = (1.0 / rho) * np.eye(dim)
+                threshold = config.lam / (2.0 * rho)
 
     violation = cache.violation(Z)
     # A plateau call needs a meaningful budget: a run cut off after a handful
@@ -369,11 +413,11 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None,
         status = SolveStatus.INFEASIBLE
     else:
         status = SolveStatus.MAX_ITERS
-    return _report(Z, iteration, primal, dual, violation, status, cache, config,
+    return _report(Z, iteration, primal, dual, violation, status, cache, config, rho,
                    rho * U1, rho * U2, np.array(history) if history is not None else None)
 
 
-def _report(X, iterations, primal, dual, violation, status, cache, config,
+def _report(X, iterations, primal, dual, violation, status, cache, config, rho,
             dual_affine, dual_psd, history) -> SolveReport:
     return SolveReport(
         X=X,
@@ -388,6 +432,7 @@ def _report(X, iterations, primal, dual, violation, status, cache, config,
         infeasibility_lb=cache.infeasibility_lb,
         dual_affine=dual_affine,
         dual_psd=dual_psd,
+        rho=float(rho),
         history=history,
     )
 
@@ -403,6 +448,7 @@ def report_to_json(report: SolveReport, include_matrix: bool = False) -> dict:
         "status": report.status.value,
         "lambda": report.lam,
         "infeasibility_lb": report.infeasibility_lb,
+        "rho": report.rho,
     }
     if include_matrix:
         for key, matrix in (("X", report.X), ("dual_affine", report.dual_affine),
@@ -413,8 +459,8 @@ def report_to_json(report: SolveReport, include_matrix: bool = False) -> dict:
 
 def report_from_json(data: dict) -> SolveReport:
     """Inverse of ``report_to_json``. Matrices a report was written without
-    come back as empty (0, 0) arrays; ``lam`` and ``infeasibility_lb`` as nan
-    when absent."""
+    come back as empty (0, 0) arrays; ``lam``, ``infeasibility_lb`` and
+    ``rho`` as nan when absent."""
 
     def matrix(key: str) -> np.ndarray:
         return np.array(data[key], dtype=float) if key in data else np.zeros((0, 0))
@@ -432,4 +478,5 @@ def report_from_json(data: dict) -> SolveReport:
         infeasibility_lb=float(data.get("infeasibility_lb", math.nan)),
         dual_affine=matrix("dual_affine"),
         dual_psd=matrix("dual_psd"),
+        rho=float(data.get("rho", math.nan)),
     )

@@ -143,6 +143,7 @@ class TestSolveRecoverCertify:
         rep = json.loads(report.read_text())
         assert rep["lambda"] == 0.0
         assert 0.0 <= rep["infeasibility_lb"] < 1e-12
+        assert rep["rho"] > 0.0  # the penalty the solve ended with
         assert np.array(rep["dual_psd"]).shape == np.array(rep["X"]).shape == (2, 2)
 
     def test_recover_without_matrix_exits_1(self, tmp_path, trivial_problem_file,
@@ -167,6 +168,7 @@ class TestSolveRecoverCertify:
         assert rep["status"] == "infeasible"
         assert rep["infeasibility_lb"] > 1e-6 * 2.0  # proven, not a plateau
         assert rep["iterations"] == 0
+        assert rep["rho"] == SolverConfig.rho  # never balanced
 
 
 class TestBench:
