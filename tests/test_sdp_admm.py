@@ -157,7 +157,7 @@ class TestProjectAffine:
         rows, rhs = rows_raw / scale[:, None], rhs_raw / scale
         vals, vecs = np.linalg.eigh(rows @ rows.T)
         active = vals > 1e-12 * max(vals[-1], 0.0)
-        inv_vals = np.where(active, 1.0 / np.where(active, vals, 1.0), 0.0)
+        pinv = (vecs[:, active] / vals[active]) @ vecs[:, active].T
         d = len(basis)
         i, j = np.triu_indices(d)
         weight = np.where(i == j, 1.0, np.sqrt(2.0))
@@ -169,7 +169,7 @@ class TestProjectAffine:
         for _ in range(3):
             X = rng.normal(size=(d, d))
             x_svec = (X[i, j] + X[j, i]) * (0.5 * weight)
-            mult = vecs @ (inv_vals * (vecs.T @ (svec_rows @ x_svec - rhs)))
+            mult = pinv @ (svec_rows @ x_svec - rhs)
             correction = np.zeros((d, d))
             correction[i, j] = correction[j, i] = (svec_rows.T @ mult) / weight
             assert np.array_equal(cache.project(X), X - correction)
@@ -219,6 +219,135 @@ class TestProjectPsd:
             A = rng.normal(size=(4, 4))
             candidate = A @ A.T
             assert base <= np.linalg.norm(candidate - X) + 1e-12
+
+
+def with_spectrum(eigenvalues, seed):
+    """A symmetric matrix with the given eigenvalues in a random orthonormal
+    basis, and that basis (column k pairs with eigenvalue k)."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(eigenvalues),) * 2))
+    return (q * np.asarray(eigenvalues, dtype=float)) @ q.T, q
+
+
+def count_eigh_calls(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(A):
+        calls.append(A.shape)
+        return eigh(A)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+class TestWarmStartedProjectPsd:
+    """With a start, ``project_psd`` may answer from a certified rank-one
+    step instead of the full ``eigh``; either way it is the same map to
+    roundoff."""
+
+    DIM = 12
+    NEGATIVE = list(np.linspace(-3.0, -0.2, DIM - 1))
+
+    def assert_is_projection(self, X, start):
+        out = project_psd(X, start)
+        ref = project_psd(X)
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(X)
+        assert np.array_equal(out, out.T)
+        assert np.linalg.eigvalsh(out)[0] >= -1e-12 * np.linalg.norm(X)
+        return out
+
+    @pytest.mark.parametrize("spectrum", [
+        pytest.param([5.0] + NEGATIVE, id="one_positive"),
+        pytest.param([1e-9] + NEGATIVE, id="tiny_top"),
+        pytest.param([-0.1] + NEGATIVE, id="none_positive"),
+        pytest.param([5.0, 2.0] + NEGATIVE[1:], id="two_positive"),
+        pytest.param([5.0, 4.0, 0.5] + NEGATIVE[2:], id="three_positive"),
+    ])
+    def test_matches_eigh_path(self, spectrum):
+        A, q = with_spectrum(spectrum, 1)
+        near = q[:, 0] + 1e-3 * np.random.default_rng(2).normal(size=self.DIM)
+        self.assert_is_projection(A, np.outer(near, near))
+
+    def test_one_positive_eigenvalue_skips_eigh(self, monkeypatch):
+        A, q = with_spectrum([5.0] + self.NEGATIVE, 3)
+        start = project_psd(A + 1e-4 * with_spectrum(range(self.DIM), 4)[0])
+        calls = count_eigh_calls(monkeypatch)
+        out = self.assert_is_projection(A, start)
+        assert calls == [(self.DIM, self.DIM)]  # the reference call only
+        np.testing.assert_allclose(out, 5.0 * np.outer(q[:, 0], q[:, 0]),
+                                   rtol=0, atol=1e-13)
+
+    def test_non_symmetric_input(self):
+        A, q = with_spectrum([5.0] + self.NEGATIVE, 5)
+        skew = np.random.default_rng(6).normal(size=A.shape)
+        X = A + (skew - skew.T)
+        out = self.assert_is_projection(X, np.outer(q[:, 0], q[:, 0]))
+        assert np.linalg.matrix_rank(out, tol=1e-9) == 1
+
+    @pytest.mark.parametrize("bad", ["orthogonal", "zero"])
+    def test_bad_starts(self, bad):
+        A, q = with_spectrum([5.0] + self.NEGATIVE, 7)
+        u = q[:, 1] + q[:, 5] if bad == "orthogonal" else np.zeros(self.DIM)
+        self.assert_is_projection(A, np.outer(u, u))
+
+    def test_certificate_refuses_a_second_positive_eigenpair(self, monkeypatch):
+        # the start is the eigenpair (2, q_1), whose residual is fine; only
+        # the Cholesky check sees that 5 is positive too
+        A, q = with_spectrum([5.0, 2.0] + self.NEGATIVE[1:], 9)
+        refused = []
+        cholesky = np.linalg.cholesky
+
+        def spying(B):
+            try:
+                return cholesky(B)
+            except np.linalg.LinAlgError:
+                refused.append(B.shape)
+                raise
+
+        monkeypatch.setattr(np.linalg, "cholesky", spying)
+        out = self.assert_is_projection(A, np.outer(q[:, 1], q[:, 1]))
+        assert refused == [(self.DIM, self.DIM)]
+        assert np.linalg.matrix_rank(out, tol=1e-9) == 2
+
+    @pytest.mark.parametrize("kernel", ["solve", "cholesky"])
+    def test_fast_path_linalg_error_falls_back(self, monkeypatch, kernel):
+        # an inexact start needs a Rayleigh-quotient step; an exact one goes
+        # straight to the Cholesky check
+        A, q = with_spectrum([5.0] + self.NEGATIVE, 8)
+        near = q[:, 0] + (1e-3 * q[:, 1] if kernel == "solve" else 0.0)
+        start = np.outer(near, near)
+        ref = project_psd(A)
+        raised = []
+
+        def broken(*args):
+            raised.append(kernel)
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(np.linalg, kernel, broken)
+        calls = count_eigh_calls(monkeypatch)
+        assert np.array_equal(project_psd(A, start), ref)
+        assert raised == [kernel] and calls == [(self.DIM, self.DIM)]
+
+    @pytest.mark.parametrize("passes", [1, 3])
+    def test_eigh_failure_in_the_loop_is_a_solver_error(self, monkeypatch, passes):
+        # the first call decomposes the constraint Gram matrix in
+        # AffineCache.build; the next ones are cone steps that fell back
+        problem, _ = planted_problem(2, 4, 4, 12)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def failing(A):
+            calls.append(A.shape)
+            if len(calls) > passes:
+                raise np.linalg.LinAlgError("no convergence")
+            return eigh(A)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(SolverError) as info:
+            solve_nlbp(problem)
+        assert info.value.iteration >= passes
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        assert calls[-1] == (problem.dim, problem.dim)
 
 
 class TestSoftThreshold:
@@ -382,7 +511,8 @@ class TestSolve:
 def reference_loop(problem, config, alpha=sdp_admm._RELAX, balance=True):
     """The ADMM loop of ``solve_nlbp`` written out plainly: a fresh identity,
     a shrinkage call and ``np.linalg.norm`` every iteration, the same
-    ``cache.project``, and each block's output over-relaxed by ``alpha``
+    ``cache.project``, the same ``project_psd`` warm-started from the
+    previous cone output, and each block's output over-relaxed by ``alpha``
     before the consensus and multiplier updates (alpha = 1 is plain ADMM).
     The residuals and the stopping rule use the unrelaxed outputs. With
     ``balance``, every 50 iterations rho is scaled by the square root of the
@@ -396,9 +526,10 @@ def reference_loop(problem, config, alpha=sdp_admm._RELAX, balance=True):
     U1 = np.zeros((dim, dim))
     U2 = np.zeros((dim, dim))
     scale = np.sqrt(2.0) * dim
+    X2 = None
     for iteration in range(1, config.max_iters + 1):
         X1 = cache.project(Z - U1 - (1.0 / rho) * np.eye(dim))
-        X2 = project_psd(Z - U2)
+        X2 = project_psd(Z - U2, X2)
         Z_prev = Z
         H1 = alpha * X1 + (1.0 - alpha) * Z_prev
         H2 = alpha * X2 + (1.0 - alpha) * Z_prev
