@@ -171,12 +171,11 @@ def default_trial_config(spec: ExperimentSpec, values) -> SolverConfig:
 
     The ADMM penalty starts near the reciprocal of the solution scale, which
     the measurement magnitudes track; the solver balances it from there, so
-    this is a starting point, not a tuned value. Tolerances are tight enough
-    for rank-one extraction to pass its validity thresholds at that scale.
+    this is a starting point, not a tuned value. The tolerances are the
+    ``SolverConfig`` defaults.
     """
     rho = 1.0 / (1.0 + float(np.max(np.abs(values))))
-    return SolverConfig(lam=spec.lam, rho=rho, eps_abs=1e-9, eps_rel=1e-7,
-                        max_iters=60000)
+    return SolverConfig(lam=spec.lam, rho=rho, max_iters=60000)
 
 
 def _run_method(method: Method, polys, values, x_true, spec: ExperimentSpec,
