@@ -35,7 +35,6 @@ from .sdp_admm import (
     SolverConfig,
     SolverError,
     SolveStatus,
-    project_affine,
     project_psd,
     soft_threshold,
     solve_nlbp,

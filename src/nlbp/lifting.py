@@ -10,9 +10,12 @@ one normalization (the constant entry squares to 1) and one dependency per
 representable entry product.
 
 The whole system is one linear map on the matrix variable, held as a single
-read-only (M, dim, dim) array plus its (M,) right-hand side
-(``LiftedProblem.operator`` and ``.values``); the solver and the
-certificates read those arrays directly.
+read-only (M, dim (dim + 1) / 2) array plus its (M,) right-hand side
+(``LiftedProblem.operator`` and ``.values``). Row i packs the upper triangle
+of the symmetric constraint matrix C_i row by row, with the matrix's own
+values: the cells the lifted JSON stores. ``packed_index`` maps between that
+layout and dense matrices; the solver and the certificate read the packed
+rows directly.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,17 +53,60 @@ class ConstraintKind(Enum):
     DEPENDENCY = "dependency"
 
 
+class PackedIndex(NamedTuple):
+    """The packed layout of dim x dim symmetric matrices: the upper triangle,
+    row by row, dim (dim + 1) / 2 cells.
+
+    ``upper`` and ``lower`` are the flat positions of cell (i, j), i <= j,
+    and of its mirror (j, i); ``cell[i, j]`` is the packed index of both.
+    For any X, symmetric or not, a packed row c of C pairs with
+    (X[upper] + X[lower]) * ``fold`` (1/2 on the diagonal, 1 off it) to
+    trace(C X). ``weight`` (1 on the diagonal, sqrt(2) off it) turns c into
+    the svec row c * weight, which pairs with ``svec(X)`` to the same trace.
+    """
+
+    upper: np.ndarray
+    lower: np.ndarray
+    cell: np.ndarray
+    fold: np.ndarray
+    weight: np.ndarray
+    half: np.ndarray  # weight / 2
+
+    def svec(self, X: np.ndarray) -> np.ndarray:
+        """svec of the symmetric part of X, so svec(A) . svec(B) = trace(A B)
+        for symmetric A and B."""
+        x = X.ravel()
+        return (x[self.upper] + x[self.lower]) * self.half
+
+
+@functools.lru_cache(maxsize=None)
+def packed_index(dim: int) -> PackedIndex:
+    """Built once per dimension and shared, hence read-only."""
+    rows, cols = np.triu_indices(dim)
+    upper = rows * dim + cols
+    lower = cols * dim + rows
+    cell = np.empty((dim, dim), dtype=np.intp)
+    cell[rows, cols] = cell[cols, rows] = np.arange(len(rows))
+    diagonal = rows == cols
+    weight = np.where(diagonal, 1.0, np.sqrt(2.0))
+    index = PackedIndex(upper, lower, cell, np.where(diagonal, 0.5, 1.0),
+                        weight, 0.5 * weight)
+    for a in index:
+        a.setflags(write=False)
+    return index
+
+
 @dataclass(frozen=True)
 class LiftedProblem:
     """A lifted instance: the basis plus one linear map on the matrix variable.
 
-    ``operator`` is an (M, dim, dim) stack of exactly symmetric matrices C_i
-    and ``values`` the (M,) right-hand sides, so row i is the constraint
+    ``operator`` is an (M, dim (dim + 1) / 2) array whose row i packs the
+    upper triangle of the symmetric matrix C_i (see ``PackedIndex``), and
+    ``values`` the (M,) right-hand sides, so row i is the constraint
     trace(C_i @ X) == values[i]. Both arrays are read-only. Row order is
     frozen and gives each row its kind: the ``num_data`` data rows first,
     then (when any row follows) the single normalization row, then the
-    dependencies in generation order. The operator is kept C-contiguous, so
-    its (M, dim * dim) reshape is a view.
+    dependencies in generation order.
     """
 
     basis: MonomialBasis
@@ -73,16 +120,15 @@ class LiftedProblem:
         operator = np.ascontiguousarray(self.operator, dtype=float).view()
         values = np.ascontiguousarray(self.values, dtype=float).view()
         dim = len(self.basis)
-        if operator.ndim != 3 or operator.shape[1:] != (dim, dim):
+        width = dim * (dim + 1) // 2
+        if operator.ndim != 2 or operator.shape[1] != width:
             raise ValueError(
-                f"operator must have shape (M, {dim}, {dim}), got {operator.shape}")
+                f"operator must have shape (M, {width}), got {operator.shape}")
         if values.shape != operator.shape[:1]:
             raise ValueError(
-                f"got {len(operator)} constraint matrices but {values.shape} values")
+                f"got {len(operator)} constraint rows but {values.shape} values")
         if not 0 <= self.num_data <= len(values):
             raise ValueError(f"num_data {self.num_data} outside [0, {len(values)}]")
-        if not np.array_equal(operator, operator.transpose(0, 2, 1)):
-            raise ValueError("constraint matrices must be exactly symmetric")
         for name, a in (("operator", operator), ("values", values)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -105,30 +151,30 @@ class LiftedProblem:
 
 @functools.lru_cache(maxsize=None)
 def _cell_map(n: int, half_degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where each cell (i, j) of a basis-indexed matrix takes its value from.
+    """Where each packed cell (i, j), i <= j, of a basis-indexed matrix takes
+    its value from.
 
-    ``column[i, j]`` is the exponent-table column (degree 2 * half_degree) of
-    entries[i] + entries[j], ``pairs[i, j]`` the number of unordered basis
-    pairs with that exponent sum, and ``half[i, j]`` 1 on the diagonal and
-    1/2 off it. Every cell belongs to exactly one exponent sum.
+    ``column`` is the exponent-table column (degree 2 * half_degree) of
+    entries[i] + entries[j], ``pairs`` the number of unordered basis pairs
+    with that exponent sum, and ``share`` 1 on the diagonal and 1/2 off it.
+    Every cell belongs to exactly one exponent sum.
     """
     basis = enumerate_basis(n, half_degree)
     table_column = enumerate_basis(n, 2 * half_degree).index_of
     entries = basis.entries
-    column = np.array([[table_column[a + b] for b in entries] for a in entries],
-                      dtype=np.intp)
-    upper = column[np.triu_indices(len(entries))]
-    pairs = np.bincount(upper, minlength=len(table_column))[column].astype(float)
-    half = np.full(column.shape, 0.5)
-    np.fill_diagonal(half, 1.0)
-    for a in (column, pairs, half):
+    rows, cols = np.triu_indices(len(entries))
+    column = np.array([table_column[entries[i] + entries[j]]
+                       for i, j in zip(rows, cols)], dtype=np.intp)
+    pairs = np.bincount(column, minlength=len(table_column))[column].astype(float)
+    share = np.where(rows == cols, 1.0, 0.5)
+    for a in (column, pairs, share):
         a.setflags(write=False)
-    return column, pairs, half
+    return column, pairs, share
 
 
 def quadratic_forms(system: PolySystem, basis: MonomialBasis) -> np.ndarray:
-    """(N, dim, dim) stack of symmetric matrices C_k with m(x)' C_k m(x) equal
-    to polynomial k of the system, identically.
+    """(N, dim (dim + 1) / 2) packed rows of the symmetric matrices C_k with
+    m(x)' C_k m(x) equal to polynomial k of the system, identically.
 
     Each coefficient is split equally over all unordered basis pairs whose
     exponents sum to its multi-index; a diagonal pair receives its full share
@@ -144,19 +190,20 @@ def quadratic_forms(system: PolySystem, basis: MonomialBasis) -> np.ndarray:
         raise DegreeTooHighError(
             f"polynomial degree {system.degree} exceeds representable degree {cap}"
         )
-    column, pairs, half = _cell_map(basis.num_vars, basis.half_degree)
-    return system.full_coeffs(cap)[:, column] / pairs * half
+    column, pairs, share = _cell_map(basis.num_vars, basis.half_degree)
+    return system.full_coeffs(cap)[:, column] / pairs * share
 
 
 def polynomial_to_quadratic_form(p: Polynomial, basis: MonomialBasis) -> np.ndarray:
-    """Symmetric matrix C with m(x)' C m(x) == p(x) identically: the one-row
-    case of ``quadratic_forms``."""
+    """Packed row of the symmetric matrix C with m(x)' C m(x) == p(x)
+    identically: the one-row case of ``quadratic_forms``."""
     return quadratic_forms(PolySystem.from_polys([p]), basis)[0]
 
 
 def generate_dependency_constraints(basis: MonomialBasis) -> np.ndarray:
-    """(1 + D, dim, dim) structural block: the normalization matrix followed
-    by one matrix per representable entry product.
+    """(1 + D, dim (dim + 1) / 2) structural block of packed rows: the
+    normalization matrix followed by one matrix per representable entry
+    product.
 
     A dependency ties entries[k] * entries[l] (1 <= l <= k) to the entry i
     with entries[i] == entries[k] + entries[l]: the product cell gets weight
@@ -175,16 +222,12 @@ def generate_dependency_constraints(basis: MonomialBasis) -> np.ndarray:
             if i is not None:
                 products.append((i, l, k))
     products.sort()
-    block = np.zeros((1 + len(products), dim, dim))
-    block[0, 0, 0] = 1.0
+    cell = packed_index(dim).cell
+    block = np.zeros((1 + len(products), dim * (dim + 1) // 2))
+    block[0, cell[0, 0]] = 1.0
     for row, (i, l, k) in enumerate(products, start=1):
-        if k == l:
-            block[row, l, l] = 1.0
-        else:
-            block[row, k, l] = 0.5
-            block[row, l, k] = 0.5
-        block[row, 0, i] = -0.5
-        block[row, i, 0] = -0.5
+        block[row, cell[l, k]] = 1.0 if k == l else 0.5
+        block[row, cell[0, i]] = -0.5
     return block
 
 
@@ -220,7 +263,7 @@ def build_lifted_problem(polys, values, order: int) -> LiftedProblem:
     basis = enumerate_basis(system.num_vars, order // 2)
     structural = _structural_constraints(system.num_vars, order // 2)
     num_data = len(values)
-    operator = np.empty((num_data + len(structural), len(basis), len(basis)))
+    operator = np.empty((num_data + len(structural), structural.shape[1]))
     operator[:num_data] = quadratic_forms(system, basis)
     operator[num_data:] = structural
     rhs = np.zeros(len(operator))
@@ -236,16 +279,17 @@ def lift_vector(x, basis: MonomialBasis) -> np.ndarray:
 
 
 def lifted_problem_to_json(problem: LiftedProblem) -> dict:
-    """Sparse triplet export; only cells with row <= col are stored."""
+    """Sparse triplet export of the nonzero packed cells, so every stored
+    cell has row <= col."""
+    rows, cols = np.triu_indices(problem.dim)
     constraints = []
-    for matrix, value, kind in zip(problem.operator, problem.values, problem.kinds):
-        rows, cols = np.nonzero(np.triu(matrix))
+    for packed, value, kind in zip(problem.operator, problem.values, problem.kinds):
         constraints.append({
             "y": float(value),
             "kind": kind.value,
             "entries": [
-                {"row": int(r), "col": int(col), "value": float(matrix[r, col])}
-                for r, col in zip(rows, cols)
+                {"row": int(rows[c]), "col": int(cols[c]), "value": float(packed[c])}
+                for c in np.flatnonzero(packed)
             ],
         })
     return {
@@ -258,7 +302,7 @@ def lifted_problem_to_json(problem: LiftedProblem) -> dict:
 
 def lifted_problem_from_json(data: dict) -> LiftedProblem:
     """Inverse of ``lifted_problem_to_json``; rejects non-finite numbers and
-    cell indices outside [0, dim)."""
+    cell indices outside [0, dim). A cell with row > col sets its mirror."""
     n = checked_int(data["num_vars"], 1)
     order = checked_int(data["order"], 2)
     basis = enumerate_basis(n, order // 2)
@@ -267,13 +311,12 @@ def lifted_problem_from_json(data: dict) -> LiftedProblem:
         raise ValueError("stored basis does not match the frozen basis order")
     items = data["constraints"]
     dim = len(basis)
-    operator = np.zeros((len(items), dim, dim))
-    for m, item in zip(operator, items):
-        for cell in item["entries"]:
-            r, c = checked_int(cell["row"], 0, dim), checked_int(cell["col"], 0, dim)
-            v = checked_float(cell["value"])
-            m[r, c] = v
-            m[c, r] = v
+    cell = packed_index(dim).cell
+    operator = np.zeros((len(items), dim * (dim + 1) // 2))
+    for row, item in zip(operator, items):
+        for entry in item["entries"]:
+            r, c = checked_int(entry["row"], 0, dim), checked_int(entry["col"], 0, dim)
+            row[cell[r, c]] = checked_float(entry["value"])
     kinds = [ConstraintKind(item["kind"]) for item in items]
     num_data = next((i for i, k in enumerate(kinds) if k is not ConstraintKind.DATA),
                     len(kinds))

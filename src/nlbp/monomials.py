@@ -110,10 +110,6 @@ class MonomialBasis:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
 
 def enumerate_alpha_set(n: int, max_degree: int) -> list[MultiIndex]:
     """All multi-indices over n variables with total degree <= max_degree.

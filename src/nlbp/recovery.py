@@ -5,8 +5,9 @@ the constant-monomial entry equals 1, yields the lifted monomial vector and
 hence the unknowns from the degree-one positions. A dual certificate built
 from the solver's final multipliers then checks, without trusting the
 solver, that the rank-one lift of that vector is the unique optimum of the
-relaxation. It reads the lifted problem's (M, dim, dim) ``operator`` as the
-M x dim^2 matrix whose i-th row is the vectorized i-th constraint matrix.
+relaxation. It weights the lifted problem's packed ``operator`` rows into
+svec rows (see ``lifting.PackedIndex``), whose inner products with the svec
+of a matrix X are the traces trace(C_i X).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lifting import LiftedProblem, lift_vector
+from .lifting import LiftedProblem, lift_vector, packed_index
 from .monomials import MultiIndex
 from .sdp_admm import SolveReport, SolveStatus
 
@@ -141,6 +142,10 @@ def dual_certificate(problem: LiftedProblem, report: SolveReport,
     (strict complementarity; Alizadeh, Haeberly and Overton 1997). The
     certificate holds only on a CONVERGED report and only when every check
     passes at tolerance CERT_TOL.
+
+    The least squares runs on svec rows, which see only the symmetric part
+    of I + rho * U1; its skew part, orthogonal to every C_i, is added back
+    into the dual residual.
     """
     x_bar = lift_vector(x, problem.basis)
     S = report.dual_psd
@@ -148,14 +153,18 @@ def dual_certificate(problem: LiftedProblem, report: SolveReport,
     slack_norm = float(np.max(np.abs(vals)))
     scale = slack_norm if slack_norm > 0 else 1.0
 
-    rows = problem.operator.reshape(problem.num_constraints, -1)
-    target = (np.eye(problem.dim) + report.dual_affine).ravel()
-    w = np.linalg.lstsq(rows.T, target, rcond=None)[0]
-    dual_residual = float(np.linalg.norm(rows.T @ w - target) / np.linalg.norm(target))
+    index = packed_index(problem.dim)
+    rows = problem.operator * index.weight
+    target = np.eye(problem.dim) + report.dual_affine
+    packed_target = index.svec(target)
+    w = np.linalg.lstsq(rows.T, packed_target, rcond=None)[0]
+    skew = 0.5 * (target - target.T)
+    dual_residual = float(np.hypot(np.linalg.norm(rows.T @ w - packed_target),
+                                   np.linalg.norm(skew)) / np.linalg.norm(target))
 
     X_bar = np.outer(x_bar, x_bar)
     values = problem.values
-    primal_residual = float(np.max(np.abs(rows @ X_bar.ravel() - values))
+    primal_residual = float(np.max(np.abs(rows @ index.svec(X_bar) - values))
                             / (1.0 + np.max(np.abs(values))))
     primal_objective = float(np.trace(X_bar) + report.lam * np.sum(np.abs(X_bar)))
     duality_gap = abs(primal_objective - float(values @ w)) / (1.0 + abs(primal_objective))

@@ -55,11 +55,10 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
-from .lifting import LiftedProblem
+from .lifting import LiftedProblem, packed_index
 
 
 class SolverError(RuntimeError):
@@ -137,40 +136,6 @@ class SolveReport:
     history: np.ndarray | None = None  # (iters, 2) primal/dual residuals
 
 
-class _SvecIndex(NamedTuple):
-    """The half-width (svec) layout of dim x dim symmetric matrices: the
-    upper triangle row by row, off-diagonal entries times sqrt(2), so that
-    svec(A) . svec(B) = trace(A B).
-
-    ``upper`` and ``lower`` are the flat positions of entry (i, j), i <= j,
-    and of its mirror (j, i); ``weight`` is 1 on the diagonal and sqrt(2) off
-    it, ``half`` is weight / 2, and ``full`` maps each flat position back to
-    its svec index. For any X, symmetric or not, (X[upper] + X[lower]) * half
-    pairs with a svec row exactly as vec(X) pairs with the full row.
-    """
-
-    upper: np.ndarray
-    lower: np.ndarray
-    weight: np.ndarray
-    half: np.ndarray
-    full: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def _svec_index(dim: int) -> _SvecIndex:
-    """Built once per dimension and shared, hence read-only."""
-    rows, cols = np.triu_indices(dim)
-    upper = rows * dim + cols
-    lower = cols * dim + rows
-    weight = np.where(rows == cols, 1.0, np.sqrt(2.0))
-    full = np.empty(dim * dim, dtype=np.intp)
-    full[upper] = full[lower] = np.arange(len(upper))
-    index = _SvecIndex(upper, lower, weight, 0.5 * weight, full)
-    for a in index:
-        a.setflags(write=False)
-    return index
-
-
 @lru_cache(maxsize=None)
 def _identity(dim: int) -> np.ndarray:
     """Built once per dimension and shared, hence read-only."""
@@ -183,38 +148,34 @@ def _identity(dim: int) -> np.ndarray:
 class AffineCache:
     """Precomputed data for projecting onto {X : trace(C_i X) = v_i for all i}.
 
-    Rows are normalized to unit Frobenius norm (the feasible set, and hence
-    the projection, is unchanged) and the constraint Gram matrix is
-    eigendecomposed once with a relative cutoff so that linearly dependent
-    constraints are handled by pseudo-inversion; ``gram_pinv`` is that
-    pseudo-inverse, formed once so that a projection applies it in one
-    matvec. ``infeasibility_lb`` is a provable lower bound on
-    max_i |trace(C_i X) - v_i| over all X; it is zero (up to roundoff)
-    exactly when the constraint system is consistent.
-
-    The constraint matrices are symmetric, so the projection keeps each
-    normalized row in the half-width layout of ``_svec_index``:
-    dim(dim+1)/2 columns instead of dim * dim, with the same inner products.
-    The norms, the Gram matrix and the bound come from the full rows.
+    The problem's packed rows are weighted once into svec rows (see
+    ``PackedIndex``): dim (dim + 1) / 2 columns whose inner products are
+    those of the full dim x dim matrices. Those rows are normalized to unit
+    Frobenius norm (the feasible set, and hence the projection, is
+    unchanged) and the constraint Gram matrix is eigendecomposed once with a
+    relative cutoff so that linearly dependent constraints are handled by
+    pseudo-inversion; ``gram_pinv`` is that pseudo-inverse, formed once so
+    that a projection applies it in one matvec. ``infeasibility_lb`` is a
+    provable lower bound on max_i |trace(C_i X) - v_i| over all X; it is
+    zero (up to roundoff) exactly when the constraint system is consistent.
     """
 
     dim: int
-    row_mat: np.ndarray          # (M, dim*(dim+1)/2), normalized rows in svec layout
+    row_mat: np.ndarray          # (M, dim*(dim+1)/2), normalized svec rows
     rhs: np.ndarray              # (M,) normalized right-hand sides
-    row_mat_raw: np.ndarray      # (M, dim*dim) view of problem.operator
+    row_mat_raw: np.ndarray      # (M, dim*(dim+1)/2) view of problem.operator
     rhs_raw: np.ndarray          # (M,) view of problem.values
     gram_pinv: np.ndarray = field(repr=False)  # (M, M)
-    rank: int = 0
     infeasibility_lb: float = 0.0
 
     @classmethod
     def build(cls, problem: LiftedProblem) -> "AffineCache":
-        dim = problem.dim
-        rows_raw = problem.operator.reshape(problem.num_constraints, dim * dim)
+        rows_raw = problem.operator
         rhs_raw = problem.values
-        norms = np.linalg.norm(rows_raw, axis=1)
+        rows = rows_raw * packed_index(problem.dim).weight
+        norms = np.linalg.norm(rows, axis=1)
         scale = np.where(norms > 0, norms, 1.0)
-        rows = rows_raw / scale[:, None]
+        rows /= scale[:, None]
         rhs = rhs_raw / scale
 
         gram = rows @ rows.T
@@ -229,39 +190,25 @@ class AffineCache:
         # min(scale) * ||rhs - P rhs|| / sqrt(M).
         proj = basis @ (basis.T @ rhs)
         lb = float(scale.min() * np.linalg.norm(rhs - proj)) / np.sqrt(len(rhs))
-
-        svec = _svec_index(dim)
-        row_mat = rows[:, svec.upper]
-        row_mat *= svec.weight
-        return cls(dim=dim, row_mat=row_mat, rhs=rhs, row_mat_raw=rows_raw,
-                   rhs_raw=rhs_raw, gram_pinv=gram_pinv,
-                   rank=basis.shape[1], infeasibility_lb=lb)
+        return cls(dim=problem.dim, row_mat=rows, rhs=rhs, row_mat_raw=rows_raw,
+                   rhs_raw=rhs_raw, gram_pinv=gram_pinv, infeasibility_lb=lb)
 
     def project(self, X: np.ndarray) -> np.ndarray:
         """Frobenius projection of X onto the affine constraint set. X need
         not be symmetric: its skew part is orthogonal to every constraint
         and passes through unchanged."""
-        svec = _svec_index(self.dim)
-        vec = X.ravel()
-        pairs = (vec[svec.upper] + vec[svec.lower]) * svec.half
-        resid = self.row_mat @ pairs - self.rhs
+        index = packed_index(self.dim)
+        resid = self.row_mat @ index.svec(X) - self.rhs
         # back from svec: each entry over its weight, into both mirrored cells
-        correction = (self.row_mat.T @ (self.gram_pinv @ resid)) / svec.weight
-        return (vec - correction[svec.full]).reshape(self.dim, self.dim)
+        correction = (self.row_mat.T @ (self.gram_pinv @ resid)) / index.weight
+        return X - correction[index.cell]
 
     def violation(self, X: np.ndarray) -> float:
         """max_i |trace(C_i X) - v_i| against the original (unscaled) rows."""
-        return float(np.max(np.abs(self.row_mat_raw @ X.ravel() - self.rhs_raw)))
-
-
-def project_affine(X: np.ndarray, problem: LiftedProblem,
-                   cache: AffineCache | None = None) -> np.ndarray:
-    """Euclidean projection of X onto the problem's affine constraint set."""
-    if cache is None:
-        cache = AffineCache.build(problem)
-    elif cache.dim != problem.dim:
-        raise ValueError("cache was built for a different problem dimension")
-    return cache.project(np.asarray(X, dtype=float))
+        index = packed_index(self.dim)
+        vec = X.ravel()
+        pairs = (vec[index.upper] + vec[index.lower]) * index.fold
+        return float(np.max(np.abs(self.row_mat_raw @ pairs - self.rhs_raw)))
 
 
 # The rank-one cone step (see the module docstring): at most this many

@@ -29,12 +29,12 @@ from nlbp.sdp_admm import (
     AffineCache,
     SolverConfig,
     SolveStatus,
-    project_affine,
     project_psd,
     soft_threshold,
     solve_nlbp,
 )
 from nlbp.cli import cli_main
+from packed_layout import dense_operator, unpack
 
 
 def verdict(number: int, name: str, ok: bool, detail: str) -> None:
@@ -105,7 +105,7 @@ def test_criterion_3_representation_identity():
             basis = enumerate_basis(n, order // 2)
             for _ in range(20):
                 poly = random_polynomial(n, order, rng, 1.0)
-                form = polynomial_to_quadratic_form(poly, basis)
+                form = unpack(polynomial_to_quadratic_form(poly, basis), len(basis))
                 for _ in range(100):
                     x = rng.normal(size=n)
                     lifted = lift_vector(x, basis)
@@ -133,7 +133,7 @@ def test_criterion_4_planted_lift_feasibility():
         problem = build_lifted_problem(polys, values, order)
         lifted = lift_vector(x, problem.basis)
         planted = np.outer(lifted, lifted)
-        for c, value in zip(problem.operator, problem.values):
+        for c, value in zip(dense_operator(problem), problem.values):
             err = abs(float(np.sum(c * planted)) - value)
             bound = 1e-9 * (1 + abs(value))
             worst = max(worst, err / bound)
@@ -177,7 +177,7 @@ def test_criterion_6_solver_against_reference():
         dim = problem.dim
         X = cvxpy.Variable((dim, dim), symmetric=True)
         constraints = [X >> 0]
-        for c, value in zip(problem.operator, problem.values):
+        for c, value in zip(dense_operator(problem), problem.values):
             constraints.append(cvxpy.trace(c @ X) == value)
         objective = cvxpy.trace(X) + lam * cvxpy.sum(cvxpy.abs(X))
         prob = cvxpy.Problem(cvxpy.Minimize(objective), constraints)
@@ -220,7 +220,7 @@ def test_relaxed_splitting_iterate_invariants():
     U1 = np.zeros((dim, dim))
     U2 = np.zeros((dim, dim))
     for _ in range(200):
-        X1 = project_affine(Z - U1 - np.eye(dim), problem, cache)
+        X1 = cache.project(Z - U1 - np.eye(dim))
         X2 = project_psd(Z - U2)
         assert cache.violation(X1) <= 1e-8
         assert np.linalg.eigvalsh(X2)[0] >= -1e-8 * max(1.0, np.linalg.norm(X2))

@@ -23,10 +23,19 @@ from nlbp.monomials import (
     eval_polynomial,
     random_polynomial,
 )
+from packed_layout import dense_operator, pack, unpack
 
 
 def quad_value(matrix, vec):
     return float(vec @ matrix @ vec)
+
+
+def dense_form(p, basis):
+    return unpack(polynomial_to_quadratic_form(p, basis), len(basis))
+
+
+def dense_block(basis):
+    return unpack(generate_dependency_constraints(basis), len(basis))
 
 
 def raw_sweep(basis):
@@ -65,7 +74,7 @@ class TestQuadraticForm:
     def test_one_plus_x1_entries(self):
         basis = enumerate_basis(2, 2)
         p = Polynomial(2, {MultiIndex((0, 0)): 1.0, MultiIndex((1, 0)): 1.0})
-        form = polynomial_to_quadratic_form(p, basis)
+        form = dense_form(p, basis)
         assert form[0, 0] == 1.0
         assert form[0, 1] == 0.5
         assert form[1, 0] == 0.5
@@ -80,13 +89,14 @@ class TestQuadraticForm:
     def test_zero_polynomial(self):
         basis = enumerate_basis(2, 2)
         form = polynomial_to_quadratic_form(Polynomial(2, {}), basis)
+        assert form.shape == (6 * 7 // 2,)
         assert np.all(form == 0.0)
 
     def test_equal_split_over_pairs(self):
         # x^2 over a half-degree-2 basis splits across (1, x^2) and (x, x)
         basis = enumerate_basis(1, 2)
         p = Polynomial(1, {MultiIndex((2,)): 1.0})
-        form = polynomial_to_quadratic_form(p, basis)
+        form = dense_form(p, basis)
         assert form[0, 2] == 0.25
         assert form[2, 0] == 0.25
         assert form[1, 1] == 0.5
@@ -97,8 +107,9 @@ class TestQuadraticForm:
         basis = enumerate_basis(3, 2)
         for seed in range(5):
             p = random_polynomial(3, 4, seed, 1.0)
-            form = polynomial_to_quadratic_form(p, basis)
-            assert np.array_equal(form, form.T)
+            row = polynomial_to_quadratic_form(p, basis)
+            assert row.shape == (len(basis) * (len(basis) + 1) // 2,)
+            form = unpack(row, len(basis))
             for _ in range(100):
                 x = rng.normal(size=3)
                 lifted = lift_vector(x, basis)
@@ -120,7 +131,7 @@ class TestQuadraticForm:
 class TestDependencyGeneration:
     def test_normalization_first(self):
         basis = enumerate_basis(2, 2)
-        cons = generate_dependency_constraints(basis)
+        cons = dense_block(basis)
         expected = np.zeros((6, 6))
         expected[0, 0] = 1.0
         assert np.array_equal(cons[0], expected)
@@ -132,7 +143,7 @@ class TestDependencyGeneration:
         # x1 * x2 reproduces the x1*x2 entry: product cell 1/2, tie to the
         # constant-row cell -1/2
         basis = enumerate_basis(2, 2)
-        cons = generate_dependency_constraints(basis)
+        cons = dense_block(basis)
         i_prod = basis.index_of[MultiIndex((1, 1))]
         k = basis.index_of[MultiIndex((1, 0))]
         l = basis.index_of[MultiIndex((0, 1))]
@@ -145,7 +156,7 @@ class TestDependencyGeneration:
 
     def test_square_relation_cells(self):
         basis = enumerate_basis(2, 2)
-        cons = generate_dependency_constraints(basis)
+        cons = dense_block(basis)
         i_sq = basis.index_of[MultiIndex((2, 0))]
         k = basis.index_of[MultiIndex((1, 0))]
         match = [c for c in cons[1:] if c[k, k] == 1.0 and c[0, i_sq] == -0.5]
@@ -156,12 +167,12 @@ class TestDependencyGeneration:
         # basis {1, x1}: the only candidate product x1*x1 leaves the basis
         basis = enumerate_basis(1, 1)
         cons = generate_dependency_constraints(basis)
-        assert cons.shape == (1, 2, 2)
-        assert cons[0, 0, 0] == 1.0
+        assert cons.shape == (1, 3)
+        assert np.array_equal(cons[0], [1.0, 0.0, 0.0])
 
     def test_dependency_shape_and_values(self):
         basis = enumerate_basis(3, 2)
-        for c in generate_dependency_constraints(basis)[1:]:
+        for c in dense_block(basis)[1:]:
             nz = np.count_nonzero(c)
             assert nz in (3, 4)
             assert set(np.unique(c[c != 0.0])) <= {-0.5, 0.5, 1.0}
@@ -169,7 +180,7 @@ class TestDependencyGeneration:
     def test_planted_lift_satisfies_dependencies(self):
         rng = np.random.default_rng(4)
         basis = enumerate_basis(3, 2)
-        cons = generate_dependency_constraints(basis)
+        cons = dense_block(basis)
         for _ in range(20):
             x = rng.normal(size=3)
             lifted = lift_vector(x, basis)
@@ -197,13 +208,13 @@ class TestDependencyGeneration:
             block = generate_dependency_constraints(basis)
             assert len(block) == 1 + len(expected)
             for got, want in zip(block[1:], expected):
-                assert np.array_equal(got, want)
+                assert np.array_equal(got, pack(want))
 
     def test_dependency_completeness(self):
         # independent enumeration: every representable product of two
         # non-constant entries must be covered by some dependency
         basis = enumerate_basis(2, 3)
-        deps = generate_dependency_constraints(basis)[1:]
+        deps = dense_block(basis)[1:]
         for k, l in itertools.combinations_with_replacement(
                 range(1, len(basis)), 2):
             total = basis.entries[k] + basis.entries[l]
@@ -235,7 +246,7 @@ class TestBuildLiftedProblem:
         assert all(k is ConstraintKind.DEPENDENCY for k in kinds[51:])
         assert problem.num_constraints == 66
         assert problem.num_data == 50
-        assert problem.operator.shape == (66, 21, 21)
+        assert problem.operator.shape == (66, 21 * 22 // 2)
         assert problem.values.shape == (66,)
         assert not problem.operator.flags.writeable
         assert not problem.values.flags.writeable
@@ -256,7 +267,7 @@ class TestBuildLiftedProblem:
             problem = build_lifted_problem(polys, values, 4)
             lifted = lift_vector(x, problem.basis)
             planted = np.outer(lifted, lifted)
-            for c, value in zip(problem.operator, problem.values):
+            for c, value in zip(dense_operator(problem), problem.values):
                 err = abs(float(np.sum(c * planted)) - value)
                 assert err < 1e-9 * (1 + abs(value))
 
@@ -311,29 +322,25 @@ def one_var_problem(operator, values, num_data=None):
 
 
 class TestConstraintType:
-    def test_asymmetric_matrix_rejected(self):
-        m = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="symmetric"):
-            one_var_problem(np.stack([np.eye(2), m]), [1.0, 0.0])
-
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            one_var_problem(np.zeros((1, 2, 3)), [0.0])
-        with pytest.raises(ValueError):
-            one_var_problem(np.zeros((1, 3, 3)), [0.0])
+        # rows must pack a dim x dim upper triangle, 3 cells at dim 2; dense
+        # matrix stacks, square or not, are not accepted
+        for shape in [(1, 2), (1, 4), (1, 2, 2), (1, 2, 3)]:
+            with pytest.raises(ValueError, match="shape"):
+                one_var_problem(np.zeros(shape), [0.0])
 
     def test_values_length_and_num_data_checked(self):
         with pytest.raises(ValueError):
-            one_var_problem(np.zeros((2, 2, 2)), [0.0])
+            one_var_problem(np.zeros((2, 3)), [0.0])
         with pytest.raises(ValueError):
-            one_var_problem(np.zeros((1, 2, 2)), [0.0], num_data=2)
+            one_var_problem(np.zeros((1, 3)), [0.0], num_data=2)
 
     def test_arrays_read_only_and_caller_array_untouched(self):
-        operator = np.zeros((1, 2, 2))
+        operator = np.zeros((1, 3))
         problem = one_var_problem(operator, np.array([0.0]))
         assert operator.flags.writeable
         with pytest.raises(ValueError):
-            problem.operator[0, 0, 0] = 1.0
+            problem.operator[0, 0] = 1.0
         with pytest.raises(ValueError):
             problem.values[0] = 1.0
 
@@ -368,6 +375,53 @@ class TestProblemJson:
             c["kind"] = kind
         with pytest.raises(ValueError, match="frozen order"):
             lifted_problem_from_json(data)
+
+    # the on-disk format: the lift of PINNED_SYSTEM as written before the
+    # operator moved to the packed layout
+    PINNED_JSON = (
+        '{"num_vars": 2, "order": 4, "basis": [[0, 0], [1, 0], [0, 1], [2, 0], '
+        '[1, 1], [0, 2]], "constraints": [{"y": 1.5, "kind": "data", "entries": '
+        '[{"row": 0, "col": 0, "value": 0.1}, {"row": 0, "col": 1, "value": 0.5}, '
+        '{"row": 0, "col": 4, "value": -0.175}, {"row": 1, "col": 2, "value": '
+        '-0.175}, {"row": 3, "col": 5, "value": 0.75}, {"row": 4, "col": 4, '
+        '"value": 1.5}]}, {"y": -0.7, "kind": "data", "entries": [{"row": 2, '
+        '"col": 5, "value": 0.5}, {"row": 3, "col": 3, "value": -0.3}]}, {"y": '
+        '1.0, "kind": "normalization", "entries": [{"row": 0, "col": 0, "value": '
+        '1.0}]}, {"y": 0.0, "kind": "dependency", "entries": [{"row": 0, "col": '
+        '3, "value": -0.5}, {"row": 1, "col": 1, "value": 1.0}]}, {"y": 0.0, '
+        '"kind": "dependency", "entries": [{"row": 0, "col": 4, "value": -0.5}, '
+        '{"row": 1, "col": 2, "value": 0.5}]}, {"y": 0.0, "kind": "dependency", '
+        '"entries": [{"row": 0, "col": 5, "value": -0.5}, {"row": 2, "col": 2, '
+        '"value": 1.0}]}]}'
+    )
+
+    @staticmethod
+    def pinned_problem():
+        p1 = Polynomial(2, {MultiIndex((0, 0)): 0.1, MultiIndex((1, 0)): 1.0,
+                            MultiIndex((1, 1)): -0.7, MultiIndex((2, 2)): 3.0})
+        p2 = Polynomial(2, {MultiIndex((0, 3)): 1.0, MultiIndex((4, 0)): -0.3})
+        return build_lifted_problem([p1, p2], [1.5, -0.7], 4)
+
+    def test_pinned_format_written_and_read_back(self):
+        problem = self.pinned_problem()
+        assert json.dumps(lifted_problem_to_json(problem)) == self.PINNED_JSON
+        back = lifted_problem_from_json(json.loads(self.PINNED_JSON))
+        assert np.array_equal(back.operator, problem.operator)
+        assert np.array_equal(back.values, problem.values)
+        assert back.kinds == problem.kinds
+
+    def test_lower_triangle_cell_loads_like_its_mirror(self):
+        problem = self.pinned_problem()
+        data = json.loads(self.PINNED_JSON)
+        flipped = 0
+        for constraint in data["constraints"]:
+            for cell in constraint["entries"]:
+                if cell["row"] < cell["col"]:
+                    cell["row"], cell["col"] = cell["col"], cell["row"]
+                    flipped += 1
+        assert flipped == 9
+        back = lifted_problem_from_json(data)
+        assert np.array_equal(back.operator, problem.operator)
 
     def test_upper_triangle_only(self):
         p = Polynomial(2, {MultiIndex((1, 1)): 2.0})

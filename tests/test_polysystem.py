@@ -27,6 +27,7 @@ from nlbp.monomials import (
     random_polynomial,
     truncate_polynomial,
 )
+from packed_layout import pack
 
 SIZES = (2, 3, 5, 8)
 NUM_EQS = 6
@@ -69,6 +70,7 @@ def reference_jacobian(polys, x):
 
 
 def reference_form(p, basis):
+    """The packed row of p's quadratic form, one term at a time."""
     pairs = {}
     for i in range(len(basis)):
         for j in range(i, len(basis)):
@@ -82,7 +84,7 @@ def reference_form(p, basis):
             else:
                 form[i, j] += share / 2.0
                 form[j, i] += share / 2.0
-    return form
+    return pack(form)
 
 
 @pytest.mark.parametrize("n", SIZES)

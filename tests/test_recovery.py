@@ -7,6 +7,7 @@ from nlbp.lifting import (
     LiftedProblem,
     build_lifted_problem,
     lift_vector,
+    packed_index,
 )
 from nlbp.monomials import enumerate_basis, eval_polynomial, random_polynomial
 from nlbp.recovery import (
@@ -17,18 +18,19 @@ from nlbp.recovery import (
     extract_rank1,
 )
 from nlbp.sdp_admm import SolverConfig, SolveStatus, solve_nlbp
+from packed_layout import dense_operator, pack
 
 
 def manual_problem(constraint_matrices, values, n=1, order=2):
     return LiftedProblem(basis=enumerate_basis(n, order // 2), num_vars=n,
                          order=order, num_data=len(values),
-                         operator=np.stack(constraint_matrices), values=values)
+                         operator=pack(constraint_matrices), values=values)
 
 
-def operator_rows(problem):
-    """The M x dim^2 matrix the certificate reads: row i is the vectorized
-    i-th constraint matrix."""
-    return problem.operator.reshape(problem.num_constraints, -1)
+def dense_rows(problem):
+    """The M x dim^2 matrix whose row i is the vectorized i-th constraint
+    matrix."""
+    return dense_operator(problem).reshape(problem.num_constraints, -1)
 
 
 def planted_problem(n, num_eqs, order, seed):
@@ -96,24 +98,29 @@ class TestExtractRank1:
 class TestOperatorMatrix:
     def test_identity_constraint_row(self):
         problem = manual_problem([np.eye(2)], [1.0])
-        B = operator_rows(problem)
-        assert np.array_equal(B, np.array([[1.0, 0.0, 0.0, 1.0]]))
+        assert np.array_equal(problem.operator, np.array([[1.0, 0.0, 1.0]]))
 
     def test_trace_oracle(self):
+        # both pairings of PackedIndex give trace(C_i X), X symmetric or not:
+        # packed rows with the folded X, svec rows with svec(X)
         problem, _ = planted_problem(2, 5, 4, 2)
-        B = operator_rows(problem)
+        index = packed_index(problem.dim)
+        svec_rows = problem.operator * index.weight
         rng = np.random.default_rng(3)
         for _ in range(100):
             X = rng.normal(size=(problem.dim, problem.dim))
-            X = 0.5 * (X + X.T)
-            direct = np.array([float(np.sum(c * X)) for c in problem.operator])
-            assert np.max(np.abs(B @ X.ravel() - direct)) < 1e-12 * (1 + np.max(np.abs(direct)))
+            direct = np.array([float(np.sum(c * X)) for c in dense_operator(problem)])
+            vec = X.ravel()
+            folded = (vec[index.upper] + vec[index.lower]) * index.fold
+            tol = 1e-12 * (1 + np.max(np.abs(direct)))
+            assert np.max(np.abs(problem.operator @ folded - direct)) < tol
+            assert np.max(np.abs(svec_rows @ index.svec(X) - direct)) < tol
 
     def test_reference_shape(self):
         problem, _ = planted_problem(5, 50, 4, 4)
-        B = operator_rows(problem)
-        assert B.shape == (66, 441)
-        assert np.shares_memory(B, problem.operator)
+        assert problem.operator.shape == (66, 21 * 22 // 2)
+        problem, _ = planted_problem(8, 120, 4, 4)
+        assert problem.operator.shape == (157, 45 * 46 // 2)
 
 
 def solved_planted(n, num_eqs, seed, lam=0.0):
@@ -183,7 +190,7 @@ class TestDualCertificate:
             basis.append(E)
         # linear conditions on the coefficients of the symmetric basis
         conditions = np.vstack([
-            np.array([[np.sum(C * E) for E in basis] for C in problem.operator]),
+            np.array([[np.sum(C * E) for E in basis] for C in dense_operator(problem)]),
             np.array([E @ x_bar for E in basis]).T,
         ])
         null = np.linalg.svd(conditions)[2][np.linalg.matrix_rank(conditions):]
@@ -204,7 +211,7 @@ class TestDualCertificate:
         # longer satisfies the constraints
         problem, report, x = solved_planted(3, 10, 4)
         target = (np.eye(problem.dim) + report.dual_affine).ravel()
-        rows = problem.operator.reshape(problem.num_constraints, -1)
+        rows = dense_rows(problem)
         w = np.linalg.lstsq(rows.T, target, rcond=None)[0]
         shift = np.zeros_like(w)
         shift[0], shift[1] = w[1], -w[0]
@@ -215,6 +222,28 @@ class TestDualCertificate:
         assert not cert.holds
         assert max(cert.complementarity, cert.dual_residual, cert.duality_gap,
                    cert.l1_multiplier) <= CERT_TOL
+
+    def test_refuses_skew_affine_multiplier(self):
+        # the least squares sees only the symmetric part of I + rho U1; a
+        # skew part, which a report read from a file can carry, is
+        # orthogonal to every C_i and must still count in the dual residual
+        # exactly as against the full dim x dim matrices
+        problem, report, x = solved_planted(3, 10, 4)
+        dim = problem.dim
+        K = np.triu(np.random.default_rng(8).normal(size=(dim, dim)), 1)
+        K -= K.T
+        target = np.eye(dim) + report.dual_affine
+        K *= 1e-3 * np.linalg.norm(target) / np.linalg.norm(K)
+        skewed = dataclasses.replace(report, dual_affine=report.dual_affine + K)
+        cert = dual_certificate(problem, skewed, x)
+        rows = dense_rows(problem)
+        full = (target + K).ravel()
+        w = np.linalg.lstsq(rows.T, full, rcond=None)[0]
+        expected = np.linalg.norm(rows.T @ w - full) / np.linalg.norm(full)
+        assert expected > 1e-4
+        assert cert.dual_residual == pytest.approx(expected, rel=1e-6)
+        assert not cert.holds
+        assert dual_certificate(problem, report, x).holds
 
     def test_refuses_unconverged_report(self):
         problem, report, x = solved_planted(3, 10, 4)

@@ -25,13 +25,13 @@ from nlbp.sdp_admm import (
     SolverConfig,
     SolverError,
     SolveStatus,
-    project_affine,
     project_psd,
     report_from_json,
     report_to_json,
     soft_threshold,
     solve_nlbp,
 )
+from packed_layout import dense_operator
 
 
 def planted_problem(n, num_eqs, order, seed):
@@ -44,7 +44,7 @@ def planted_problem(n, num_eqs, order, seed):
 
 def kkt_projection_oracle(problem, X):
     """Independent dense KKT solve for the affine projection."""
-    rows = np.stack([c.ravel() for c in problem.operator])
+    rows = np.stack([c.ravel() for c in dense_operator(problem)])
     values = problem.values
     m, d2 = rows.shape
     kkt = np.block([[np.eye(d2), rows.T], [rows, np.zeros((m, m))]])
@@ -66,7 +66,7 @@ class TestProjectAffine:
         problem, x = planted_problem(2, 4, 2, 1)
         lifted = lift_vector(x, problem.basis)
         planted = np.outer(lifted, lifted)
-        out = project_affine(planted, problem)
+        out = AffineCache.build(problem).project(planted)
         assert np.max(np.abs(out - planted)) < 1e-12 * (1 + np.max(np.abs(planted)))
 
     def test_idempotent(self):
@@ -74,8 +74,9 @@ class TestProjectAffine:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(problem.dim, problem.dim))
         X = 0.5 * (X + X.T)
-        once = project_affine(X, problem)
-        twice = project_affine(once, problem)
+        cache = AffineCache.build(problem)
+        once = cache.project(X)
+        twice = cache.project(once)
         assert np.max(np.abs(twice - once)) < 1e-10
 
     def test_matches_kkt_oracle(self):
@@ -85,7 +86,7 @@ class TestProjectAffine:
             assert problem.dim <= 6
             X = rng.normal(size=(problem.dim, problem.dim))
             X = 0.5 * (X + X.T)
-            ours = project_affine(X, problem)
+            ours = AffineCache.build(problem).project(X)
             oracle = kkt_projection_oracle(problem, X)
             assert np.max(np.abs(ours - oracle)) < 1e-8
 
@@ -96,7 +97,7 @@ class TestProjectAffine:
         for seed in range(5):
             problem, _ = planted_problem(1 + seed % 2, 3, 2 + 2 * (seed % 2), seed + 3)
             X = rng.normal(size=(problem.dim, problem.dim))
-            ours = project_affine(X, problem)
+            ours = AffineCache.build(problem).project(X)
             oracle = kkt_projection_oracle(problem, X)
             assert np.max(np.abs(ours - oracle)) < 1e-8
 
@@ -108,13 +109,6 @@ class TestProjectAffine:
             X = rng.normal(size=(problem.dim, problem.dim))
             out = cache.project(0.5 * (X + X.T))
             assert cache.violation(out) < 1e-8
-
-    def test_cache_dim_mismatch(self):
-        problem, _ = planted_problem(2, 3, 2, 5)
-        other, _ = planted_problem(3, 3, 2, 6)
-        cache = AffineCache.build(other)
-        with pytest.raises(ValueError):
-            project_affine(np.zeros((problem.dim, problem.dim)), problem, cache)
 
     def test_inconsistency_bound(self):
         p = Polynomial(1, {MultiIndex((1,)): 1.0})
@@ -130,38 +124,39 @@ class TestProjectAffine:
         assert np.shares_memory(cache.rhs_raw, problem.values)
 
     def test_rows_are_half_width(self):
-        # svec rows: dim (dim + 1) / 2 columns, still of unit norm
+        # packed raw rows and svec rows: dim (dim + 1) / 2 columns, the svec
+        # rows of unit norm
         problem, _ = planted_problem(2, 4, 4, 3)
         cache = AffineCache.build(problem)
         dim = problem.dim
         assert cache.row_mat.shape == (problem.num_constraints, dim * (dim + 1) // 2)
-        assert cache.row_mat_raw.shape == (problem.num_constraints, dim * dim)
+        assert cache.row_mat_raw.shape == (problem.num_constraints, dim * (dim + 1) // 2)
         assert np.shares_memory(cache.row_mat_raw, problem.operator)
         assert np.allclose(np.linalg.norm(cache.row_mat, axis=1), 1.0, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n, order, num_eqs", [(5, 2, 30), (5, 4, 50), (8, 4, 120)])
     def test_matches_cache_of_per_constraint_stack(self, n, order, num_eqs):
-        # reference: the constraints lifted one at a time, stacked row by row
-        # and normalized, decomposed, cut to their svec upper triangles and
+        # reference: the packed constraints lifted one at a time, stacked row
+        # by row, weighted to svec rows and normalized, decomposed and
         # projected as written out here
         polys = [random_polynomial(n, order, 7000 + j, 1.0) for j in range(num_eqs)]
         x = np.random.default_rng(n + order).normal(size=n)
         values = [eval_polynomial(p, x) for p in polys]
         basis = enumerate_basis(n, order // 2)
         structural = generate_dependency_constraints(basis)
-        matrices = [polynomial_to_quadratic_form(p, basis) for p in polys] + list(structural)
-        rows_raw = np.stack([m.ravel() for m in matrices])
+        rows_raw = np.stack([polynomial_to_quadratic_form(p, basis) for p in polys]
+                            + list(structural))
         rhs_raw = np.array(values + [1.0] + [0.0] * (len(structural) - 1))
-        norms = np.linalg.norm(rows_raw, axis=1)
-        scale = np.where(norms > 0, norms, 1.0)
-        rows, rhs = rows_raw / scale[:, None], rhs_raw / scale
-        vals, vecs = np.linalg.eigh(rows @ rows.T)
-        active = vals > 1e-12 * max(vals[-1], 0.0)
-        pinv = (vecs[:, active] / vals[active]) @ vecs[:, active].T
         d = len(basis)
         i, j = np.triu_indices(d)
         weight = np.where(i == j, 1.0, np.sqrt(2.0))
-        svec_rows = rows[:, i * d + j] * weight
+        svec_rows = rows_raw * weight
+        norms = np.linalg.norm(svec_rows, axis=1)
+        scale = np.where(norms > 0, norms, 1.0)
+        svec_rows, rhs = svec_rows / scale[:, None], rhs_raw / scale
+        vals, vecs = np.linalg.eigh(svec_rows @ svec_rows.T)
+        active = vals > 1e-12 * max(vals[-1], 0.0)
+        pinv = (vecs[:, active] / vals[active]) @ vecs[:, active].T
 
         cache = AffineCache.build(build_lifted_problem(polys, values, order))
         assert np.array_equal(cache.row_mat, svec_rows)
@@ -173,8 +168,9 @@ class TestProjectAffine:
             correction = np.zeros((d, d))
             correction[i, j] = correction[j, i] = (svec_rows.T @ mult) / weight
             assert np.array_equal(cache.project(X), X - correction)
-            vec = X.ravel()
-            assert cache.violation(X) == float(np.max(np.abs(rows_raw @ vec - rhs_raw)))
+            fold = np.where(i == j, 0.5, 1.0)
+            traces = rows_raw @ ((X[i, j] + X[j, i]) * fold)
+            assert cache.violation(X) == float(np.max(np.abs(traces - rhs_raw)))
 
     def test_infeasibility_lb_is_a_lower_bound(self):
         # no X, random or least squares, violates some constraint by less
@@ -182,7 +178,7 @@ class TestProjectAffine:
         for problem in inconsistent_systems():
             cache = AffineCache.build(problem)
             assert cache.infeasibility_lb > 1e-3
-            rows = cache.row_mat_raw
+            rows = dense_operator(problem).reshape(problem.num_constraints, -1)
             best = np.linalg.lstsq(rows, cache.rhs_raw, rcond=None)[0]
             candidates = [best.reshape(problem.dim, problem.dim)] + [
                 rng.normal(scale=s, size=(problem.dim, problem.dim))
