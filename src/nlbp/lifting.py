@@ -302,7 +302,9 @@ def lifted_problem_to_json(problem: LiftedProblem) -> dict:
 
 def lifted_problem_from_json(data: dict) -> LiftedProblem:
     """Inverse of ``lifted_problem_to_json``; rejects non-finite numbers and
-    cell indices outside [0, dim). A cell with row > col sets its mirror."""
+    cell indices outside [0, dim). A cell with row > col sets its mirror; a
+    constraint that sets one cell twice, directly or through its mirror,
+    must give it the same value both times."""
     n = checked_int(data["num_vars"], 1)
     order = checked_int(data["order"], 2)
     basis = enumerate_basis(n, order // 2)
@@ -313,10 +315,15 @@ def lifted_problem_from_json(data: dict) -> LiftedProblem:
     dim = len(basis)
     cell = packed_index(dim).cell
     operator = np.zeros((len(items), dim * (dim + 1) // 2))
-    for row, item in zip(operator, items):
+    for i, (row, item) in enumerate(zip(operator, items)):
+        seen = set()
         for entry in item["entries"]:
             r, c = checked_int(entry["row"], 0, dim), checked_int(entry["col"], 0, dim)
-            row[cell[r, c]] = checked_float(entry["value"])
+            k, value = int(cell[r, c]), checked_float(entry["value"])
+            if k in seen and row[k] != value:
+                raise ValueError(f"constraint {i} gives cell ({r}, {c}) two values")
+            seen.add(k)
+            row[k] = value
     kinds = [ConstraintKind(item["kind"]) for item in items]
     num_data = next((i for i, k in enumerate(kinds) if k is not ConstraintKind.DATA),
                     len(kinds))

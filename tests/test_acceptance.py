@@ -304,3 +304,17 @@ def test_criterion_9_bench_determinism(tmp_path):
     verdict(9, "benchmark byte determinism", identical,
             f"{a.stat().st_size} bytes compared")
     assert identical
+
+
+def test_l1_term_recovers_more_of_an_underdetermined_ensemble():
+    # The basis-pursuit regime: with 20 equations for n = 5, the trace
+    # objective alone recovers fewer trials than with the l1 term, so a
+    # change that breaks the lam > 0 path fails here.
+    def successes(lam: float) -> int:
+        spec = table1_spec(trials=20, seed=7, num_equations=20, lam=lam,
+                           methods=(Method.NLBP,))
+        return sum(r.outcomes[Method.NLBP].success for r in run_experiment(spec).records)
+
+    plain, l1 = successes(0.0), successes(0.1)
+    print(f"l1 guard: NLBP recovers {plain}/20 at lam = 0, {l1}/20 at lam = 0.1")
+    assert l1 > plain

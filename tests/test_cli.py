@@ -256,6 +256,25 @@ class TestMalformedInput:
         assert "bad lifted file" in capsys.readouterr().err
 
 
+    def test_conflicting_repeat_of_a_cell_rejected(self, tmp_path, capsys):
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps(self.TRIVIAL))
+        lifted = tmp_path / "lifted.json"
+        report = tmp_path / "report.json"
+        assert cli_main(["lift", str(problem), "-o", str(lifted)]) == 0
+        assert cli_main(["solve", str(lifted), "-o", str(report), "--dump-x"]) == 0
+        data = json.loads(lifted.read_text())
+        cell = data["constraints"][0]["entries"][0]
+        data["constraints"][0]["entries"].append(
+            {"row": cell["col"], "col": cell["row"], "value": cell["value"] + 1.0})
+        lifted.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert cli_main(["solve", str(lifted)]) == 1
+        assert "bad lifted file" in capsys.readouterr().err
+        assert cli_main(["certify", str(lifted), str(report)]) == 1
+        assert "two values" in capsys.readouterr().err
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert cli_main(["frobnicate"]) == 1

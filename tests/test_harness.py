@@ -321,9 +321,9 @@ class TestGoldenDigests:
 
     @pytest.mark.parametrize("spec, digest", [
         (table1_spec(trials=5, seed=1000),
-         "acdf80c6589f536cdecf27bd094cd6e817bdcb548b379c45bc2e6314fb5b4e7e"),
+         "7a699808564f7d973f47565d88a9ef1442aafcfee77d82fb69d4e508d411ec6f"),
         (dense_spec(trials=5, seed=1000),
-         "8d27d6dec525e97926c07f87392084117c73d17368cf13779d90bc6abbb20172"),
+         "3a99a0b592c8db76107b6100911e3eb130337c09645088a163077c9b5457163d"),
     ], ids=["table1", "dense"])
     def test_n5_ensembles(self, spec, digest):
         # at n = 5 the bytes do not depend on the BLAS thread count
@@ -347,4 +347,19 @@ class TestGoldenDigests:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=300)
         assert out.stdout.strip() == (
-            "32b7e676088185a2ab9ad975b301ff92ae375e4f41fa9fd792afc19c015ff4a9")
+            "c7a91f5e035524644ddcf07ec5fe3155a16dfa4124f96204b48e672a25f0113a")
+
+
+def test_trial_path_loads_no_scipy():
+    # scipy's LAPACK wrappers would offer a faster PSD projection, but
+    # importing them costs about as much as the whole set-up of a run
+    env = dict(os.environ, PYTHONPATH=str(Path(nlbp.__file__).parent.parent))
+    code = (
+        "import sys\n"
+        "from nlbp.harness import run_experiment, table1_spec\n"
+        "run_experiment(table1_spec(trials=1))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    assert out.stdout.strip() == "[]"

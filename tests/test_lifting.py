@@ -423,6 +423,26 @@ class TestProblemJson:
         back = lifted_problem_from_json(data)
         assert np.array_equal(back.operator, problem.operator)
 
+    @pytest.mark.parametrize("mirror", [False, True], ids=["same_cell", "mirror"])
+    def test_conflicting_repeat_of_a_cell_rejected(self, mirror):
+        data = json.loads(self.PINNED_JSON)
+        entries = data["constraints"][0]["entries"]
+        assert entries[1] == {"row": 0, "col": 1, "value": 0.5}
+        entries.append({"row": 1, "col": 0, "value": 0.7} if mirror
+                       else {"row": 0, "col": 1, "value": 0.7})
+        with pytest.raises(ValueError, match=r"constraint 0 gives cell .* two values"):
+            lifted_problem_from_json(data)
+
+    @pytest.mark.parametrize("mirror", [False, True], ids=["same_cell", "mirror"])
+    def test_identical_repeat_of_a_cell_loads(self, mirror):
+        problem = self.pinned_problem()
+        data = json.loads(self.PINNED_JSON)
+        data["constraints"][0]["entries"].append(
+            {"row": 1, "col": 0, "value": 0.5} if mirror
+            else {"row": 0, "col": 1, "value": 0.5})
+        back = lifted_problem_from_json(data)
+        assert np.array_equal(back.operator, problem.operator)
+
     def test_upper_triangle_only(self):
         p = Polynomial(2, {MultiIndex((1, 1)): 2.0})
         problem = build_lifted_problem([p], [0.0], 2)

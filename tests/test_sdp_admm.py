@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -469,11 +470,13 @@ class TestSolve:
         assert back.lam == 0.25
         assert back.infeasibility_lb == report.infeasibility_lb
         assert back.rho == report.rho
+        assert back.accelerated == report.accelerated > 0
         bare = report_to_json(report)
-        del bare["rho"]  # as reports were written before the field existed
+        del bare["rho"], bare["accelerated"]  # as written before the fields existed
         bare = report_from_json(bare)
         assert bare.X.size == bare.dual_affine.size == bare.dual_psd.size == 0
         assert np.isnan(bare.rho)
+        assert bare.accelerated == 0
 
     def test_converged_implies_residuals_below_tolerance(self):
         problem, _ = planted_problem(2, 6, 4, 10)
@@ -504,54 +507,130 @@ class TestSolve:
         assert np.array_equal(soft_threshold(Z, 0.0 / 2.0), Z)
 
 
-def reference_loop(problem, config, alpha=sdp_admm._RELAX, balance=True):
-    """The ADMM loop of ``solve_nlbp`` written out plainly: a fresh identity,
-    a shrinkage call and ``np.linalg.norm`` every iteration, the same
-    ``cache.project``, the same ``project_psd`` warm-started from the
-    previous cone output, and each block's output over-relaxed by ``alpha``
-    before the consensus and multiplier updates (alpha = 1 is plain ADMM).
-    The residuals and the stopping rule use the unrelaxed outputs. With
+def reference_loop(problem, config, alpha=sdp_admm._RELAX, balance=True,
+                   accelerate=True):
+    """The ADMM loop of ``solve_nlbp`` written out plainly: the state x =
+    (Z, U1, U2) as one flat vector, a fresh array for every step, a fresh
+    identity and a shrinkage call every iteration, ``np.linalg.norm``, the
+    same ``cache.project`` and the same ``project_psd`` warm-started from the
+    previous cone output. Each block's output is over-relaxed by ``alpha``
+    before the consensus and multiplier updates (alpha = 1 is plain ADMM);
+    the residuals and the stopping rule use the unrelaxed outputs. With
     ``balance``, every 50 iterations rho is scaled by the square root of the
     ratio of the normalized primal and dual residuals, clamped to [1/4, 4]
     and kept when within [1/2, 2], and U1, U2 are divided by the same
-    factor; without it rho stays ``config.rho``. Returns (X, iterations,
-    primal, dual, dual_affine, dual_psd, rho)."""
+    factor; without it rho stays ``config.rho``.
+
+    With ``accelerate``, from iteration 20 on, F = T(x) is the output of the
+    iteration and g = F - x. The differences of g and F from the previous
+    iteration's go into a ring of 8 slots; G is the Gram matrix of the g
+    differences with its diagonal scaled by 1 + 1e-10, the right-hand side
+    dG' g is carried from the previous g by adding the new Gram row (as the
+    solver carries it), and the next state is F - dF' gamma, gamma = G^-1
+    dG' g. The ring empties at every rho change and whenever ||g|| grows; if
+    it grows at an extrapolated state, the next state is the previous F.
+
+    Returns a namespace: the final X, multipliers and rho, the iteration and
+    extrapolation counts, and ``restarts``, how often each restart fired."""
     cache = AffineCache.build(problem)
     dim, rho = problem.dim, config.rho
-    Z = np.zeros((dim, dim))
-    U1 = np.zeros((dim, dim))
-    U2 = np.zeros((dim, dim))
+    size = 3 * dim * dim
+    x = np.zeros(size)
+    dG, dF = np.zeros((8, size)), np.zeros((8, size))
+    gram, projected = np.zeros((8, 8)), np.zeros(8)
+    held = slot = accelerated = 0
+    g_old = F_old = None
+    g_old_sq = np.inf
+    jumped = False
+    restarts = {"rho": 0, "growth": 0, "rejected": 0}
     scale = np.sqrt(2.0) * dim
     X2 = None
     for iteration in range(1, config.max_iters + 1):
+        Z, U1, U2 = x.reshape(3, dim, dim)
         X1 = cache.project(Z - U1 - (1.0 / rho) * np.eye(dim))
         X2 = project_psd(Z - U2, X2)
-        Z_prev = Z
-        H1 = alpha * X1 + (1.0 - alpha) * Z_prev
-        H2 = alpha * X2 + (1.0 - alpha) * Z_prev
-        Z = soft_threshold(0.5 * ((H1 + U1) + (H2 + U2)), config.lam / (2.0 * rho))
-        U1 = U1 + H1 - Z
-        U2 = U2 + H2 - Z
-        primal = np.sqrt(np.linalg.norm(X1 - Z) ** 2 + np.linalg.norm(X2 - Z) ** 2)
-        dual = rho * np.sqrt(2.0) * np.linalg.norm(Z - Z_prev)
+        H1 = alpha * X1 + (1.0 - alpha) * Z
+        H2 = alpha * X2 + (1.0 - alpha) * Z
+        Z_new = soft_threshold(0.5 * ((H1 + U1) + (H2 + U2)), config.lam / (2.0 * rho))
+        U1_new = U1 + H1 - Z_new
+        U2_new = U2 + H2 - Z_new
+        primal = np.sqrt(np.linalg.norm(X1 - Z_new) ** 2
+                         + np.linalg.norm(X2 - Z_new) ** 2)
+        dual = rho * np.sqrt(2.0) * np.linalg.norm(Z_new - Z)
         primal_scale = max(
             np.sqrt(np.linalg.norm(X1) ** 2 + np.linalg.norm(X2) ** 2),
-            np.sqrt(2.0) * np.linalg.norm(Z),
+            np.sqrt(2.0) * np.linalg.norm(Z_new),
         )
-        dual_scale = rho * np.sqrt(np.linalg.norm(U1) ** 2 + np.linalg.norm(U2) ** 2)
+        dual_scale = rho * np.sqrt(np.linalg.norm(U1_new) ** 2
+                                   + np.linalg.norm(U2_new) ** 2)
         eps_pri = scale * config.eps_abs + config.eps_rel * primal_scale
         eps_dual = scale * config.eps_abs + config.eps_rel * dual_scale
         if primal <= eps_pri and dual <= eps_dual:
             break
+        factor = 1.0
         if (balance and iteration % 50 == 0
                 and primal_scale > 0 and dual_scale > 0 and dual > 0):
             factor = np.sqrt((primal / primal_scale) / (dual / dual_scale))
             factor = min(max(factor, 0.25), 4.0)
-            if factor < 0.5 or factor > 2.0:
-                rho = rho * factor
-                U1 = U1 / factor
-                U2 = U2 / factor
-    return Z, iteration, primal, dual, rho * U1, rho * U2, rho
+            if 0.5 <= factor <= 2.0:
+                factor = 1.0
+        if factor != 1.0:
+            rho = rho * factor
+            U1_new = U1_new / factor
+            U2_new = U2_new / factor
+        F = np.concatenate([Z_new.ravel(), U1_new.ravel(), U2_new.ravel()])
+        if factor != 1.0:
+            restarts["rho"] += 1
+            held = slot = 0
+            g_old, g_old_sq, jumped = None, np.inf, False
+            x = F
+            continue
+        if not accelerate or iteration < 20:
+            x = F
+            continue
+
+        g = F - x
+        g_sq = g @ g
+        x_next, extrapolated = F, False
+        if g_sq > g_old_sq:
+            restarts["growth"] += 1
+            held = slot = 0
+            if jumped:
+                restarts["rejected"] += 1
+                x, g_old, jumped = F_old, None, False
+                continue
+        elif g_old is not None:
+            dG[slot] = g - g_old
+            dF[slot] = F - F_old
+            held = min(held + 1, 8)
+            row = dG[:held] @ dG[slot]
+            projected[:held] += row
+            projected[slot] = dG[slot] @ g
+            row[slot] *= 1.0 + 1e-10
+            gram[slot, :held] = row
+            gram[:held, slot] = row
+            slot = (slot + 1) % 8
+            try:
+                gamma = np.linalg.solve(gram[:held, :held], projected[:held])
+            except np.linalg.LinAlgError:
+                held = slot = 0
+            else:
+                x_next, extrapolated = F - gamma @ dF[:held], True
+                accelerated += 1
+        g_old, F_old, g_old_sq = g, F, g_sq
+        x, jumped = x_next, extrapolated
+    return SimpleNamespace(X=Z_new, iterations=iteration, primal=primal, dual=dual,
+                           dual_affine=rho * U1_new, dual_psd=rho * U2_new, rho=rho,
+                           accelerated=accelerated, restarts=restarts)
+
+
+def assert_same_as_reference(report, ref):
+    assert report.iterations == ref.iterations and report.rho == ref.rho
+    assert report.accelerated == ref.accelerated
+    assert np.array_equal(report.X, ref.X)
+    assert report.primal_residual == ref.primal and report.dual_residual == ref.dual
+    assert np.array_equal(report.dual_affine, ref.dual_affine)
+    assert np.array_equal(report.dual_psd, ref.dual_psd)
 
 
 class TestLoopPinned:
@@ -561,14 +640,73 @@ class TestLoopPinned:
         polys, _, values = sample_trial(spec, 0)
         problem = build_lifted_problem(polys, values, spec.order)
         config = dataclasses.replace(default_trial_config(spec, values), lam=lam)
+        ref = reference_loop(problem, config)
+        assert ref.accelerated > 0
+        assert_same_as_reference(solve_nlbp(problem, config), ref)
+
+    def test_memory_restarts_on_rho_change_and_on_growth(self, monkeypatch):
+        # A start 100x too small: rho climbs in factors of 4, and while the
+        # multipliers drift at a constant g, extrapolations overshoot, g
+        # grows and the extrapolated state is undone. The reference counts
+        # each restart; the solver must take the same steps bit for bit.
+        problem, config = trial_problem(dense_spec(trials=2, seed=42), 1)
+        config = dataclasses.replace(config, rho=0.01 * config.rho)
+        ref = reference_loop(problem, config)
+        assert ref.restarts["rho"] > 0 and ref.restarts["rejected"] > 0
+        assert ref.restarts["growth"] > ref.restarts["rejected"]
+
+        # and directly: after a rho change the memory holds nothing, so the
+        # first least-squares solve after it has one unknown, and it comes
+        # two iterations later (one iteration to record g, one to difference)
+        iteration, changes, solves = [0], [], []
+        psd, factor = sdp_admm.project_psd, sdp_admm._penalty_factor
+        solve = np.linalg.solve
+
+        def counting_psd(X, start=None):
+            iteration[0] += 1
+            return psd(X) if start is None else psd(X, start)
+
+        def spying_factor(*args):
+            out = factor(*args)
+            if out != 1.0:
+                changes.append(iteration[0])
+            return out
+
+        def spying_solve(a, b):
+            if a.shape[0] <= sdp_admm._AA_MEMORY:  # the cone step's are dim x dim
+                solves.append((iteration[0], a.shape[0]))
+            return solve(a, b)
+
+        monkeypatch.setattr(sdp_admm, "project_psd", counting_psd)
+        monkeypatch.setattr(sdp_admm, "_penalty_factor", spying_factor)
+        monkeypatch.setattr(np.linalg, "solve", spying_solve)
         report = solve_nlbp(problem, config)
-        X, iterations, primal, dual, dual_affine, dual_psd, rho = reference_loop(
-            problem, config)
-        assert report.iterations == iterations and report.rho == rho
-        assert np.array_equal(report.X, X)
-        assert report.primal_residual == primal and report.dual_residual == dual
-        assert np.array_equal(report.dual_affine, dual_affine)
-        assert np.array_equal(report.dual_psd, dual_psd)
+        monkeypatch.undo()
+        assert_same_as_reference(report, ref)
+        assert len(changes) == ref.restarts["rho"]
+        assert max(size for _, size in solves) == sdp_admm._AA_MEMORY
+        for change in changes:
+            after = [(k, size) for k, size in solves if k > change]
+            if after:
+                assert after[0][0] >= change + 2 and after[0][1] == 1
+
+    def test_solver_error_in_an_accelerated_iteration_keeps_its_index(self, monkeypatch):
+        problem, config = trial_problem(table1_spec(trials=1, seed=42), 0)
+        before = solve_nlbp(problem, dataclasses.replace(config, max_iters=29))
+        assert before.accelerated > 0
+        psd, calls = sdp_admm.project_psd, []
+
+        def failing(X, start=None):
+            calls.append(X.shape)
+            if len(calls) == 30:
+                raise np.linalg.LinAlgError("no convergence")
+            return psd(X) if start is None else psd(X, start)
+
+        monkeypatch.setattr(sdp_admm, "project_psd", failing)
+        with pytest.raises(SolverError) as info:
+            solve_nlbp(problem, config)
+        assert info.value.iteration == 30
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestOverRelaxation:
@@ -589,8 +727,9 @@ class TestOverRelaxation:
         problem = build_lifted_problem(polys, values, spec.order)
         config = dataclasses.replace(default_trial_config(spec, values), lam=lam)
         report = solve_nlbp(problem, config)
-        X_ref, iterations_ref, *_ = reference_loop(problem, config, alpha=1.0,
-                                                   balance=False)
+        plain = reference_loop(problem, config, alpha=1.0, balance=False,
+                               accelerate=False)
+        X_ref, iterations_ref = plain.X, plain.iterations
         assert report.status is SolveStatus.CONVERGED
         assert np.linalg.norm(report.X - X_ref) <= 1e-6 * np.linalg.norm(X_ref)
         if lam == 0.0:
@@ -605,14 +744,18 @@ class TestOverRelaxation:
 
     @pytest.mark.parametrize("lam", [0.0, 0.1])
     def test_one_step_relaxes_the_updates_not_the_residuals(self, lam):
-        # iteration k, rebuilt from the state solve_nlbp returns after k - 1
+        # iteration k, rebuilt from the state solve_nlbp returns after k - 1;
+        # k = 10 lies before the first extrapolation, where that state is
+        # the next iteration's input
         spec = table1_spec(trials=1, seed=42)
         polys, _, values = sample_trial(spec, 0)
         problem = build_lifted_problem(polys, values, spec.order)
         config = dataclasses.replace(default_trial_config(spec, values), lam=lam,
-                                     max_iters=40)
-        before = solve_nlbp(problem, dataclasses.replace(config, max_iters=39))
+                                     max_iters=10)
+        assert config.max_iters < sdp_admm._AA_START
+        before = solve_nlbp(problem, dataclasses.replace(config, max_iters=9))
         after = solve_nlbp(problem, config)
+        assert after.accelerated == 0
         rho, alpha = config.rho, sdp_admm._RELAX
         U1, U2 = before.dual_affine / rho, before.dual_psd / rho
         X1 = AffineCache.build(problem).project(
