@@ -2,19 +2,10 @@
 matrix lifting and an ADMM-solved semidefinite relaxation."""
 
 from .monomials import (
-    MonomialBasis,
-    MultiIndex,
-    Polynomial,
     PolySystem,
-    enumerate_alpha_set,
-    enumerate_basis,
-    eval_monomial,
-    eval_polynomial,
     exponent_table,
-    polynomial_from_json,
-    polynomial_to_json,
     random_polynomial,
-    truncate_polynomial,
+    system_from_json,
 )
 from .lifting import (
     ConstraintKind,
@@ -26,7 +17,6 @@ from .lifting import (
     lift_vector,
     lifted_problem_from_json,
     lifted_problem_to_json,
-    polynomial_to_quadratic_form,
     quadratic_forms,
 )
 from .sdp_admm import (

@@ -29,6 +29,7 @@ import numpy as np
 from .lifting import build_lifted_problem
 # eval_polynomial is no longer called here but stays bound: perfbench's
 # tracer wraps the layer functions at the module names their callers used.
+# Retargeting the tracer at the PolySystem methods deletes this binding.
 from .monomials import PolySystem, eval_polynomial  # noqa: F401
 from .recovery import DegenerateTopEigenvalueError, extract_rank1
 from .sdp_admm import SolverConfig, solve_nlbp
@@ -70,9 +71,9 @@ class LiftedRunArtifacts:
     recovered: object | None
 
 
-def system_residual_sq(polys, values, x) -> float:
+def system_residual_sq(system: PolySystem, values, x) -> float:
     """Sum of squared equation residuals at x."""
-    fx = PolySystem.from_polys(polys).evaluate(x)
+    fx = system.evaluate(x)
     return float(sum((f - v) ** 2 for f, v in zip(fx.tolist(), values)))
 
 
@@ -119,21 +120,20 @@ def _gauss_newton(system: PolySystem, values: np.ndarray, x0: np.ndarray,
     return x
 
 
-def refine_solution(polys, values, x0, max_iters: int = 60) -> np.ndarray:
+def refine_solution(system: PolySystem, values, x0, max_iters: int = 60) -> np.ndarray:
     """Polish an approximate root of the system by damped Gauss-Newton."""
     vals = np.asarray(values, dtype=float)
     tol_sq = 1e-28 * (1.0 + float(vals @ vals))
-    return _gauss_newton(PolySystem.from_polys(polys), vals,
-                         np.asarray(x0, dtype=float),
+    return _gauss_newton(system, vals, np.asarray(x0, dtype=float),
                          max_iters=max_iters, tol_sq=tol_sq)
 
 
-def success_criterion(x_hat, x_true, polys, values) -> bool:
+def success_criterion(x_hat, x_true, system: PolySystem, values) -> bool:
     """Frozen success rule used for every reported rate: the estimate matches
     the planted vector in sup norm (relative 1e-4) and solves the original
     system (relative squared residual 1e-8)."""
     return _meets_success_rule(x_hat, x_true,
-                               system_residual_sq(polys, values, x_hat), values)
+                               system_residual_sq(system, values, x_hat), values)
 
 
 def _meets_success_rule(x_hat, x_true, residual_sq: float, values) -> bool:
@@ -192,20 +192,19 @@ def _run_lifted(
 
 
 def solve_nlbp_system(
-    polys,
+    system: PolySystem,
     values,
     order: int = 4,
     config: SolverConfig | None = None,
     x_true=None,
 ) -> BaselineResult:
     """Full lifted pipeline at the given even order."""
-    system = PolySystem.from_polys(polys)
     result, _, _ = _run_lifted(system, values, order, config, Method.NLBP, system, x_true)
     return result
 
 
 def solve_qbp(
-    polys,
+    system: PolySystem,
     values,
     config: SolverConfig | None = None,
     x_true=None,
@@ -213,14 +212,13 @@ def solve_qbp(
     """Quadratic baseline: truncate every polynomial to degree two (its
     second-order Taylor expansion around zero) and run the lifted pipeline at
     order two. Residuals are still judged against the original system."""
-    system = PolySystem.from_polys(polys)
     result, _, _ = _run_lifted(system.truncate(2), values, 2, config, Method.QBP,
                                system, x_true)
     return result
 
 
 def solve_linear(
-    polys,
+    system: PolySystem,
     values,
     lam: float = 0.0,
     x_true=None,
@@ -231,7 +229,6 @@ def solve_linear(
     ADMM; ``lam = 0`` returns the minimum-norm least squares estimate.
     """
     values = np.asarray(values, dtype=float)
-    system = PolySystem.from_polys(polys)
     A, const = system.linear_parts()
     b = values - const
     if lam == 0.0:
@@ -267,7 +264,7 @@ def solve_linear(
 
 
 def l0_oracle(
-    polys,
+    system: PolySystem,
     values,
     max_support: int,
     starts: int = 20,
@@ -287,8 +284,6 @@ def l0_oracle(
         raise ValueError("starts must be >= 1")
     if max_support > 3:
         raise ValueError("oracle is limited to supports of at most 3")
-    # linear in the stored terms: only the monomials that occur get a column
-    system = PolySystem.from_polys(polys)
     n = system.num_vars
     if n > 8:
         raise ValueError("oracle is limited to at most 8 variables")

@@ -5,8 +5,9 @@ a report written by ``solve --dump-x`` (which carries the solution matrix
 and the solver's final multipliers).
 
 Exit codes: 0 on success, 1 on usage or input errors (including malformed
-JSON, reported with line and column, non-finite numbers and out-of-range
-indices), 2 on solver failure.
+JSON, reported with line and column, non-finite numbers, out-of-range
+indices, and report matrices whose size does not match the lifted
+problem), 2 on solver failure.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .lifting import (
     lifted_problem_from_json,
     lifted_problem_to_json,
 )
-from .monomials import PolySystem, checked_float, polynomial_from_json
+from .monomials import checked_float, system_from_json
 from .recovery import (
     DegenerateTopEigenvalueError,
     dual_certificate,
@@ -77,16 +78,16 @@ def _parse_file(path: str, parse, what: str):
     data = _load_json(path)
     try:
         return parse(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"{path}: bad {what} file: {exc}")
 
 
 def _problem_from_json(data: dict):
-    polys = [polynomial_from_json(p) for p in data["polynomials"]]
     values = [checked_float(v) for v in data["values"]]
-    if len(polys) != len(values):
-        raise ValueError(f"{len(polys)} polynomials but {len(values)} values")
-    return PolySystem.from_polys(polys), values
+    system = system_from_json(data["polynomials"])
+    if len(system) != len(values):
+        raise ValueError(f"{len(system)} polynomials but {len(values)} values")
+    return system, values
 
 
 def _build_parser() -> _Parser:
@@ -144,12 +145,11 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_lift(args) -> int:
-    polys, values = _parse_file(args.problem, _problem_from_json, "problem")
+    system, values = _parse_file(args.problem, _problem_from_json, "problem")
     order = args.order
     if order is None:
-        degree = polys.degree
-        order = max(2, degree + (degree % 2))
-    problem = build_lifted_problem(polys, values, order)
+        order = max(2, system.degree + (system.degree % 2))
+    problem = build_lifted_problem(system, values, order)
     _dump_json(lifted_problem_to_json(problem), args.output)
     return 0
 
@@ -163,20 +163,28 @@ def _cmd_solve(args) -> int:
     return 0 if report.status is SolveStatus.CONVERGED else 2
 
 
-def _load_dumped_report(path: str, keys: tuple[str, ...]):
-    """A solve report that must carry the matrices named in ``keys``."""
+def _load_dumped_report(path: str, keys: tuple[str, ...], dim: int):
+    """A solve report that must carry the matrices named in ``keys``, each
+    dim x dim like the lifted problem it is checked against."""
     report = _parse_file(path, report_from_json, "report")
     missing = [key for key in keys if getattr(report, key).size == 0]
     if missing:
         raise UsageError(
             f"{path}: report has no {', '.join(missing)}; rerun solve with --dump-x"
         )
+    for key in keys:
+        shape = getattr(report, key).shape
+        if shape != (dim, dim):
+            raise UsageError(
+                f"{path}: report's {key} has shape {shape}, but the lifted problem "
+                f"has dim {dim}, so ({dim}, {dim}) is needed"
+            )
     return report
 
 
 def _cmd_recover(args) -> int:
-    report = _load_dumped_report(args.report, ("X",))
     problem = _parse_file(args.lifted, lifted_problem_from_json, "lifted")
+    report = _load_dumped_report(args.report, ("X",), problem.dim)
     solution = extract_rank1(report.X, problem.basis)
     _dump_json({
         "x": [float(v) for v in solution.x],
@@ -190,7 +198,8 @@ def _cmd_recover(args) -> int:
 
 def _cmd_certify(args) -> int:
     problem = _parse_file(args.lifted, lifted_problem_from_json, "lifted")
-    report = _load_dumped_report(args.report, ("X", "dual_affine", "dual_psd"))
+    report = _load_dumped_report(args.report, ("X", "dual_affine", "dual_psd"),
+                                 problem.dim)
     x = extract_rank1(report.X, problem.basis).x
     cert = dual_certificate(problem, report, x)
     _dump_json(dataclasses.asdict(cert), args.output)
@@ -217,8 +226,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    polys, values = _parse_file(args.problem, _problem_from_json, "problem")
-    found = l0_oracle(polys, values, max_support=args.max_support,
+    system, values = _parse_file(args.problem, _problem_from_json, "problem")
+    found = l0_oracle(system, values, max_support=args.max_support,
                       starts=args.starts, rng_seed=args.seed)
     if found is None:
         _dump_json({"found": False}, args.output)

@@ -34,7 +34,7 @@ from .baselines import (
 )
 # The per-polynomial functions are no longer called here but stay bound:
 # perfbench's tracer wraps the layer functions at the module names their
-# callers used.
+# callers used. Retargeting the tracer at the PolySystem methods deletes them.
 from .monomials import (  # noqa: F401
     PolySystem,
     eval_polynomial,

@@ -28,14 +28,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .monomials import (
-    MonomialBasis,
-    MultiIndex,
-    Polynomial,
     PolySystem,
     checked_float,
     checked_int,
-    enumerate_basis,
+    exponent_table,
     monomial_vector,
+    table_rows,
 )
 
 
@@ -45,6 +43,19 @@ class DegreeTooHighError(ValueError):
 
 class OddOrderError(ValueError):
     """The requested lift order is odd; the construction needs an even order."""
+
+
+def _half_order(order: int) -> int:
+    """order // 2, the basis degree of an even lift order >= 2."""
+    if order % 2 != 0 or order < 2:
+        raise OddOrderError(f"lift order must be even and >= 2, got {order}")
+    return order // 2
+
+
+def _half_degree(basis: np.ndarray) -> int:
+    """The degree of a basis table: that of its last row, the order being
+    graded."""
+    return int(basis[-1].sum())
 
 
 class ConstraintKind(Enum):
@@ -100,6 +111,9 @@ def packed_index(dim: int) -> PackedIndex:
 class LiftedProblem:
     """A lifted instance: the basis plus one linear map on the matrix variable.
 
+    ``basis`` is the read-only (dim, num_vars) table
+    ``exponent_table(num_vars, order // 2)``, checked on construction, so an
+    odd ``order`` is refused here as in ``build_lifted_problem``.
     ``operator`` is an (M, dim (dim + 1) / 2) array whose row i packs the
     upper triangle of the symmetric matrix C_i (see ``PackedIndex``), and
     ``values`` the (M,) right-hand sides, so row i is the constraint
@@ -109,7 +123,7 @@ class LiftedProblem:
     dependencies in generation order.
     """
 
-    basis: MonomialBasis
+    basis: np.ndarray
     num_vars: int
     order: int
     num_data: int
@@ -117,9 +131,15 @@ class LiftedProblem:
     values: np.ndarray
 
     def __post_init__(self):
+        half = _half_order(self.order)
+        basis = exponent_table(self.num_vars, half)
+        if not np.array_equal(self.basis, basis):
+            raise ValueError(f"basis is not exponent_table({self.num_vars}, {half}) "
+                             f"in the frozen graded order")
+        object.__setattr__(self, "basis", basis)
         operator = np.ascontiguousarray(self.operator, dtype=float).view()
         values = np.ascontiguousarray(self.values, dtype=float).view()
-        dim = len(self.basis)
+        dim = len(basis)
         width = dim * (dim + 1) // 2
         if operator.ndim != 2 or operator.shape[1] != width:
             raise ValueError(
@@ -154,59 +174,59 @@ def _cell_map(n: int, half_degree: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     """Where each packed cell (i, j), i <= j, of a basis-indexed matrix takes
     its value from.
 
-    ``column`` is the exponent-table column (degree 2 * half_degree) of
-    entries[i] + entries[j], ``pairs`` the number of unordered basis pairs
-    with that exponent sum, and ``share`` 1 on the diagonal and 1/2 off it.
-    Every cell belongs to exactly one exponent sum.
+    ``column`` is the row of basis[i] + basis[j] in
+    ``exponent_table(n, 2 * half_degree)``, ``pairs`` the number of
+    unordered basis pairs with that exponent sum, and ``share`` 1 on the
+    diagonal and 1/2 off it. Every cell belongs to exactly one exponent sum.
+    The basis is a row prefix of that table, so a column below dim is the
+    basis entry the product equals.
     """
-    basis = enumerate_basis(n, half_degree)
-    table_column = enumerate_basis(n, 2 * half_degree).index_of
-    entries = basis.entries
-    rows, cols = np.triu_indices(len(entries))
-    column = np.array([table_column[entries[i] + entries[j]]
-                       for i, j in zip(rows, cols)], dtype=np.intp)
-    pairs = np.bincount(column, minlength=len(table_column))[column].astype(float)
+    table = exponent_table(n, 2 * half_degree)
+    rows, cols = np.triu_indices(len(exponent_table(n, half_degree)))
+    column = table_rows(table[rows] + table[cols], 2 * half_degree)
+    pairs = np.bincount(column, minlength=len(table))[column].astype(float)
     share = np.where(rows == cols, 1.0, 0.5)
     for a in (column, pairs, share):
         a.setflags(write=False)
     return column, pairs, share
 
 
-def quadratic_forms(system: PolySystem, basis: MonomialBasis) -> np.ndarray:
+def quadratic_forms(system: PolySystem, basis: np.ndarray) -> np.ndarray:
     """(N, dim (dim + 1) / 2) packed rows of the symmetric matrices C_k with
     m(x)' C_k m(x) equal to polynomial k of the system, identically.
 
     Each coefficient is split equally over all unordered basis pairs whose
-    exponents sum to its multi-index; a diagonal pair receives its full share
+    exponents sum to its monomial; a diagonal pair receives its full share
     and an off-diagonal pair half the share on each mirrored cell. Any split
     satisfying the identity would do; the equal split is the canonical one.
     """
-    if system.num_vars != basis.num_vars:
+    if system.num_vars != basis.shape[1]:
         raise ValueError(
-            f"polynomial has {system.num_vars} variables, basis has {basis.num_vars}"
+            f"polynomial has {system.num_vars} variables, basis has {basis.shape[1]}"
         )
-    cap = 2 * basis.half_degree
-    if system.degree > cap:
+    half = _half_degree(basis)
+    if system.degree > 2 * half:
         raise DegreeTooHighError(
-            f"polynomial degree {system.degree} exceeds representable degree {cap}"
+            f"polynomial degree {system.degree} exceeds representable degree {2 * half}"
         )
-    column, pairs, share = _cell_map(basis.num_vars, basis.half_degree)
-    return system.full_coeffs(cap)[:, column] / pairs * share
+    column, pairs, share = _cell_map(system.num_vars, half)
+    return system.full_coeffs(2 * half)[:, column] / pairs * share
 
 
-def polynomial_to_quadratic_form(p: Polynomial, basis: MonomialBasis) -> np.ndarray:
+def polynomial_to_quadratic_form(p: PolySystem, basis: np.ndarray) -> np.ndarray:
     """Packed row of the symmetric matrix C with m(x)' C m(x) == p(x)
-    identically: the one-row case of ``quadratic_forms``."""
-    return quadratic_forms(PolySystem.from_polys([p]), basis)[0]
+    identically, for a one-row system p. Not called by the package: it stays
+    bound for perfbench's tracer until that wraps ``quadratic_forms``."""
+    return quadratic_forms(p, basis)[0]
 
 
-def generate_dependency_constraints(basis: MonomialBasis) -> np.ndarray:
+def generate_dependency_constraints(basis: np.ndarray) -> np.ndarray:
     """(1 + D, dim (dim + 1) / 2) structural block of packed rows: the
     normalization matrix followed by one matrix per representable entry
     product.
 
-    A dependency ties entries[k] * entries[l] (1 <= l <= k) to the entry i
-    with entries[i] == entries[k] + entries[l]: the product cell gets weight
+    A dependency ties basis[k] * basis[l] (1 <= l <= k) to the entry i
+    with basis[i] == basis[k] + basis[l]: the product cell gets weight
     1/2 (or 1 on the diagonal when k == l) and the cell tying entry i to the
     constant gets weight -1/2, so trace(C X) is 0 on any lifted point. The
     constant entry never participates as a factor. Rows are ordered by i,
@@ -214,20 +234,18 @@ def generate_dependency_constraints(basis: MonomialBasis) -> np.ndarray:
     value 1.
     """
     dim = len(basis)
-    entries = basis.entries
-    products = []
-    for l in range(1, dim):
-        for k in range(l, dim):
-            i = basis.index_of.get(entries[k] + entries[l])
-            if i is not None:
-                products.append((i, l, k))
-    products.sort()
+    column = _cell_map(basis.shape[1], _half_degree(basis))[0]
+    # packed cells run over (l, k) in row-major order, so a stable sort by
+    # the product's entry i gives the (i, l, k) order
+    l, k = np.triu_indices(dim)
+    products = np.flatnonzero((l >= 1) & (column < dim))
+    products = products[np.argsort(column[products], kind="stable")]
     cell = packed_index(dim).cell
     block = np.zeros((1 + len(products), dim * (dim + 1) // 2))
     block[0, cell[0, 0]] = 1.0
-    for row, (i, l, k) in enumerate(products, start=1):
-        block[row, cell[l, k]] = 1.0 if k == l else 0.5
-        block[row, cell[0, i]] = -0.5
+    rows = np.arange(1, 1 + len(products))
+    block[rows, products] = np.where(l[products] == k[products], 1.0, 0.5)
+    block[rows, cell[0, column[products]]] = -0.5
     return block
 
 
@@ -235,33 +253,31 @@ def generate_dependency_constraints(basis: MonomialBasis) -> np.ndarray:
 def _structural_constraints(n: int, half_degree: int) -> np.ndarray:
     """The data-independent block of a basis, generated once per key and
     shared read-only."""
-    block = generate_dependency_constraints(enumerate_basis(n, half_degree))
+    block = generate_dependency_constraints(exponent_table(n, half_degree))
     block.setflags(write=False)
     return block
 
 
-def build_lifted_problem(polys, values, order: int) -> LiftedProblem:
-    """Assemble the lifted problem for the system values[i] = polys[i](x).
+def build_lifted_problem(system: PolySystem, values, order: int) -> LiftedProblem:
+    """Assemble the lifted problem for the system values[i] = p_i(x).
 
-    ``polys`` is a ``PolySystem`` or a sequence of ``Polynomial``s. ``order``
-    is the (even) lift order; every polynomial must have degree <= order.
-    Inconsistent right-hand sides still build fine: infeasibility is a
-    solver-level property and surfaces as a non-vanishing constraint residual.
+    ``order`` is the (even) lift order; every polynomial of ``system`` must
+    have degree <= order. Inconsistent right-hand sides still build fine:
+    infeasibility is a solver-level property and surfaces as a non-vanishing
+    constraint residual.
     """
-    system = PolySystem.from_polys(polys)
     values = np.asarray(values, dtype=float)
     if values.shape != (len(system),):
         raise ValueError(
             f"got {len(system)} polynomials but {values.shape} right-hand sides"
         )
-    if order % 2 != 0 or order < 2:
-        raise OddOrderError(f"lift order must be even and >= 2, got {order}")
+    half = _half_order(order)
     if system.degree > order:
         raise DegreeTooHighError(
             f"polynomial degree {system.degree} exceeds lift order {order}"
         )
-    basis = enumerate_basis(system.num_vars, order // 2)
-    structural = _structural_constraints(system.num_vars, order // 2)
+    basis = exponent_table(system.num_vars, half)
+    structural = _structural_constraints(system.num_vars, half)
     num_data = len(values)
     operator = np.empty((num_data + len(structural), structural.shape[1]))
     operator[:num_data] = quadratic_forms(system, basis)
@@ -273,9 +289,9 @@ def build_lifted_problem(polys, values, order: int) -> LiftedProblem:
                          num_data=num_data, operator=operator, values=rhs)
 
 
-def lift_vector(x, basis: MonomialBasis) -> np.ndarray:
+def lift_vector(x, basis: np.ndarray) -> np.ndarray:
     """Evaluate every basis monomial at x; the leading entry is always 1."""
-    return monomial_vector(x, basis.num_vars, basis.half_degree)
+    return monomial_vector(x, basis)
 
 
 def lifted_problem_to_json(problem: LiftedProblem) -> dict:
@@ -295,24 +311,22 @@ def lifted_problem_to_json(problem: LiftedProblem) -> dict:
     return {
         "num_vars": problem.num_vars,
         "order": problem.order,
-        "basis": [list(a.exponents) for a in problem.basis.entries],
+        "basis": problem.basis.tolist(),
         "constraints": constraints,
     }
 
 
 def lifted_problem_from_json(data: dict) -> LiftedProblem:
-    """Inverse of ``lifted_problem_to_json``; rejects non-finite numbers and
-    cell indices outside [0, dim). A cell with row > col sets its mirror; a
+    """Inverse of ``lifted_problem_to_json``; rejects non-finite numbers, cell
+    indices outside [0, dim), and an order or stored basis that
+    ``LiftedProblem`` refuses. A cell with row > col sets its mirror; a
     constraint that sets one cell twice, directly or through its mirror,
     must give it the same value both times."""
     n = checked_int(data["num_vars"], 1)
     order = checked_int(data["order"], 2)
-    basis = enumerate_basis(n, order // 2)
-    stored = [MultiIndex(tuple(checked_int(e, 0) for e in a)) for a in data["basis"]]
-    if stored != list(basis.entries):
-        raise ValueError("stored basis does not match the frozen basis order")
+    basis = [[checked_int(e, 0) for e in a] for a in data["basis"]]
     items = data["constraints"]
-    dim = len(basis)
+    dim = len(exponent_table(n, order // 2))
     cell = packed_index(dim).cell
     operator = np.zeros((len(items), dim * (dim + 1) // 2))
     for i, (row, item) in enumerate(zip(operator, items)):

@@ -1,13 +1,15 @@
-"""Multi-index algebra, graded monomial bases, sparse polynomials, and
-polynomial systems held as one coefficient matrix.
+"""Graded exponent tables, and polynomial systems held as one coefficient
+matrix over such a table.
 
-Everything downstream (lifting, solving, recovery) is built on four small
-types: a multi-index (exponent vector), a sparse polynomial keyed by
-multi-indices, an ordered monomial basis of bounded degree, and a polynomial
-system whose coefficient matrix has one column per monomial of that basis.
-All four are immutable after construction.
+A monomial is a row of an exponent table. ``exponent_table(n, degree)``
+lists every monomial of degree <= degree over n variables; it is also the
+monomial basis of a lift. A ``PolySystem`` holds N polynomials as an (N, T)
+coefficient matrix whose column t multiplies the monomial in row t of its
+table, and a single polynomial is a one-row system. Problem files are read
+straight into a system by ``system_from_json``. Tables and systems are
+read-only after construction.
 
-The basis ordering is frozen globally: ascending total degree, and within a
+The row order is frozen globally: ascending total degree, and within a
 degree the monomial with higher exponents on earlier variables comes first
 (so for two variables: 1, x1, x2, x1^2, x1*x2, x2^2). Any total order with
 the constant monomial first would work, but quadratic-form matrices, problem
@@ -18,41 +20,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Exponent vector of a single monomial: x^alpha = prod_j x_j ** alpha[j]."""
-
-    exponents: tuple[int, ...]
-    degree: int = field(init=False, compare=False)
-
-    def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
-        if any(e < 0 for e in exps):
-            raise ValueError(f"exponents must be non-negative, got {exps}")
-        object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "degree", sum(exps))
-
-    def __len__(self) -> int:
-        return len(self.exponents)
-
-    def __add__(self, other: "MultiIndex") -> "MultiIndex":
-        if len(self.exponents) != len(other.exponents):
-            raise ValueError("cannot add multi-indices of different lengths")
-        return MultiIndex(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-
-def _grlex_key(alpha: MultiIndex) -> tuple:
-    # Higher exponents on earlier variables sort first within a degree.
-    return (alpha.degree, tuple(-e for e in alpha.exponents))
-
-
 def _exponents_summing_to(total: int, length: int):
-    """Yield all exponent tuples of the given length summing exactly to total."""
+    """Yield all exponent tuples of the given length summing exactly to
+    total, higher exponents on earlier variables first."""
     if length == 1:
         yield (total,)
         return
@@ -61,103 +36,36 @@ def _exponents_summing_to(total: int, length: int):
             yield (head,) + tail
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Sparse real polynomial: a finite map from multi-index to coefficient.
-
-    Canonical form: every key has exactly ``num_vars`` exponents and no stored
-    coefficient is exactly zero. The terms dict must not be mutated after
-    construction.
-    """
-
-    num_vars: int
-    terms: dict[MultiIndex, float]
-
-    def __post_init__(self):
-        if self.num_vars < 1:
-            raise ValueError("num_vars must be >= 1")
-        clean: dict[MultiIndex, float] = {}
-        for alpha, coeff in self.terms.items():
-            if len(alpha) != self.num_vars:
-                raise ValueError(
-                    f"term {alpha.exponents} has {len(alpha)} exponents, "
-                    f"expected {self.num_vars}"
-                )
-            c = float(coeff)
-            if c != 0.0:
-                clean[alpha] = c
-        object.__setattr__(self, "terms", clean)
-
-    @property
-    def degree(self) -> int:
-        """Maximum total degree over stored terms; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(alpha.degree for alpha in self.terms)
-
-
-@dataclass(frozen=True)
-class MonomialBasis:
-    """All monomials of degree <= half_degree over num_vars variables, in the
-    frozen graded order. ``entries[0]`` is always the constant monomial and
-    ``index_of`` is the exact inverse of ``entries``."""
-
-    num_vars: int
-    half_degree: int
-    entries: tuple[MultiIndex, ...]
-    index_of: dict[MultiIndex, int]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def enumerate_alpha_set(n: int, max_degree: int) -> list[MultiIndex]:
-    """All multi-indices over n variables with total degree <= max_degree.
-
-    The result has C(n + max_degree, max_degree) elements in graded order.
-    """
-    return list(enumerate_basis(n, max_degree).entries)
-
-
-@functools.lru_cache(maxsize=None)
-def enumerate_basis(n: int, half_degree: int) -> MonomialBasis:
-    """Build the monomial basis of degree <= half_degree over n variables.
-
-    Bases are built once per (n, half_degree) and shared; they are immutable.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if half_degree < 0:
-        raise ValueError("degree must be >= 0")
-    entries = []
-    for d in range(half_degree + 1):
-        entries.extend(MultiIndex(e) for e in _exponents_summing_to(d, n))
-    entries.sort(key=_grlex_key)
-    assert len(entries) == math.comb(n + half_degree, half_degree)
-    index_of = {alpha: i for i, alpha in enumerate(entries)}
-    return MonomialBasis(num_vars=n, half_degree=half_degree,
-                         entries=tuple(entries), index_of=index_of)
-
-
 @functools.lru_cache(maxsize=None)
 def exponent_table(n: int, degree: int) -> np.ndarray:
     """Read-only (T, n) integer array: row t is the exponent vector of the
-    t-th monomial of degree <= degree in the frozen graded order. Built once
-    per key. Because the order is graded, the table of a lower degree is a
-    row prefix of this one."""
-    table = np.array([a.exponents for a in enumerate_basis(n, degree).entries],
+    t-th monomial of degree <= degree in the frozen graded order, and T is
+    C(n + degree, degree). Built once per key. Because the order is graded,
+    the table of a lower degree is a row prefix of this one."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    table = np.array([e for d in range(degree + 1) for e in _exponents_summing_to(d, n)],
                      dtype=np.int64)
     table.setflags(write=False)
     return table
 
 
-def monomial_vector(x, n: int, degree: int) -> np.ndarray:
-    """Every monomial of degree <= degree over n variables evaluated at x,
-    in the order of ``exponent_table(n, degree)``."""
-    return _table_monomials(x, exponent_table(n, degree))
+@functools.lru_cache(maxsize=None)
+def _row_lookup(n: int, degree: int) -> dict:
+    return {e: t for t, e in enumerate(map(tuple, exponent_table(n, degree).tolist()))}
 
 
-def _table_monomials(x, table: np.ndarray) -> np.ndarray:
+def table_rows(exponents, degree: int) -> np.ndarray:
+    """The row of ``exponent_table(n, degree)`` holding each row of the
+    (K, n) array ``exponents``, whose monomials must have degree <= degree."""
+    exponents = np.asarray(exponents)
+    row_of = _row_lookup(exponents.shape[1], degree)
+    return np.array([row_of[e] for e in map(tuple, exponents.tolist())], dtype=np.intp)
+
+
+def monomial_vector(x, table: np.ndarray) -> np.ndarray:
     """The monomial of every row of an exponent table evaluated at x."""
     x = np.asarray(x, dtype=float)
     if x.shape != (table.shape[1],):
@@ -223,48 +131,6 @@ def _derivative_map(n: int, degree: int):
     return _derivative_map_of(exponent_table(n, degree))
 
 
-def eval_monomial(alpha: MultiIndex, x) -> float:
-    """Evaluate x^alpha; the zero multi-index evaluates to 1."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (len(alpha),):
-        raise ValueError(f"point has {x.shape} entries, expected {len(alpha)}")
-    return float(np.prod(x ** np.asarray(alpha.exponents)))
-
-
-def eval_polynomial(p: Polynomial, x) -> float:
-    """Evaluate p at x by summing coefficient * monomial over all terms."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.num_vars,):
-        raise ValueError(f"point has {x.shape} entries, expected {p.num_vars}")
-    if not p.terms:
-        return 0.0
-    exps = np.array([alpha.exponents for alpha in p.terms], dtype=float)
-    coeffs = np.fromiter(p.terms.values(), dtype=float, count=len(p.terms))
-    return float(coeffs @ np.prod(x ** exps, axis=1))
-
-
-def random_polynomial(n: int, max_degree: int, rng_seed, std_dev: float = 1.0) -> Polynomial:
-    """Polynomial with one i.i.d. Gaussian(0, std_dev^2) coefficient per
-    multi-index of degree <= max_degree.
-
-    ``rng_seed`` may be an int, a SeedSequence, or an existing Generator (in
-    which case its stream is consumed), so callers can either pin a seed or
-    thread a shared stream through several draws.
-    """
-    if std_dev <= 0:
-        raise ValueError("std_dev must be > 0")
-    rng = np.random.default_rng(rng_seed)
-    alphas = enumerate_basis(n, max_degree).entries
-    coeffs = rng.normal(0.0, std_dev, size=len(alphas))
-    return Polynomial(num_vars=n, terms=dict(zip(alphas, coeffs)))
-
-
-def truncate_polynomial(p: Polynomial, max_degree: int) -> Polynomial:
-    """Drop every term of degree > max_degree (Taylor truncation around 0)."""
-    kept = {a: c for a, c in p.terms.items() if a.degree <= max_degree}
-    return Polynomial(num_vars=p.num_vars, terms=kept)
-
-
 def _row_sums(a: np.ndarray) -> np.ndarray:
     """Sums along the last axis, one term at a time from the left. This is
     the order in which accumulating the terms of each equation into a zeroed
@@ -282,20 +148,18 @@ class PolySystem:
     num_vars) table ``exponents``, which lists distinct monomials of degree
     <= degree in the frozen graded order. By default it is the shared
     ``exponent_table(num_vars, degree)`` of every such monomial, which is
-    what a sampled system uses; ``from_polys`` keeps only the monomials that
-    occur, so a sparse high-degree system costs what it stores rather than
-    C(num_vars + degree, degree) columns. A table that lists every monomial
-    is replaced by the shared one. Both arrays are read-only, the
-    coefficients a copy. Iterating or indexing yields the rows as
-    ``Polynomial``s; two systems are equal when their tables and
-    coefficients are.
+    what a sampled system uses; a system read by ``system_from_json`` keeps
+    only the monomials that occur, so a sparse high-degree system costs what
+    it stores rather than C(num_vars + degree, degree) columns. A table that
+    lists every monomial is replaced by the shared one. Both arrays are
+    read-only, the coefficients a copy. Two systems are equal when their
+    tables and coefficients are.
 
     Two summation orders exist on purpose. ``evaluate`` takes one dot
-    product per row over its nonzero columns, as ``eval_polynomial`` does
-    over its terms; ``residual`` and ``jacobian`` add the terms of a row one
-    at a time. Right-hand sides and success checks use the first, the
-    Gauss-Newton polish the second, and reported results depend on their
-    last bits.
+    product per row over its nonzero columns; ``residual`` and ``jacobian``
+    add the terms of a row one at a time. Right-hand sides and success
+    checks use the first, the Gauss-Newton polish the second, and reported
+    results depend on their last bits.
     """
 
     num_vars: int
@@ -322,40 +186,8 @@ class PolySystem:
         object.__setattr__(self, "exponents", table)
         object.__setattr__(self, "_full", full)
 
-    @classmethod
-    def from_polys(cls, polys) -> "PolySystem":
-        """The system of a sequence of ``Polynomial``s, over the monomials
-        that occur in them and of their maximum degree; a ``PolySystem`` is
-        returned as it is."""
-        if isinstance(polys, PolySystem):
-            return polys
-        polys = list(polys)
-        if not polys:
-            raise ValueError("need at least one polynomial")
-        n = polys[0].num_vars
-        if any(p.num_vars != n for p in polys):
-            raise ValueError("all polynomials must share the same variable count")
-        alphas = sorted({a for p in polys for a in p.terms}, key=_grlex_key)
-        column = {a: t for t, a in enumerate(alphas)}
-        coeffs = np.zeros((len(polys), len(alphas)))
-        for i, p in enumerate(polys):
-            for alpha, c in p.terms.items():
-                coeffs[i, column[alpha]] = c
-        return cls(n, max(p.degree for p in polys), coeffs,
-                   [a.exponents for a in alphas])
-
     def __len__(self) -> int:
         return self.coeffs.shape[0]
-
-    @functools.cached_property
-    def _alphas(self) -> tuple[MultiIndex, ...]:
-        return tuple(MultiIndex(tuple(e)) for e in self.exponents.tolist())
-
-    def __getitem__(self, i: int) -> Polynomial:
-        return Polynomial(self.num_vars, dict(zip(self._alphas, self.coeffs[i].tolist())))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     def __eq__(self, other):
         if not isinstance(other, PolySystem):
@@ -374,13 +206,13 @@ class PolySystem:
     def evaluate(self, x) -> np.ndarray:
         """The value of every polynomial at x, one dot product per row over
         its nonzero columns."""
-        m = _table_monomials(x, self.exponents)
+        m = monomial_vector(x, self.exponents)
         return np.array([float(row @ m) if cols is None else float(row[cols] @ m[cols])
                          for row, cols in zip(self.coeffs, self._row_terms)])
 
     def residual(self, x, values) -> np.ndarray:
         """p_i(x) - values_i, each row summed term by term in table order."""
-        return _row_sums(self.coeffs * _table_monomials(x, self.exponents)) - values
+        return _row_sums(self.coeffs * monomial_vector(x, self.exponents)) - values
 
     @functools.cached_property
     def _derivatives(self):
@@ -395,7 +227,7 @@ class PolySystem:
     def jacobian(self, x) -> np.ndarray:
         """(N, num_vars) partial derivatives at x, each summed term by term."""
         lowered, extended, weights = self._derivatives
-        m = _table_monomials(x, extended)
+        m = monomial_vector(x, extended)
         return np.ascontiguousarray(_row_sums(weights * m[lowered][:, None, :]).T)
 
     def truncate(self, degree: int) -> "PolySystem":
@@ -440,23 +272,50 @@ class PolySystem:
         if self._full:
             out[:, :self.coeffs.shape[1]] = self.coeffs
         else:
-            column = enumerate_basis(self.num_vars, degree).index_of
-            out[:, [column[a] for a in self._alphas]] = self.coeffs
+            out[:, table_rows(self.exponents, degree)] = self.coeffs
         return out
 
 
-def polynomial_to_json(p: Polynomial) -> dict:
-    """JSON-ready dict; terms emitted in the frozen graded order."""
-    alphas = sorted(p.terms, key=_grlex_key)
-    return {
-        "num_vars": p.num_vars,
-        "terms": [{"alpha": list(a.exponents), "coeff": p.terms[a]} for a in alphas],
-    }
+# One-polynomial helpers on a one-row PolySystem. The package no longer calls
+# eval_polynomial and truncate_polynomial; they stay because perfbench's
+# tracer wraps them by name, and go when it is retargeted at the PolySystem
+# methods.
+def random_polynomial(n: int, max_degree: int, rng_seed, std_dev: float = 1.0) -> PolySystem:
+    """One-row system with one i.i.d. Gaussian(0, std_dev^2) coefficient per
+    monomial of degree <= max_degree, drawn in table order.
+
+    ``rng_seed`` may be an int, a SeedSequence, or an existing Generator (in
+    which case its stream is consumed), so callers can either pin a seed or
+    thread a shared stream through several draws.
+    """
+    if std_dev <= 0:
+        raise ValueError("std_dev must be > 0")
+    rng = np.random.default_rng(rng_seed)
+    num_terms = len(exponent_table(n, max_degree))
+    return PolySystem(n, max_degree, rng.normal(0.0, std_dev, size=(1, num_terms)))
+
+
+def eval_polynomial(p: PolySystem, x) -> float:
+    """The value at x of a one-row system."""
+    return float(p.evaluate(x)[0])
+
+
+def truncate_polynomial(p: PolySystem, max_degree: int) -> PolySystem:
+    """Every term of degree > max_degree dropped (Taylor truncation at 0)."""
+    return p.truncate(max_degree)
+
+
+def _json_number(value):
+    # bool is a subclass of int, and float() would also take a numeric string
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return value
 
 
 def checked_float(value) -> float:
-    """A number read from a file; nan and infinities are rejected."""
-    number = float(value)
+    """A number read from a file; nan and infinities are rejected, as is
+    anything but a JSON number."""
+    number = float(_json_number(value))
     if not math.isfinite(number):
         raise ValueError(f"expected a finite number, got {value!r}")
     return number
@@ -465,19 +324,42 @@ def checked_float(value) -> float:
 def checked_int(value, low: int, high: int | None = None) -> int:
     """An integer in [low, high) read from a file. Integral floats such as
     2.0 are accepted; a fraction is rejected rather than truncated."""
-    number = float(value)
+    number = float(_json_number(value))
     if not number.is_integer() or number < low or (high is not None and number >= high):
         bounds = f"[{low}, {high})" if high is not None else f">= {low}"
         raise ValueError(f"expected an integer {bounds}, got {value!r}")
     return int(number)
 
 
-def polynomial_from_json(data: dict) -> Polynomial:
-    """Inverse of ``polynomial_to_json``; rejects non-finite coefficients and
-    exponents that are not non-negative integers."""
-    n = checked_int(data["num_vars"], 1)
-    terms: dict[MultiIndex, float] = {}
-    for item in data["terms"]:
-        alpha = MultiIndex(tuple(checked_int(e, 0) for e in item["alpha"]))
-        terms[alpha] = terms.get(alpha, 0.0) + checked_float(item["coeff"])
-    return Polynomial(num_vars=n, terms=terms)
+def system_from_json(polynomials: list) -> PolySystem:
+    """The system of a problem file's polynomials, each
+    ``{"num_vars": n, "terms": [{"alpha": [...], "coeff": c}, ...]}``.
+
+    Repeated terms of a polynomial are summed in file order, and terms that
+    end up zero are dropped before the degree and the table are taken, so
+    the table lists only the monomials that occur. Coefficients must be
+    finite, exponents non-negative integers, and every term and polynomial
+    must have the same number of variables.
+    """
+    rows = []
+    for poly in polynomials:
+        n = checked_int(poly["num_vars"], 1)
+        row: dict[tuple, float] = {}
+        for item in poly["terms"]:
+            alpha = tuple(checked_int(e, 0) for e in item["alpha"])
+            if len(alpha) != n:
+                raise ValueError(f"term {list(alpha)} has {len(alpha)} exponents, "
+                                 f"expected {n}")
+            row[alpha] = row.get(alpha, 0.0) + checked_float(item["coeff"])
+        rows.append((n, row))
+    if not rows:
+        raise ValueError("need at least one polynomial")
+    n = rows[0][0]
+    if any(m != n for m, _ in rows):
+        raise ValueError("all polynomials must share the same variable count")
+    alphas = sorted({a for _, row in rows for a, c in row.items() if c != 0.0},
+                    key=lambda a: (sum(a), tuple(-e for e in a)))
+    coeffs = np.array([[row.get(a, 0.0) for a in alphas] for _, row in rows])
+    return PolySystem(n, max((sum(a) for a in alphas), default=0),
+                      coeffs.reshape(len(rows), len(alphas)),
+                      np.array(alphas, dtype=np.int64).reshape(-1, n))

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lifting import LiftedProblem, lift_vector, packed_index
-from .monomials import MultiIndex
 from .sdp_admm import SolveReport, SolveStatus
 
 
@@ -51,12 +50,14 @@ class RecoveredSolution:
     valid: bool
 
 
-def extract_rank1(X: np.ndarray, basis) -> RecoveredSolution:
-    """Extract the unknown vector from a near-rank-one PSD matrix.
+def extract_rank1(X: np.ndarray, basis: np.ndarray) -> RecoveredSolution:
+    """Extract the unknown vector from a near-rank-one PSD matrix indexed by
+    the exponent table ``basis``.
 
     The top eigenpair gives a candidate lifted vector, sign-normalized so its
     constant entry is positive and rescaled so it equals exactly 1 (the
-    normalization constraint forces that on any true lift). Validity needs
+    normalization constraint forces that on any true lift). The unknowns are
+    its degree-one entries, rows 1..n of the graded table. Validity needs
     both a small second-to-first eigenvalue ratio and agreement between the
     candidate and the exact lift of the extracted unknowns.
     """
@@ -73,20 +74,16 @@ def extract_rank1(X: np.ndarray, basis) -> RecoveredSolution:
     if candidate[0] < 0:
         candidate = -candidate
 
-    n = basis.num_vars
-    degree_one = [
-        basis.index_of[MultiIndex(tuple(1 if i == j else 0 for i in range(n)))]
-        for j in range(n)
-    ]
+    degree_one = slice(1, 1 + basis.shape[1])
     if candidate[0] <= 1e-12 * np.sqrt(sigma1):
         # Top eigenvector carries no constant-entry component (for example the
         # identity matrix): nothing to normalize, so the extraction cannot be
         # trusted. Return it unnormalized and marked invalid.
-        return RecoveredSolution(x=candidate[degree_one], x_bar=candidate,
+        return RecoveredSolution(x=candidate[degree_one].copy(), x_bar=candidate,
                                  rank1_ratio=float(ratio),
                                  lift_consistency=math.inf, valid=False)
     x_bar = candidate / candidate[0]
-    x = x_bar[degree_one]
+    x = x_bar[degree_one].copy()
 
     consistency = float(np.max(np.abs(lift_vector(x, basis) - x_bar)))
     valid = bool(

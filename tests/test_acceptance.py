@@ -17,12 +17,7 @@ from nlbp.harness import (
     table1_spec,
 )
 from nlbp.lifting import build_lifted_problem, lift_vector, polynomial_to_quadratic_form
-from nlbp.monomials import (
-    enumerate_alpha_set,
-    enumerate_basis,
-    eval_polynomial,
-    random_polynomial,
-)
+from nlbp.monomials import exponent_table, random_polynomial
 from nlbp.recovery import dual_certificate
 from nlbp import sdp_admm
 from nlbp.sdp_admm import (
@@ -35,6 +30,7 @@ from nlbp.sdp_admm import (
 )
 from nlbp.cli import cli_main
 from packed_layout import dense_operator, unpack
+from poly_terms import stack
 
 
 def verdict(number: int, name: str, ok: bool, detail: str) -> None:
@@ -102,14 +98,14 @@ def test_criterion_3_representation_identity():
     worst = 0.0
     for n in range(1, 6):
         for order in (2, 4):
-            basis = enumerate_basis(n, order // 2)
+            basis = exponent_table(n, order // 2)
             for _ in range(20):
                 poly = random_polynomial(n, order, rng, 1.0)
                 form = unpack(polynomial_to_quadratic_form(poly, basis), len(basis))
                 for _ in range(100):
                     x = rng.normal(size=n)
                     lifted = lift_vector(x, basis)
-                    value = eval_polynomial(poly, x)
+                    value = poly.evaluate(x)[0]
                     err = abs(float(lifted @ form @ lifted) - value)
                     bound = 1e-9 * (1 + abs(value))
                     worst = max(worst, err / bound)
@@ -127,9 +123,9 @@ def test_criterion_4_planted_lift_feasibility():
         n = int(rng.integers(1, 6))
         order = int(rng.choice([2, 4]))
         num_eqs = int(rng.integers(1, 12))
-        polys = [random_polynomial(n, order, rng, 1.0) for _ in range(num_eqs)]
+        polys = stack([random_polynomial(n, order, rng, 1.0) for _ in range(num_eqs)])
         x = rng.normal(size=n)
-        values = [eval_polynomial(p, x) for p in polys]
+        values = polys.evaluate(x)
         problem = build_lifted_problem(polys, values, order)
         lifted = lift_vector(x, problem.basis)
         planted = np.outer(lifted, lifted)
@@ -158,14 +154,14 @@ def test_criterion_5_basis_combinatorics():
 
     for n in range(1, 9):
         for half in range(1, 5):
-            assert len(enumerate_basis(n, half)) == math.comb(n + half, half)
-            assert len(enumerate_basis(n, half)) == dp_count(n, half)
+            assert len(exponent_table(n, half)) == math.comb(n + half, half)
+            assert len(exponent_table(n, half)) == dp_count(n, half)
         for order in range(0, 9):
-            alphas = enumerate_alpha_set(n, order)
+            alphas = exponent_table(n, order)
             assert len(alphas) == math.comb(n + order, order)
             assert len(alphas) == dp_count(n, order)
-    assert len(enumerate_basis(2, 2)) == 6
-    assert len(enumerate_alpha_set(2, 4)) == 15
+    assert len(exponent_table(2, 2)) == 6
+    assert len(exponent_table(2, 4)) == 15
     verdict(5, "basis combinatorics", True,
             "n<=8, order<=8 verified against DP oracle; reference values 6 and 15")
 
@@ -189,10 +185,10 @@ def test_criterion_6_solver_against_reference():
     for k in range(20):
         n = 1 + k % 3
         rng = np.random.default_rng(3000 + k)
-        polys = [random_polynomial(n, 2, 4000 + 10 * k + j, 1.0)
-                 for j in range(n + 2)]
+        polys = stack([random_polynomial(n, 2, 4000 + 10 * k + j, 1.0)
+                       for j in range(n + 2)])
         x = rng.normal(size=n)
-        values = [eval_polynomial(p, x) for p in polys]
+        values = polys.evaluate(x)
         problem = build_lifted_problem(polys, values, 2)
         assert problem.dim <= 4
         lam = (0.0, 0.1, 1.0)[k % 3]
@@ -211,9 +207,9 @@ def test_relaxed_splitting_iterate_invariants():
     # a toy run of the solver's over-relaxed splitting: every affine-block
     # output is feasible and every cone-block output is PSD
     rng = np.random.default_rng(77)
-    polys = [random_polynomial(2, 2, 5000 + j, 1.0) for j in range(4)]
+    polys = stack([random_polynomial(2, 2, 5000 + j, 1.0) for j in range(4)])
     x = rng.normal(size=2)
-    problem = build_lifted_problem(polys, [eval_polynomial(p, x) for p in polys], 2)
+    problem = build_lifted_problem(polys, polys.evaluate(x), 2)
     cache = AffineCache.build(problem)
     dim, alpha = problem.dim, sdp_admm._RELAX
     Z = np.zeros((dim, dim))
@@ -240,12 +236,12 @@ def test_criterion_7_oracle_equivalence():
     for k in range(25):
         n = (4, 5, 6)[k % 3]
         rng = np.random.default_rng(9000 + k)
-        polys = [random_polynomial(n, 4, 10_000 + 40 * k + j, 1.0)
-                 for j in range(40)]
+        polys = stack([random_polynomial(n, 4, 10_000 + 40 * k + j, 1.0)
+                       for j in range(40)])
         support = tuple(sorted(rng.choice(n, size=2, replace=False)))
         x = np.zeros(n)
         x[list(support)] = 1.0
-        values = np.array([eval_polynomial(p, x) for p in polys])
+        values = polys.evaluate(x)
         config = SolverConfig(rho=1.0 / (1.0 + np.max(np.abs(values))),
                               eps_abs=1e-9, eps_rel=1e-7, max_iters=60000)
         result, diag, _ = _run_lifted(polys, values, 4, config, Method.NLBP,

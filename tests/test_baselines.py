@@ -11,23 +11,21 @@ from nlbp.baselines import (
     success_criterion,
     system_residual_sq,
 )
-from nlbp.monomials import (
-    MultiIndex,
-    Polynomial,
-    eval_polynomial,
-    random_polynomial,
-    truncate_polynomial,
-)
+from nlbp.monomials import random_polynomial, truncate_polynomial
 from nlbp.sdp_admm import SolverConfig
+from poly_terms import stack, system_of, terms, unit
 
 
 def planted_sparse_system(n, num_eqs, order, support, seed, coeff_std=1.0):
-    polys = [random_polynomial(n, order, 7000 + seed * 31 + j, coeff_std)
-             for j in range(num_eqs)]
+    polys = stack([random_polynomial(n, order, 7000 + seed * 31 + j, coeff_std)
+                   for j in range(num_eqs)])
     x = np.zeros(n)
     x[list(support)] = 1.0
-    values = np.array([eval_polynomial(p, x) for p in polys])
-    return polys, x, values
+    return polys, x, polys.evaluate(x)
+
+
+def random_system(n, order, seeds):
+    return stack([random_polynomial(n, order, seed, 1.0) for seed in seeds])
 
 
 class TestSuccessCriterion:
@@ -55,15 +53,22 @@ class TestSuccessCriterion:
 class TestSolveLinear:
     def linear_system(self, seed, num_eqs=8, n=4):
         rng = np.random.default_rng(seed)
-        polys = []
+        rows = []
         x = rng.normal(size=n)
         for _ in range(num_eqs):
-            terms = {MultiIndex((0,) * n): rng.normal()}
+            row = {(0,) * n: rng.normal()}
             for j in range(n):
-                terms[MultiIndex(tuple(1 if i == j else 0 for i in range(n)))] = rng.normal()
-            polys.append(Polynomial(n, terms))
-        values = np.array([eval_polynomial(p, x) for p in polys])
-        return polys, x, values
+                row[unit(n, j)] = rng.normal()
+            rows.append(row)
+        polys = system_of(n, *rows)
+        return polys, x, polys.evaluate(x)
+
+    @staticmethod
+    def linear_parts(polys):
+        rows = [terms(polys, i) for i in range(len(polys))]
+        A = np.array([[row.get(unit(4, j), 0.0) for j in range(4)] for row in rows])
+        const = np.array([row.get((0,) * 4, 0.0) for row in rows])
+        return A, const
 
     def test_consistent_linear_system_exact(self):
         polys, x, values = self.linear_system(0)
@@ -78,9 +83,7 @@ class TestSolveLinear:
         polys, x, values = self.linear_system(1)
         noisy = values + np.linspace(0.1, 0.9, len(values))
         result = solve_linear(polys, noisy, lam=0.0)
-        A = np.array([[p.terms.get(MultiIndex(tuple(1 if i == j else 0 for i in range(4))), 0.0)
-                       for j in range(4)] for p in polys])
-        const = np.array([p.terms.get(MultiIndex((0,) * 4), 0.0) for p in polys])
+        A, const = self.linear_parts(polys)
         grad = A.T @ (A @ result.x_hat - (noisy - const))
         assert np.max(np.abs(grad)) < 1e-8
 
@@ -88,9 +91,7 @@ class TestSolveLinear:
         polys, x, values = self.linear_system(2)
         lam = 0.5
         result = solve_linear(polys, values, lam=lam)
-        A = np.array([[p.terms.get(MultiIndex(tuple(1 if i == j else 0 for i in range(4))), 0.0)
-                       for j in range(4)] for p in polys])
-        const = np.array([p.terms.get(MultiIndex((0,) * 4), 0.0) for p in polys])
+        A, const = self.linear_parts(polys)
         grad = A.T @ (A @ result.x_hat - (values - const))
         z = result.x_hat
         on = np.abs(z) > 1e-10
@@ -109,9 +110,9 @@ class TestQbpPipeline:
         # solve the same program
         rng = np.random.default_rng(4)
         n = 3
-        polys = [random_polynomial(n, 2, 9000 + j, 1.0) for j in range(8)]
+        polys = random_system(n, 2, [9000 + j for j in range(8)])
         x = rng.normal(size=n)
-        values = np.array([eval_polynomial(p, x) for p in polys])
+        values = polys.evaluate(x)
         config = SolverConfig(eps_abs=1e-10, eps_rel=1e-8, max_iters=60000)
         a = solve_qbp(polys, values, config=config, x_true=x)
         b = solve_nlbp_system(polys, values, order=2, config=config, x_true=x)
@@ -139,9 +140,9 @@ class TestFullPipeline:
 
     def test_degenerate_system_yields_zero_estimate(self):
         # zero right-hand side with zero planted vector
-        polys = [random_polynomial(2, 2, 10_000 + j, 1.0) for j in range(4)]
+        polys = random_system(2, 2, [10_000 + j for j in range(4)])
         zero = np.zeros(2)
-        values = np.array([eval_polynomial(p, zero) for p in polys])
+        values = polys.evaluate(zero)
         result = solve_nlbp_system(polys, values, order=2, x_true=zero)
         assert result.success
         assert np.max(np.abs(result.x_hat)) < 1e-4
@@ -170,9 +171,9 @@ class TestL0Oracle:
         assert np.max(np.abs(found - x)) < 1e-6
 
     def test_zero_solution(self):
-        polys = [random_polynomial(3, 3, 11_000 + j, 1.0) for j in range(5)]
+        polys = random_system(3, 3, [11_000 + j for j in range(5)])
         zero = np.zeros(3)
-        values = np.array([eval_polynomial(p, zero) for p in polys])
+        values = polys.evaluate(zero)
         found = l0_oracle(polys, values, max_support=2, rng_seed=2)
         assert found is not None
         assert np.array_equal(found, zero)
@@ -194,10 +195,10 @@ class TestL0Oracle:
         assert np.max(np.abs(found - x)) < 1e-6
 
     def test_size_limits_enforced(self):
-        polys = [random_polynomial(3, 2, 12_000, 1.0)]
+        polys = random_polynomial(3, 2, 12_000, 1.0)
         with pytest.raises(ValueError):
             l0_oracle(polys, [0.0], max_support=4)
-        big = [random_polynomial(9, 2, 12_001, 1.0)]
+        big = random_polynomial(9, 2, 12_001, 1.0)
         with pytest.raises(ValueError):
             l0_oracle(big, [0.0], max_support=2)
         with pytest.raises(ValueError):
@@ -206,12 +207,10 @@ class TestL0Oracle:
     def test_sparse_high_degree_input(self):
         # one x1^25 term over 8 variables: the system stores three monomials,
         # not the 13.9 million of degree <= 25
-        def power(j, e=1):
-            return MultiIndex(tuple(e * (k == j) for k in range(8)))
-
-        polys = [Polynomial(8, {power(0, 25): 1.0, power(1): 1.0}),
-                 Polynomial(8, {power(1): 1.0}),
-                 Polynomial(8, {power(2): 1.0})]
+        polys = system_of(8, {unit(8, 0, 25): 1.0, unit(8, 1): 1.0},
+                          {unit(8, 1): 1.0},
+                          {unit(8, 2): 1.0})
+        assert polys.coeffs.shape == (3, 3)
         found = l0_oracle(polys, [1.0, 1.0, 2.0], max_support=2, rng_seed=6)
         assert found is not None
         assert np.allclose(found, [0, 1, 2, 0, 0, 0, 0, 0], atol=1e-10)
@@ -226,6 +225,7 @@ class TestTruncationHelper:
     def test_truncate_preserves_low_order(self):
         p = random_polynomial(3, 4, 13_000, 1.0)
         t = truncate_polynomial(p, 2)
-        for alpha, c in t.terms.items():
-            assert alpha.degree <= 2
-            assert p.terms[alpha] == c
+        assert len(terms(t)) == 10
+        for alpha, c in terms(t).items():
+            assert sum(alpha) <= 2
+            assert terms(p)[alpha] == c

@@ -1,32 +1,23 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from nlbp.cli import _build_parser, cli_main
-from nlbp.monomials import (
-    MultiIndex,
-    Polynomial,
-    eval_polynomial,
-    polynomial_to_json,
-    random_polynomial,
-)
+from nlbp.cli import _build_parser, _problem_from_json, cli_main
+from nlbp.monomials import exponent_table, random_polynomial
 from nlbp.sdp_admm import SolverConfig
+from poly_terms import problem_json, stack, system_of
 
 
-def write_problem(path, polys, values):
-    data = {
-        "polynomials": [polynomial_to_json(p) for p in polys],
-        "values": [float(v) for v in values],
-    }
-    path.write_text(json.dumps(data))
+def write_problem(path, system, values):
+    path.write_text(json.dumps(problem_json(system, values)))
 
 
 @pytest.fixture
 def trivial_problem_file(tmp_path):
-    p = Polynomial(1, {MultiIndex((1,)): 1.0})
     path = tmp_path / "problem.json"
-    write_problem(path, [p], [1.0])
+    write_problem(path, system_of(1, {(1,): 1.0}), [1.0])
     return path
 
 
@@ -41,7 +32,7 @@ class TestLift:
 
     def test_fourth_order_basis_size(self, tmp_path):
         # two variables at order four: six basis monomials
-        polys = [random_polynomial(2, 4, 1, 1.0)]
+        polys = random_polynomial(2, 4, 1, 1.0)
         path = tmp_path / "p.json"
         write_problem(path, polys, [0.0])
         out = tmp_path / "lifted.json"
@@ -49,7 +40,7 @@ class TestLift:
         assert len(json.loads(out.read_text())["basis"]) == 6
 
     def test_no_dedup_flag_rejected(self, tmp_path, capsys):
-        polys = [random_polynomial(2, 4, 2, 1.0)]
+        polys = random_polynomial(2, 4, 2, 1.0)
         path = tmp_path / "p.json"
         write_problem(path, polys, [0.0])
         assert cli_main(["lift", str(path), "--no-dedup"]) == 1
@@ -71,6 +62,71 @@ class TestLift:
         path.write_text(json.dumps({"polynomials": []}))
         assert cli_main(["lift", str(path)]) == 1
         assert "values" in capsys.readouterr().err
+
+    # n = 3, degrees up to 4, a repeated x2 term (0.1 + 0.2 rounds up), an
+    # exponent written as 2.0, and a zero degree-5 term that must not raise
+    # the default order to 6
+    SPARSE_PROBLEM = {
+        "polynomials": [
+            {"num_vars": 3, "terms": [
+                {"alpha": [0, 0, 0], "coeff": 1.5},
+                {"alpha": [1, 0, 0], "coeff": -2.0},
+                {"alpha": [0, 1, 0], "coeff": 0.1},
+                {"alpha": [2.0, 1, 1], "coeff": 0.75},
+                {"alpha": [0, 1, 0], "coeff": 0.2}]},
+            {"num_vars": 3, "terms": [
+                {"alpha": [0, 0, 2], "coeff": 3.0},
+                {"alpha": [0, 2, 3], "coeff": 0.0},
+                {"alpha": [0, 0, 1], "coeff": -1.25},
+                {"alpha": [0, 3, 0], "coeff": 0.125}]},
+            {"num_vars": 3, "terms": [
+                {"alpha": [0, 2, 2], "coeff": -0.5},
+                {"alpha": [1, 0, 0], "coeff": 1.0}]}],
+        "values": [1.0, -2.5, 0.75],
+    }
+
+    def test_sparse_problem_lift_is_pinned(self, tmp_path):
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(self.SPARSE_PROBLEM))
+        out = tmp_path / "lifted.json"
+        assert cli_main(["lift", str(path), "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["order"] == 4
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "a2471f07d9a27f9b2da8003436d1af699ba1b9695fec54e9d3ac8bfc595f4598")
+
+
+class TestProblemFile:
+    """``_problem_from_json``: a problem file straight into a PolySystem."""
+
+    def test_keeps_the_monomials_that_occur(self):
+        data = {"polynomials": [
+            {"num_vars": 2, "terms": [{"alpha": [1, 1], "coeff": -2.0},
+                                      {"alpha": [0, 0], "coeff": 1.5},
+                                      {"alpha": [2, 0], "coeff": 0.0}]},
+            {"num_vars": 2, "terms": [{"alpha": [0, 1], "coeff": 3.0}]}],
+            "values": [0.0, 1.0]}
+        system, values = _problem_from_json(data)
+        assert values == [0.0, 1.0]
+        assert system.degree == 2
+        assert system.exponents.tolist() == [[0, 0], [0, 1], [1, 1]]
+        assert system.coeffs.tolist() == [[1.5, 0.0, -2.0], [0.0, 3.0, 0.0]]
+        # a system that uses every monomial shares the full table
+        full = stack([random_polynomial(3, 4, s, 1.0) for s in range(3)])
+        again, _ = _problem_from_json(problem_json(full, [0.0] * 3))
+        assert again.exponents is exponent_table(3, 4)
+        assert again == full
+
+    def test_sparse_high_degree_file_costs_one_column(self):
+        data = {"polynomials": [{"num_vars": 8, "terms": [
+            {"alpha": [25, 0, 0, 0, 0, 0, 0, 0], "coeff": 2.0}]}], "values": [2.0]}
+        system, _ = _problem_from_json(data)
+        assert system.degree == 25 and system.coeffs.shape == (1, 1)
+
+    def test_repeated_terms_summed_in_file_order(self):
+        terms = [{"alpha": [1], "coeff": c} for c in (0.1, 0.2, -0.3)]
+        data = {"polynomials": [{"num_vars": 1, "terms": terms}], "values": [0.0]}
+        system, _ = _problem_from_json(data)
+        assert system.coeffs.tolist() == [[(0.1 + 0.2) - 0.3]]
 
 
 class TestSolveRecoverCertify:
@@ -155,10 +211,48 @@ class TestSolveRecoverCertify:
         assert cli_main(["recover", str(report), str(lifted)]) == 1
         assert "--dump-x" in capsys.readouterr().err
 
+    def solved(self, tmp_path, name, system, values, order):
+        """(lifted file, report file) of a lift at order solved with --dump-x."""
+        problem = tmp_path / f"{name}.json"
+        write_problem(problem, system, values)
+        lifted = tmp_path / f"{name}_lifted.json"
+        report = tmp_path / f"{name}_report.json"
+        assert cli_main(["lift", str(problem), "--q", str(order), "-o", str(lifted)]) == 0
+        assert cli_main(["solve", str(lifted), "--dump-x", "-o", str(report)]) == 0
+        return lifted, report
+
+    def test_report_of_another_lift_exits_1(self, tmp_path, capsys):
+        # n = 2 at order 2 has dim 3, n = 3 at order 4 has dim 10; each report
+        # is read against the other lift, in both commands
+        small = self.solved(tmp_path, "small", system_of(2, {(1, 0): 1.0}, {(0, 1): 1.0}),
+                            [1.0, 2.0], 2)
+        big = self.solved(tmp_path, "big", system_of(3, {(1, 0, 0): 1.0}, {(0, 1, 0): 1.0},
+                                                     {(0, 0, 1): 1.0}), [1.0, 2.0, 1.0], 4)
+        capsys.readouterr()
+        for (lifted, _), (_, report), sizes in ((big, small, ("(3, 3)", "dim 10")),
+                                                (small, big, ("(10, 10)", "dim 3"))):
+            assert cli_main(["recover", str(report), str(lifted)]) == 1
+            assert cli_main(["certify", str(lifted), str(report)]) == 1
+            for err in capsys.readouterr().err.splitlines():
+                assert err.startswith("error: ") and "X has shape" in err
+                assert all(size in err for size in sizes)
+
+    @pytest.mark.parametrize("key", ["X", "dual_affine", "dual_psd"])
+    def test_non_square_report_matrix_exits_1(self, tmp_path, trivial_problem_file,
+                                              capsys, key):
+        lifted, report, _ = self.run_pipeline(tmp_path, trivial_problem_file)
+        data = json.loads(report.read_text())
+        data[key] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        report.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert cli_main(["certify", str(lifted), str(report)]) == 1
+        err = capsys.readouterr().err
+        assert f"{key} has shape (2, 3)" in err and "(2, 2)" in err
+        assert cli_main(["recover", str(report), str(lifted)]) == (1 if key == "X" else 0)
+
     def test_infeasible_problem_exits_2(self, tmp_path, capsys):
-        p = Polynomial(1, {MultiIndex((1,)): 1.0})
         path = tmp_path / "clash.json"
-        write_problem(path, [p, p], [0.0, 1.0])
+        write_problem(path, system_of(1, {(1,): 1.0}, {(1,): 1.0}), [0.0, 1.0])
         lifted = tmp_path / "lifted.json"
         report = tmp_path / "report.json"
         assert cli_main(["lift", str(path), "-o", str(lifted)]) == 0
@@ -195,9 +289,9 @@ class TestBench:
 
 class TestOracle:
     def test_finds_planted_solution(self, tmp_path, capsys):
-        polys = [random_polynomial(3, 2, 50 + j, 1.0) for j in range(6)]
+        polys = stack([random_polynomial(3, 2, 50 + j, 1.0) for j in range(6)])
         x = np.array([0.0, 2.0, 0.0])
-        values = [eval_polynomial(p, x) for p in polys]
+        values = polys.evaluate(x)
         path = tmp_path / "p.json"
         write_problem(path, polys, values)
         assert cli_main(["oracle", str(path), "--max-support", "1"]) == 0
@@ -207,7 +301,7 @@ class TestOracle:
         assert abs(out["x"][1] - 2.0) < 1e-6
 
     def test_reports_not_found(self, tmp_path, capsys):
-        polys = [random_polynomial(2, 2, 80 + j, 1.0) for j in range(8)]
+        polys = stack([random_polynomial(2, 2, 80 + j, 1.0) for j in range(8)])
         path = tmp_path / "p.json"
         write_problem(path, polys, np.arange(1.0, 9.0))
         assert cli_main(["oracle", str(path), "--max-support", "1"]) == 0
@@ -215,7 +309,7 @@ class TestOracle:
 
 
     def test_starts_below_one_exits_1(self, tmp_path, capsys):
-        polys = [random_polynomial(2, 2, 90, 1.0)]
+        polys = random_polynomial(2, 2, 90, 1.0)
         path = tmp_path / "p.json"
         write_problem(path, polys, [1.0])
         assert cli_main(["oracle", str(path), "--max-support", "1",
@@ -231,7 +325,25 @@ class TestMalformedInput:
         lambda d: d["values"].__setitem__(0, float("nan")),
         lambda d: d["polynomials"][0]["terms"][0].__setitem__("coeff", float("inf")),
         lambda d: d["polynomials"][0]["terms"][0].__setitem__("alpha", [1.5]),
-    ], ids=["nan_value", "inf_coeff", "fractional_exponent"])
+        lambda d: d["polynomials"][0]["terms"][0].__setitem__("coeff", True),
+        lambda d: d["polynomials"][0]["terms"][0].__setitem__("alpha", [True]),
+        lambda d: d["values"].__setitem__(0, True),
+        lambda d: d["polynomials"][0].__setitem__("num_vars", True),
+        lambda d: d["polynomials"][0]["terms"][0].__setitem__("coeff", "1.0"),
+        lambda d: d["polynomials"][0]["terms"][0].__setitem__("alpha", ["1"]),
+        lambda d: d["values"].__setitem__(0, "1.0"),
+        lambda d: d["polynomials"][0]["terms"][0].__setitem__("alpha", [-1]),
+        lambda d: d["polynomials"][0]["terms"][0].__setitem__("alpha", [1, 0]),
+        lambda d: d["polynomials"].append(
+            {"num_vars": 2, "terms": [{"alpha": [1, 0], "coeff": 1.0}]}),
+        lambda d: d.__setitem__("polynomials", []),
+        lambda d: d["values"].append(2.0),
+        lambda d: d["polynomials"][0]["terms"][0].__setitem__("coeff", 10 ** 400),
+    ], ids=["nan_value", "inf_coeff", "fractional_exponent", "bool_coeff",
+            "bool_exponent", "bool_value", "bool_num_vars", "string_coeff",
+            "string_exponent", "string_value", "negative_exponent",
+            "exponent_arity", "mixed_num_vars", "no_polynomials", "extra_value",
+            "huge_integer_coeff"])
     def test_problem_file_rejected(self, tmp_path, capsys, edit):
         data = json.loads(json.dumps(self.TRIVIAL))
         edit(data)
@@ -239,6 +351,31 @@ class TestMalformedInput:
         path.write_text(json.dumps(data))
         assert cli_main(["lift", str(path)]) == 1
         assert "bad problem file" in capsys.readouterr().err
+
+    def test_booleans_are_not_numbers(self, tmp_path, capsys):
+        # read as numbers, this file would lift to 1.0 * x1 = 1.0, x2 = 2.0
+        data = {"polynomials": [
+            {"num_vars": 2, "terms": [{"alpha": [True, False], "coeff": True}]},
+            {"num_vars": 2, "terms": [{"alpha": [0, 1], "coeff": 1.0}]}],
+            "values": [2.0, True]}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        assert cli_main(["lift", str(path)]) == 1
+        assert "expected a number, got True" in capsys.readouterr().err
+
+    def test_odd_order_lifted_file_rejected(self, tmp_path, capsys):
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps(self.TRIVIAL))
+        lifted = tmp_path / "lifted.json"
+        assert cli_main(["lift", str(problem), "-o", str(lifted)]) == 0
+        data = json.loads(lifted.read_text())
+        assert data["order"] == 2
+        data["order"] = 3
+        lifted.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert cli_main(["solve", str(lifted)]) == 1
+        err = capsys.readouterr().err
+        assert "bad lifted file" in err and "even" in err
 
     @pytest.mark.parametrize("field,value", [
         ("row", -1), ("row", 9), ("col", 2), ("y", float("inf")), ("row", None),

@@ -93,10 +93,11 @@ class TestSampleTrial:
         assert np.all(x != 0.0)
 
     def test_values_consistent_with_plant(self):
-        from nlbp.monomials import eval_polynomial
+        from nlbp.monomials import PolySystem
         spec = tiny_spec()
         polys, x, values = sample_trial(spec, 0)
-        again = np.array([eval_polynomial(p, x) for p in polys])
+        again = [PolySystem(spec.num_vars, spec.order, row[None]).evaluate(x)[0]
+                 for row in polys.coeffs]
         assert np.array_equal(values, again)
 
 
@@ -363,3 +364,28 @@ def test_trial_path_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=300)
     assert out.stdout.strip() == "[]"
+
+
+def test_perfbench_tracer_finds_every_layer_it_wraps(monkeypatch):
+    # perfbench's tracer wraps layer functions by module and name; a source
+    # change that renames or deletes one leaves that layer's metrics at zero,
+    # and perfbench's own suite is not part of this one
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    try:
+        tracer.install_nlbp()
+        installed = list(tracer._installed)
+        assert tracer.missing == []
+        assert installed
+        for owner, attr, raw in installed:
+            assert vars(owner)[attr] is not raw
+    finally:
+        tracer.uninstall()
+    for owner, attr, raw in installed:
+        assert vars(owner)[attr] is raw

@@ -16,14 +16,9 @@ from nlbp.lifting import (
     lifted_problem_to_json,
     polynomial_to_quadratic_form,
 )
-from nlbp.monomials import (
-    MultiIndex,
-    Polynomial,
-    enumerate_basis,
-    eval_polynomial,
-    random_polynomial,
-)
+from nlbp.monomials import exponent_table, random_polynomial
 from packed_layout import dense_operator, pack, unpack
+from poly_terms import stack, system_of
 
 
 def quad_value(matrix, vec):
@@ -38,15 +33,29 @@ def dense_block(basis):
     return unpack(generate_dependency_constraints(basis), len(basis))
 
 
+def entries_of(basis):
+    return [tuple(e) for e in basis.tolist()]
+
+
+def index_of(basis, alpha):
+    """The row of alpha in basis, or None."""
+    entries = entries_of(basis)
+    return entries.index(alpha) if alpha in entries else None
+
+
+def added(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
 def raw_sweep(basis):
     """Reference dependency sweep over index triples (outer, middle, inner) =
     (i, l, k), emitting (i, k, l) whenever entries[k] * entries[l] equals
     entries[i]. It visits (k, l) and (l, k) separately, so every off-diagonal
     relation appears twice."""
-    entries = basis.entries
+    entries = entries_of(basis)
     dim = len(basis)
     return [(i, k, l) for i in range(dim) for l in range(1, dim)
-            for k in range(1, dim) if entries[k] + entries[l] == entries[i]]
+            for k in range(1, dim) if added(entries[k], entries[l]) == entries[i]]
 
 
 def first_occurrences(triples):
@@ -72,8 +81,8 @@ def dependency_matrix(dim, i, k, l):
 
 class TestQuadraticForm:
     def test_one_plus_x1_entries(self):
-        basis = enumerate_basis(2, 2)
-        p = Polynomial(2, {MultiIndex((0, 0)): 1.0, MultiIndex((1, 0)): 1.0})
+        basis = exponent_table(2, 2)
+        p = system_of(2, {(0, 0): 1.0, (1, 0): 1.0})
         form = dense_form(p, basis)
         assert form[0, 0] == 1.0
         assert form[0, 1] == 0.5
@@ -84,18 +93,18 @@ class TestQuadraticForm:
             x = rng.normal(size=2)
             lifted = lift_vector(x, basis)
             assert quad_value(form, lifted) == pytest.approx(
-                eval_polynomial(p, x), rel=1e-12, abs=1e-12)
+                p.evaluate(x)[0], rel=1e-12, abs=1e-12)
 
     def test_zero_polynomial(self):
-        basis = enumerate_basis(2, 2)
-        form = polynomial_to_quadratic_form(Polynomial(2, {}), basis)
+        basis = exponent_table(2, 2)
+        form = polynomial_to_quadratic_form(system_of(2, {}), basis)
         assert form.shape == (6 * 7 // 2,)
         assert np.all(form == 0.0)
 
     def test_equal_split_over_pairs(self):
         # x^2 over a half-degree-2 basis splits across (1, x^2) and (x, x)
-        basis = enumerate_basis(1, 2)
-        p = Polynomial(1, {MultiIndex((2,)): 1.0})
+        basis = exponent_table(1, 2)
+        p = system_of(1, {(2,): 1.0})
         form = dense_form(p, basis)
         assert form[0, 2] == 0.25
         assert form[2, 0] == 0.25
@@ -104,7 +113,7 @@ class TestQuadraticForm:
     def test_identity_random_quartics(self):
         # evaluation oracle: the quadratic form must reproduce the polynomial
         rng = np.random.default_rng(3)
-        basis = enumerate_basis(3, 2)
+        basis = exponent_table(3, 2)
         for seed in range(5):
             p = random_polynomial(3, 4, seed, 1.0)
             row = polynomial_to_quadratic_form(p, basis)
@@ -113,40 +122,40 @@ class TestQuadraticForm:
             for _ in range(100):
                 x = rng.normal(size=3)
                 lifted = lift_vector(x, basis)
-                val = eval_polynomial(p, x)
+                val = p.evaluate(x)[0]
                 assert abs(quad_value(form, lifted) - val) < 1e-9 * (1 + abs(val))
 
     def test_degree_too_high(self):
-        basis = enumerate_basis(2, 1)
-        p = Polynomial(2, {MultiIndex((2, 1)): 1.0})
+        basis = exponent_table(2, 1)
+        p = system_of(2, {(2, 1): 1.0})
         with pytest.raises(DegreeTooHighError):
             polynomial_to_quadratic_form(p, basis)
 
     def test_variable_count_mismatch(self):
-        basis = enumerate_basis(2, 1)
+        basis = exponent_table(2, 1)
         with pytest.raises(ValueError):
-            polynomial_to_quadratic_form(Polynomial(3, {}), basis)
+            polynomial_to_quadratic_form(system_of(3, {}), basis)
 
 
 class TestDependencyGeneration:
     def test_normalization_first(self):
-        basis = enumerate_basis(2, 2)
+        basis = exponent_table(2, 2)
         cons = dense_block(basis)
         expected = np.zeros((6, 6))
         expected[0, 0] = 1.0
         assert np.array_equal(cons[0], expected)
-        problem = build_lifted_problem([Polynomial(2, {})], [0.0], 4)
+        problem = build_lifted_problem(system_of(2, {}), [0.0], 4)
         assert problem.kinds[1] is ConstraintKind.NORMALIZATION
         assert problem.values[1] == 1.0
 
     def test_product_relation_cells(self):
         # x1 * x2 reproduces the x1*x2 entry: product cell 1/2, tie to the
         # constant-row cell -1/2
-        basis = enumerate_basis(2, 2)
+        basis = exponent_table(2, 2)
         cons = dense_block(basis)
-        i_prod = basis.index_of[MultiIndex((1, 1))]
-        k = basis.index_of[MultiIndex((1, 0))]
-        l = basis.index_of[MultiIndex((0, 1))]
+        i_prod = index_of(basis, (1, 1))
+        k = index_of(basis, (1, 0))
+        l = index_of(basis, (0, 1))
         match = [c for c in cons[1:] if c[k, l] == 0.5 and c[0, i_prod] == -0.5]
         assert len(match) == 1
         c = match[0]
@@ -155,23 +164,23 @@ class TestDependencyGeneration:
         assert np.count_nonzero(c) == 4
 
     def test_square_relation_cells(self):
-        basis = enumerate_basis(2, 2)
+        basis = exponent_table(2, 2)
         cons = dense_block(basis)
-        i_sq = basis.index_of[MultiIndex((2, 0))]
-        k = basis.index_of[MultiIndex((1, 0))]
+        i_sq = index_of(basis, (2, 0))
+        k = index_of(basis, (1, 0))
         match = [c for c in cons[1:] if c[k, k] == 1.0 and c[0, i_sq] == -0.5]
         assert len(match) == 1
         assert np.count_nonzero(match[0]) == 3
 
     def test_no_dependencies_when_unrepresentable(self):
         # basis {1, x1}: the only candidate product x1*x1 leaves the basis
-        basis = enumerate_basis(1, 1)
+        basis = exponent_table(1, 1)
         cons = generate_dependency_constraints(basis)
         assert cons.shape == (1, 3)
         assert np.array_equal(cons[0], [1.0, 0.0, 0.0])
 
     def test_dependency_shape_and_values(self):
-        basis = enumerate_basis(3, 2)
+        basis = exponent_table(3, 2)
         for c in dense_block(basis)[1:]:
             nz = np.count_nonzero(c)
             assert nz in (3, 4)
@@ -179,7 +188,7 @@ class TestDependencyGeneration:
 
     def test_planted_lift_satisfies_dependencies(self):
         rng = np.random.default_rng(4)
-        basis = enumerate_basis(3, 2)
+        basis = exponent_table(3, 2)
         cons = dense_block(basis)
         for _ in range(20):
             x = rng.normal(size=3)
@@ -189,7 +198,7 @@ class TestDependencyGeneration:
                     1 + np.max(lifted) ** 2)
 
     def test_dedup_counts_two_vars(self):
-        basis = enumerate_basis(2, 2)
+        basis = exponent_table(2, 2)
         # three representable products: x1^2, x1*x2, x2^2; the mixed one is
         # emitted twice by the raw sweep and once by the generator
         assert len(generate_dependency_constraints(basis)) == 1 + 3
@@ -201,7 +210,7 @@ class TestDependencyGeneration:
         # where ordering by entry product alone would interleave targets)
         for n, half in [(1, 1), (2, 2), (3, 2), (5, 1), (5, 2), (8, 2),
                         (3, 3), (2, 3), (4, 3)]:
-            basis = enumerate_basis(n, half)
+            basis = exponent_table(n, half)
             dim = len(basis)
             expected = [dependency_matrix(dim, *t)
                         for t in first_occurrences(raw_sweep(basis))]
@@ -213,14 +222,14 @@ class TestDependencyGeneration:
     def test_dependency_completeness(self):
         # independent enumeration: every representable product of two
         # non-constant entries must be covered by some dependency
-        basis = enumerate_basis(2, 3)
+        basis = exponent_table(2, 3)
+        entries = entries_of(basis)
         deps = dense_block(basis)[1:]
         for k, l in itertools.combinations_with_replacement(
                 range(1, len(basis)), 2):
-            total = basis.entries[k] + basis.entries[l]
-            if total not in basis.index_of:
+            i = index_of(basis, added(entries[k], entries[l]))
+            if i is None:
                 continue
-            i = basis.index_of[total]
             found = any(
                 c[0, i] == -0.5 and (c[k, l] == (1.0 if k == l else 0.5))
                 for c in deps
@@ -229,16 +238,16 @@ class TestDependencyGeneration:
 
     def test_count_is_function_of_shape_only(self):
         # frozen counts: 15 products of degree-one entries over 5 variables
-        basis = enumerate_basis(5, 2)
+        basis = exponent_table(5, 2)
         assert len(generate_dependency_constraints(basis)) == 1 + 15
         assert len(raw_sweep(basis)) == 25
 
 
 class TestBuildLiftedProblem:
     def test_reference_experiment_shape(self):
-        polys = [random_polynomial(5, 4, s, 1.0) for s in range(50)]
+        system = stack([random_polynomial(5, 4, s, 1.0) for s in range(50)])
         values = np.zeros(50)
-        problem = build_lifted_problem(polys, values, 4)
+        problem = build_lifted_problem(system, values, 4)
         assert problem.dim == 21
         kinds = problem.kinds
         assert kinds[:50] == (ConstraintKind.DATA,) * 50
@@ -252,19 +261,19 @@ class TestBuildLiftedProblem:
         assert not problem.values.flags.writeable
 
     def test_trivial_problem(self):
-        p = Polynomial(1, {MultiIndex((1,)): 1.0})
-        problem = build_lifted_problem([p], [0.0], 2)
+        p = system_of(1, {(1,): 1.0})
+        problem = build_lifted_problem(p, [0.0], 2)
         assert problem.num_constraints == 2
 
     def test_planted_lift_feasibility(self):
         rng = np.random.default_rng(5)
         for seed in range(5):
             n = int(rng.integers(1, 5))
-            polys = [random_polynomial(n, 4, 100 + seed * 7 + j, 1.0)
-                     for j in range(6)]
+            system = stack([random_polynomial(n, 4, 100 + seed * 7 + j, 1.0)
+                            for j in range(6)])
             x = rng.normal(size=n)
-            values = [eval_polynomial(p, x) for p in polys]
-            problem = build_lifted_problem(polys, values, 4)
+            values = system.evaluate(x)
+            problem = build_lifted_problem(system, values, 4)
             lifted = lift_vector(x, problem.basis)
             planted = np.outer(lifted, lifted)
             for c, value in zip(dense_operator(problem), problem.values):
@@ -272,51 +281,46 @@ class TestBuildLiftedProblem:
                 assert err < 1e-9 * (1 + abs(value))
 
     def test_odd_order_rejected(self):
-        p = Polynomial(1, {MultiIndex((1,)): 1.0})
+        p = system_of(1, {(1,): 1.0})
         with pytest.raises(OddOrderError):
-            build_lifted_problem([p], [0.0], 3)
+            build_lifted_problem(p, [0.0], 3)
 
     def test_degree_above_order_rejected(self):
-        p = Polynomial(1, {MultiIndex((4,)): 1.0})
+        p = system_of(1, {(4,): 1.0})
         with pytest.raises(DegreeTooHighError):
-            build_lifted_problem([p], [0.0], 2)
+            build_lifted_problem(p, [0.0], 2)
 
     def test_length_mismatch(self):
-        p = Polynomial(1, {MultiIndex((1,)): 1.0})
+        p = system_of(1, {(1,): 1.0})
         with pytest.raises(ValueError):
-            build_lifted_problem([p], [0.0, 1.0], 2)
-
-    def test_mixed_arity_rejected(self):
-        p = Polynomial(1, {MultiIndex((1,)): 1.0})
-        q = Polynomial(2, {MultiIndex((1, 0)): 1.0})
-        with pytest.raises(ValueError):
-            build_lifted_problem([p, q], [0.0, 0.0], 2)
+            build_lifted_problem(p, [0.0, 1.0], 2)
 
 
 class TestLiftVector:
     def test_zero_point(self):
-        basis = enumerate_basis(2, 2)
+        basis = exponent_table(2, 2)
         assert np.array_equal(lift_vector((0.0, 0.0), basis),
                               np.array([1, 0, 0, 0, 0, 0.0]))
 
     def test_frozen_order_values(self):
-        basis = enumerate_basis(2, 2)
+        basis = exponent_table(2, 2)
         assert np.array_equal(lift_vector((2.0, 3.0), basis),
                               np.array([1.0, 2.0, 3.0, 4.0, 6.0, 9.0]))
 
     def test_leading_entry_always_one(self):
         rng = np.random.default_rng(6)
-        basis = enumerate_basis(4, 2)
+        basis = exponent_table(4, 2)
         for _ in range(10):
             assert lift_vector(rng.normal(size=4), basis)[0] == 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            lift_vector((1.0,), enumerate_basis(2, 1))
+            lift_vector((1.0,), exponent_table(2, 1))
 
 
-def one_var_problem(operator, values, num_data=None):
-    return LiftedProblem(basis=enumerate_basis(1, 1), num_vars=1, order=2,
+def one_var_problem(operator, values, num_data=None, basis=None, order=2):
+    return LiftedProblem(basis=exponent_table(1, 1) if basis is None else basis,
+                         num_vars=1, order=order,
                          num_data=len(values) if num_data is None else num_data,
                          operator=operator, values=values)
 
@@ -343,14 +347,24 @@ class TestConstraintType:
             problem.operator[0, 0] = 1.0
         with pytest.raises(ValueError):
             problem.values[0] = 1.0
+        assert problem.basis is exponent_table(1, 1)
+
+    def test_basis_must_be_the_exponent_table_of_the_order(self):
+        assert one_var_problem(np.zeros((1, 3)), [0.0], basis=[[0], [1]]).basis.tolist() == [
+            [0], [1]]
+        for basis in ([[1], [0]], [[0], [2]], [[0]], [[0, 0], [1, 0]]):
+            with pytest.raises(ValueError, match="basis"):
+                one_var_problem(np.zeros((1, 3)), [0.0], basis=basis)
+        for order in (3, 0):
+            with pytest.raises(OddOrderError):
+                one_var_problem(np.zeros((1, 3)), [0.0], order=order)
 
 
 class TestProblemJson:
     def test_round_trip(self):
-        polys = [random_polynomial(2, 4, s, 1.0) for s in range(3)]
+        system = stack([random_polynomial(2, 4, s, 1.0) for s in range(3)])
         x = np.array([0.5, -1.5])
-        values = [eval_polynomial(p, x) for p in polys]
-        problem = build_lifted_problem(polys, values, 4)
+        problem = build_lifted_problem(system, system.evaluate(x), 4)
         text = json.dumps(lifted_problem_to_json(problem))
         back = lifted_problem_from_json(json.loads(text))
         assert back.num_vars == problem.num_vars
@@ -360,6 +374,17 @@ class TestProblemJson:
         assert back.kinds == problem.kinds
         assert np.array_equal(back.values, problem.values)
         assert np.array_equal(back.operator, problem.operator)
+        assert back.basis is problem.basis
+
+    def test_odd_order_or_foreign_basis_rejected(self):
+        # an order-3 file with the degree-1 basis loads only if the order is
+        # checked; a basis out of the frozen order never does
+        p = system_of(1, {(1,): 1.0})
+        data = lifted_problem_to_json(build_lifted_problem(p, [0.0], 2))
+        with pytest.raises(OddOrderError):
+            lifted_problem_from_json(dict(data, order=3))
+        with pytest.raises(ValueError, match="basis"):
+            lifted_problem_from_json(dict(data, basis=[[1], [0]]))
 
     @pytest.mark.parametrize("kinds", [
         ["normalization", "data", "dependency"],
@@ -367,8 +392,8 @@ class TestProblemJson:
         ["data", "normalization", "normalization"],
     ])
     def test_kinds_out_of_frozen_order_rejected(self, kinds):
-        p = Polynomial(1, {MultiIndex((1,)): 1.0})
-        data = lifted_problem_to_json(build_lifted_problem([p], [0.0], 4))
+        p = system_of(1, {(1,): 1.0})
+        data = lifted_problem_to_json(build_lifted_problem(p, [0.0], 4))
         assert [c["kind"] for c in data["constraints"]] == [
             "data", "normalization", "dependency"]
         for c, kind in zip(data["constraints"], kinds):
@@ -397,10 +422,9 @@ class TestProblemJson:
 
     @staticmethod
     def pinned_problem():
-        p1 = Polynomial(2, {MultiIndex((0, 0)): 0.1, MultiIndex((1, 0)): 1.0,
-                            MultiIndex((1, 1)): -0.7, MultiIndex((2, 2)): 3.0})
-        p2 = Polynomial(2, {MultiIndex((0, 3)): 1.0, MultiIndex((4, 0)): -0.3})
-        return build_lifted_problem([p1, p2], [1.5, -0.7], 4)
+        system = system_of(2, {(0, 0): 0.1, (1, 0): 1.0, (1, 1): -0.7, (2, 2): 3.0},
+                           {(0, 3): 1.0, (4, 0): -0.3})
+        return build_lifted_problem(system, [1.5, -0.7], 4)
 
     def test_pinned_format_written_and_read_back(self):
         problem = self.pinned_problem()
@@ -444,8 +468,8 @@ class TestProblemJson:
         assert np.array_equal(back.operator, problem.operator)
 
     def test_upper_triangle_only(self):
-        p = Polynomial(2, {MultiIndex((1, 1)): 2.0})
-        problem = build_lifted_problem([p], [0.0], 2)
+        p = system_of(2, {(1, 1): 2.0})
+        problem = build_lifted_problem(p, [0.0], 2)
         data = lifted_problem_to_json(problem)
         for c in data["constraints"]:
             for cell in c["entries"]:

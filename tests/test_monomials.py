@@ -6,17 +6,16 @@ import numpy as np
 import pytest
 
 from nlbp.monomials import (
-    MultiIndex,
-    Polynomial,
-    enumerate_alpha_set,
-    enumerate_basis,
-    eval_monomial,
+    PolySystem,
     eval_polynomial,
-    polynomial_from_json,
-    polynomial_to_json,
+    exponent_table,
+    monomial_vector,
     random_polynomial,
+    system_from_json,
+    table_rows,
     truncate_polynomial,
 )
+from poly_terms import problem_json, system_of, terms
 
 
 def brute_force_multi_indices(n, max_degree):
@@ -28,123 +27,142 @@ def brute_force_multi_indices(n, max_degree):
     }
 
 
+def rows_of(table):
+    return [tuple(e) for e in table.tolist()]
+
+
+def row_of(alpha):
+    """The row of alpha in the table of its own degree."""
+    return int(table_rows([alpha], sum(alpha))[0])
+
+
+def parse(*polynomials):
+    return system_from_json(json.loads(json.dumps(list(polynomials))))
+
+
 class TestMultiIndex:
+    """A multi-index is a row of an exponent table."""
+
     def test_degree_is_sum(self):
-        assert MultiIndex((2, 0, 3)).degree == 5
-        assert MultiIndex((0, 0)).degree == 0
+        table = exponent_table(3, 5)
+        degrees = table.sum(axis=1)
+        assert np.array_equal(degrees, np.sort(degrees))
+        assert degrees[row_of((2, 0, 3))] == 5
+        assert parse({"num_vars": 3, "terms": [{"alpha": [2, 0, 3], "coeff": 1.0}]}).degree == 5
+        assert parse({"num_vars": 2, "terms": [{"alpha": [0, 0], "coeff": 1.0}]}).degree == 0
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
-            MultiIndex((1, -1))
+            parse({"num_vars": 2, "terms": [{"alpha": [1, -1], "coeff": 1.0}]})
+        with pytest.raises(ValueError):
+            PolySystem(2, 2, np.zeros((1, 2)), [[0, 0], [-1, 1]])
 
     def test_addition(self):
-        assert MultiIndex((1, 2)) + MultiIndex((0, 3)) == MultiIndex((1, 5))
-
-    def test_addition_length_mismatch(self):
-        with pytest.raises(ValueError):
-            MultiIndex((1,)) + MultiIndex((1, 2))
-
-    def test_hashable_and_equal(self):
-        assert MultiIndex((1, 0)) == MultiIndex((1, 0))
-        assert len({MultiIndex((1, 0)), MultiIndex((1, 0))}) == 1
+        # the row of a sum of two rows, looked up in the table of the summed
+        # degree: the lookup the lift's cell map is built on
+        table = exponent_table(2, 6)
+        assert tuple(table[table_rows([np.add((1, 2), (0, 3))], 6)[0]]) == (1, 5)
+        for k, l in itertools.combinations_with_replacement(range(10), 2):
+            total = table[k] + table[l]
+            assert np.array_equal(table[table_rows([total], 6)[0]], total)
 
 
 class TestEnumeration:
     def test_paper_scale_basis(self):
-        basis = enumerate_basis(2, 2)
-        assert len(basis) == 6
+        table = exponent_table(2, 2)
+        assert len(table) == 6
         expected = {(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)}
-        assert {a.exponents for a in basis.entries} == expected
+        assert set(rows_of(table)) == expected
 
     def test_smallest_basis(self):
-        basis = enumerate_basis(1, 1)
-        assert [a.exponents for a in basis.entries] == [(0,), (1,)]
+        assert rows_of(exponent_table(1, 1)) == [(0,), (1,)]
 
     def test_binomial_size(self):
         # C(5 + 2, 2) = 21, cross-checked by exhaustive enumeration
-        basis = enumerate_basis(5, 2)
-        assert len(basis) == 21
-        assert {a.exponents for a in basis.entries} == brute_force_multi_indices(5, 2)
+        table = exponent_table(5, 2)
+        assert len(table) == 21
+        assert set(rows_of(table)) == brute_force_multi_indices(5, 2)
 
     def test_alpha_set_paper_value(self):
-        assert len(enumerate_alpha_set(2, 4)) == 15
+        assert len(exponent_table(2, 4)) == 15
 
     def test_alpha_set_constant_only(self):
-        assert [a.exponents for a in enumerate_alpha_set(3, 0)] == [(0, 0, 0)]
+        assert rows_of(exponent_table(3, 0)) == [(0, 0, 0)]
 
     def test_alpha_set_larger(self):
         # C(5 + 4, 4) = 126
-        alphas = enumerate_alpha_set(5, 4)
-        assert len(alphas) == 126
-        assert {a.exponents for a in alphas} == brute_force_multi_indices(5, 4)
+        table = exponent_table(5, 4)
+        assert len(table) == 126
+        assert set(rows_of(table)) == brute_force_multi_indices(5, 4)
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("h", range(0, 5))
     def test_sizes_match_binomial(self, n, h):
-        assert len(enumerate_basis(n, h)) == math.comb(n + h, h)
+        assert len(exponent_table(n, h)) == math.comb(n + h, h)
 
     def test_constant_first(self):
         for n in (1, 3, 5):
-            basis = enumerate_basis(n, 2)
-            assert basis.entries[0].exponents == (0,) * n
+            assert rows_of(exponent_table(n, 2))[0] == (0,) * n
 
     def test_frozen_order_two_vars(self):
-        basis = enumerate_basis(2, 2)
-        assert [a.exponents for a in basis.entries] == [
+        assert rows_of(exponent_table(2, 2)) == [
             (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)
         ]
 
     def test_strict_total_order(self):
-        basis = enumerate_basis(4, 3)
-        keys = [(a.degree, tuple(-e for e in a.exponents)) for a in basis.entries]
+        rows = rows_of(exponent_table(4, 3))
+        keys = [(sum(a), tuple(-e for e in a)) for a in rows]
         assert keys == sorted(keys)
-        assert len(set(basis.entries)) == len(basis.entries)
+        assert len(set(rows)) == len(rows)
+        assert not exponent_table(4, 3).flags.writeable
 
     def test_index_of_round_trip(self):
-        basis = enumerate_basis(3, 3)
-        for i, alpha in enumerate(basis.entries):
-            assert basis.index_of[alpha] == i
+        # every row is found where it stands, and a lower-degree table is a
+        # row prefix of a higher one
+        table = exponent_table(3, 3)
+        assert np.array_equal(table_rows(table, 3), np.arange(len(table)))
+        assert np.array_equal(table_rows(table, 6), np.arange(len(table)))
+        assert np.array_equal(exponent_table(3, 6)[:len(table)], table)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            enumerate_basis(0, 2)
+            exponent_table(0, 2)
         with pytest.raises(ValueError):
-            enumerate_alpha_set(2, -1)
+            exponent_table(2, -1)
 
 
 class TestEvalMonomial:
     def test_constant(self):
-        assert eval_monomial(MultiIndex((0, 0)), (3.0, 7.0)) == 1.0
+        assert monomial_vector((3.0, 7.0), exponent_table(2, 0)).tolist() == [1.0]
 
     def test_simple(self):
-        assert eval_monomial(MultiIndex((2, 1)), (2.0, 3.0)) == 12.0
+        m = monomial_vector((2.0, 3.0), exponent_table(2, 3))
+        assert m[row_of((2, 1))] == 12.0
 
     def test_signed(self):
-        assert eval_monomial(MultiIndex((1, 3)), (-1.0, 2.0)) == -8.0
+        m = monomial_vector((-1.0, 2.0), exponent_table(2, 4))
+        assert m[row_of((1, 3))] == -8.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            eval_monomial(MultiIndex((1, 2)), (1.0,))
+            monomial_vector((1.0,), exponent_table(2, 3))
 
     def test_exponent_additivity(self):
-        # eval(a + b, x) == eval(a, x) * eval(b, x): the identity the lifting
+        # m(a + b, x) == m(a, x) * m(b, x): the identity the lifting
         # dependencies are built on.
         rng = np.random.default_rng(0)
-        alphas = enumerate_alpha_set(3, 3)
+        table = exponent_table(3, 3)
+        doubled = exponent_table(3, 6)
         for _ in range(50):
-            a, b = rng.choice(len(alphas), 2)
+            a, b = rng.choice(len(table), 2)
             x = rng.normal(size=3)
-            lhs = eval_monomial(alphas[a] + alphas[b], x)
-            rhs = eval_monomial(alphas[a], x) * eval_monomial(alphas[b], x)
-            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+            m = monomial_vector(x, doubled)
+            lhs = m[table_rows([table[a] + table[b]], 6)[0]]
+            assert lhs == pytest.approx(m[a] * m[b], rel=1e-12, abs=1e-12)
 
 
 def poly_1_x1_x2cubed():
-    return Polynomial(2, {
-        MultiIndex((0, 0)): 1.0,
-        MultiIndex((1, 0)): 1.0,
-        MultiIndex((0, 3)): 1.0,
-    })
+    return system_of(2, {(0, 0): 1.0, (1, 0): 1.0, (0, 3): 1.0})
 
 
 class TestEvalPolynomial:
@@ -155,7 +173,7 @@ class TestEvalPolynomial:
         assert eval_polynomial(poly_1_x1_x2cubed(), (2.0, 1.0)) == 4.0
 
     def test_empty_polynomial(self):
-        assert eval_polynomial(Polynomial(2, {}), (5.0, 5.0)) == 0.0
+        assert eval_polynomial(system_of(2, {}), (5.0, 5.0)) == 0.0
 
     def test_matches_term_by_term_oracle(self):
         rng = np.random.default_rng(1)
@@ -164,9 +182,9 @@ class TestEvalPolynomial:
             x = rng.normal(size=3)
             # independent pure-python summation
             expected = 0.0
-            for alpha, c in p.terms.items():
+            for alpha, c in terms(p).items():
                 term = c
-                for xj, ej in zip(x, alpha.exponents):
+                for xj, ej in zip(x, alpha):
                     term *= xj ** ej
                 expected += term
             got = eval_polynomial(p, x)
@@ -179,12 +197,7 @@ class TestEvalPolynomial:
         for _ in range(10):
             x = rng.normal(size=2)
             a, b = rng.normal(size=2)
-            combo_terms = {}
-            for alpha, c in p.terms.items():
-                combo_terms[alpha] = combo_terms.get(alpha, 0.0) + a * c
-            for alpha, c in r.terms.items():
-                combo_terms[alpha] = combo_terms.get(alpha, 0.0) + b * c
-            combo = Polynomial(2, combo_terms)
+            combo = PolySystem(2, 3, a * p.coeffs + b * r.coeffs)
             lhs = eval_polynomial(combo, x)
             rhs = a * eval_polynomial(p, x) + b * eval_polynomial(r, x)
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
@@ -195,34 +208,43 @@ class TestEvalPolynomial:
 
 
 class TestPolynomialType:
+    """A polynomial is a one-row system; a problem file's terms become one
+    through ``system_from_json``."""
+
     def test_zero_coefficients_dropped(self):
-        p = Polynomial(2, {MultiIndex((1, 0)): 0.0, MultiIndex((0, 1)): 2.0})
-        assert len(p.terms) == 1
+        p = parse({"num_vars": 2, "terms": [{"alpha": [1, 0], "coeff": 0.0},
+                                            {"alpha": [0, 1], "coeff": 2.0},
+                                            {"alpha": [3, 3], "coeff": 0.5},
+                                            {"alpha": [3, 3], "coeff": -0.5}]})
+        assert p.exponents.tolist() == [[0, 1]]
+        assert p.coeffs.tolist() == [[2.0]]
+        assert p.degree == 1
 
     def test_degree(self):
         assert poly_1_x1_x2cubed().degree == 3
-        assert Polynomial(2, {}).degree == 0
+        assert system_of(2, {}).degree == 0
+        assert parse({"num_vars": 2, "terms": []}).degree == 0
 
     def test_wrong_arity_key_rejected(self):
-        with pytest.raises(ValueError):
-            Polynomial(2, {MultiIndex((1,)): 1.0})
+        with pytest.raises(ValueError, match="exponents"):
+            parse({"num_vars": 2, "terms": [{"alpha": [1], "coeff": 1.0}]})
 
     def test_truncate(self):
         p = poly_1_x1_x2cubed()
         t = truncate_polynomial(p, 2)
         assert t.degree <= 2
-        assert len(t.terms) == 2
-        assert truncate_polynomial(p, 0).terms == {MultiIndex((0, 0)): 1.0}
+        assert terms(t) == {(0, 0): 1.0, (1, 0): 1.0}
+        assert terms(truncate_polynomial(p, 0)) == {(0, 0): 1.0}
 
 
 class TestRandomPolynomial:
     def test_term_count_paper_scale(self):
         p = random_polynomial(2, 4, 123, 1.0)
-        assert len(p.terms) == 15
+        assert len(terms(p)) == 15
 
     def test_term_count_larger(self):
         p = random_polynomial(5, 4, 123, 1.0)
-        assert len(p.terms) == 126
+        assert len(terms(p)) == 126
 
     def test_deterministic(self):
         a = random_polynomial(3, 3, 999, 2.0)
@@ -240,13 +262,22 @@ class TestRandomPolynomial:
 class TestJson:
     def test_round_trip_exact(self):
         p = random_polynomial(3, 4, 5, 1.0)
-        text = json.dumps(polynomial_to_json(p))
-        q = polynomial_from_json(json.loads(text))
+        text = json.dumps(problem_json(p, [0.0])["polynomials"])
+        q = system_from_json(json.loads(text))
         assert p == q  # bit-exact coefficients via repr round-trip
+        assert q.exponents is exponent_table(3, 4)
 
     def test_schema_shape(self):
-        data = polynomial_to_json(poly_1_x1_x2cubed())
-        assert data["num_vars"] == 2
-        assert {"alpha", "coeff"} == set(data["terms"][0].keys())
-        # graded order: constant term first
-        assert data["terms"][0]["alpha"] == [0, 0]
+        # terms are {"alpha", "coeff"} records in any order; the system lists
+        # them in the graded order, constant term first
+        data = problem_json(poly_1_x1_x2cubed(), [0.0])["polynomials"]
+        assert data[0]["num_vars"] == 2
+        assert {"alpha", "coeff"} == set(data[0]["terms"][0].keys())
+        data[0]["terms"].reverse()
+        assert system_from_json(data) == poly_1_x1_x2cubed()
+        assert system_from_json(data).exponents.tolist()[0] == [0, 0]
+        for key in ("alpha", "coeff"):
+            broken = json.loads(json.dumps(data))
+            del broken[0]["terms"][0][key]
+            with pytest.raises(KeyError):
+                system_from_json(broken)

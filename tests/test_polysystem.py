@@ -1,9 +1,9 @@
-"""PolySystem against per-Polynomial references, bit for bit.
+"""PolySystem against per-term references, bit for bit.
 
-The references below walk the system one term at a time, the way the
-per-polynomial code paths do, so every comparison is ``np.array_equal``:
-ensemble CSVs are only byte-reproducible if the matrix-backed paths round
-exactly as the per-term ones.
+The references below walk each row one (coefficient, exponent row) term at
+a time, the way the per-polynomial code paths did, so every comparison is
+``np.array_equal``: ensemble CSVs are only byte-reproducible if the
+matrix-backed paths round exactly as the per-term ones.
 """
 
 import numpy as np
@@ -18,16 +18,14 @@ from nlbp.lifting import (
     quadratic_forms,
 )
 from nlbp.monomials import (
-    MultiIndex,
-    Polynomial,
     PolySystem,
-    enumerate_basis,
     eval_polynomial,
     exponent_table,
     random_polynomial,
     truncate_polynomial,
 )
 from packed_layout import pack
+from poly_terms import system_of, terms, unit
 
 SIZES = (2, 3, 5, 8)
 NUM_EQS = 6
@@ -43,24 +41,45 @@ def monomial(alpha, x):
     return float(np.prod(x ** np.array(alpha, dtype=float)))
 
 
-def reference_residual(polys, values, x):
+def row_terms(system, i):
+    """Row i's (coefficient, exponent tuple) terms with a nonzero
+    coefficient, in table order."""
+    return [(c, tuple(e)) for c, e in zip(system.coeffs[i].tolist(),
+                                          system.exponents.tolist()) if c != 0]
+
+
+def reference_value(system, i, x):
+    """Row i at x as one dot product over its nonzero terms, as the
+    per-polynomial evaluation took it."""
+    row = row_terms(system, i)
+    if not row:
+        return 0.0
+    cs = np.array([c for c, _ in row])
+    es = np.array([e for _, e in row], dtype=float)
+    return float(cs @ np.prod(x ** es, axis=1))
+
+
+def reference_values(system, x):
+    return [reference_value(system, i, x) for i in range(len(system))]
+
+
+def reference_residual(system, values, x):
     out = []
-    for p, v in zip(polys, values):
+    for i, v in enumerate(values):
         acc = 0.0
-        for alpha, c in p.terms.items():
-            acc += c * monomial(alpha.exponents, x)
+        for c, alpha in row_terms(system, i):
+            acc += c * monomial(alpha, x)
         out.append(acc - v)
     return np.array(out)
 
 
-def reference_jacobian(polys, x):
+def reference_jacobian(system, x):
     n = len(x)
-    J = np.zeros((len(polys), n))
-    for i, p in enumerate(polys):
+    J = np.zeros((len(system), n))
+    for i in range(len(system)):
         for j in range(n):
             acc = 0.0
-            for alpha, c in p.terms.items():
-                e = alpha.exponents
+            for c, e in row_terms(system, i):
                 if e[j] == 0:
                     continue
                 lowered = e[:j] + (e[j] - 1,) + e[j + 1:]
@@ -69,22 +88,29 @@ def reference_jacobian(polys, x):
     return J
 
 
-def reference_form(p, basis):
-    """The packed row of p's quadratic form, one term at a time."""
+def reference_form(system, i, basis):
+    """The packed row of row i's quadratic form, one term at a time."""
+    entries = [tuple(e) for e in basis.tolist()]
     pairs = {}
-    for i in range(len(basis)):
-        for j in range(i, len(basis)):
-            pairs.setdefault(basis.entries[i] + basis.entries[j], []).append((i, j))
+    for k in range(len(entries)):
+        for l in range(k, len(entries)):
+            total = tuple(a + b for a, b in zip(entries[k], entries[l]))
+            pairs.setdefault(total, []).append((k, l))
     form = np.zeros((len(basis), len(basis)))
-    for alpha, c in p.terms.items():
+    for c, alpha in row_terms(system, i):
         share = c / len(pairs[alpha])
-        for i, j in pairs[alpha]:
-            if i == j:
-                form[i, i] += share
+        for k, l in pairs[alpha]:
+            if k == l:
+                form[k, k] += share
             else:
-                form[i, j] += share / 2.0
-                form[j, i] += share / 2.0
+                form[k, l] += share / 2.0
+                form[l, k] += share / 2.0
     return pack(form)
+
+
+def one_row(system, i):
+    return PolySystem(system.num_vars, system.degree, system.coeffs[i:i + 1],
+                      system.exponents)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -93,10 +119,11 @@ def test_block_draw_matches_per_equation_draws(n):
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
     polys = [random_polynomial(n, spec.order, rng, spec.coeff_std)
              for _ in range(spec.num_equations)]
-    assert list(system) == polys
+    assert [one_row(system, i) for i in range(len(system))] == polys
     # the planted vector comes next in the same stream
     support = np.sort(rng.choice(n, size=spec.sparsity, replace=False))
     assert np.array_equal(np.flatnonzero(x), support)
+    assert np.array_equal(values, reference_values(system, x))
     assert np.array_equal(values, [eval_polynomial(p, x) for p in polys])
 
 
@@ -104,23 +131,29 @@ def test_block_draw_matches_per_equation_draws(n):
 def test_batched_forms_match_per_term_forms(n):
     _, (system, _, _) = trial(n)
     for order in (2, 4):
-        basis = enumerate_basis(n, order // 2)
+        basis = exponent_table(n, order // 2)
         model = system.truncate(order)
         forms = quadratic_forms(model, basis)
-        for k, p in enumerate(model):
-            assert np.array_equal(forms[k], reference_form(p, basis))
-            assert np.array_equal(polynomial_to_quadratic_form(p, basis), forms[k])
+        for k in range(len(model)):
+            assert np.array_equal(forms[k], reference_form(model, k, basis))
+            assert np.array_equal(polynomial_to_quadratic_form(one_row(model, k), basis),
+                                  forms[k])
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_residual_and_jacobian_match_per_term_sums(n):
     _, (system, x_true, values) = trial(n)
     rng = np.random.default_rng(n)
-    polys = list(system)
     for x in (x_true, rng.normal(size=n), x_true + 1e-3 * rng.normal(size=n)):
         assert np.array_equal(system.residual(x, values),
-                              reference_residual(polys, values, x))
-        assert np.array_equal(system.jacobian(x), reference_jacobian(polys, x))
+                              reference_residual(system, values, x))
+        assert np.array_equal(system.jacobian(x), reference_jacobian(system, x))
+
+
+def reference_truncate(system, degree):
+    """Each row's terms of degree <= degree."""
+    return [{a: c for a, c in terms(system, i).items() if sum(a) <= degree}
+            for i in range(len(system))]
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -129,30 +162,13 @@ def test_truncate_matches_truncate_polynomial(n):
     truncated = system.truncate(2)
     assert truncated.degree == 2
     assert truncated.coeffs.shape[1] == len(exponent_table(n, 2))
-    assert list(truncated) == [truncate_polynomial(p, 2) for p in system]
+    assert [terms(truncated, i) for i in range(len(system))] == reference_truncate(system, 2)
+    assert truncate_polynomial(one_row(system, 0), 2) == one_row(truncated, 0)
     assert system.truncate(4) is system
 
 
-def test_from_polys_keeps_the_monomials_that_occur():
-    p = Polynomial(2, {MultiIndex((0, 0)): 1.5, MultiIndex((1, 1)): -2.0})
-    q = Polynomial(2, {MultiIndex((0, 1)): 3.0})
-    system = PolySystem.from_polys([p, q])
-    assert system.degree == 2
-    assert system.exponents.tolist() == [[0, 0], [0, 1], [1, 1]]
-    assert system.coeffs.tolist() == [[1.5, 0.0, -2.0], [0.0, 3.0, 0.0]]
-    assert list(system) == [p, q]
-    assert PolySystem.from_polys(system) is system
-    assert system == PolySystem.from_polys([p, q])
-    assert system != PolySystem.from_polys([q, p])
-    # a system that uses every monomial shares the full table
-    _, (full, _, _) = trial(3)
-    assert PolySystem.from_polys(list(full)).exponents is exponent_table(3, 4)
-    assert PolySystem.from_polys(list(full)) == full
-
-
 def test_high_degree_sparse_system_stays_small():
-    x1_25 = MultiIndex((25,) + (0,) * 7)
-    system = PolySystem.from_polys([Polynomial(8, {x1_25: 2.0})])
+    system = system_of(8, {unit(8, 0, 25): 2.0})
     assert system.degree == 25 and system.coeffs.shape == (1, 1)
     x = np.array([1.0, 5.0, 0, 0, 0, 0, 0, 0])
     assert system.evaluate(x).tolist() == [2.0]
@@ -164,44 +180,50 @@ def test_high_degree_sparse_system_stays_small():
     assert system.truncate(2).linear_parts()[0].tolist() == [[0.0] * 8]
 
 
-def sparse_polys(n, degree, seed):
-    """Rows with different random supports, terms stored in graded order."""
+def sparse_system(n, degree, seed):
+    """Rows with different random supports over the monomials that occur."""
     rng = np.random.default_rng(seed)
-    alphas = enumerate_basis(n, degree).entries
-    polys = []
+    alphas = [tuple(e) for e in exponent_table(n, degree).tolist()]
+    rows = []
     for _ in range(NUM_EQS):
         keep = np.sort(rng.choice(len(alphas), size=len(alphas) // 3, replace=False))
-        polys.append(Polynomial(n, {alphas[t]: rng.normal() for t in keep}))
-    return polys
+        rows.append({alphas[t]: rng.normal() for t in keep})
+    return system_of(n, *rows)
+
+
+def reference_restrict(system, support):
+    """Each row's terms free of the variables outside support, over those in
+    it."""
+    return [{tuple(a[j] for j in support): c for a, c in terms(system, i).items()
+             if sum(a) == sum(a[j] for j in support)}
+            for i in range(len(system))]
 
 
 @pytest.mark.parametrize("n", SIZES[:3])
 def test_sparse_system_matches_per_term_references(n):
-    polys = sparse_polys(n, 5, seed=n)
-    system = PolySystem.from_polys(polys)
+    system = sparse_system(n, 5, seed=n)
     assert system.coeffs.shape[1] < len(exponent_table(n, 5))
     rng = np.random.default_rng(n)
     values = rng.normal(size=NUM_EQS)
     for x in (rng.normal(size=n), 0.5 * rng.normal(size=n)):
-        assert np.array_equal(system.evaluate(x), [eval_polynomial(p, x) for p in polys])
+        assert np.array_equal(system.evaluate(x), reference_values(system, x))
         assert np.array_equal(system.residual(x, values),
-                              reference_residual(polys, values, x))
-        assert np.array_equal(system.jacobian(x), reference_jacobian(polys, x))
-    assert list(system.truncate(2)) == [truncate_polynomial(p, 2) for p in polys]
+                              reference_residual(system, values, x))
+        assert np.array_equal(system.jacobian(x), reference_jacobian(system, x))
+    truncated = system.truncate(2)
+    assert [terms(truncated, i) for i in range(NUM_EQS)] == reference_truncate(system, 2)
     A, const = system.linear_parts()
-    for i, p in enumerate(polys):
-        assert const[i] == p.terms.get(MultiIndex((0,) * n), 0.0)
+    for i in range(NUM_EQS):
+        row = terms(system, i)
+        assert const[i] == row.get((0,) * n, 0.0)
         for j in range(n):
-            assert A[i, j] == p.terms.get(MultiIndex(tuple(int(k == j) for k in range(n))), 0.0)
-    basis = enumerate_basis(n, 3)
+            assert A[i, j] == row.get(unit(n, j), 0.0)
+    basis = exponent_table(n, 3)
     for k, form in enumerate(quadratic_forms(system, basis)):
-        assert np.array_equal(form, reference_form(polys[k], basis))
+        assert np.array_equal(form, reference_form(system, k, basis))
     support = (0, n - 1)
-    for p, r in zip(polys, system.restrict(support)):
-        kept = {MultiIndex(tuple(a.exponents[j] for j in support)): c
-                for a, c in p.terms.items()
-                if sum(a.exponents) == sum(a.exponents[j] for j in support)}
-        assert r == Polynomial(2, kept)
+    restricted = system.restrict(support)
+    assert [terms(restricted, i) for i in range(NUM_EQS)] == reference_restrict(system, support)
 
 
 def test_exponent_table_must_be_graded():
@@ -214,14 +236,13 @@ def test_exponent_table_must_be_graded():
     assert PolySystem(1, 1, coeffs, [[0], [1]]).exponents is exponent_table(1, 1)
 
 
-def test_from_polys_rejects_bad_input():
-    with pytest.raises(ValueError):
-        PolySystem.from_polys([])
-    with pytest.raises(ValueError):
-        PolySystem.from_polys([Polynomial(1, {MultiIndex((1,)): 1.0}),
-                               Polynomial(2, {MultiIndex((1, 0)): 1.0})])
+def test_coefficient_shape_must_match_the_table():
     with pytest.raises(ValueError):
         PolySystem(2, 2, np.zeros((1, 5)))
+    with pytest.raises(ValueError):
+        PolySystem(2, 2, np.zeros(6))
+    with pytest.raises(ValueError):
+        PolySystem(2, 2, np.zeros((1, 2)), [[0, 0, 0], [1, 0, 0]])
 
 
 def test_coefficients_are_read_only_copies():
@@ -237,7 +258,9 @@ def test_coefficients_are_read_only_copies():
 def test_evaluate_matches_eval_polynomial():
     _, (system, _, _) = trial(5)
     x = np.random.default_rng(0).normal(size=5)
-    assert np.array_equal(system.evaluate(x), [eval_polynomial(p, x) for p in system])
+    assert np.array_equal(system.evaluate(x), reference_values(system, x))
+    assert np.array_equal(system.evaluate(x),
+                          [eval_polynomial(one_row(system, i), x) for i in range(len(system))])
     with pytest.raises(ValueError):
         system.evaluate(np.zeros(4))
 
@@ -245,12 +268,12 @@ def test_evaluate_matches_eval_polynomial():
 def test_linear_parts():
     _, (system, _, _) = trial(3)
     A, const = system.linear_parts()
-    for i, p in enumerate(system):
-        assert const[i] == p.terms[MultiIndex((0, 0, 0))]
+    for i in range(len(system)):
+        row = terms(system, i)
+        assert const[i] == row[(0, 0, 0)]
         for j in range(3):
-            e = tuple(int(k == j) for k in range(3))
-            assert A[i, j] == p.terms[MultiIndex(e)]
-    constant_only = PolySystem.from_polys([Polynomial(2, {MultiIndex((0, 0)): 4.0})])
+            assert A[i, j] == row[unit(3, j)]
+    constant_only = system_of(2, {(0, 0): 4.0})
     A, const = constant_only.linear_parts()
     assert np.array_equal(A, np.zeros((1, 2))) and const.tolist() == [4.0]
 
@@ -260,11 +283,8 @@ def test_restrict_keeps_the_terms_inside_the_support():
     support = (1, 3)
     restricted = system.restrict(support)
     assert restricted.num_vars == 2
-    for p, r in zip(system, restricted):
-        kept = {MultiIndex(tuple(a.exponents[j] for j in support)): c
-                for a, c in p.terms.items()
-                if sum(a.exponents) == sum(a.exponents[j] for j in support)}
-        assert r == Polynomial(2, kept)
+    assert ([terms(restricted, i) for i in range(len(system))]
+            == reference_restrict(system, support))
     x = np.zeros(5)
     x[list(support)] = [0.3, -1.2]
     # the full system also sums the (zero) terms outside the support
@@ -279,7 +299,7 @@ def test_dependency_constraints_are_shared_and_read_only():
     cached = _structural_constraints(3, 2)
     assert cached is _structural_constraints(3, 2)
     assert not cached.flags.writeable
-    fresh = generate_dependency_constraints(enumerate_basis(3, 2))
+    fresh = generate_dependency_constraints(exponent_table(3, 2))
     assert np.array_equal(cached, fresh)
     problem = build_lifted_problem(system, values, 4)
     assert np.array_equal(problem.operator[NUM_EQS:], fresh)

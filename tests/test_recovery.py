@@ -9,7 +9,7 @@ from nlbp.lifting import (
     lift_vector,
     packed_index,
 )
-from nlbp.monomials import enumerate_basis, eval_polynomial, random_polynomial
+from nlbp.monomials import exponent_table, random_polynomial
 from nlbp.recovery import (
     CERT_RANK_GAP,
     CERT_TOL,
@@ -19,10 +19,11 @@ from nlbp.recovery import (
 )
 from nlbp.sdp_admm import SolverConfig, SolveStatus, solve_nlbp
 from packed_layout import dense_operator, pack
+from poly_terms import stack
 
 
 def manual_problem(constraint_matrices, values, n=1, order=2):
-    return LiftedProblem(basis=enumerate_basis(n, order // 2), num_vars=n,
+    return LiftedProblem(basis=exponent_table(n, order // 2), num_vars=n,
                          order=order, num_data=len(values),
                          operator=pack(constraint_matrices), values=values)
 
@@ -35,15 +36,15 @@ def dense_rows(problem):
 
 def planted_problem(n, num_eqs, order, seed):
     rng = np.random.default_rng(seed)
-    polys = [random_polynomial(n, order, 500 + seed * 13 + j, 1.0) for j in range(num_eqs)]
+    system = stack([random_polynomial(n, order, 500 + seed * 13 + j, 1.0)
+                    for j in range(num_eqs)])
     x = rng.normal(size=n)
-    values = [eval_polynomial(p, x) for p in polys]
-    return build_lifted_problem(polys, values, order), x
+    return build_lifted_problem(system, system.evaluate(x), order), x
 
 
 class TestExtractRank1:
     def test_exact_rank_one_round_trip(self):
-        basis = enumerate_basis(5, 2)
+        basis = exponent_table(5, 2)
         x = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
         lifted = lift_vector(x, basis)
         sol = extract_rank1(np.outer(lifted, lifted), basis)
@@ -54,7 +55,7 @@ class TestExtractRank1:
 
     def test_round_trip_random_points(self):
         rng = np.random.default_rng(0)
-        basis = enumerate_basis(3, 2)
+        basis = exponent_table(3, 2)
         for _ in range(10):
             x = rng.normal(size=3)
             lifted = lift_vector(x, basis)
@@ -65,7 +66,7 @@ class TestExtractRank1:
 
     def test_perturbed_lift_recovers(self):
         rng = np.random.default_rng(1)
-        basis = enumerate_basis(4, 2)
+        basis = exponent_table(4, 2)
         x = rng.normal(size=4)
         lifted = lift_vector(x, basis)
         noise = rng.normal(size=(len(basis), len(basis)))
@@ -75,18 +76,18 @@ class TestExtractRank1:
         assert np.max(np.abs(sol.x - x)) < 1e-4 * (1 + np.max(np.abs(x)))
 
     def test_identity_matrix_invalid_not_error(self):
-        basis = enumerate_basis(2, 2)
+        basis = exponent_table(2, 2)
         sol = extract_rank1(np.eye(6), basis)
         assert not sol.valid
         assert sol.rank1_ratio == pytest.approx(1.0)
 
     def test_zero_matrix_raises(self):
-        basis = enumerate_basis(2, 2)
+        basis = exponent_table(2, 2)
         with pytest.raises(DegenerateTopEigenvalueError):
             extract_rank1(np.zeros((6, 6)), basis)
 
     def test_sign_flip_handled(self):
-        basis = enumerate_basis(2, 1)
+        basis = exponent_table(2, 1)
         x = np.array([2.0, -3.0])
         lifted = lift_vector(x, basis)
         # eigenvector sign is arbitrary; the outer product is sign-free

@@ -12,13 +12,7 @@ from nlbp.lifting import (
     lift_vector,
     polynomial_to_quadratic_form,
 )
-from nlbp.monomials import (
-    MultiIndex,
-    Polynomial,
-    enumerate_basis,
-    eval_polynomial,
-    random_polynomial,
-)
+from nlbp.monomials import exponent_table, random_polynomial
 from nlbp import sdp_admm
 from nlbp.recovery import extract_rank1
 from nlbp.sdp_admm import (
@@ -33,14 +27,15 @@ from nlbp.sdp_admm import (
     solve_nlbp,
 )
 from packed_layout import dense_operator
+from poly_terms import stack, system_of
 
 
 def planted_problem(n, num_eqs, order, seed):
     rng = np.random.default_rng(seed)
-    polys = [random_polynomial(n, order, 1000 * seed + j, 1.0) for j in range(num_eqs)]
+    system = stack([random_polynomial(n, order, 1000 * seed + j, 1.0)
+                    for j in range(num_eqs)])
     x = rng.normal(size=n)
-    values = [eval_polynomial(p, x) for p in polys]
-    return build_lifted_problem(polys, values, order), x
+    return build_lifted_problem(system, system.evaluate(x), order), x
 
 
 def kkt_projection_oracle(problem, X):
@@ -56,8 +51,7 @@ def kkt_projection_oracle(problem, X):
 
 def inconsistent_systems():
     """The x = 0, x = 1 clash and a QBP-truncated table1 trial."""
-    p = Polynomial(1, {MultiIndex((1,)): 1.0})
-    yield build_lifted_problem([p, p], [0.0, 1.0], 2)
+    yield build_lifted_problem(system_of(1, {(1,): 1.0}, {(1,): 1.0}), [0.0, 1.0], 2)
     polys, _, values = sample_trial(table1_spec(trials=1, seed=42), 0)
     yield build_lifted_problem(polys.truncate(2), values, 2)
 
@@ -112,10 +106,10 @@ class TestProjectAffine:
             assert cache.violation(out) < 1e-8
 
     def test_inconsistency_bound(self):
-        p = Polynomial(1, {MultiIndex((1,)): 1.0})
-        feasible = build_lifted_problem([p, p], [1.0, 1.0], 2)
+        twice = system_of(1, {(1,): 1.0}, {(1,): 1.0})
+        feasible = build_lifted_problem(twice, [1.0, 1.0], 2)
         assert AffineCache.build(feasible).infeasibility_lb < 1e-10
-        clash = build_lifted_problem([p, p], [0.0, 1.0], 2)
+        clash = build_lifted_problem(twice, [0.0, 1.0], 2)
         assert AffineCache.build(clash).infeasibility_lb > 0.1
 
     def test_raw_rows_are_views_of_the_problem(self):
@@ -142,8 +136,8 @@ class TestProjectAffine:
         # projected as written out here
         polys = [random_polynomial(n, order, 7000 + j, 1.0) for j in range(num_eqs)]
         x = np.random.default_rng(n + order).normal(size=n)
-        values = [eval_polynomial(p, x) for p in polys]
-        basis = enumerate_basis(n, order // 2)
+        values = [p.evaluate(x)[0] for p in polys]
+        basis = exponent_table(n, order // 2)
         structural = generate_dependency_constraints(basis)
         rows_raw = np.stack([polynomial_to_quadratic_form(p, basis) for p in polys]
                             + list(structural))
@@ -159,7 +153,7 @@ class TestProjectAffine:
         active = vals > 1e-12 * max(vals[-1], 0.0)
         pinv = (vecs[:, active] / vals[active]) @ vecs[:, active].T
 
-        cache = AffineCache.build(build_lifted_problem(polys, values, order))
+        cache = AffineCache.build(build_lifted_problem(stack(polys), values, order))
         assert np.array_equal(cache.row_mat, svec_rows)
         rng = np.random.default_rng(n * order)
         for _ in range(3):
@@ -391,8 +385,7 @@ class TestSolverConfig:
 
 class TestSolve:
     def trivial_problem(self):
-        p = Polynomial(1, {MultiIndex((1,)): 1.0})
-        return build_lifted_problem([p], [1.0], 2)
+        return build_lifted_problem(system_of(1, {(1,): 1.0}), [1.0], 2)
 
     def test_trivial_converges_to_rank_one(self):
         report = solve_nlbp(self.trivial_problem(),
@@ -432,8 +425,7 @@ class TestSolve:
         assert report.iterations == 3
 
     def test_infeasible_detected(self):
-        p = Polynomial(1, {MultiIndex((1,)): 1.0})
-        clash = build_lifted_problem([p, p], [0.0, 1.0], 2)
+        clash = build_lifted_problem(system_of(1, {(1,): 1.0}, {(1,): 1.0}), [0.0, 1.0], 2)
         report = solve_nlbp(clash)
         assert report.status is SolveStatus.INFEASIBLE
         assert report.constraint_violation > 1e-3
@@ -443,8 +435,8 @@ class TestSolve:
         # proven infeasible before the first iteration: the bound clears the
         # feasibility tolerance 1e-6 * (1 + max |v|); a consistent system's
         # bound is roundoff
-        p = Polynomial(1, {MultiIndex((1,)): 1.0})
-        clash = solve_nlbp(build_lifted_problem([p, p], [0.0, 1.0], 2))
+        clash = solve_nlbp(build_lifted_problem(
+            system_of(1, {(1,): 1.0}, {(1,): 1.0}), [0.0, 1.0], 2))
         assert clash.infeasibility_lb > 1e-6 * 2.0
         assert report_to_json(clash)["infeasibility_lb"] == clash.infeasibility_lb
         consistent = solve_nlbp(self.trivial_problem())
