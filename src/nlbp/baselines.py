@@ -26,13 +26,13 @@ from enum import Enum
 
 import numpy as np
 
-from .lifting import build_lifted_problem
+from .lifting import LiftedProblem, build_lifted_problem
 # eval_polynomial is no longer called here but stays bound: perfbench's
 # tracer wraps the layer functions at the module names their callers used.
 # Retargeting the tracer at the PolySystem methods deletes this binding.
 from .monomials import PolySystem, eval_polynomial  # noqa: F401
-from .recovery import DegenerateTopEigenvalueError, extract_rank1
-from .sdp_admm import SolverConfig, solve_nlbp
+from .recovery import DegenerateTopEigenvalueError, RecoveredSolution, extract_rank1
+from .sdp_admm import SolveReport, SolverConfig, solve_nlbp
 
 
 class Method(Enum):
@@ -45,30 +45,19 @@ class Method(Enum):
 class BaselineResult:
     method: Method
     x_hat: np.ndarray
-    objective: float
     residual_sq: float  # against the original polynomials, always
     success: bool = False
 
 
 @dataclass
-class MethodDiagnostics:
-    """Extra per-run facts the experiment harness records."""
-
-    rank1_ratio: float = math.nan
-    iterations: int = 0
-    status: str = ""
-    extraction_valid: bool = False
-    polished: bool = False
-
-
-@dataclass
 class LiftedRunArtifacts:
-    """The intermediate objects of one lifted-pipeline run, for callers that
-    want to inspect more than the final estimate (certificates, invariants)."""
+    """The intermediate objects of one lifted-pipeline run: what the harness
+    records of it, and what certificate and invariant checks inspect.
+    ``recovered`` is None when the solved matrix was numerically zero."""
 
-    problem: object
-    report: object
-    recovered: object | None
+    problem: LiftedProblem
+    report: SolveReport
+    recovered: RecoveredSolution | None
 
 
 def system_residual_sq(system: PolySystem, values, x) -> float:
@@ -120,12 +109,11 @@ def _gauss_newton(system: PolySystem, values: np.ndarray, x0: np.ndarray,
     return x
 
 
-def refine_solution(system: PolySystem, values, x0, max_iters: int = 60) -> np.ndarray:
+def refine_solution(system: PolySystem, values, x0) -> np.ndarray:
     """Polish an approximate root of the system by damped Gauss-Newton."""
     vals = np.asarray(values, dtype=float)
     tol_sq = 1e-28 * (1.0 + float(vals @ vals))
-    return _gauss_newton(system, vals, np.asarray(x0, dtype=float),
-                         max_iters=max_iters, tol_sq=tol_sq)
+    return _gauss_newton(system, vals, np.asarray(x0, dtype=float), tol_sq=tol_sq)
 
 
 def success_criterion(x_hat, x_true, system: PolySystem, values) -> bool:
@@ -150,45 +138,37 @@ def _meets_success_rule(x_hat, x_true, residual_sq: float, values) -> bool:
 
 
 def _run_lifted(
-    model_polys: PolySystem,
+    system: PolySystem,
     values,
     order: int,
     config: SolverConfig | None,
     method: Method,
-    original_polys: PolySystem,
     x_true=None,
-) -> tuple[BaselineResult, MethodDiagnostics, LiftedRunArtifacts]:
+) -> tuple[BaselineResult, LiftedRunArtifacts]:
     """Shared lift -> solve -> extract -> polish pipeline.
 
-    ``model_polys`` are what the method sees (possibly truncated);
-    ``original_polys`` are what the residual is judged against.
+    NLBP lifts ``system`` at ``order``; QBP truncates it to degree two and
+    lifts at order two. The polish runs on the system the method saw, the
+    residual is judged against ``system``.
     """
-    problem = build_lifted_problem(model_polys, values, order)
+    model = system
+    if method is Method.QBP:
+        model, order = system.truncate(2), 2
+    problem = build_lifted_problem(model, values, order)
     report = solve_nlbp(problem, config)
-    diag = MethodDiagnostics(iterations=report.iterations,
-                             status=report.status.value)
-    n = problem.num_vars
-    x_hat = np.zeros(n)
+    x_hat = np.zeros(problem.num_vars)
     recovered = None
     try:
         recovered = extract_rank1(report.X, problem.basis)
         x_hat = recovered.x
-        diag.rank1_ratio = recovered.rank1_ratio
-        diag.extraction_valid = recovered.valid
         if recovered.valid:
-            x_hat = refine_solution(model_polys, values, x_hat)
-            diag.polished = True
+            x_hat = refine_solution(model, values, x_hat)
     except DegenerateTopEigenvalueError:
         pass
-    result = BaselineResult(
-        method=method,
-        x_hat=x_hat,
-        objective=report.objective,
-        residual_sq=system_residual_sq(original_polys, values, x_hat),
-    )
+    result = BaselineResult(method, x_hat, system_residual_sq(system, values, x_hat))
     if x_true is not None:
         result.success = _meets_success_rule(x_hat, x_true, result.residual_sq, values)
-    return result, diag, LiftedRunArtifacts(problem, report, recovered)
+    return result, LiftedRunArtifacts(problem, report, recovered)
 
 
 def solve_nlbp_system(
@@ -199,8 +179,7 @@ def solve_nlbp_system(
     x_true=None,
 ) -> BaselineResult:
     """Full lifted pipeline at the given even order."""
-    result, _, _ = _run_lifted(system, values, order, config, Method.NLBP, system, x_true)
-    return result
+    return _run_lifted(system, values, order, config, Method.NLBP, x_true)[0]
 
 
 def solve_qbp(
@@ -212,9 +191,7 @@ def solve_qbp(
     """Quadratic baseline: truncate every polynomial to degree two (its
     second-order Taylor expansion around zero) and run the lifted pipeline at
     order two. Residuals are still judged against the original system."""
-    result, _, _ = _run_lifted(system.truncate(2), values, 2, config, Method.QBP,
-                               system, x_true)
-    return result
+    return _run_lifted(system, values, 2, config, Method.QBP, x_true)[0]
 
 
 def solve_linear(
@@ -250,14 +227,8 @@ def solve_linear(
                     and np.linalg.norm(z - z_prev) <= 1e-12 * (1 + np.linalg.norm(z))):
                 break
         x_hat = z
-    resid = A @ x_hat - b
-    objective = float(lam * np.sum(np.abs(x_hat)) + 0.5 * (resid @ resid))
-    result = BaselineResult(
-        method=Method.LASSO,
-        x_hat=x_hat,
-        objective=objective,
-        residual_sq=system_residual_sq(system, values, x_hat),
-    )
+    result = BaselineResult(Method.LASSO, x_hat,
+                            system_residual_sq(system, values, x_hat))
     if x_true is not None:
         result.success = _meets_success_rule(x_hat, x_true, result.residual_sq, values)
     return result

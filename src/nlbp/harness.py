@@ -27,8 +27,8 @@ import numpy as np
 
 from .baselines import (
     BaselineResult,
+    LiftedRunArtifacts,
     Method,
-    MethodDiagnostics,
     _run_lifted,
     solve_linear,
 )
@@ -80,14 +80,17 @@ class ExperimentSpec:
 
 @dataclass
 class MethodOutcome:
+    """What the ensemble records of one method run. For lifted methods
+    ``status`` is the solver's stop reason, and ``extraction_valid`` also
+    says whether the estimate was polished (exactly the valid ones are)."""
+
     success: bool
     residual_sq: float
     rank1_ratio: float
     iterations: int
     wall_time_ms: float
-    status: str = ""  # solver stop reason (lifted methods)
+    status: str = ""
     extraction_valid: bool = False
-    polished: bool = False
     error: str = ""  # class name of the exception the method raised, if any
 
 
@@ -99,14 +102,11 @@ class TrialRecord:
 
 @dataclass
 class TrialArtifacts:
-    """Raw per-trial objects, retained on request for deeper checks."""
+    """Raw per-method objects of one trial, retained on request for deeper
+    checks; ``lifted`` holds the lifted methods only."""
 
-    polys: PolySystem
-    x_true: np.ndarray
-    values: np.ndarray
-    lifted: dict[Method, object] = field(default_factory=dict)
+    lifted: dict[Method, LiftedRunArtifacts] = field(default_factory=dict)
     results: dict[Method, BaselineResult] = field(default_factory=dict)
-    diagnostics: dict[Method, MethodDiagnostics] = field(default_factory=dict)
 
 
 @dataclass
@@ -167,7 +167,7 @@ def sample_trial(spec: ExperimentSpec, trial_index: int):
 
 
 def default_trial_config(spec: ExperimentSpec, values) -> SolverConfig:
-    """Per-trial solver settings used when no explicit config is given.
+    """Per-trial solver settings of ``run_experiment``.
 
     The ADMM penalty starts near the reciprocal of the solution scale, which
     the measurement magnitudes track; the solver balances it from there, so
@@ -181,54 +181,38 @@ def default_trial_config(spec: ExperimentSpec, values) -> SolverConfig:
 def _run_method(method: Method, polys, values, x_true, spec: ExperimentSpec,
                 config: SolverConfig, artifacts: TrialArtifacts | None):
     start = time.perf_counter()
-    diag = MethodDiagnostics()
+    rank1_ratio, iterations, status, valid = math.nan, 0, "", False
     if method is Method.LASSO:
         result = solve_linear(polys, values, lam=spec.lam, x_true=x_true)
-    elif method is Method.QBP:
-        result, diag, lifted = _run_lifted(polys.truncate(2), values, 2, config,
-                                           Method.QBP, polys, x_true)
-        if artifacts is not None:
-            artifacts.lifted[method] = lifted
     else:
-        result, diag, lifted = _run_lifted(polys, values, spec.order, config,
-                                           Method.NLBP, polys, x_true)
+        result, lifted = _run_lifted(polys, values, spec.order, config, method, x_true)
+        iterations, status = lifted.report.iterations, lifted.report.status.value
+        if lifted.recovered is not None:
+            rank1_ratio, valid = lifted.recovered.rank1_ratio, lifted.recovered.valid
         if artifacts is not None:
             artifacts.lifted[method] = lifted
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    outcome = MethodOutcome(
-        success=result.success,
-        residual_sq=result.residual_sq,
-        rank1_ratio=diag.rank1_ratio,
-        iterations=diag.iterations,
-        wall_time_ms=elapsed_ms,
-        status=diag.status,
-        extraction_valid=diag.extraction_valid,
-        polished=diag.polished,
-    )
     if artifacts is not None:
         artifacts.results[method] = result
-        artifacts.diagnostics[method] = diag
-    return outcome
+    return MethodOutcome(result.success, result.residual_sq, rank1_ratio, iterations,
+                         elapsed_ms, status, valid)
 
 
-def run_experiment(
-    spec: ExperimentSpec,
-    solver_config: SolverConfig | None = None,
-    keep_artifacts: bool = False,
-) -> ExperimentResult:
+def run_experiment(spec: ExperimentSpec,
+                   keep_artifacts: bool = False) -> ExperimentResult:
     """Run every trial of the ensemble and summarize per-method outcomes.
 
-    A solver failure inside one trial is recorded as an unsuccessful outcome
-    with infinite residual and the exception's class name in ``error``; it
-    never aborts the ensemble.
+    Each trial's solver settings come from ``default_trial_config``. A solver
+    failure inside one trial is recorded as an unsuccessful outcome with
+    infinite residual and the exception's class name in ``error``; it never
+    aborts the ensemble.
     """
     records: list[TrialRecord] = []
     kept: list[TrialArtifacts] | None = [] if keep_artifacts else None
     for t in range(spec.trials):
         polys, x_true, values = sample_trial(spec, t)
-        config = (solver_config if solver_config is not None
-                  else default_trial_config(spec, values))
-        artifacts = TrialArtifacts(polys, x_true, values) if keep_artifacts else None
+        config = default_trial_config(spec, values)
+        artifacts = TrialArtifacts() if keep_artifacts else None
         outcomes: dict[Method, MethodOutcome] = {}
         for method in spec.methods:
             try:

@@ -5,9 +5,10 @@ the constant-monomial entry equals 1, yields the lifted monomial vector and
 hence the unknowns from the degree-one positions. A dual certificate built
 from the solver's final multipliers then checks, without trusting the
 solver, that the rank-one lift of that vector is the unique optimum of the
-relaxation. It weights the lifted problem's packed ``operator`` rows into
-svec rows (see ``lifting.PackedIndex``), whose inner products with the svec
-of a matrix X are the traces trace(C_i X).
+relaxation. It reads the constraint operator from the solver's
+``AffineCache``: normalized svec rows (see ``lifting.PackedIndex``), whose
+inner products with the svec of a matrix X are the traces trace(C_i X)
+over the row norms, and the pseudo-inverse of their Gram matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lifting import LiftedProblem, lift_vector, packed_index
-from .sdp_admm import SolveReport, SolveStatus
+from .sdp_admm import AffineCache, SolveReport, SolveStatus
 
 
 class DegenerateTopEigenvalueError(ValueError):
@@ -140,9 +141,13 @@ def dual_certificate(problem: LiftedProblem, report: SolveReport,
     certificate holds only on a CONVERGED report and only when every check
     passes at tolerance CERT_TOL.
 
-    The least squares runs on svec rows, which see only the symmetric part
-    of I + rho * U1; its skew part, orthogonal to every C_i, is added back
-    into the dual residual.
+    The least squares runs on the normalized svec rows of the problem's
+    ``AffineCache``, through its Gram pseudo-inverse; their multiplier u is
+    w times the row norms, so the duality gap pairs u with the normalized
+    right-hand sides. Those rows see only the symmetric part of
+    I + rho * U1; its skew part, orthogonal to every C_i, is added
+    back into the dual residual (it is zero on a solver's report, but not
+    necessarily on one read from a file).
     """
     x_bar = lift_vector(x, problem.basis)
     S = report.dual_psd
@@ -150,21 +155,20 @@ def dual_certificate(problem: LiftedProblem, report: SolveReport,
     slack_norm = float(np.max(np.abs(vals)))
     scale = slack_norm if slack_norm > 0 else 1.0
 
-    index = packed_index(problem.dim)
-    rows = problem.operator * index.weight
+    cache = AffineCache.build(problem)
     target = np.eye(problem.dim) + report.dual_affine
-    packed_target = index.svec(target)
-    w = np.linalg.lstsq(rows.T, packed_target, rcond=None)[0]
+    packed_target = packed_index(problem.dim).svec(target)
+    u = cache.gram_pinv @ (cache.row_mat @ packed_target)
     skew = 0.5 * (target - target.T)
-    dual_residual = float(np.hypot(np.linalg.norm(rows.T @ w - packed_target),
+    dual_residual = float(np.hypot(np.linalg.norm(cache.row_mat.T @ u - packed_target),
                                    np.linalg.norm(skew)) / np.linalg.norm(target))
 
     X_bar = np.outer(x_bar, x_bar)
-    values = problem.values
-    primal_residual = float(np.max(np.abs(rows @ index.svec(X_bar) - values))
-                            / (1.0 + np.max(np.abs(values))))
+    primal_residual = (cache.violation(X_bar)
+                       / (1.0 + float(np.max(np.abs(problem.values)))))
     primal_objective = float(np.trace(X_bar) + report.lam * np.sum(np.abs(X_bar)))
-    duality_gap = abs(primal_objective - float(values @ w)) / (1.0 + abs(primal_objective))
+    duality_gap = (abs(primal_objective - float(cache.rhs @ u))
+                   / (1.0 + abs(primal_objective)))
 
     # rho (U1 + U2) must equal lam * sign(X_bar) on the support of X_bar and
     # stay within [-lam, lam] off it.

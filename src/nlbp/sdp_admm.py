@@ -77,6 +77,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lifting import LiftedProblem, packed_index
+from .monomials import checked_float, checked_int
 
 
 class SolverError(RuntimeError):
@@ -577,26 +578,37 @@ def report_to_json(report: SolveReport, include_matrix: bool = False) -> dict:
 
 
 def report_from_json(data: dict) -> SolveReport:
-    """Inverse of ``report_to_json``. Matrices a report was written without
-    come back as empty (0, 0) arrays; ``lam``, ``infeasibility_lb`` and
-    ``rho`` as nan when absent."""
+    """Inverse of ``report_to_json``. Every number must be a finite JSON
+    number (the iteration counts non-negative integers, ``lambda`` not
+    negative), and a matrix a list of equally long rows of them. Matrices a report was written without come
+    back as empty (0, 0) arrays; ``lam``, ``infeasibility_lb`` and ``rho`` as
+    nan when absent."""
 
     def matrix(key: str) -> np.ndarray:
-        return np.array(data[key], dtype=float) if key in data else np.zeros((0, 0))
+        if key not in data:
+            return np.zeros((0, 0))
+        return np.array([[checked_float(v) for v in row] for row in data[key]],
+                        dtype=float)
 
+    def optional(key: str) -> float:
+        return checked_float(data[key]) if key in data else math.nan
+
+    lam = optional("lambda")
+    if lam < 0:
+        raise ValueError(f"lambda must be >= 0, got {lam!r}")
     return SolveReport(
         X=matrix("X"),
-        iterations=int(data["iterations"]),
-        primal_residual=float(data["primal_residual"]),
-        dual_residual=float(data["dual_residual"]),
-        objective=float(data["objective"]),
-        constraint_violation=float(data["constraint_violation"]),
-        min_eigenvalue=float(data["min_eigenvalue"]),
+        iterations=checked_int(data["iterations"], 0),
+        primal_residual=checked_float(data["primal_residual"]),
+        dual_residual=checked_float(data["dual_residual"]),
+        objective=checked_float(data["objective"]),
+        constraint_violation=checked_float(data["constraint_violation"]),
+        min_eigenvalue=checked_float(data["min_eigenvalue"]),
         status=SolveStatus(data["status"]),
-        lam=float(data.get("lambda", math.nan)),
-        infeasibility_lb=float(data.get("infeasibility_lb", math.nan)),
+        lam=lam,
+        infeasibility_lb=optional("infeasibility_lb"),
         dual_affine=matrix("dual_affine"),
         dual_psd=matrix("dual_psd"),
-        rho=float(data.get("rho", math.nan)),
-        accelerated=int(data.get("accelerated", 0)),
+        rho=optional("rho"),
+        accelerated=checked_int(data.get("accelerated", 0), 0),
     )

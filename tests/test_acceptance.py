@@ -244,9 +244,8 @@ def test_criterion_7_oracle_equivalence():
         values = polys.evaluate(x)
         config = SolverConfig(rho=1.0 / (1.0 + np.max(np.abs(values))),
                               eps_abs=1e-9, eps_rel=1e-7, max_iters=60000)
-        result, diag, _ = _run_lifted(polys, values, 4, config, Method.NLBP,
-                                      polys, x_true=x)
-        if not diag.extraction_valid:
+        result, lifted = _run_lifted(polys, values, 4, config, Method.NLBP, x_true=x)
+        if lifted.recovered is None or not lifted.recovered.valid:
             continue
         compared += 1
         oracle_x = l0_oracle(polys, values, max_support=2, rng_seed=k)

@@ -392,6 +392,35 @@ class TestMalformedInput:
         assert cli_main(["solve", str(lifted)]) == 1
         assert "bad lifted file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.__setitem__("iterations", True),
+        lambda d: d.__setitem__("iterations", 1.5),
+        lambda d: d.__setitem__("accelerated", -1),
+        lambda d: d.__setitem__("objective", "1.5"),
+        lambda d: d.__setitem__("rho", float("nan")),
+        lambda d: d.__setitem__("lambda", -1.0),
+        lambda d: d["X"][0].__setitem__(0, True),
+        lambda d: d["dual_psd"][1].__setitem__(0, "0.5"),
+        lambda d: d["dual_affine"][0].__setitem__(1, float("inf")),
+        lambda d: d["X"].__setitem__(1, [1.0]),
+    ], ids=["bool_iterations", "fractional_iterations", "negative_accelerated",
+            "string_objective", "nan_rho", "negative_lambda", "bool_in_X", "string_in_dual_psd",
+            "inf_in_dual_affine", "ragged_X"])
+    def test_report_file_rejected(self, tmp_path, capsys, edit):
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps(self.TRIVIAL))
+        lifted = tmp_path / "lifted.json"
+        report = tmp_path / "report.json"
+        assert cli_main(["lift", str(problem), "-o", str(lifted)]) == 0
+        assert cli_main(["solve", str(lifted), "-o", str(report), "--dump-x"]) == 0
+        data = json.loads(report.read_text())
+        edit(data)
+        report.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert cli_main(["recover", str(report), str(lifted)]) == 1
+        assert "bad report file" in capsys.readouterr().err
+        assert cli_main(["certify", str(lifted), str(report)]) == 1
+        assert "bad report file" in capsys.readouterr().err
 
     def test_conflicting_repeat_of_a_cell_rejected(self, tmp_path, capsys):
         problem = tmp_path / "p.json"

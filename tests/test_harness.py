@@ -250,9 +250,40 @@ class TestOutcomeDiagnostics:
         for record in small_result.records:
             nlbp = record.outcomes[Method.NLBP]
             assert nlbp.status == "converged"
-            assert nlbp.extraction_valid and nlbp.polished
+            assert nlbp.extraction_valid
             assert nlbp.error == ""
             assert record.outcomes[Method.LASSO].status == ""
+
+    def test_exactly_the_valid_extractions_are_polished(self, monkeypatch):
+        # extraction_valid also records the polish: refine_solution runs once
+        # per valid extraction, on its estimate, and never on an invalid one.
+        # This ensemble has valid and invalid QBP extractions, and a valid one
+        # of a solve stopped as infeasible.
+        from nlbp import baselines
+
+        starts = []
+        refine = baselines.refine_solution
+
+        def counted(system, values, x0):
+            starts.append(np.array(x0))
+            return refine(system, values, x0)
+
+        monkeypatch.setattr(baselines, "refine_solution", counted)
+        result = run_experiment(table1_spec(trials=3, seed=1, num_vars=3,
+                                            num_equations=12), keep_artifacts=True)
+        valid = []
+        for record, art in zip(result.records, result.artifacts):
+            for method in (Method.NLBP, Method.QBP):
+                recovered = art.lifted[method].recovered
+                assert record.outcomes[method].extraction_valid == recovered.valid
+                if recovered.valid:
+                    valid.append(recovered.x)
+        assert len(starts) == len(valid) == 4
+        for x0, x in zip(starts, valid):
+            assert np.array_equal(x0, x)
+        qbp = [r.outcomes[Method.QBP] for r in result.records]
+        assert sum(not o.extraction_valid for o in qbp) == 2
+        assert any(o.extraction_valid and o.status == "infeasible" for o in qbp)
 
     @pytest.mark.parametrize("error", [SolverError("injected", 3),
                                        np.linalg.LinAlgError("injected")])
@@ -369,7 +400,9 @@ def test_trial_path_loads_no_scipy():
 def test_perfbench_tracer_finds_every_layer_it_wraps(monkeypatch):
     # perfbench's tracer wraps layer functions by module and name; a source
     # change that renames or deletes one leaves that layer's metrics at zero,
-    # and perfbench's own suite is not part of this one
+    # and perfbench's own suite is not part of this one. One traced trial runs
+    # the tracer's callbacks too, which read fields of the solve report, the
+    # AffineCache and the extraction.
     import importlib.util
 
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -385,6 +418,9 @@ def test_perfbench_tracer_finds_every_layer_it_wraps(monkeypatch):
         assert installed
         for owner, attr, raw in installed:
             assert vars(owner)[attr] is not raw
+        run_experiment(table1_spec(trials=1, seed=0, num_vars=3, num_equations=12))
+        assert tracer.caches and tracer.solves and tracer.extractions
+        assert tracer.errors == []
     finally:
         tracer.uninstall()
     for owner, attr, raw in installed:
