@@ -209,8 +209,20 @@ def quadratic_forms(system: PolySystem, basis: np.ndarray) -> np.ndarray:
         raise DegreeTooHighError(
             f"polynomial degree {system.degree} exceeds representable degree {2 * half}"
         )
+    forms = np.empty((len(system), len(_cell_map(system.num_vars, half)[0])))
+    _write_forms(system, half, forms)
+    return forms
+
+
+def _write_forms(system: PolySystem, half: int, out: np.ndarray) -> None:
+    """The packed forms of ``quadratic_forms`` written into ``out``: one
+    gather of the coefficients by cell, then the division by ``pairs`` and
+    the multiplication by ``share``, in place and in that order."""
     column, pairs, share = _cell_map(system.num_vars, half)
-    return system.full_coeffs(2 * half)[:, column] / pairs * share
+    # mode="clip" writes straight into out; the default mode buffers a copy
+    np.take(system.full_coeffs(2 * half), column, axis=1, out=out, mode="clip")
+    out /= pairs
+    out *= share
 
 
 def polynomial_to_quadratic_form(p: PolySystem, basis: np.ndarray) -> np.ndarray:
@@ -280,7 +292,7 @@ def build_lifted_problem(system: PolySystem, values, order: int) -> LiftedProble
     structural = _structural_constraints(system.num_vars, half)
     num_data = len(values)
     operator = np.empty((num_data + len(structural), structural.shape[1]))
-    operator[:num_data] = quadratic_forms(system, basis)
+    _write_forms(system, half, operator[:num_data])
     operator[num_data:] = structural
     rhs = np.zeros(len(operator))
     rhs[:num_data] = values

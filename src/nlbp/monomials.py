@@ -131,13 +131,19 @@ def _derivative_map(n: int, degree: int):
     return _derivative_map_of(exponent_table(n, degree))
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Sums along the last axis, one term at a time from the left. This is
-    the order in which accumulating the terms of each equation into a zeroed
-    output adds them; a pairwise or BLAS reduction rounds differently."""
-    if a.shape[-1] == 0:
-        return np.zeros(a.shape[:-1])
-    return a.cumsum(axis=-1)[..., -1]
+def _term_sums(terms: np.ndarray) -> np.ndarray:
+    """Sums over the first axis of a C-ordered (terms, lanes) array, one
+    term at a time from the first. This is the order in which accumulating
+    the terms of each equation into a zeroed output adds them; a pairwise or
+    BLAS reduction rounds differently. Along the slow axis numpy adds one
+    term to every lane at once, which is that order; a single lane would be
+    a contiguous reduction, which numpy sums pairwise, so it is accumulated
+    instead."""
+    if terms.shape[1] != 1:
+        return np.add.reduce(terms, axis=0)
+    if len(terms) == 0:
+        return np.zeros(1)
+    return np.add.accumulate(terms[:, 0])[-1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,23 +218,36 @@ class PolySystem:
 
     def residual(self, x, values) -> np.ndarray:
         """p_i(x) - values_i, each row summed term by term in table order."""
-        return _row_sums(self.coeffs * monomial_vector(x, self.exponents)) - values
+        m = monomial_vector(x, self.exponents)
+        return _term_sums(self._terms_by_lane * m[:, None]) - values
+
+    @functools.cached_property
+    def _terms_by_lane(self) -> np.ndarray:
+        # (T, N) C-ordered transpose of coeffs: term t of every row in one run
+        return np.ascontiguousarray(self.coeffs.T)
 
     @functools.cached_property
     def _derivatives(self):
-        # (lowered, extended table, (n, N, K) coefficient * exponent weights)
+        # (columns, exponents as floats, lowered rows, extended table)
         if self._full:
             cols, exps, lowered, extended = _derivative_map(self.num_vars, self.degree)
         else:
             cols, exps, lowered, extended = _derivative_map_of(self.exponents)
-        weights = np.moveaxis(self.coeffs[:, cols], 1, 0) * exps[:, None, :].astype(float)
-        return lowered, extended, weights
+        return cols, exps.astype(float)[:, :, None], lowered, extended
 
     def jacobian(self, x) -> np.ndarray:
-        """(N, num_vars) partial derivatives at x, each summed term by term."""
-        lowered, extended, weights = self._derivatives
-        m = monomial_vector(x, extended)
-        return np.ascontiguousarray(_row_sums(weights * m[lowered][:, None, :]).T)
+        """(N, num_vars) partial derivatives at x, each summed term by term:
+        column j adds (coefficient * exponent) * lowered monomial over the
+        terms holding x_j."""
+        cols, exps, lowered, extended = self._derivatives
+        m = monomial_vector(x, extended)[:, None]
+        out = np.empty((len(self), self.num_vars))
+        for j in range(self.num_vars):
+            terms = self._terms_by_lane[cols[j]]
+            terms *= exps[j]
+            terms *= m[lowered[j]]
+            out[:, j] = _term_sums(terms)
+        return out
 
     def truncate(self, degree: int) -> "PolySystem":
         """Every term of degree > degree dropped: a column prefix, because
@@ -265,9 +284,12 @@ class PolySystem:
 
     def full_coeffs(self, degree: int) -> np.ndarray:
         """(N, C(num_vars + degree, degree)) coefficients over the full
-        ``exponent_table(num_vars, degree)``, for degree >= self.degree."""
+        ``exponent_table(num_vars, degree)``, for degree >= self.degree: the
+        read-only ``coeffs`` themselves when the system spans that table."""
         if degree < self.degree:
             raise ValueError(f"degree {degree} is below the system's {self.degree}")
+        if self._full and degree == self.degree:
+            return self.coeffs
         out = np.zeros((len(self), len(exponent_table(self.num_vars, degree))))
         if self._full:
             out[:, :self.coeffs.shape[1]] = self.coeffs

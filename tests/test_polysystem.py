@@ -6,9 +6,12 @@ a time, the way the per-polynomial code paths did, so every comparison is
 matrix-backed paths round exactly as the per-term ones.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from nlbp.baselines import refine_solution
 from nlbp.harness import sample_trial, table1_spec
 from nlbp.lifting import (
     _structural_constraints,
@@ -148,6 +151,23 @@ def test_residual_and_jacobian_match_per_term_sums(n):
         assert np.array_equal(system.residual(x, values),
                               reference_residual(system, values, x))
         assert np.array_equal(system.jacobian(x), reference_jacobian(system, x))
+
+
+def test_single_lane_sums_keep_the_term_order():
+    # the residual and each Jacobian column sum over the rows' terms as
+    # lanes; with one lane numpy would reduce pairwise, which needs at
+    # least 8 terms to show, and on these points a pairwise sum differs
+    _, (system, x_true, values) = trial(5)
+    rng = np.random.default_rng(5)
+    one_eq = one_row(system, 0)
+    assert one_eq.coeffs.shape[1] >= 8
+    one_var = system_of(1, {(k,): rng.normal() for k in range(12)})
+    for _ in range(4):
+        x, y = x_true + rng.normal(size=5), rng.normal(size=1) + 1.0
+        for one, point in ((one_eq, x), (one_var, y)):
+            assert np.array_equal(one.residual(point, values[:1]),
+                                  reference_residual(one, values[:1], point))
+            assert np.array_equal(one.jacobian(point), reference_jacobian(one, point))
 
 
 def reference_truncate(system, degree):
@@ -304,3 +324,40 @@ def test_dependency_constraints_are_shared_and_read_only():
     problem = build_lifted_problem(system, values, 4)
     assert np.array_equal(problem.operator[NUM_EQS:], fresh)
     assert not problem.operator.flags.writeable
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced while fn(*args) runs; numpy reports its buffers to
+    tracemalloc, so the figure does not depend on the heap's state."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def n8_trial():
+    """Trial 0 of the n = 8, N = 120 ensemble at seed 1000, with the per-key
+    caches its polish and lift read already built."""
+    spec = table1_spec(trials=1, seed=1000, num_vars=8, num_equations=120)
+    system, x_true, values = sample_trial(spec, 0)
+    system.jacobian(x_true)
+    build_lifted_problem(system, values, 4)
+    return system, x_true, values
+
+
+def test_polish_streams_its_terms(n8_trial):
+    # a Jacobian built one variable at a time never holds the (n, N, K)
+    # weight tensor, 1.27 MB here
+    system, x_true, values = n8_trial
+    fresh = PolySystem(system.num_vars, system.degree, system.coeffs)
+    start = x_true + 1e-4 * np.random.default_rng(8).normal(size=8)
+    assert traced_peak(refine_solution, fresh, values, start) < 1.5e6
+
+
+def test_lift_writes_its_rows_in_place(n8_trial):
+    system, _, values = n8_trial
+    problem = build_lifted_problem(system, values, 4)
+    assert traced_peak(build_lifted_problem, system, values, 4) < 2 * problem.operator.nbytes
