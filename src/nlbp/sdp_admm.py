@@ -34,7 +34,7 @@ gradient step (1/rho) I and shrinkage threshold.
 The cone step is warm-started. The program looks for a rank-one optimum
 x x^T, so near it the cone input Z - U2 has exactly one positive eigenvalue.
 ``project_psd`` takes the previous cone output as a start and refines its
-row of largest diagonal, by at most two Rayleigh-quotient steps, to an
+row of largest diagonal, by at most three Rayleigh-quotient steps, to an
 eigenpair (lam, v) whose residual ||A v - lam v|| is below 1e-13 lam, A the
 symmetrized input. It then proves that no other eigenvalue of A is
 positive: a Cholesky factorization of 2 lam v v^T - A must succeed. That
@@ -43,7 +43,11 @@ eigenvalue is 0; by Weyl's inequalities A's second eigenvalue is negative,
 lam is A's positive eigenvalue to within the residual, and lam v v^T is the
 projection to roundoff. When any step fails the full eigendecomposition
 runs instead, so the output is the same map either way and the start is
-not a setting.
+not a setting. Each step cubes the tangent of the start's angle to the
+eigenvector, so three steps accept starts up to about 15 degrees off, two
+only about 2. On the seed-42 ensembles the fallbacks left, about 6 per
+solve, are mostly inputs with two or more positive eigenvalues, in
+iterations 2-6.
 
 The iteration is Anderson-accelerated (type II; Walker and Ni, SIAM J.
 Numer. Anal. 2011; Zhang, O'Donoghue and Boyd, SIAM J. Optim. 2020, the
@@ -235,8 +239,9 @@ class AffineCache:
 # The rank-one cone step (see the module docstring): at most this many
 # Rayleigh-quotient steps, and acceptance once ||A v - lam v|| <= tol * lam.
 # The certified gap is at least lam, so v is then within an angle tol of the
-# eigenvector and lam v v^T within about 2 tol lam of the projection.
-_RANK_ONE_STEPS = 2
+# eigenvector and lam v v^T within about 2 tol lam of the projection. A third
+# step accepts most starts that two refused with one positive eigenvalue.
+_RANK_ONE_STEPS = 3
 _RANK_ONE_TOL = 1e-13
 
 

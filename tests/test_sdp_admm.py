@@ -268,6 +268,36 @@ class TestWarmStartedProjectPsd:
         np.testing.assert_allclose(out, 5.0 * np.outer(q[:, 0], q[:, 0]),
                                    rtol=0, atol=1e-13)
 
+    def test_a_start_15_degrees_off_takes_the_third_step(self, monkeypatch):
+        # Rayleigh-quotient iteration cubes tan(angle) at every step: from
+        # 15 degrees 0.27 -> 2e-2 -> 7e-6 -> 4e-16, so the third step is the
+        # one that meets the 1e-13 residual tolerance
+        A, q = with_spectrum([5.0] + self.NEGATIVE, 10)
+        off = q[:, 1:] @ np.random.default_rng(11).normal(size=self.DIM - 1)
+        angle = np.deg2rad(15.0)
+        u = np.cos(angle) * q[:, 0] + np.sin(angle) * off / np.linalg.norm(off)
+        start = np.outer(u, u)
+        ref = project_psd(A)
+        calls = count_eigh_calls(monkeypatch)
+        out = project_psd(A, start)
+        assert calls == []
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(A)
+        monkeypatch.setattr(sdp_admm, "_RANK_ONE_STEPS", 2)
+        assert sdp_admm._rank_one_projection(A, start) is None
+
+    def test_table1_trial_0_falls_back_to_eigh_six_times(self, monkeypatch):
+        # five of this solve's six refused cone steps are iterations 2-6,
+        # whose inputs have two or more positive eigenvalues (13 with two
+        # Rayleigh-quotient steps)
+        spec = table1_spec(trials=1, seed=42)
+        system, _, values = sample_trial(spec, 0)
+        problem = build_lifted_problem(system, values, 4)
+        calls = count_eigh_calls(monkeypatch)
+        report = solve_nlbp(problem, default_trial_config(spec, values))
+        assert report.iterations == 84
+        # iteration 1 has no start; every other dim x dim eigh is a fallback
+        assert calls.count((problem.dim, problem.dim)) == 1 + 6
+
     def test_non_symmetric_input(self):
         A, q = with_spectrum([5.0] + self.NEGATIVE, 5)
         skew = np.random.default_rng(6).normal(size=A.shape)
