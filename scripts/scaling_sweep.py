@@ -1,0 +1,136 @@
+"""Per-phase cost of one NLBP trial as num_vars grows.
+
+Runs ``run_experiment`` on ``table1_spec(num_vars=n, num_equations=N)`` with
+NLBP only, one process, BLAS pinned to one thread, and times the layers of
+each trial by wrapping them at the names their callers use:
+
+* ``sample_ms``: ``harness.sample_trial``;
+* ``lift_ms``: ``baselines.build_lifted_problem``;
+* ``cache_build_ms``: ``sdp_admm.AffineCache.build``;
+* ``admm_loop_ms``: ``baselines.solve_nlbp`` less its cache build;
+* ``polish_ms``: ``baselines.refine_solution``;
+* ``trial_ms``: from one ``sample_trial`` call to the next (or to the end).
+
+It also counts the cone steps that were given a warm start and still ran
+the full ``eigh`` (``eigh_fallbacks_per_solve``), and the minor page faults
+of each trial (``getrusage``). Each size runs one untimed warm-up trial
+first, so per-key caches are built outside the figures. Times are read on
+the process's CPU clock, which leaves out the time the host takes the CPU
+away. Figures are means per trial; each ensemble is repeated ``--reps``
+times and the median of the repetitions is kept, because the host's speed
+drifts between runs.
+
+Usage, from the root of a checkout (PYTHONPATH selects the code measured):
+
+    PYTHONPATH=src python3 scripts/scaling_sweep.py --sizes 5:50:20,8:120:20,10:200:4
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import resource  # noqa: E402
+import statistics  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from nlbp import baselines, harness, sdp_admm  # noqa: E402
+from nlbp.baselines import Method  # noqa: E402
+
+PHASES = ("sample_ms", "lift_ms", "cache_build_ms", "solve_ms", "polish_ms")
+
+
+def _timed(totals: dict, key: str, fn):
+    def wrapper(*args, **kwargs):
+        t0 = time.process_time()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            totals[key] += (time.process_time() - t0) * 1e3
+    return wrapper
+
+
+def measure(n: int, num_eqs: int, trials: int, seed: int) -> dict:
+    """Mean per-trial figures of one ensemble at num_vars n."""
+    totals = dict.fromkeys(PHASES, 0.0)
+    counts = {"fallbacks": 0, "warm": False}
+    marks: list[tuple[float, int]] = []
+    wrapped = {"sample_trial": harness, "build_lifted_problem": baselines,
+               "solve_nlbp": baselines, "refine_solution": baselines,
+               "project_psd": sdp_admm, "eigh": np.linalg}
+    originals = {name: getattr(mod, name) for name, mod in wrapped.items()}
+    build = sdp_admm.AffineCache.__dict__["build"]
+
+    def mark():
+        marks.append((time.process_time(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+
+    def stamped(spec, t):
+        mark()
+        return originals["sample_trial"](spec, t)
+
+    def project_psd(X, start=None):
+        counts["warm"] = start is not None
+        try:
+            return originals["project_psd"](X, start)
+        finally:
+            counts["warm"] = False
+
+    def eigh(A):
+        counts["fallbacks"] += counts["warm"]
+        return originals["eigh"](A)
+
+    harness.sample_trial = _timed(totals, "sample_ms", stamped)
+    baselines.build_lifted_problem = _timed(totals, "lift_ms", originals["build_lifted_problem"])
+    baselines.solve_nlbp = _timed(totals, "solve_ms", originals["solve_nlbp"])
+    baselines.refine_solution = _timed(totals, "polish_ms", originals["refine_solution"])
+    sdp_admm.project_psd = project_psd
+    np.linalg.eigh = eigh
+    sdp_admm.AffineCache.build = classmethod(
+        _timed(totals, "cache_build_ms", build.__func__))
+    try:
+        spec = harness.table1_spec(trials=trials, seed=seed, num_vars=n,
+                                   num_equations=num_eqs, methods=(Method.NLBP,))
+        result = harness.run_experiment(spec)
+        mark()
+    finally:
+        for name, mod in wrapped.items():
+            setattr(mod, name, originals[name])
+        sdp_admm.AffineCache.build = build
+    outcomes = [r.outcomes[Method.NLBP] for r in result.records]
+    per_trial = {k: v / trials for k, v in totals.items()}
+    per_trial["admm_loop_ms"] = per_trial.pop("solve_ms") - per_trial["cache_build_ms"]
+    per_trial["trial_ms"] = (marks[-1][0] - marks[0][0]) * 1e3 / trials
+    per_trial["minor_faults"] = (marks[-1][1] - marks[0][1]) / trials
+    per_trial["eigh_fallbacks_per_solve"] = counts["fallbacks"] / trials
+    per_trial["iterations"] = sum(o.iterations for o in outcomes) / trials
+    per_trial["successes"] = sum(o.success for o in outcomes)
+    return per_trial
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sizes", default="5:50:20,8:120:20,10:200:4",
+                        help="comma-separated n:N:trials")
+    parser.add_argument("--seed", type=int, default=1000)
+    parser.add_argument("--reps", type=int, default=3)
+    args = parser.parse_args(argv)
+    rows = []
+    for item in args.sizes.split(","):
+        n, num_eqs, trials = (int(v) for v in item.split(":"))
+        measure(n, num_eqs, 1, args.seed + 1)
+        reps = [measure(n, num_eqs, trials, args.seed) for _ in range(args.reps)]
+        row = {"n": n, "N": num_eqs, "trials": trials}
+        row.update({k: round(statistics.median(r[k] for r in reps), 3) for k in reps[0]})
+        rows.append(row)
+        print(json.dumps(row), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -209,7 +209,7 @@ def quadratic_forms(system: PolySystem, basis: np.ndarray) -> np.ndarray:
         raise DegreeTooHighError(
             f"polynomial degree {system.degree} exceeds representable degree {2 * half}"
         )
-    forms = np.empty((len(system), len(_cell_map(system.num_vars, half)[0])))
+    forms = np.empty((len(system), len(basis) * (len(basis) + 1) // 2))
     _write_forms(system, half, forms)
     return forms
 

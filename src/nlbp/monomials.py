@@ -133,12 +133,9 @@ def _derivative_map(n: int, degree: int):
 
 def _term_sums(terms: np.ndarray) -> np.ndarray:
     """Sums over the first axis of a C-ordered (terms, lanes) array, one
-    term at a time from the first. This is the order in which accumulating
-    the terms of each equation into a zeroed output adds them; a pairwise or
-    BLAS reduction rounds differently. Along the slow axis numpy adds one
-    term to every lane at once, which is that order; a single lane would be
-    a contiguous reduction, which numpy sums pairwise, so it is accumulated
-    instead."""
+    term at a time from the first, as a per-row loop adds them; a pairwise
+    or BLAS reduction rounds differently. numpy reduces a slow axis in that
+    order, but sums a single lane, a contiguous reduction, pairwise."""
     if terms.shape[1] != 1:
         return np.add.reduce(terms, axis=0)
     if len(terms) == 0:

@@ -239,8 +239,7 @@ class AffineCache:
 # The rank-one cone step (see the module docstring): at most this many
 # Rayleigh-quotient steps, and acceptance once ||A v - lam v|| <= tol * lam.
 # The certified gap is at least lam, so v is then within an angle tol of the
-# eigenvector and lam v v^T within about 2 tol lam of the projection. A third
-# step accepts most starts that two refused with one positive eigenvalue.
+# eigenvector and lam v v^T within about 2 tol lam of the projection.
 _RANK_ONE_STEPS = 3
 _RANK_ONE_TOL = 1e-13
 
