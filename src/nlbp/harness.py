@@ -29,6 +29,7 @@ from .baselines import (
     BaselineResult,
     LiftedRunArtifacts,
     Method,
+    _meets_success_rule,
     _run_lifted,
     solve_linear,
 )
@@ -69,13 +70,23 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.num_vars < 1:
+            raise ValueError("num_vars must be >= 1")
+        if self.num_equations < 1:
+            raise ValueError("num_equations must be >= 1")
         if self.order % 2 != 0:
             raise ValueError("order must be even")
         if self.sparsity != DENSE:
-            if not isinstance(self.sparsity, int) or not 0 <= self.sparsity <= self.num_vars:
+            # bool is a subclass of int, and True would pass as a support of 1
+            if (isinstance(self.sparsity, bool) or not isinstance(self.sparsity, int)
+                    or not 0 <= self.sparsity <= self.num_vars):
                 raise ValueError("sparsity must be 'dense' or an int <= num_vars")
+        if not self.planted_std >= 0:
+            raise ValueError("planted_std must be >= 0")
         if not self.coeff_std > 0:
             raise ValueError("coeff_std must be > 0")
+        if not self.lam >= 0:
+            raise ValueError("lam must be >= 0")
 
 
 @dataclass
@@ -180,21 +191,24 @@ def default_trial_config(spec: ExperimentSpec, values) -> SolverConfig:
 
 def _run_method(method: Method, polys, values, x_true, spec: ExperimentSpec,
                 config: SolverConfig, artifacts: TrialArtifacts | None):
+    """One method's outcome on a trial; the estimate is judged here, by the
+    frozen success rule, whatever the method."""
     start = time.perf_counter()
     rank1_ratio, iterations, status, valid = math.nan, 0, "", False
     if method is Method.LASSO:
-        result = solve_linear(polys, values, lam=spec.lam, x_true=x_true)
+        result = solve_linear(polys, values, lam=spec.lam)
     else:
-        result, lifted = _run_lifted(polys, values, spec.order, config, method, x_true)
+        result, lifted = _run_lifted(polys, values, spec.order, config, method)
         iterations, status = lifted.report.iterations, lifted.report.status.value
         if lifted.recovered is not None:
             rank1_ratio, valid = lifted.recovered.rank1_ratio, lifted.recovered.valid
         if artifacts is not None:
             artifacts.lifted[method] = lifted
+    success = _meets_success_rule(result.x_hat, x_true, result.residual_sq, values)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if artifacts is not None:
         artifacts.results[method] = result
-    return MethodOutcome(result.success, result.residual_sq, rank1_ratio, iterations,
+    return MethodOutcome(success, result.residual_sq, rank1_ratio, iterations,
                          elapsed_ms, status, valid)
 
 

@@ -158,7 +158,6 @@ class SolveReport:
     dual_psd: np.ndarray
     rho: float
     accelerated: int = 0
-    history: np.ndarray | None = None  # (iters, 2) primal/dual residuals
 
 
 @lru_cache(maxsize=None)
@@ -356,8 +355,7 @@ def _penalty_factor(primal, primal_scale, dual, dual_scale) -> float:
     return factor
 
 
-def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None,
-               record_history: bool = False) -> SolveReport:
+def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None) -> SolveReport:
     """Run over-relaxed, Anderson-accelerated consensus ADMM on the lifted
     program until the combined primal and dual residuals meet the
     absolute-plus-relative stopping rule, or the iteration cap is reached.
@@ -388,8 +386,7 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None,
             raise SolverError(f"eigendecomposition failed: {exc}", 0) from exc
         return _report(X, 0, np.linalg.norm(affine - X), 0.0, cache.violation(X),
                        SolveStatus.INFEASIBLE, cache, config, rho,
-                       np.zeros((dim, dim)), np.zeros((dim, dim)),
-                       np.zeros((0, 2)) if record_history else None)
+                       np.zeros((dim, dim)), np.zeros((dim, dim)))
 
     threshold = config.lam / (2.0 * rho)
     scale = np.sqrt(2.0) * dim  # sqrt of the stacked primal dimension
@@ -415,7 +412,6 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None,
     state = filled = head = accelerated = 0
     have_prev, g_prev_sq = False, np.inf
 
-    history = [] if record_history else None
     converged = False
     primal = dual = np.inf
     primal_checkpoint = np.inf  # primal residual at 3/4 of the budget
@@ -456,8 +452,6 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None,
         # the residuals and tolerances take the unrelaxed X1, X2
         primal = np.sqrt(_norm(X1 - Z) ** 2 + _norm(X2 - Z) ** 2)
         dual = rho * np.sqrt(2.0) * _norm(Z - Z_prev)
-        if history is not None:
-            history.append((primal, dual))
 
         primal_scale = max(np.sqrt(_norm(X1) ** 2 + _norm(X2) ** 2),
                            np.sqrt(2.0) * _norm(Z))
@@ -535,12 +529,11 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None,
     else:
         status = SolveStatus.MAX_ITERS
     return _report(Z.copy(), iteration, primal, dual, violation, status, cache, config,
-                   rho, rho * V1, rho * V2,
-                   np.array(history) if history is not None else None, accelerated)
+                   rho, rho * V1, rho * V2, accelerated)
 
 
 def _report(X, iterations, primal, dual, violation, status, cache, config, rho,
-            dual_affine, dual_psd, history, accelerated=0) -> SolveReport:
+            dual_affine, dual_psd, accelerated=0) -> SolveReport:
     return SolveReport(
         X=X,
         iterations=iterations,
@@ -556,7 +549,6 @@ def _report(X, iterations, primal, dual, violation, status, cache, config, rho,
         dual_psd=dual_psd,
         rho=float(rho),
         accelerated=accelerated,
-        history=history,
     )
 
 

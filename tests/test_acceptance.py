@@ -244,7 +244,7 @@ def test_criterion_7_oracle_equivalence():
         values = polys.evaluate(x)
         config = SolverConfig(rho=1.0 / (1.0 + np.max(np.abs(values))),
                               eps_abs=1e-9, eps_rel=1e-7, max_iters=60000)
-        result, lifted = _run_lifted(polys, values, 4, config, Method.NLBP, x_true=x)
+        result, lifted = _run_lifted(polys, values, 4, config, Method.NLBP)
         if lifted.recovered is None or not lifted.recovered.valid:
             continue
         compared += 1

@@ -72,8 +72,8 @@ class TestSolveLinear:
 
     def test_consistent_linear_system_exact(self):
         polys, x, values = self.linear_system(0)
-        result = solve_linear(polys, values, lam=0.0, x_true=x)
-        assert result.success
+        result = solve_linear(polys, values, lam=0.0)
+        assert success_criterion(result.x_hat, x, polys, values)
         assert np.max(np.abs(result.x_hat - x)) < 1e-10
         assert result.method is Method.LASSO
 
@@ -100,8 +100,8 @@ class TestSolveLinear:
 
     def test_biased_estimate_not_successful(self):
         polys, x, values = self.linear_system(3)
-        result = solve_linear(polys, values, lam=1.0, x_true=x)
-        assert not result.success
+        result = solve_linear(polys, values, lam=1.0)
+        assert not success_criterion(result.x_hat, x, polys, values)
 
 
 class TestQbpPipeline:
@@ -114,9 +114,10 @@ class TestQbpPipeline:
         x = rng.normal(size=n)
         values = polys.evaluate(x)
         config = SolverConfig(eps_abs=1e-10, eps_rel=1e-8, max_iters=60000)
-        a = solve_qbp(polys, values, config=config, x_true=x)
-        b = solve_nlbp_system(polys, values, order=2, config=config, x_true=x)
-        assert a.success == b.success
+        a = solve_qbp(polys, values, config=config)
+        b = solve_nlbp_system(polys, values, order=2, config=config)
+        assert (success_criterion(a.x_hat, x, polys, values)
+                == success_criterion(b.x_hat, x, polys, values))
         assert np.max(np.abs(a.x_hat - b.x_hat)) < 1e-6
         assert a.residual_sq == pytest.approx(b.residual_sq, abs=1e-12)
 
@@ -124,8 +125,8 @@ class TestQbpPipeline:
         # same measurements, degree-2 model: provably inconsistent, never
         # succeeds under the frozen criterion
         polys, x, values = planted_sparse_system(5, 30, 4, (1, 4), 5)
-        result = solve_qbp(polys, values, x_true=x)
-        assert not result.success
+        result = solve_qbp(polys, values)
+        assert not success_criterion(result.x_hat, x, polys, values)
         assert result.residual_sq > 1.0
 
 
@@ -134,8 +135,8 @@ class TestFullPipeline:
         polys, x, values = planted_sparse_system(5, 40, 4, (0, 3), 6)
         rho = 1.0 / (1.0 + np.max(np.abs(values)))
         config = SolverConfig(rho=rho, eps_abs=1e-9, eps_rel=1e-7, max_iters=60000)
-        result = solve_nlbp_system(polys, values, order=4, config=config, x_true=x)
-        assert result.success
+        result = solve_nlbp_system(polys, values, order=4, config=config)
+        assert success_criterion(result.x_hat, x, polys, values)
         assert np.max(np.abs(result.x_hat - x)) < 1e-6
 
     def test_degenerate_system_yields_zero_estimate(self):
@@ -143,8 +144,8 @@ class TestFullPipeline:
         polys = random_system(2, 2, [10_000 + j for j in range(4)])
         zero = np.zeros(2)
         values = polys.evaluate(zero)
-        result = solve_nlbp_system(polys, values, order=2, x_true=zero)
-        assert result.success
+        result = solve_nlbp_system(polys, values, order=2)
+        assert success_criterion(result.x_hat, zero, polys, values)
         assert np.max(np.abs(result.x_hat)) < 1e-4
 
 

@@ -62,6 +62,18 @@ class TestSpecs:
             table1_spec(sparsity=9)
         with pytest.raises(ValueError):
             dense_spec(order=3)
+        # each of these used to pass and then fail inside the first trial
+        with pytest.raises(ValueError, match="num_vars"):
+            dense_spec(num_vars=0)
+        with pytest.raises(ValueError, match="num_equations"):
+            table1_spec(num_equations=0)
+        with pytest.raises(ValueError, match="planted_std"):
+            dense_spec(planted_std=-1.0)
+        with pytest.raises(ValueError, match="sparsity"):
+            table1_spec(sparsity=True)
+        with pytest.raises(ValueError, match="lam"):
+            table1_spec(lam=-0.1)
+        assert dense_spec(planted_std=0.0).planted_std == 0.0
 
 
 class TestSampleTrial:

@@ -513,10 +513,14 @@ class TestSolve:
 
     def test_residual_stall_detector(self):
         # windowed sanity: the combined residual never jumps by more than 10x
-        # between consecutive 50-iteration windows
+        # between consecutive 50-iteration windows; the reference loop takes
+        # the solver's steps bit for bit and keeps every residual pair
         problem, _ = planted_problem(3, 10, 4, 11)
-        report = solve_nlbp(problem, SolverConfig(), record_history=True)
-        combined = report.history.sum(axis=1)
+        config = SolverConfig()
+        ref = reference_loop(problem, config)
+        assert_same_as_reference(solve_nlbp(problem, config), ref)
+        combined = np.array(ref.history).sum(axis=1)
+        assert len(combined) == ref.iterations
         windows = [combined[i:i + 50] for i in range(0, len(combined) - 50, 50)]
         for prev, cur in zip(windows, windows[1:]):
             assert cur.max() <= 10.0 * prev.max()
@@ -553,7 +557,8 @@ def reference_loop(problem, config, alpha=sdp_admm._RELAX, balance=True,
     it grows at an extrapolated state, the next state is the previous F.
 
     Returns a namespace: the final X, multipliers and rho, the iteration and
-    extrapolation counts, and ``restarts``, how often each restart fired."""
+    extrapolation counts, ``restarts``, how often each restart fired, and
+    ``history``, the (primal, dual) residual pair of every iteration."""
     cache = AffineCache.build(problem)
     dim, rho = problem.dim, config.rho
     size = 3 * dim * dim
@@ -565,6 +570,7 @@ def reference_loop(problem, config, alpha=sdp_admm._RELAX, balance=True,
     g_old_sq = np.inf
     jumped = False
     restarts = {"rho": 0, "growth": 0, "rejected": 0}
+    history = []
     scale = np.sqrt(2.0) * dim
     X2 = None
     for iteration in range(1, config.max_iters + 1):
@@ -579,6 +585,7 @@ def reference_loop(problem, config, alpha=sdp_admm._RELAX, balance=True,
         primal = np.sqrt(np.linalg.norm(X1 - Z_new) ** 2
                          + np.linalg.norm(X2 - Z_new) ** 2)
         dual = rho * np.sqrt(2.0) * np.linalg.norm(Z_new - Z)
+        history.append((primal, dual))
         primal_scale = max(
             np.sqrt(np.linalg.norm(X1) ** 2 + np.linalg.norm(X2) ** 2),
             np.sqrt(2.0) * np.linalg.norm(Z_new),
@@ -643,7 +650,7 @@ def reference_loop(problem, config, alpha=sdp_admm._RELAX, balance=True,
         x, jumped = x_next, extrapolated
     return SimpleNamespace(X=Z_new, iterations=iteration, primal=primal, dual=dual,
                            dual_affine=rho * U1_new, dual_psd=rho * U2_new, rho=rho,
-                           accelerated=accelerated, restarts=restarts)
+                           accelerated=accelerated, restarts=restarts, history=history)
 
 
 def assert_same_as_reference(report, ref):
@@ -850,7 +857,7 @@ class TestProvenInconsistentExit:
                              ids=["clash", "table1_qbp"])
     def test_returns_least_squares_iterate_at_iteration_0(self, problem):
         config = SolverConfig(rho=0.5)
-        report = solve_nlbp(problem, config, record_history=True)
+        report = solve_nlbp(problem, config)
         assert report.status is SolveStatus.INFEASIBLE
         assert report.iterations == 0
         # the first ADMM affine step, projected onto the PSD cone
@@ -866,8 +873,6 @@ class TestProvenInconsistentExit:
         assert report.objective == pytest.approx(np.trace(report.X))
         assert not report.dual_affine.any() and not report.dual_psd.any()
         assert report.dual_affine.shape == report.dual_psd.shape == report.X.shape
-        assert report.history.shape == (0, 2)
-        assert solve_nlbp(problem, config).history is None
 
     def test_eigendecomposition_failure_is_a_solver_error(self, monkeypatch):
         def broken(X):
@@ -884,8 +889,8 @@ class TestProvenInconsistentExit:
         # far from feasible after 3 iterations, but not proven inconsistent:
         # the cap, not the early exit, ends the run
         problem, _ = planted_problem(2, 4, 4, 12)
-        report = solve_nlbp(problem, SolverConfig(max_iters=3), record_history=True)
+        report = solve_nlbp(problem, SolverConfig(max_iters=3))
         assert report.infeasibility_lb < 1e-10
         assert report.status is SolveStatus.MAX_ITERS
-        assert report.iterations == 3 and report.history.shape == (3, 2)
+        assert report.iterations == 3
         assert report.dual_psd.any()
