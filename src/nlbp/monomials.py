@@ -158,11 +158,9 @@ class PolySystem:
     read-only, the coefficients a copy. Two systems are equal when their
     tables and coefficients are.
 
-    Two summation orders exist on purpose. ``evaluate`` takes one dot
-    product per row over its nonzero columns; ``residual`` and ``jacobian``
-    add the terms of a row one at a time. Right-hand sides and success
-    checks use the first, the Gauss-Newton polish the second, and reported
-    results depend on their last bits.
+    ``evaluate``, ``residual`` and ``jacobian`` add the terms of a row one at
+    a time in table order. A zero coefficient adds an exact zero, so a row
+    padded with zeros sums to the same bits as its nonzero terms alone.
     """
 
     num_vars: int
@@ -201,22 +199,15 @@ class PolySystem:
 
     __hash__ = None
 
-    @functools.cached_property
-    def _row_terms(self) -> list:
-        # the nonzero columns of each row, or None when the row has no zero
-        return [None if nz.all() else np.flatnonzero(nz) for nz in self.coeffs != 0]
-
     def evaluate(self, x) -> np.ndarray:
-        """The value of every polynomial at x, one dot product per row over
-        its nonzero columns."""
+        """The value of every polynomial at x, each row summed term by term
+        in table order."""
         m = monomial_vector(x, self.exponents)
-        return np.array([float(row @ m) if cols is None else float(row[cols] @ m[cols])
-                         for row, cols in zip(self.coeffs, self._row_terms)])
+        return _term_sums(self._terms_by_lane * m[:, None])
 
     def residual(self, x, values) -> np.ndarray:
-        """p_i(x) - values_i, each row summed term by term in table order."""
-        m = monomial_vector(x, self.exponents)
-        return _term_sums(self._terms_by_lane * m[:, None]) - values
+        """p_i(x) - values_i."""
+        return self.evaluate(x) - values
 
     @functools.cached_property
     def _terms_by_lane(self) -> np.ndarray:

@@ -52,28 +52,19 @@ def row_terms(system, i):
 
 
 def reference_value(system, i, x):
-    """Row i at x as one dot product over its nonzero terms, as the
-    per-polynomial evaluation took it."""
-    row = row_terms(system, i)
-    if not row:
-        return 0.0
-    cs = np.array([c for c, _ in row])
-    es = np.array([e for _, e in row], dtype=float)
-    return float(cs @ np.prod(x ** es, axis=1))
+    """Row i at x, its nonzero terms added one at a time in table order."""
+    acc = 0.0
+    for c, alpha in row_terms(system, i):
+        acc += c * monomial(alpha, x)
+    return acc
 
 
 def reference_values(system, x):
-    return [reference_value(system, i, x) for i in range(len(system))]
+    return np.array([reference_value(system, i, x) for i in range(len(system))])
 
 
 def reference_residual(system, values, x):
-    out = []
-    for i, v in enumerate(values):
-        acc = 0.0
-        for c, alpha in row_terms(system, i):
-            acc += c * monomial(alpha, x)
-        out.append(acc - v)
-    return np.array(out)
+    return reference_values(system, x) - values
 
 
 def reference_jacobian(system, x):
@@ -226,10 +217,18 @@ def test_sparse_system_matches_per_term_references(n):
     rng = np.random.default_rng(n)
     values = rng.normal(size=NUM_EQS)
     for x in (rng.normal(size=n), 0.5 * rng.normal(size=n)):
+        # each row is padded with zeros over the other rows' monomials; the
+        # references add only its nonzero terms
         assert np.array_equal(system.evaluate(x), reference_values(system, x))
         assert np.array_equal(system.residual(x, values),
                               reference_residual(system, values, x))
         assert np.array_equal(system.jacobian(x), reference_jacobian(system, x))
+        padded = system.evaluate(x)
+        for i in range(NUM_EQS):
+            nonzero = system.coeffs[i] != 0
+            alone = PolySystem(n, system.degree, system.coeffs[i:i + 1, nonzero],
+                               system.exponents[nonzero])
+            assert alone.evaluate(x)[0] == padded[i]
     truncated = system.truncate(2)
     assert [terms(truncated, i) for i in range(NUM_EQS)] == reference_truncate(system, 2)
     A, const = system.linear_parts()
