@@ -7,7 +7,8 @@ each trial by wrapping them at the names their callers use:
 * ``sample_ms``: ``harness.sample_trial``;
 * ``lift_ms``: ``baselines.build_lifted_problem``;
 * ``cache_build_ms``: ``sdp_admm.AffineCache.build``;
-* ``admm_loop_ms``: ``baselines.solve_nlbp`` less its cache build;
+* ``admm_loop_ms``: ``baselines.solve_nlbp`` less its cache build, and
+  ``admm_us_per_iter``, that time over the ADMM iterations;
 * ``polish_ms``: ``baselines.refine_solution``;
 * ``trial_ms``: from one ``sample_trial`` call to the next (or to the end).
 
@@ -109,6 +110,8 @@ def measure(n: int, num_eqs: int, trials: int, seed: int) -> dict:
     per_trial["minor_faults"] = (marks[-1][1] - marks[0][1]) / trials
     per_trial["eigh_fallbacks_per_solve"] = counts["fallbacks"] / trials
     per_trial["iterations"] = sum(o.iterations for o in outcomes) / trials
+    per_trial["admm_us_per_iter"] = (
+        per_trial["admm_loop_ms"] * 1e3 / max(per_trial["iterations"], 1))
     per_trial["successes"] = sum(o.success for o in outcomes)
     return per_trial
 

@@ -89,6 +89,10 @@ class PackedIndex(NamedTuple):
         x = X.ravel()
         return (x[self.upper] + x[self.lower]) * self.half
 
+    def smat(self, x: np.ndarray) -> np.ndarray:
+        """The symmetric matrix whose svec is the packed vector x."""
+        return (x / self.weight)[self.cell]
+
 
 @functools.lru_cache(maxsize=None)
 def packed_index(dim: int) -> PackedIndex:

@@ -42,12 +42,25 @@ eigenvalue is 0; by Weyl's inequalities A's second eigenvalue is negative,
 whatever v is. At most two more steps then refine (lam, v) until the
 residual ||A v - lam v|| is below 1e-13 lam: lam is A's positive eigenvalue
 to within the residual, and lam v v^T is the projection to roundoff. When
-any step fails the full eigendecomposition runs instead, so the output is the same map either way and the start is
-not a setting. Each step cubes the tangent of the start's angle to the
-eigenvector, so three steps accept starts up to about 15 degrees off, two
-only about 2. On the seed-42 ensembles the fallbacks left, about 6 per
-solve, are mostly inputs with two or more positive eigenvalues, in
-iterations 2-6.
+any step fails the full eigendecomposition runs instead, so the output is
+the same map either way and the start is not a setting. Each step cubes the
+tangent of the start's angle to the eigenvector, so three steps accept
+starts up to about 15 degrees off, two only about 2. On the seed-42
+ensembles the fallbacks left, about 6 per solve, are mostly inputs with two
+or more positive eigenvalues, in iterations 2-6; the Cholesky proof refuses
+them after one step.
+
+The loop runs on packed vectors, the svec form in which SCS keeps its PSD
+cone variables (O'Donoghue et al., J. Optim. Theory Appl. 2016): a symmetric
+dim x dim matrix is held as its dim (dim + 1) / 2 upper-triangle entries,
+row by row, the off-diagonal ones times sqrt(2), so that every inner product
+and norm of the loop is the Frobenius one. The state (Z, U1, U2), the
+Anderson memory, the block outputs and the residuals are all such vectors;
+the affine step projects them directly, the gradient step (1/rho) I lands on
+the dim diagonal entries, and the shrinkage threshold is scaled by the same
+sqrt(2) off the diagonal. The cone step is the only matrix: it unpacks
+Z - U2 once and packs its output. X and the multipliers are unpacked once,
+for the report.
 
 The iteration is Anderson-accelerated (type II; Walker and Ni, SIAM J.
 Numer. Anal. 2011; Zhang, O'Donoghue and Boyd, SIAM J. Optim. 2020, the
@@ -129,19 +142,22 @@ class SolveReport:
     """Solver output: final consensus iterate, final multipliers and
     diagnostics.
 
-    ``dual_affine`` and ``dual_psd`` are the scaled multipliers rho * U1 and
-    rho * U2 at exit, and ``rho`` is the penalty at exit (the starting
-    penalty if balancing never changed it). At an exact fixed point
-    I + dual_affine is a combination sum_i w_i C_i of the constraint
-    matrices, dual_psd is the PSD slack, and their sum lies in lam times the
-    subdifferential of ||X||_1: together with ``lam`` they are the dual point
-    the recovery certificate checks. ``infeasibility_lb`` is the affine
-    cache's provable lower bound on the constraint violation of every matrix;
-    it tells apart the two causes of INFEASIBLE: proven before the first
-    iteration (lb above the feasibility tolerance; 0 iterations, zero
-    multipliers, X the least-squares iterate of ``solve_nlbp``) or a plateau
-    at the iteration cap (lb near 0). ``accelerated`` counts the iterations
-    that handed an Anderson-extrapolated state to the next one.
+    ``X``, ``dual_affine`` and ``dual_psd`` are dim x dim symmetric
+    matrices, unpacked once at exit from the loop's packed state (see the
+    module docstring); the cone step is the only other place the solver
+    holds a matrix. ``dual_affine`` and ``dual_psd`` are the scaled
+    multipliers rho * U1 and rho * U2 at exit, and ``rho`` is the penalty
+    at exit (the starting penalty if balancing never changed it). At an
+    exact fixed point I + dual_affine is a combination sum_i w_i C_i of the
+    constraint matrices, dual_psd is the PSD slack, and their sum lies in
+    lam times the subdifferential of ||X||_1: together with ``lam`` they are
+    the dual point the recovery certificate checks. ``infeasibility_lb`` is
+    the affine cache's provable lower bound on the constraint violation of
+    every matrix; it tells apart the two causes of INFEASIBLE: proven before
+    the first iteration (lb above the feasibility tolerance; 0 iterations,
+    zero multipliers, X the least-squares iterate of ``solve_nlbp``) or a
+    plateau at the iteration cap (lb near 0). ``accelerated`` counts the
+    iterations that handed an Anderson-extrapolated state to the next one.
     """
 
     X: np.ndarray
@@ -217,15 +233,16 @@ class AffineCache:
         return cls(dim=problem.dim, row_mat=rows, rhs=rhs, row_mat_raw=rows_raw,
                    rhs_raw=rhs_raw, gram_pinv=gram_pinv, infeasibility_lb=lb)
 
-    def project(self, X: np.ndarray) -> np.ndarray:
-        """Frobenius projection of X onto the affine constraint set. X need
-        not be symmetric: its skew part is orthogonal to every constraint
-        and passes through unchanged."""
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Frobenius projection onto the affine constraint set of a packed
+        svec vector x (the solver's coordinates) or of a dim x dim matrix.
+        A matrix need not be symmetric: its skew part is orthogonal to every
+        constraint and passes through unchanged."""
         index = packed_index(self.dim)
-        resid = self.row_mat @ index.svec(X) - self.rhs
-        # back from svec: each entry over its weight, into both mirrored cells
-        correction = (self.row_mat.T @ (self.gram_pinv @ resid)) / index.weight
-        return X - correction[index.cell]
+        matrix = x.ndim == 2
+        a = index.svec(x) if matrix else x
+        correction = self.row_mat.T @ (self.gram_pinv @ (self.row_mat @ a - self.rhs))
+        return x - index.smat(correction) if matrix else a - correction
 
     def violation(self, X: np.ndarray) -> float:
         """max_i |trace(C_i X) - v_i| against the original (unscaled) rows."""
@@ -303,9 +320,10 @@ def _rank_one_projection(sym: np.ndarray, start: np.ndarray) -> np.ndarray | Non
     return None
 
 
-def soft_threshold(Z: np.ndarray, t: float) -> np.ndarray:
-    """Elementwise sign(z) * max(|z| - t, 0); symmetry is preserved."""
-    if t < 0:
+def soft_threshold(Z: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """Elementwise sign(z) * max(|z| - t, 0); symmetry is preserved. ``t`` is
+    a scalar or an array of thresholds that broadcasts against Z."""
+    if np.min(t) < 0:
         raise ValueError("threshold must be >= 0")
     Z = np.asarray(Z, dtype=float)
     return np.sign(Z) * np.maximum(np.abs(Z) - t, 0.0)
@@ -379,11 +397,10 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None) -> So
     dim = problem.dim
     rho = config.rho
     feas_tol = _feasibility_tolerance(cache)
-    shift = (1.0 / rho) * np.eye(dim)  # gradient step of the trace objective
     if cache.infeasibility_lb > feas_tol:
         # Proven inconsistent: no iterate can become feasible, so return the
         # first affine step (the least-squares point) projected onto the cone.
-        affine = cache.project(-shift)
+        affine = cache.project(-(1.0 / rho) * np.eye(dim))
         try:
             X = project_psd(affine)
         except np.linalg.LinAlgError as exc:
@@ -392,22 +409,29 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None) -> So
                        SolveStatus.INFEASIBLE, cache, config, rho,
                        np.zeros((dim, dim)), np.zeros((dim, dim)))
 
+    # Everything but the cone step works on svec vectors (see the module
+    # docstring); ``diagonal`` holds the packed positions of the diagonal,
+    # where the trace objective's gradient step (1/rho) I lands.
+    index = packed_index(dim)
+    diagonal = index.cell.diagonal()
+    shift = 1.0 / rho
     threshold = config.lam / (2.0 * rho)
     scale = np.sqrt(2.0) * dim  # sqrt of the stacked primal dimension
     abs_floor = scale * config.eps_abs
 
-    # Anderson acceleration works on the flat state x = (Z, U1, U2). Each
+    # Anderson acceleration works on the flat state x = (z, u1, u2). Each
     # iteration writes g = T(x) - x and T(x) side by side into the pair of its
     # parity, so one subtraction of the previous pair puts both differences,
     # Delta g and Delta F, into the ring buffer. An extrapolated state and a
     # T(x) restored after a rejected extrapolation have buffers of their own;
-    # ``states`` are the (3, dim, dim) views of the four places x can live.
-    size = 3 * dim * dim
+    # ``states`` are the (3, packed) views of the four places x can live.
+    packed = len(index.weight)
+    size = 3 * packed
     pairs = np.zeros((2, 2, size))
     extrapolated = np.empty(size)
     restored = np.empty(size)
     flats = (pairs[0, 1], pairs[1, 1], extrapolated, restored)
-    states = tuple(x.reshape(3, dim, dim) for x in flats)
+    states = tuple(x.reshape(3, packed) for x in flats)
     deltas = np.empty((2, _AA_MEMORY, size))  # column head is written next
     delta_g, delta_f = deltas
     correction = np.empty(size)
@@ -422,48 +446,46 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None) -> So
     checkpoint_at = max(1, (3 * config.max_iters) // 4)
     iteration = 0
 
+    blocks = np.empty((2, packed))  # the affine and cone outputs x1, x2
     X2 = None  # the previous cone output warm-starts the next cone step
     for iteration in range(1, config.max_iters + 1):
-        Z_prev, U1, U2 = states[state]
+        z_prev, u_prev = states[state][0], states[state][1:]
         out = iteration & 1
-        Z, V1, V2 = states[out]
-        X1 = cache.project(Z_prev - U1 - shift)
+        z, v = states[out][0], states[out][1:]
+        a = z_prev - u_prev[0]
+        a[diagonal] -= shift
+        blocks[0] = cache.project(a)
         try:
             # a start only once there is one, so that a one-argument
             # stand-in for project_psd (perfbench's raising-solver test)
             # still gets the call it expects
-            X2 = project_psd(Z_prev - U2) if X2 is None else project_psd(Z_prev - U2, X2)
+            M = index.smat(z_prev - u_prev[1])
+            X2 = project_psd(M) if X2 is None else project_psd(M, X2)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"eigendecomposition failed: {exc}", iteration) from exc
+        blocks[1] = X2.ravel()[index.upper] * index.weight
 
-        # V_i = H_i + U_i, where H_i = alpha X_i + (1 - alpha) Z_prev is the
-        # relaxed output of block i; built in place, because at dim 21 every
-        # temporary array costs about a microsecond
-        relaxed = (1.0 - _RELAX) * Z_prev
-        np.multiply(X1, _RELAX, out=V1)
-        V1 += relaxed
-        V1 += U1
-        np.multiply(X2, _RELAX, out=V2)
-        V2 += relaxed
-        V2 += U2
-        np.add(V1, V2, out=Z)
-        Z *= 0.5
+        # v_i = h_i + u_i, where h_i = alpha x_i + (1 - alpha) z_prev is the
+        # relaxed output of block i; built in place, because every temporary
+        # array costs about a microsecond
+        np.multiply(blocks, _RELAX, out=v)
+        v += (1.0 - _RELAX) * z_prev
+        v += u_prev
+        np.add(v[0], v[1], out=z)
+        z *= 0.5
         if threshold > 0:  # at lam = 0 the shrinkage is the identity
-            Z[...] = soft_threshold(Z, threshold)
-        V1 -= Z  # now the multipliers U1, U2 of T(x)
-        V2 -= Z
+            # an off-diagonal svec entry is sqrt(2) times its matrix cell
+            z[...] = soft_threshold(z, threshold * index.weight)
+        v -= z  # now the multipliers u1, u2 of T(x)
 
-        # the residuals and tolerances take the unrelaxed X1, X2
-        primal = np.sqrt(_norm(X1 - Z) ** 2 + _norm(X2 - Z) ** 2)
-        dual = rho * np.sqrt(2.0) * _norm(Z - Z_prev)
+        # the residuals and tolerances take the unrelaxed x1, x2
+        primal = _norm(blocks - z)
+        dual = rho * np.sqrt(2.0) * _norm(z - z_prev)
 
-        primal_scale = max(np.sqrt(_norm(X1) ** 2 + _norm(X2) ** 2),
-                           np.sqrt(2.0) * _norm(Z))
+        primal_scale = max(_norm(blocks), np.sqrt(2.0) * _norm(z))
         eps_pri = abs_floor + config.eps_rel * primal_scale
         if primal <= eps_pri:  # only then is the dual tolerance needed
-            eps_dual = abs_floor + config.eps_rel * rho * np.sqrt(
-                _norm(V1) ** 2 + _norm(V2) ** 2
-            )
+            eps_dual = abs_floor + config.eps_rel * rho * _norm(v)
             if dual <= eps_dual:
                 converged = True
                 break
@@ -471,12 +493,11 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None) -> So
             primal_checkpoint = primal
         previous, state = state, out
         if iteration % _ADAPT_EVERY == 0:
-            factor = _penalty_factor(primal, primal_scale, dual,
-                                     rho * np.sqrt(_norm(V1) ** 2 + _norm(V2) ** 2))
+            factor = _penalty_factor(primal, primal_scale, dual, rho * _norm(v))
             if factor != 1.0:
                 rho *= factor
-                states[out][1:] /= factor
-                shift = (1.0 / rho) * np.eye(dim)
+                v /= factor
+                shift = 1.0 / rho
                 threshold = config.lam / (2.0 * rho)
                 # the scaled multipliers moved: the memory no longer applies
                 filled = head = 0
@@ -521,7 +542,8 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None) -> So
                 accelerated += 1
         have_prev, g_prev_sq = True, g_sq
 
-    violation = cache.violation(Z)
+    X = index.smat(z)
+    violation = cache.violation(X)
     # A plateau call needs a meaningful budget: a run cut off after a handful
     # of iterations is just unfinished.
     plateaued = config.max_iters >= 200 and primal >= 0.5 * primal_checkpoint
@@ -532,8 +554,8 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None) -> So
         status = SolveStatus.INFEASIBLE
     else:
         status = SolveStatus.MAX_ITERS
-    return _report(Z.copy(), iteration, primal, dual, violation, status, cache, config,
-                   rho, rho * V1, rho * V2, accelerated)
+    return _report(X, iteration, primal, dual, violation, status, cache, config,
+                   rho, index.smat(rho * v[0]), index.smat(rho * v[1]), accelerated)
 
 
 def _report(X, iterations, primal, dual, violation, status, cache, config, rho,

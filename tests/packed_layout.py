@@ -1,8 +1,10 @@
 """Test-only conversions between packed constraint rows and dense matrices.
 
 A packed row holds the upper triangle of a symmetric dim x dim matrix, row
-by row, with the matrix's own values. These helpers are written from that
-definition alone, so the tests do not lean on the package's own index.
+by row, with the matrix's own values. Its svec scales the off-diagonal
+entries by sqrt(2), so that svec(A) . svec(B) = trace(A B). These helpers
+are written from those definitions alone, so the tests do not lean on the
+package's own index.
 """
 
 import numpy as np
@@ -24,6 +26,13 @@ def pack(matrices):
     matrices = np.asarray(matrices, dtype=float)
     i, j = np.triu_indices(matrices.shape[-1])
     return matrices[..., i, j]
+
+
+def svec_weight(dim):
+    """1 on the diagonal and sqrt(2) off it, in packed order: the svec of a
+    symmetric matrix X is pack(X) * svec_weight(dim)."""
+    i, j = np.triu_indices(dim)
+    return np.where(i == j, 1.0, np.sqrt(2.0))
 
 
 def dense_operator(problem):

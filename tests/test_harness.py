@@ -365,9 +365,9 @@ class TestGoldenDigests:
 
     @pytest.mark.parametrize("spec, digest", [
         (table1_spec(trials=5, seed=1000),
-         "8b47ff049242c00bbcf0b8d723ae157872aa8f4811a10e8ed08afeeaff2f7334"),
+         "7138b52f2b79722a6ba237f4a03e04baae2e16b27e5837291f11dddd4bb9aae3"),
         (dense_spec(trials=5, seed=1000),
-         "a9b6f62b5d05cf15f4dc82471d0406cc5560dc0443292d7545b0c4ce278e63ab"),
+         "1997757d9fc2c10996ef193d6cd707289328e077dffcf4494599476095663b36"),
     ], ids=["table1", "dense"])
     def test_n5_ensembles(self, spec, digest):
         # at n = 5 the bytes do not depend on the BLAS thread count
@@ -391,7 +391,7 @@ class TestGoldenDigests:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=300)
         assert out.stdout.strip() == (
-            "f3de51101cf86fd5cfeb96da8cb3e4e7092edf4883260d2705480a7b2936e4cd")
+            "68c215ecdd4c0489bb596234d782e9dcae4a1ff276e1d50e05fd7a48190f1917")
 
 
 def test_trial_path_loads_no_scipy():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,7 +27,7 @@ from nlbp.sdp_admm import (
     soft_threshold,
     solve_nlbp,
 )
-from packed_layout import dense_operator
+from packed_layout import dense_operator, pack, svec_weight, unpack
 from poly_terms import stack, system_of
 
 
@@ -95,6 +96,26 @@ class TestProjectAffine:
             ours = AffineCache.build(problem).project(X)
             oracle = kkt_projection_oracle(problem, X)
             assert np.max(np.abs(ours - oracle)) < 1e-8
+
+    def test_packed_vector_matches_kkt_oracle(self):
+        # the solver's coordinates: svec in, svec of the projection out
+        rng = np.random.default_rng(18)
+        for seed in range(5):
+            problem, _ = planted_problem(1 + seed % 2, 3, 2 + 2 * (seed % 2), seed + 3)
+            weight = svec_weight(problem.dim)
+            X = rng.normal(size=(problem.dim, problem.dim))
+            X = 0.5 * (X + X.T)
+            ours = AffineCache.build(problem).project(pack(X) * weight)
+            oracle = pack(kkt_projection_oracle(problem, X)) * weight
+            assert np.max(np.abs(ours - oracle)) < 1e-8
+
+    def test_packed_vector_idempotent(self):
+        problem, _ = planted_problem(2, 4, 4, 2)
+        cache = AffineCache.build(problem)
+        x = np.random.default_rng(19).normal(size=problem.dim * (problem.dim + 1) // 2)
+        once = cache.project(x)
+        assert np.max(np.abs(once - x)) > 0.1
+        assert np.max(np.abs(cache.project(once) - once)) < 1e-10
 
     def test_projection_satisfies_constraints(self):
         problem, _ = planted_problem(3, 6, 2, 4)
@@ -330,10 +351,27 @@ class TestWarmStartedProjectPsd:
         assert refused == [(self.DIM, self.DIM)]
         assert np.linalg.matrix_rank(out, tol=1e-9) == 2
 
+    def test_second_positive_eigenvalue_is_refused_after_one_solve(self, monkeypatch):
+        # the inertia proof runs right after the first Rayleigh-quotient
+        # step, so an input that no start can pass costs one solve, not the
+        # two this start would need to converge
+        A, q = with_spectrum([5.0, 2.0] + self.NEGATIVE[1:], 9)
+        near = q[:, 0] + 1e-2 * q[:, 2]
+        solves = []
+        solve = np.linalg.solve
+
+        def counting(a, b):
+            solves.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        assert sdp_admm._rank_one_projection(A, np.outer(near, near)) is None
+        assert solves == [(self.DIM, self.DIM)]
+
     @pytest.mark.parametrize("kernel", ["solve", "cholesky"])
     def test_fast_path_linalg_error_falls_back(self, monkeypatch, kernel):
-        # an inexact start needs a Rayleigh-quotient step; an exact one goes
-        # straight to the Cholesky check
+        # every start takes one Rayleigh-quotient step (solve) and then the
+        # Cholesky check; a failure of either is a fallback to eigh
         A, q = with_spectrum([5.0] + self.NEGATIVE, 8)
         near = q[:, 0] + (1e-3 * q[:, 1] if kernel == "solve" else 0.0)
         start = np.outer(near, near)
@@ -535,17 +573,21 @@ class TestSolve:
 
 def reference_loop(problem, config, alpha=sdp_admm._RELAX, balance=True,
                    accelerate=True):
-    """The ADMM loop of ``solve_nlbp`` written out plainly: the state x =
-    (Z, U1, U2) as one flat vector, a fresh array for every step, a fresh
-    identity and a shrinkage call every iteration, ``np.linalg.norm``, the
-    same ``cache.project`` and the same ``project_psd`` warm-started from the
-    previous cone output. Each block's output is over-relaxed by ``alpha``
+    """The ADMM loop of ``solve_nlbp`` written out plainly in svec
+    coordinates: the state x = (z, u1, u2) as one flat vector of three
+    packed dim (dim + 1) / 2 blocks, off-diagonals times sqrt(2), a fresh
+    array for every step, a fresh gradient step and a shrinkage call every
+    iteration, ``np.linalg.norm``, the same ``cache.project`` (on packed
+    vectors) and the same ``project_psd`` warm-started from the previous
+    cone output. Only the cone step sees a matrix, unpacked and repacked by
+    ``packed_layout``. Each block's output is over-relaxed by ``alpha``
     before the consensus and multiplier updates (alpha = 1 is plain ADMM);
-    the residuals and the stopping rule use the unrelaxed outputs. With
-    ``balance``, every 50 iterations rho is scaled by the square root of the
-    ratio of the normalized primal and dual residuals, clamped to [1/4, 4]
-    and kept when within [1/2, 2], and U1, U2 are divided by the same
-    factor; without it rho stays ``config.rho``.
+    the residuals and the stopping rule use the unrelaxed outputs. The
+    shrinkage threshold of an entry is lam / (2 rho) times its svec weight.
+    With ``balance``, every 50 iterations rho is scaled by the square root
+    of the ratio of the normalized primal and dual residuals, clamped to
+    [1/4, 4] and kept when within [1/2, 2], and u1, u2 are divided by the
+    same factor; without it rho stays ``config.rho``.
 
     With ``accelerate``, from iteration 20 on, F = T(x) is the output of the
     iteration and g = F - x. The differences of g and F from the previous
@@ -556,12 +598,20 @@ def reference_loop(problem, config, alpha=sdp_admm._RELAX, balance=True,
     dG' g. The ring empties at every rho change and whenever ||g|| grows; if
     it grows at an extrapolated state, the next state is the previous F.
 
-    Returns a namespace: the final X, multipliers and rho, the iteration and
-    extrapolation counts, ``restarts``, how often each restart fired, and
-    ``history``, the (primal, dual) residual pair of every iteration."""
+    Returns a namespace: the final X, multipliers and rho as matrices, the
+    iteration and extrapolation counts, ``restarts``, how often each restart
+    fired, and ``history``, the (primal, dual) residual pair of every
+    iteration."""
     cache = AffineCache.build(problem)
     dim, rho = problem.dim, config.rho
-    size = 3 * dim * dim
+    weight = svec_weight(dim)
+    on_diagonal = (weight == 1.0).astype(float)
+    S = len(weight)
+    size = 3 * S
+
+    def matrix(p):
+        return unpack(p / weight, dim)
+
     x = np.zeros(size)
     dG, dF = np.zeros((8, size)), np.zeros((8, size))
     gram, projected = np.zeros((8, 8)), np.zeros(8)
@@ -574,24 +624,22 @@ def reference_loop(problem, config, alpha=sdp_admm._RELAX, balance=True,
     scale = np.sqrt(2.0) * dim
     X2 = None
     for iteration in range(1, config.max_iters + 1):
-        Z, U1, U2 = x.reshape(3, dim, dim)
-        X1 = cache.project(Z - U1 - (1.0 / rho) * np.eye(dim))
-        X2 = project_psd(Z - U2, X2)
+        Z, U1, U2 = x.reshape(3, S)
+        X1 = cache.project(Z - U1 - (1.0 / rho) * on_diagonal)
+        X2 = project_psd(matrix(Z - U2), X2)
+        x2 = pack(X2) * weight
         H1 = alpha * X1 + (1.0 - alpha) * Z
-        H2 = alpha * X2 + (1.0 - alpha) * Z
-        Z_new = soft_threshold(0.5 * ((H1 + U1) + (H2 + U2)), config.lam / (2.0 * rho))
+        H2 = alpha * x2 + (1.0 - alpha) * Z
+        Z_new = soft_threshold(0.5 * ((H1 + U1) + (H2 + U2)),
+                               config.lam / (2.0 * rho) * weight)
         U1_new = U1 + H1 - Z_new
         U2_new = U2 + H2 - Z_new
-        primal = np.sqrt(np.linalg.norm(X1 - Z_new) ** 2
-                         + np.linalg.norm(X2 - Z_new) ** 2)
+        primal = np.linalg.norm(np.concatenate([X1 - Z_new, x2 - Z_new]))
         dual = rho * np.sqrt(2.0) * np.linalg.norm(Z_new - Z)
         history.append((primal, dual))
-        primal_scale = max(
-            np.sqrt(np.linalg.norm(X1) ** 2 + np.linalg.norm(X2) ** 2),
-            np.sqrt(2.0) * np.linalg.norm(Z_new),
-        )
-        dual_scale = rho * np.sqrt(np.linalg.norm(U1_new) ** 2
-                                   + np.linalg.norm(U2_new) ** 2)
+        primal_scale = max(np.linalg.norm(np.concatenate([X1, x2])),
+                           np.sqrt(2.0) * np.linalg.norm(Z_new))
+        dual_scale = rho * np.linalg.norm(np.concatenate([U1_new, U2_new]))
         eps_pri = scale * config.eps_abs + config.eps_rel * primal_scale
         eps_dual = scale * config.eps_abs + config.eps_rel * dual_scale
         if primal <= eps_pri and dual <= eps_dual:
@@ -607,7 +655,7 @@ def reference_loop(problem, config, alpha=sdp_admm._RELAX, balance=True,
             rho = rho * factor
             U1_new = U1_new / factor
             U2_new = U2_new / factor
-        F = np.concatenate([Z_new.ravel(), U1_new.ravel(), U2_new.ravel()])
+        F = np.concatenate([Z_new, U1_new, U2_new])
         if factor != 1.0:
             restarts["rho"] += 1
             held = slot = 0
@@ -648,9 +696,103 @@ def reference_loop(problem, config, alpha=sdp_admm._RELAX, balance=True,
                 accelerated += 1
         g_old, F_old, g_old_sq = g, F, g_sq
         x, jumped = x_next, extrapolated
-    return SimpleNamespace(X=Z_new, iterations=iteration, primal=primal, dual=dual,
-                           dual_affine=rho * U1_new, dual_psd=rho * U2_new, rho=rho,
+    return SimpleNamespace(X=matrix(Z_new), iterations=iteration, primal=primal,
+                           dual=dual, dual_affine=matrix(rho * U1_new),
+                           dual_psd=matrix(rho * U2_new), rho=rho,
                            accelerated=accelerated, restarts=restarts, history=history)
+
+
+def matrix_loop(problem, config):
+    """The same loop in full dim x dim matrix coordinates, as the solver ran
+    it before its state was packed: Z, U1, U2 and every residual are
+    matrices, and ``cache.project`` takes the matrix Z - U1 - (1/rho) I.
+    Its arithmetic differs from the solver's in rounding only, so it is an
+    independent oracle for the packed loop's iterates, not a bitwise one.
+    Returns the final X and the iteration count."""
+    cache = AffineCache.build(problem)
+    dim, rho = problem.dim, config.rho
+    size = 3 * dim * dim
+    x = np.zeros(size)
+    dG, dF = np.zeros((8, size)), np.zeros((8, size))
+    gram, projected = np.zeros((8, 8)), np.zeros(8)
+    held = slot = 0
+    alpha = sdp_admm._RELAX
+    g_old = F_old = None
+    g_old_sq = np.inf
+    jumped = False
+    scale = np.sqrt(2.0) * dim
+    X2 = None
+    for iteration in range(1, config.max_iters + 1):
+        Z, U1, U2 = x.reshape(3, dim, dim)
+        X1 = cache.project(Z - U1 - (1.0 / rho) * np.eye(dim))
+        X2 = project_psd(Z - U2, X2)
+        H1 = alpha * X1 + (1.0 - alpha) * Z
+        H2 = alpha * X2 + (1.0 - alpha) * Z
+        Z_new = soft_threshold(0.5 * ((H1 + U1) + (H2 + U2)), config.lam / (2.0 * rho))
+        U1_new = U1 + H1 - Z_new
+        U2_new = U2 + H2 - Z_new
+        primal = np.sqrt(np.linalg.norm(X1 - Z_new) ** 2
+                         + np.linalg.norm(X2 - Z_new) ** 2)
+        dual = rho * np.sqrt(2.0) * np.linalg.norm(Z_new - Z)
+        primal_scale = max(
+            np.sqrt(np.linalg.norm(X1) ** 2 + np.linalg.norm(X2) ** 2),
+            np.sqrt(2.0) * np.linalg.norm(Z_new),
+        )
+        dual_scale = rho * np.sqrt(np.linalg.norm(U1_new) ** 2
+                                   + np.linalg.norm(U2_new) ** 2)
+        eps_pri = scale * config.eps_abs + config.eps_rel * primal_scale
+        eps_dual = scale * config.eps_abs + config.eps_rel * dual_scale
+        if primal <= eps_pri and dual <= eps_dual:
+            break
+        factor = 1.0
+        if (iteration % 50 == 0
+                and primal_scale > 0 and dual_scale > 0 and dual > 0):
+            factor = np.sqrt((primal / primal_scale) / (dual / dual_scale))
+            factor = min(max(factor, 0.25), 4.0)
+            if 0.5 <= factor <= 2.0:
+                factor = 1.0
+        if factor != 1.0:
+            rho = rho * factor
+            U1_new = U1_new / factor
+            U2_new = U2_new / factor
+        F = np.concatenate([Z_new.ravel(), U1_new.ravel(), U2_new.ravel()])
+        if factor != 1.0:
+            held = slot = 0
+            g_old, g_old_sq, jumped = None, np.inf, False
+            x = F
+            continue
+        if iteration < 20:
+            x = F
+            continue
+
+        g = F - x
+        g_sq = g @ g
+        x_next, extrapolated = F, False
+        if g_sq > g_old_sq:
+            held = slot = 0
+            if jumped:
+                x, g_old, jumped = F_old, None, False
+                continue
+        elif g_old is not None:
+            dG[slot] = g - g_old
+            dF[slot] = F - F_old
+            held = min(held + 1, 8)
+            row = dG[:held] @ dG[slot]
+            projected[:held] += row
+            projected[slot] = dG[slot] @ g
+            row[slot] *= 1.0 + 1e-10
+            gram[slot, :held] = row
+            gram[:held, slot] = row
+            slot = (slot + 1) % 8
+            try:
+                gamma = np.linalg.solve(gram[:held, :held], projected[:held])
+            except np.linalg.LinAlgError:
+                held = slot = 0
+            else:
+                x_next, extrapolated = F - gamma @ dF[:held], True
+        g_old, F_old, g_old_sq = g, F, g_sq
+        x, jumped = x_next, extrapolated
+    return Z_new, iteration
 
 
 def assert_same_as_reference(report, ref):
@@ -672,6 +814,16 @@ class TestLoopPinned:
         ref = reference_loop(problem, config)
         assert ref.accelerated > 0
         assert_same_as_reference(solve_nlbp(problem, config), ref)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_matches_matrix_loop(self, lam):
+        # the loop of matrices the packed state replaced takes the same
+        # steps up to rounding: only the coordinates changed
+        problem, config = trial_problem(table1_spec(trials=1, seed=42), 0, lam=lam)
+        X, iterations = matrix_loop(problem, config)
+        report = solve_nlbp(problem, config)
+        assert report.iterations == iterations
+        assert np.linalg.norm(report.X - X) <= 1e-12 * np.linalg.norm(X)
 
     def test_memory_restarts_on_rho_change_and_on_growth(self, monkeypatch):
         # A start 100x too small: rho climbs in factors of 4, and while the
@@ -718,6 +870,21 @@ class TestLoopPinned:
             after = [(k, size) for k, size in solves if k > change]
             if after:
                 assert after[0][0] >= change + 2 and after[0][1] == 1
+
+    def test_n8_solve_holds_packed_state(self):
+        # dim 45: x = (z, u1, u2) is 3 x 1,035 floats and the Anderson ring
+        # 397 KB. Full dim x dim state (3 x 2,025 floats, a 778 KB ring)
+        # peaked at 2.80 MB; now the cache build, 2.60 MB, sets the peak.
+        spec = table1_spec(trials=1, seed=1000, num_vars=8, num_equations=120)
+        problem, config = trial_problem(spec, 0)
+        solve_nlbp(problem, dataclasses.replace(config, max_iters=2))  # per-dim caches
+        tracemalloc.start()
+        try:
+            solve_nlbp(problem, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.7e6
 
     def test_solver_error_in_an_accelerated_iteration_keeps_its_index(self, monkeypatch):
         problem, config = trial_problem(table1_spec(trials=1, seed=42), 0)
