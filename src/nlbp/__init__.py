@@ -8,6 +8,7 @@ from .monomials import (
     system_from_json,
 )
 from .lifting import (
+    AffineCache,
     ConstraintKind,
     DegreeTooHighError,
     LiftedProblem,
@@ -20,7 +21,6 @@ from .lifting import (
     quadratic_forms,
 )
 from .sdp_admm import (
-    AffineCache,
     SolveReport,
     SolverConfig,
     SolverError,

@@ -14,14 +14,15 @@ read-only (M, dim (dim + 1) / 2) array plus its (M,) right-hand side
 (``LiftedProblem.operator`` and ``.values``). Row i packs the upper triangle
 of the symmetric constraint matrix C_i row by row, with the matrix's own
 values: the cells the lifted JSON stores. ``packed_index`` maps between that
-layout and dense matrices; the solver and the certificate read the packed
-rows directly.
+layout and dense matrices; the solver and the certificate read one
+factored operator per problem, ``LiftedProblem.affine``.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -171,6 +172,84 @@ class LiftedProblem:
         return ((ConstraintKind.DATA,) * self.num_data
                 + (ConstraintKind.NORMALIZATION,) * min(structural, 1)
                 + (ConstraintKind.DEPENDENCY,) * max(structural - 1, 0))
+
+    @functools.cached_property
+    def affine(self) -> AffineCache:
+        """The factored constraint operator, built on first use and kept:
+        the solve and the certificate of a problem share one Gram ``eigh``."""
+        return AffineCache.build(self)
+
+
+# Rows squared at a time for the row norms of ``AffineCache.build``: 32 rows
+# of the n = 8 lift are 265 KB, where the whole matrix is 1.3 MB.
+_NORM_ROWS = 32
+
+
+@dataclass
+class AffineCache:
+    """Precomputed data for projecting onto {X : trace(C_i X) = v_i for all i}.
+
+    The problem's packed rows are weighted once into svec rows (see
+    ``PackedIndex``): dim (dim + 1) / 2 columns whose inner products are
+    those of the full dim x dim matrices. Those rows are normalized to unit
+    Frobenius norm (the feasible set, and hence the projection, is
+    unchanged) and the constraint Gram matrix is eigendecomposed once with a
+    relative cutoff so that linearly dependent constraints are handled by
+    pseudo-inversion; ``gram_pinv`` is that pseudo-inverse, formed once so
+    that a projection applies it in one matvec. ``infeasibility_lb`` is a
+    provable lower bound on max_i |trace(C_i X) - v_i| over all X; it is
+    zero (up to roundoff) exactly when the constraint system is consistent.
+    """
+
+    dim: int
+    row_mat: np.ndarray          # (M, dim*(dim+1)/2), normalized svec rows
+    rhs: np.ndarray              # (M,) normalized right-hand sides
+    row_mat_raw: np.ndarray      # (M, dim*(dim+1)/2) view of problem.operator
+    rhs_raw: np.ndarray          # (M,) view of problem.values
+    gram_pinv: np.ndarray = field(repr=False)  # (M, M)
+    infeasibility_lb: float = 0.0
+
+    @classmethod
+    def build(cls, problem: LiftedProblem) -> "AffineCache":
+        rows_raw = problem.operator
+        rhs_raw = problem.values
+        rows = rows_raw * packed_index(problem.dim).weight
+        # np.linalg.norm(rows, axis=1) bit for bit, but squaring a block of
+        # rows at a time instead of the whole matrix
+        norms = np.empty(len(rows))
+        for k in range(0, len(rows), _NORM_ROWS):
+            block = rows[k:k + _NORM_ROWS]
+            norms[k:k + _NORM_ROWS] = np.sqrt(np.add.reduce(block * block, axis=1))
+        scale = np.where(norms > 0, norms, 1.0)
+        rows /= scale[:, None]
+        rhs = rhs_raw / scale
+
+        gram = rows @ rows.T
+        vals, vecs = np.linalg.eigh(gram)
+        active = vals > 1e-12 * max(vals[-1], 0.0)
+        basis = vecs[:, active]
+        gram_pinv = (basis / vals[active]) @ basis.T
+
+        # Every X has ||rows @ x - rhs|| >= ||rhs - P rhs||, P the projection
+        # onto the range of the normalized operator. Raw residuals are the
+        # normalized ones times scale, so max_i |raw residual_i| is at least
+        # min(scale) * ||rhs - P rhs|| / sqrt(M).
+        proj = basis @ (basis.T @ rhs)
+        lb = float(scale.min() * np.linalg.norm(rhs - proj)) / np.sqrt(len(rhs))
+        return cls(dim=problem.dim, row_mat=rows, rhs=rhs, row_mat_raw=rows_raw,
+                   rhs_raw=rhs_raw, gram_pinv=gram_pinv, infeasibility_lb=lb)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Frobenius projection of the packed svec vector x (the solver's
+        coordinates, see ``PackedIndex``) onto the affine constraint set."""
+        return x - self.row_mat.T @ (self.gram_pinv @ (self.row_mat @ x - self.rhs))
+
+    def violation(self, X: np.ndarray) -> float:
+        """max_i |trace(C_i X) - v_i| against the original (unscaled) rows."""
+        index = packed_index(self.dim)
+        vec = X.ravel()
+        pairs = (vec[index.upper] + vec[index.lower]) * index.fold
+        return float(np.max(np.abs(self.row_mat_raw @ pairs - self.rhs_raw)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -334,15 +413,21 @@ def lifted_problem_to_json(problem: LiftedProblem) -> dict:
 
 def lifted_problem_from_json(data: dict) -> LiftedProblem:
     """Inverse of ``lifted_problem_to_json``; rejects non-finite numbers, cell
-    indices outside [0, dim), and an order or stored basis that
-    ``LiftedProblem`` refuses. A cell with row > col sets its mirror; a
+    indices outside [0, dim), an order or stored basis that ``LiftedProblem``
+    refuses, and a basis of the wrong length before building any table of
+    the order's size. A cell with row > col sets its mirror; a
     constraint that sets one cell twice, directly or through its mirror,
     must give it the same value both times."""
     n = checked_int(data["num_vars"], 1)
     order = checked_int(data["order"], 2)
     basis = [[checked_int(e, 0) for e in a] for a in data["basis"]]
+    # the basis size follows from n and order alone: a file whose basis is
+    # the wrong size is refused before any table of that size is built
+    dim = math.comb(n + _half_order(order), n)
+    if len(basis) != dim:
+        raise ValueError(f"basis has {len(basis)} rows, but "
+                         f"exponent_table({n}, {order // 2}) has {dim}")
     items = data["constraints"]
-    dim = len(exponent_table(n, order // 2))
     cell = packed_index(dim).cell
     operator = np.zeros((len(items), dim * (dim + 1) // 2))
     for i, (row, item) in enumerate(zip(operator, items)):

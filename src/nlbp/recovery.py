@@ -5,10 +5,10 @@ the constant-monomial entry equals 1, yields the lifted monomial vector and
 hence the unknowns from the degree-one positions. A dual certificate built
 from the solver's final multipliers then checks, without trusting the
 solver, that the rank-one lift of that vector is the unique optimum of the
-relaxation. It reads the constraint operator from the solver's
-``AffineCache``: normalized svec rows (see ``lifting.PackedIndex``), whose
-inner products with the svec of a matrix X are the traces trace(C_i X)
-over the row norms, and the pseudo-inverse of their Gram matrix.
+relaxation. It reads the operator the solve factored, ``problem.affine``:
+normalized svec rows (see ``lifting.PackedIndex``), whose inner products
+with the svec of a matrix X are the traces trace(C_i X) over the row norms,
+and the pseudo-inverse of their Gram matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lifting import LiftedProblem, lift_vector, packed_index
-from .sdp_admm import AffineCache, SolveReport, SolveStatus
+from .sdp_admm import SolveReport, SolveStatus
 
 
 class DegenerateTopEigenvalueError(ValueError):
@@ -141,8 +141,8 @@ def dual_certificate(problem: LiftedProblem, report: SolveReport,
     certificate holds only on a CONVERGED report and only when every check
     passes at tolerance CERT_TOL.
 
-    The least squares runs on the normalized svec rows of the problem's
-    ``AffineCache``, through its Gram pseudo-inverse; their multiplier u is
+    The least squares runs on the normalized svec rows of
+    ``problem.affine``, through its Gram pseudo-inverse; their multiplier u is
     w times the row norms, so the duality gap pairs u with the normalized
     right-hand sides. Those rows see only the symmetric part of
     I + rho * U1; its skew part, orthogonal to every C_i, is added
@@ -155,7 +155,7 @@ def dual_certificate(problem: LiftedProblem, report: SolveReport,
     slack_norm = float(np.max(np.abs(vals)))
     scale = slack_norm if slack_norm > 0 else 1.0
 
-    cache = AffineCache.build(problem)
+    cache = problem.affine
     target = np.eye(problem.dim) + report.dual_affine
     packed_target = packed_index(problem.dim).svec(target)
     u = cache.gram_pinv @ (cache.row_mat @ packed_target)

@@ -87,13 +87,13 @@ identical iterate sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .lifting import LiftedProblem, packed_index
+from .lifting import AffineCache, LiftedProblem, packed_index
 from .monomials import checked_float, checked_int
 
 
@@ -182,74 +182,6 @@ def _identity(dim: int) -> np.ndarray:
     eye = np.eye(dim)
     eye.setflags(write=False)
     return eye
-
-
-@dataclass
-class AffineCache:
-    """Precomputed data for projecting onto {X : trace(C_i X) = v_i for all i}.
-
-    The problem's packed rows are weighted once into svec rows (see
-    ``PackedIndex``): dim (dim + 1) / 2 columns whose inner products are
-    those of the full dim x dim matrices. Those rows are normalized to unit
-    Frobenius norm (the feasible set, and hence the projection, is
-    unchanged) and the constraint Gram matrix is eigendecomposed once with a
-    relative cutoff so that linearly dependent constraints are handled by
-    pseudo-inversion; ``gram_pinv`` is that pseudo-inverse, formed once so
-    that a projection applies it in one matvec. ``infeasibility_lb`` is a
-    provable lower bound on max_i |trace(C_i X) - v_i| over all X; it is
-    zero (up to roundoff) exactly when the constraint system is consistent.
-    """
-
-    dim: int
-    row_mat: np.ndarray          # (M, dim*(dim+1)/2), normalized svec rows
-    rhs: np.ndarray              # (M,) normalized right-hand sides
-    row_mat_raw: np.ndarray      # (M, dim*(dim+1)/2) view of problem.operator
-    rhs_raw: np.ndarray          # (M,) view of problem.values
-    gram_pinv: np.ndarray = field(repr=False)  # (M, M)
-    infeasibility_lb: float = 0.0
-
-    @classmethod
-    def build(cls, problem: LiftedProblem) -> "AffineCache":
-        rows_raw = problem.operator
-        rhs_raw = problem.values
-        rows = rows_raw * packed_index(problem.dim).weight
-        norms = np.linalg.norm(rows, axis=1)
-        scale = np.where(norms > 0, norms, 1.0)
-        rows /= scale[:, None]
-        rhs = rhs_raw / scale
-
-        gram = rows @ rows.T
-        vals, vecs = np.linalg.eigh(gram)
-        active = vals > 1e-12 * max(vals[-1], 0.0)
-        basis = vecs[:, active]
-        gram_pinv = (basis / vals[active]) @ basis.T
-
-        # Every X has ||rows @ x - rhs|| >= ||rhs - P rhs||, P the projection
-        # onto the range of the normalized operator. Raw residuals are the
-        # normalized ones times scale, so max_i |raw residual_i| is at least
-        # min(scale) * ||rhs - P rhs|| / sqrt(M).
-        proj = basis @ (basis.T @ rhs)
-        lb = float(scale.min() * np.linalg.norm(rhs - proj)) / np.sqrt(len(rhs))
-        return cls(dim=problem.dim, row_mat=rows, rhs=rhs, row_mat_raw=rows_raw,
-                   rhs_raw=rhs_raw, gram_pinv=gram_pinv, infeasibility_lb=lb)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Frobenius projection onto the affine constraint set of a packed
-        svec vector x (the solver's coordinates) or of a dim x dim matrix.
-        A matrix need not be symmetric: its skew part is orthogonal to every
-        constraint and passes through unchanged."""
-        index = packed_index(self.dim)
-        matrix = x.ndim == 2
-        a = index.svec(x) if matrix else x
-        correction = self.row_mat.T @ (self.gram_pinv @ (self.row_mat @ a - self.rhs))
-        return x - index.smat(correction) if matrix else a - correction
-
-    def violation(self, X: np.ndarray) -> float:
-        """max_i |trace(C_i X) - v_i| against the original (unscaled) rows."""
-        index = packed_index(self.dim)
-        vec = X.ravel()
-        pairs = (vec[index.upper] + vec[index.lower]) * index.fold
-        return float(np.max(np.abs(self.row_mat_raw @ pairs - self.rhs_raw)))
 
 
 # The rank-one cone step (see the module docstring): at most this many
@@ -386,21 +318,27 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None) -> So
     (possibly extrapolated) input. The penalty starts at ``config.rho`` and
     is rebalanced every ``_ADAPT_EVERY`` iterations.
 
-    A system the affine cache proves inconsistent returns INFEASIBLE at
+    A system ``problem.affine`` proves inconsistent returns INFEASIBLE at
     iteration 0, with the first affine step (the affine least-squares point)
     projected onto the PSD cone. Otherwise INFEASIBLE means the residuals
     plateaued at the cap above the feasibility tolerance 1e-6 * (1 + max |v_i|).
     """
     if config is None:
         config = SolverConfig()
-    cache = AffineCache.build(problem)
+    cache = problem.affine
     dim = problem.dim
     rho = config.rho
+    # Everything but the cone step works on svec vectors (see the module
+    # docstring); ``diagonal`` holds the packed positions of the diagonal,
+    # where the trace objective's gradient step (1/rho) I lands.
+    index = packed_index(dim)
+    diagonal = index.cell.diagonal()
+    shift = 1.0 / rho
     feas_tol = _feasibility_tolerance(cache)
     if cache.infeasibility_lb > feas_tol:
         # Proven inconsistent: no iterate can become feasible, so return the
         # first affine step (the least-squares point) projected onto the cone.
-        affine = cache.project(-(1.0 / rho) * np.eye(dim))
+        affine = index.smat(cache.project(index.svec(-shift * np.eye(dim))))
         try:
             X = project_psd(affine)
         except np.linalg.LinAlgError as exc:
@@ -409,12 +347,6 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None) -> So
                        SolveStatus.INFEASIBLE, cache, config, rho,
                        np.zeros((dim, dim)), np.zeros((dim, dim)))
 
-    # Everything but the cone step works on svec vectors (see the module
-    # docstring); ``diagonal`` holds the packed positions of the diagonal,
-    # where the trace objective's gradient step (1/rho) I lands.
-    index = packed_index(dim)
-    diagonal = index.cell.diagonal()
-    shift = 1.0 / rho
     threshold = config.lam / (2.0 * rho)
     scale = np.sqrt(2.0) * dim  # sqrt of the stacked primal dimension
     abs_floor = scale * config.eps_abs
@@ -602,9 +534,9 @@ def report_to_json(report: SolveReport, include_matrix: bool = False) -> dict:
 def report_from_json(data: dict) -> SolveReport:
     """Inverse of ``report_to_json``. Every number must be a finite JSON
     number (the iteration counts non-negative integers, ``lambda`` not
-    negative), and a matrix a list of equally long rows of them. Matrices a report was written without come
-    back as empty (0, 0) arrays; ``lam``, ``infeasibility_lb`` and ``rho`` as
-    nan when absent."""
+    negative), and a matrix a list of equally long rows of them. Matrices a
+    report was written without come back as empty (0, 0) arrays; ``lam``,
+    ``infeasibility_lb`` and ``rho`` as nan when absent."""
 
     def matrix(key: str) -> np.ndarray:
         if key not in data:

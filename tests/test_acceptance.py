@@ -16,12 +16,16 @@ from nlbp.harness import (
     run_experiment,
     table1_spec,
 )
-from nlbp.lifting import build_lifted_problem, lift_vector, polynomial_to_quadratic_form
+from nlbp.lifting import (
+    build_lifted_problem,
+    lift_vector,
+    packed_index,
+    polynomial_to_quadratic_form,
+)
 from nlbp.monomials import exponent_table, random_polynomial
 from nlbp.recovery import dual_certificate
 from nlbp import sdp_admm
 from nlbp.sdp_admm import (
-    AffineCache,
     SolverConfig,
     SolveStatus,
     project_psd,
@@ -210,13 +214,14 @@ def test_relaxed_splitting_iterate_invariants():
     polys = stack([random_polynomial(2, 2, 5000 + j, 1.0) for j in range(4)])
     x = rng.normal(size=2)
     problem = build_lifted_problem(polys, polys.evaluate(x), 2)
-    cache = AffineCache.build(problem)
+    cache = problem.affine
+    index = packed_index(problem.dim)
     dim, alpha = problem.dim, sdp_admm._RELAX
     Z = np.zeros((dim, dim))
     U1 = np.zeros((dim, dim))
     U2 = np.zeros((dim, dim))
     for _ in range(200):
-        X1 = cache.project(Z - U1 - np.eye(dim))
+        X1 = index.smat(cache.project(index.svec(Z - U1 - np.eye(dim))))
         X2 = project_psd(Z - U2)
         assert cache.violation(X1) <= 1e-8
         assert np.linalg.eigvalsh(X2)[0] >= -1e-8 * max(1.0, np.linalg.norm(X2))

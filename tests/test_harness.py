@@ -433,6 +433,10 @@ def test_perfbench_tracer_finds_every_layer_it_wraps(monkeypatch):
         run_experiment(table1_spec(trials=1, seed=0, num_vars=3, num_equations=12))
         assert tracer.caches and tracer.solves and tracer.extractions
         assert tracer.errors == []
+        # sdp_admm.solve.*.ms subtracts the cache build nested in the solve;
+        # a build anywhere else (an eager one in the lift, say) would skew it
+        assert all(tracer.names[c.solve_span] == "sdp_admm.solve"
+                   for c in tracer.caches)
     finally:
         tracer.uninstall()
     for owner, attr, raw in installed:

@@ -1,9 +1,12 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
+from nlbp import lifting
+from nlbp.cli import cli_main
 from nlbp.lifting import (
     ConstraintKind,
     DegreeTooHighError,
@@ -385,6 +388,32 @@ class TestProblemJson:
             lifted_problem_from_json(dict(data, order=3))
         with pytest.raises(ValueError, match="basis"):
             lifted_problem_from_json(dict(data, basis=[[1], [0]]))
+
+    @pytest.mark.parametrize("order", [12, 16])
+    def test_basis_of_the_wrong_size_refused_before_any_table(
+            self, monkeypatch, tmp_path, capsys, order):
+        # n = 10 at order 16 has a 43,758-row basis: a short file naming it
+        # must be refused without building that table or its packed layout
+        def bounded(build, rows):
+            def guarded(*args):
+                if rows(*args) > 10_000:
+                    raise AssertionError(f"{build.__name__}{args}: {rows(*args)} rows")
+                return build(*args)
+            return guarded
+
+        monkeypatch.setattr(lifting, "exponent_table", bounded(
+            lifting.exponent_table, lambda n, degree: math.comb(n + degree, n)))
+        monkeypatch.setattr(lifting, "packed_index", bounded(
+            lifting.packed_index, lambda dim: dim * (dim + 1) // 2))
+        data = {"num_vars": 10, "order": order, "basis": [[0] * 10],
+                "constraints": [{"y": 1.0, "kind": "normalization", "entries": [
+                    {"row": 0, "col": 0, "value": 1.0}]}]}
+        with pytest.raises(ValueError, match=r"basis has 1 rows, but exponent_table"):
+            lifted_problem_from_json(data)
+        path = tmp_path / "lifted.json"
+        path.write_text(json.dumps(data))
+        assert cli_main(["solve", str(path)]) == 1
+        assert "bad lifted file: basis has 1 rows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kinds", [
         ["normalization", "data", "dependency"],

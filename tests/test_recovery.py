@@ -1,12 +1,17 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from nlbp.baselines import Method, _run_lifted
 from nlbp.lifting import (
+    AffineCache,
     LiftedProblem,
     build_lifted_problem,
     lift_vector,
+    lifted_problem_from_json,
+    lifted_problem_to_json,
     packed_index,
 )
 from nlbp.monomials import exponent_table, random_polynomial
@@ -34,11 +39,15 @@ def dense_rows(problem):
     return dense_operator(problem).reshape(problem.num_constraints, -1)
 
 
-def planted_problem(n, num_eqs, order, seed):
+def planted_system(n, num_eqs, order, seed):
     rng = np.random.default_rng(seed)
     system = stack([random_polynomial(n, order, 500 + seed * 13 + j, 1.0)
                     for j in range(num_eqs)])
-    x = rng.normal(size=n)
+    return system, rng.normal(size=n)
+
+
+def planted_problem(n, num_eqs, order, seed):
+    system, x = planted_system(n, num_eqs, order, seed)
     return build_lifted_problem(system, system.evaluate(x), order), x
 
 
@@ -219,6 +228,9 @@ class TestDualCertificate:
         shift *= 1e-3 / np.max(np.abs(shift))
         moved = dataclasses.replace(problem, values=problem.values + shift)
         cert = dual_certificate(moved, report, x)
+        # the moved problem is factored anew, not read from the solved one
+        assert moved.affine is not problem.affine
+        assert np.array_equal(moved.affine.rhs_raw, moved.values)
         assert cert.primal_residual > CERT_TOL
         assert not cert.holds
         assert max(cert.complementarity, cert.dual_residual, cert.duality_gap,
@@ -259,3 +271,38 @@ class TestDualCertificate:
         assert report.status is SolveStatus.CONVERGED
         assert cert.primal_residual > CERT_TOL
         assert not cert.holds
+
+
+def count_builds(monkeypatch):
+    """The problems ``AffineCache.build`` is called on from now on."""
+    built = []
+    build = AffineCache.build.__func__
+
+    def counting(cls, problem):
+        built.append(problem)
+        return build(cls, problem)
+
+    monkeypatch.setattr(AffineCache, "build", classmethod(counting))
+    return built
+
+
+class TestOneFactorizationPerProblem:
+    def test_run_then_certificate_builds_once(self, monkeypatch):
+        built = count_builds(monkeypatch)
+        system, x = planted_system(3, 10, 4, 4)  # as in solved_planted(3, 10, 4)
+        config = SolverConfig(eps_abs=1e-10, eps_rel=1e-9)
+        result, art = _run_lifted(system, system.evaluate(x), 4, config, Method.NLBP)
+        assert len(built) == 1 and built[0] is art.problem
+        cert = dual_certificate(art.problem, art.report, result.x_hat)
+        assert cert.holds, cert
+        assert len(built) == 1
+
+    def test_problem_read_from_json_certified_twice_builds_once(self, monkeypatch):
+        problem, report, x = solved_planted(3, 10, 4)
+        loaded = lifted_problem_from_json(
+            json.loads(json.dumps(lifted_problem_to_json(problem))))
+        built = count_builds(monkeypatch)
+        first = dual_certificate(loaded, report, x)
+        second = dual_certificate(loaded, report, x)
+        assert len(built) == 1 and built[0] is loaded
+        assert first.holds and first == second

@@ -11,13 +11,13 @@ from nlbp.lifting import (
     build_lifted_problem,
     generate_dependency_constraints,
     lift_vector,
+    packed_index,
     polynomial_to_quadratic_form,
 )
 from nlbp.monomials import exponent_table, random_polynomial
 from nlbp import sdp_admm
 from nlbp.recovery import extract_rank1
 from nlbp.sdp_admm import (
-    AffineCache,
     SolverConfig,
     SolverError,
     SolveStatus,
@@ -50,6 +50,12 @@ def kkt_projection_oracle(problem, X):
     return sol[:d2].reshape(X.shape)
 
 
+def project_matrix(cache, X):
+    """``cache.project`` of a symmetric matrix, through its svec and back."""
+    index = packed_index(cache.dim)
+    return index.smat(cache.project(index.svec(X)))
+
+
 def inconsistent_systems():
     """The x = 0, x = 1 clash and a QBP-truncated table1 trial."""
     yield build_lifted_problem(system_of(1, {(1,): 1.0}, {(1,): 1.0}), [0.0, 1.0], 2)
@@ -62,7 +68,7 @@ class TestProjectAffine:
         problem, x = planted_problem(2, 4, 2, 1)
         lifted = lift_vector(x, problem.basis)
         planted = np.outer(lifted, lifted)
-        out = AffineCache.build(problem).project(planted)
+        out = project_matrix(problem.affine, planted)
         assert np.max(np.abs(out - planted)) < 1e-12 * (1 + np.max(np.abs(planted)))
 
     def test_idempotent(self):
@@ -70,9 +76,8 @@ class TestProjectAffine:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(problem.dim, problem.dim))
         X = 0.5 * (X + X.T)
-        cache = AffineCache.build(problem)
-        once = cache.project(X)
-        twice = cache.project(once)
+        once = project_matrix(problem.affine, X)
+        twice = project_matrix(problem.affine, once)
         assert np.max(np.abs(twice - once)) < 1e-10
 
     def test_matches_kkt_oracle(self):
@@ -82,18 +87,7 @@ class TestProjectAffine:
             assert problem.dim <= 6
             X = rng.normal(size=(problem.dim, problem.dim))
             X = 0.5 * (X + X.T)
-            ours = AffineCache.build(problem).project(X)
-            oracle = kkt_projection_oracle(problem, X)
-            assert np.max(np.abs(ours - oracle)) < 1e-8
-
-    def test_non_symmetric_input_matches_kkt_oracle(self):
-        # the skew part of X is orthogonal to every constraint and must pass
-        # through the projection unchanged
-        rng = np.random.default_rng(16)
-        for seed in range(5):
-            problem, _ = planted_problem(1 + seed % 2, 3, 2 + 2 * (seed % 2), seed + 3)
-            X = rng.normal(size=(problem.dim, problem.dim))
-            ours = AffineCache.build(problem).project(X)
+            ours = project_matrix(problem.affine, X)
             oracle = kkt_projection_oracle(problem, X)
             assert np.max(np.abs(ours - oracle)) < 1e-8
 
@@ -105,13 +99,13 @@ class TestProjectAffine:
             weight = svec_weight(problem.dim)
             X = rng.normal(size=(problem.dim, problem.dim))
             X = 0.5 * (X + X.T)
-            ours = AffineCache.build(problem).project(pack(X) * weight)
+            ours = problem.affine.project(pack(X) * weight)
             oracle = pack(kkt_projection_oracle(problem, X)) * weight
             assert np.max(np.abs(ours - oracle)) < 1e-8
 
     def test_packed_vector_idempotent(self):
         problem, _ = planted_problem(2, 4, 4, 2)
-        cache = AffineCache.build(problem)
+        cache = problem.affine
         x = np.random.default_rng(19).normal(size=problem.dim * (problem.dim + 1) // 2)
         once = cache.project(x)
         assert np.max(np.abs(once - x)) > 0.1
@@ -119,23 +113,23 @@ class TestProjectAffine:
 
     def test_projection_satisfies_constraints(self):
         problem, _ = planted_problem(3, 6, 2, 4)
-        cache = AffineCache.build(problem)
+        cache = problem.affine
         rng = np.random.default_rng(2)
         for _ in range(10):
             X = rng.normal(size=(problem.dim, problem.dim))
-            out = cache.project(0.5 * (X + X.T))
+            out = project_matrix(cache, 0.5 * (X + X.T))
             assert cache.violation(out) < 1e-8
 
     def test_inconsistency_bound(self):
         twice = system_of(1, {(1,): 1.0}, {(1,): 1.0})
         feasible = build_lifted_problem(twice, [1.0, 1.0], 2)
-        assert AffineCache.build(feasible).infeasibility_lb < 1e-10
+        assert feasible.affine.infeasibility_lb < 1e-10
         clash = build_lifted_problem(twice, [0.0, 1.0], 2)
-        assert AffineCache.build(clash).infeasibility_lb > 0.1
+        assert clash.affine.infeasibility_lb > 0.1
 
     def test_raw_rows_are_views_of_the_problem(self):
         problem, _ = planted_problem(2, 4, 4, 3)
-        cache = AffineCache.build(problem)
+        cache = problem.affine
         assert np.shares_memory(cache.row_mat_raw, problem.operator)
         assert np.shares_memory(cache.rhs_raw, problem.values)
 
@@ -143,7 +137,7 @@ class TestProjectAffine:
         # packed raw rows and svec rows: dim (dim + 1) / 2 columns, the svec
         # rows of unit norm
         problem, _ = planted_problem(2, 4, 4, 3)
-        cache = AffineCache.build(problem)
+        cache = problem.affine
         dim = problem.dim
         assert cache.row_mat.shape == (problem.num_constraints, dim * (dim + 1) // 2)
         assert cache.row_mat_raw.shape == (problem.num_constraints, dim * (dim + 1) // 2)
@@ -174,16 +168,14 @@ class TestProjectAffine:
         active = vals > 1e-12 * max(vals[-1], 0.0)
         pinv = (vecs[:, active] / vals[active]) @ vecs[:, active].T
 
-        cache = AffineCache.build(build_lifted_problem(stack(polys), values, order))
+        cache = build_lifted_problem(stack(polys), values, order).affine
         assert np.array_equal(cache.row_mat, svec_rows)
         rng = np.random.default_rng(n * order)
         for _ in range(3):
             X = rng.normal(size=(d, d))
             x_svec = (X[i, j] + X[j, i]) * (0.5 * weight)
             mult = pinv @ (svec_rows @ x_svec - rhs)
-            correction = np.zeros((d, d))
-            correction[i, j] = correction[j, i] = (svec_rows.T @ mult) / weight
-            assert np.array_equal(cache.project(X), X - correction)
+            assert np.array_equal(cache.project(x_svec), x_svec - svec_rows.T @ mult)
             fold = np.where(i == j, 0.5, 1.0)
             traces = rows_raw @ ((X[i, j] + X[j, i]) * fold)
             assert cache.violation(X) == float(np.max(np.abs(traces - rhs_raw)))
@@ -192,7 +184,7 @@ class TestProjectAffine:
         # no X, random or least squares, violates some constraint by less
         rng = np.random.default_rng(15)
         for problem in inconsistent_systems():
-            cache = AffineCache.build(problem)
+            cache = problem.affine
             assert cache.infeasibility_lb > 1e-3
             rows = dense_operator(problem).reshape(problem.num_constraints, -1)
             best = np.linalg.lstsq(rows, cache.rhs_raw, rcond=None)[0]
@@ -390,7 +382,7 @@ class TestWarmStartedProjectPsd:
     @pytest.mark.parametrize("passes", [1, 3])
     def test_eigh_failure_in_the_loop_is_a_solver_error(self, monkeypatch, passes):
         # the first call decomposes the constraint Gram matrix in
-        # AffineCache.build; the next ones are cone steps that fell back
+        # problem.affine; the next ones are cone steps that fell back
         problem, _ = planted_problem(2, 4, 4, 12)
         calls = []
         eigh = np.linalg.eigh
@@ -577,8 +569,7 @@ def reference_loop(problem, config, alpha=sdp_admm._RELAX, balance=True,
     coordinates: the state x = (z, u1, u2) as one flat vector of three
     packed dim (dim + 1) / 2 blocks, off-diagonals times sqrt(2), a fresh
     array for every step, a fresh gradient step and a shrinkage call every
-    iteration, ``np.linalg.norm``, the same ``cache.project`` (on packed
-    vectors) and the same ``project_psd`` warm-started from the previous
+    iteration, ``np.linalg.norm``, the same ``cache.project`` and the same ``project_psd`` warm-started from the previous
     cone output. Only the cone step sees a matrix, unpacked and repacked by
     ``packed_layout``. Each block's output is over-relaxed by ``alpha``
     before the consensus and multiplier updates (alpha = 1 is plain ADMM);
@@ -602,7 +593,7 @@ def reference_loop(problem, config, alpha=sdp_admm._RELAX, balance=True,
     iteration and extrapolation counts, ``restarts``, how often each restart
     fired, and ``history``, the (primal, dual) residual pair of every
     iteration."""
-    cache = AffineCache.build(problem)
+    cache = problem.affine
     dim, rho = problem.dim, config.rho
     weight = svec_weight(dim)
     on_diagonal = (weight == 1.0).astype(float)
@@ -705,11 +696,11 @@ def reference_loop(problem, config, alpha=sdp_admm._RELAX, balance=True,
 def matrix_loop(problem, config):
     """The same loop in full dim x dim matrix coordinates, as the solver ran
     it before its state was packed: Z, U1, U2 and every residual are
-    matrices, and ``cache.project`` takes the matrix Z - U1 - (1/rho) I.
+    matrices, and the affine step projects the svec of Z - U1 - (1/rho) I.
     Its arithmetic differs from the solver's in rounding only, so it is an
     independent oracle for the packed loop's iterates, not a bitwise one.
     Returns the final X and the iteration count."""
-    cache = AffineCache.build(problem)
+    cache = problem.affine
     dim, rho = problem.dim, config.rho
     size = 3 * dim * dim
     x = np.zeros(size)
@@ -724,7 +715,7 @@ def matrix_loop(problem, config):
     X2 = None
     for iteration in range(1, config.max_iters + 1):
         Z, U1, U2 = x.reshape(3, dim, dim)
-        X1 = cache.project(Z - U1 - (1.0 / rho) * np.eye(dim))
+        X1 = project_matrix(cache, Z - U1 - (1.0 / rho) * np.eye(dim))
         X2 = project_psd(Z - U2, X2)
         H1 = alpha * X1 + (1.0 - alpha) * Z
         H2 = alpha * X2 + (1.0 - alpha) * Z
@@ -874,17 +865,19 @@ class TestLoopPinned:
     def test_n8_solve_holds_packed_state(self):
         # dim 45: x = (z, u1, u2) is 3 x 1,035 floats and the Anderson ring
         # 397 KB. Full dim x dim state (3 x 2,025 floats, a 778 KB ring)
-        # peaked at 2.80 MB; now the cache build, 2.60 MB, sets the peak.
+        # peaked at 2.80 MB, and row norms that square all 1.3 MB of rows at
+        # once at 2.60 MB; one solve, its cache build included, takes 2.29 MB.
         spec = table1_spec(trials=1, seed=1000, num_vars=8, num_equations=120)
         problem, config = trial_problem(spec, 0)
         solve_nlbp(problem, dataclasses.replace(config, max_iters=2))  # per-dim caches
+        problem = trial_problem(spec, 0)[0]  # unfactored: the solve builds its cache
         tracemalloc.start()
         try:
             solve_nlbp(problem, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.7e6
+        assert peak < 2.4e6
 
     def test_solver_error_in_an_accelerated_iteration_keeps_its_index(self, monkeypatch):
         problem, config = trial_problem(table1_spec(trials=1, seed=42), 0)
@@ -954,8 +947,8 @@ class TestOverRelaxation:
         assert after.accelerated == 0
         rho, alpha = config.rho, sdp_admm._RELAX
         U1, U2 = before.dual_affine / rho, before.dual_psd / rho
-        X1 = AffineCache.build(problem).project(
-            before.X - U1 - (1.0 / rho) * np.eye(problem.dim))
+        X1 = project_matrix(
+            problem.affine, before.X - U1 - (1.0 / rho) * np.eye(problem.dim))
         X2 = project_psd(before.X - U2)
         H1 = alpha * X1 + (1.0 - alpha) * before.X
         H2 = alpha * X2 + (1.0 - alpha) * before.X
@@ -1028,8 +1021,8 @@ class TestProvenInconsistentExit:
         assert report.status is SolveStatus.INFEASIBLE
         assert report.iterations == 0
         # the first ADMM affine step, projected onto the PSD cone
-        cache = AffineCache.build(problem)
-        affine = cache.project(-(1.0 / config.rho) * np.eye(problem.dim))
+        cache = problem.affine
+        affine = project_matrix(cache, -(1.0 / config.rho) * np.eye(problem.dim))
         assert np.array_equal(report.X, project_psd(affine))
         assert report.primal_residual == np.linalg.norm(affine - report.X)
         assert report.dual_residual == 0.0
