@@ -12,9 +12,15 @@ each trial by wrapping them at the names their callers use:
 * ``polish_ms``: ``baselines.refine_solution``;
 * ``trial_ms``: from one ``sample_trial`` call to the next (or to the end).
 
-It also counts the cone steps that were given a warm start and still ran
-the full ``eigh`` (``eigh_fallbacks_per_solve``), and the minor page faults
-of each trial (``getrusage``). Each size runs one untimed warm-up trial
+It also counts, per solve, the LAPACK calls of the cone steps
+(``cone_cholesky_per_solve``, ``cone_solve_per_solve`` and
+``cone_eigh_per_solve``, the last including the first step, which has no
+start), the warm cone steps that still ran the full ``eigh``
+(``eigh_fallbacks_per_solve``), those that ran neither a Cholesky
+factorization nor ``eigh`` because the solve's inertia proof covered them
+(``proof_reuses_per_solve``), the cache build's ``cholesky`` and ``eigh``
+calls (``build_cholesky_per_solve``, ``build_eigh_per_solve``), and the
+minor page faults of each trial (``getrusage``). Each size runs one untimed warm-up trial
 first, so per-key caches are built outside the figures. Times are read on
 the process's CPU clock, which leaves out the time the host takes the CPU
 away. Figures are means per trial; each ensemble is repeated ``--reps``
@@ -45,6 +51,9 @@ from nlbp import baselines, harness, sdp_admm  # noqa: E402
 from nlbp.baselines import Method  # noqa: E402
 
 PHASES = ("sample_ms", "lift_ms", "cache_build_ms", "solve_ms", "polish_ms")
+KERNELS = ("cholesky", "solve", "eigh")
+COUNTS = ("cone_cholesky", "cone_solve", "cone_eigh", "eigh_fallbacks",
+          "proof_reuses", "build_cholesky", "build_eigh")
 
 
 def _timed(totals: dict, key: str, fn):
@@ -60,11 +69,13 @@ def _timed(totals: dict, key: str, fn):
 def measure(n: int, num_eqs: int, trials: int, seed: int) -> dict:
     """Mean per-trial figures of one ensemble at num_vars n."""
     totals = dict.fromkeys(PHASES, 0.0)
-    counts = {"fallbacks": 0, "warm": False}
+    counts = dict.fromkeys(COUNTS, 0)
+    phase = [None]  # "build", "cone" or "warm" (a cone step with a start)
     marks: list[tuple[float, int]] = []
     wrapped = {"sample_trial": harness, "build_lifted_problem": baselines,
                "solve_nlbp": baselines, "refine_solution": baselines,
-               "project_psd": sdp_admm, "eigh": np.linalg}
+               "project_psd": sdp_admm}
+    wrapped.update(dict.fromkeys(KERNELS, np.linalg))
     originals = {name: getattr(mod, name) for name, mod in wrapped.items()}
     build = sdp_admm.AffineCache.__dict__["build"]
 
@@ -75,25 +86,45 @@ def measure(n: int, num_eqs: int, trials: int, seed: int) -> dict:
         mark()
         return originals["sample_trial"](spec, t)
 
-    def project_psd(X, start=None):
-        counts["warm"] = start is not None
-        try:
-            return originals["project_psd"](X, start)
-        finally:
-            counts["warm"] = False
+    def in_phase(name, fn):
+        def wrapper(*args, **kwargs):
+            phase[0] = name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase[0] = None
+        return wrapper
 
-    def eigh(A):
-        counts["fallbacks"] += counts["warm"]
-        return originals["eigh"](A)
+    def project_psd(X, start=None, **kwargs):
+        # the solver's proof keyword, where there is one, passes through
+        before = counts["cone_cholesky"] + counts["cone_eigh"]
+        run = in_phase("cone" if start is None else "warm", originals["project_psd"])
+        try:
+            return run(X) if start is None else run(X, start, **kwargs)
+        finally:
+            if start is not None and counts["cone_cholesky"] + counts["cone_eigh"] == before:
+                counts["proof_reuses"] += 1
+
+    def counted(kernel):
+        def wrapper(*args, **kwargs):
+            where = phase[0]
+            if where == "build" and kernel in ("cholesky", "eigh"):
+                counts[f"build_{kernel}"] += 1
+            elif where in ("cone", "warm"):
+                counts[f"cone_{kernel}"] += 1
+                counts["eigh_fallbacks"] += where == "warm" and kernel == "eigh"
+            return originals[kernel](*args, **kwargs)
+        return wrapper
 
     harness.sample_trial = _timed(totals, "sample_ms", stamped)
     baselines.build_lifted_problem = _timed(totals, "lift_ms", originals["build_lifted_problem"])
     baselines.solve_nlbp = _timed(totals, "solve_ms", originals["solve_nlbp"])
     baselines.refine_solution = _timed(totals, "polish_ms", originals["refine_solution"])
     sdp_admm.project_psd = project_psd
-    np.linalg.eigh = eigh
+    for kernel in KERNELS:
+        setattr(np.linalg, kernel, counted(kernel))
     sdp_admm.AffineCache.build = classmethod(
-        _timed(totals, "cache_build_ms", build.__func__))
+        _timed(totals, "cache_build_ms", in_phase("build", build.__func__)))
     try:
         spec = harness.table1_spec(trials=trials, seed=seed, num_vars=n,
                                    num_equations=num_eqs, methods=(Method.NLBP,))
@@ -108,7 +139,7 @@ def measure(n: int, num_eqs: int, trials: int, seed: int) -> dict:
     per_trial["admm_loop_ms"] = per_trial.pop("solve_ms") - per_trial["cache_build_ms"]
     per_trial["trial_ms"] = (marks[-1][0] - marks[0][0]) * 1e3 / trials
     per_trial["minor_faults"] = (marks[-1][1] - marks[0][1]) / trials
-    per_trial["eigh_fallbacks_per_solve"] = counts["fallbacks"] / trials
+    per_trial.update({f"{k}_per_solve": v / trials for k, v in counts.items()})
     per_trial["iterations"] = sum(o.iterations for o in outcomes) / trials
     per_trial["admm_us_per_iter"] = (
         per_trial["admm_loop_ms"] * 1e3 / max(per_trial["iterations"], 1))

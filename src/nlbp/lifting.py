@@ -112,7 +112,7 @@ def packed_index(dim: int) -> PackedIndex:
     return index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiftedProblem:
     """A lifted instance: the basis plus one linear map on the matrix variable.
 
@@ -125,7 +125,8 @@ class LiftedProblem:
     trace(C_i @ X) == values[i]. Both arrays are read-only. Row order is
     frozen and gives each row its kind: the ``num_data`` data rows first,
     then (when any row follows) the single normalization row, then the
-    dependencies in generation order.
+    dependencies in generation order. Problems compare and hash by
+    identity, as the factored operator each one keeps (``affine``) does.
     """
 
     basis: np.ndarray
@@ -176,13 +177,33 @@ class LiftedProblem:
     @functools.cached_property
     def affine(self) -> AffineCache:
         """The factored constraint operator, built on first use and kept:
-        the solve and the certificate of a problem share one Gram ``eigh``."""
+        the solve and the certificate of a problem share one factorization
+        of the Gram matrix."""
         return AffineCache.build(self)
 
 
 # Rows squared at a time for the row norms of ``AffineCache.build``: 32 rows
 # of the n = 8 lift are 265 KB, where the whole matrix is 1.3 MB.
 _NORM_ROWS = 32
+
+# The relative eigenvalue cutoff of the Gram pseudo-inverse. A positive
+# definite G with tr(G) tr(G^-1) <= 1 / cutoff keeps every eigenvalue, since
+# tr(G) tr(G^-1) >= lambda_max / lambda_min.
+_GRAM_CUTOFF = 1e-12
+
+
+def _gram_inverse(gram: np.ndarray) -> np.ndarray | None:
+    """G^-1 when a Cholesky factorization proves the Gram matrix G positive
+    definite and tr(G) tr(G^-1) <= 1 / ``_GRAM_CUTOFF``, so that the
+    pseudo-inverse keeps every eigenvalue; None otherwise."""
+    try:
+        np.linalg.cholesky(gram)
+        inverse = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.trace(gram) * np.trace(inverse) * _GRAM_CUTOFF <= 1.0:
+        return None
+    return inverse
 
 
 @dataclass
@@ -193,12 +214,20 @@ class AffineCache:
     ``PackedIndex``): dim (dim + 1) / 2 columns whose inner products are
     those of the full dim x dim matrices. Those rows are normalized to unit
     Frobenius norm (the feasible set, and hence the projection, is
-    unchanged) and the constraint Gram matrix is eigendecomposed once with a
-    relative cutoff so that linearly dependent constraints are handled by
-    pseudo-inversion; ``gram_pinv`` is that pseudo-inverse, formed once so
-    that a projection applies it in one matvec. ``infeasibility_lb`` is a
-    provable lower bound on max_i |trace(C_i X) - v_i| over all X; it is
-    zero (up to roundoff) exactly when the constraint system is consistent.
+    unchanged), and the constraint Gram matrix G is inverted once;
+    ``gram_pinv`` is that (pseudo-)inverse, formed once so that a projection
+    applies it in one matvec. When a Cholesky factorization proves G
+    positive definite and tr(G) tr(G^-1) <= 1e12, ``gram_pinv`` is the
+    plain inverse: the trace product bounds the condition number, so the
+    eigenvalue cutoff below would have kept every eigenvalue. The NLBP lift's
+    Gram matrices take this route (condition numbers 9-19 on the seeded
+    ensembles). Otherwise G is eigendecomposed with the relative cutoff
+    1e-12, so that linearly dependent constraints, such as those of the
+    degree-2 QBP lift, are handled by pseudo-inversion.
+    ``infeasibility_lb`` is a provable lower bound on
+    max_i |trace(C_i X) - v_i| over all X; it is zero (up to roundoff)
+    exactly when the constraint system is consistent, and exactly zero on
+    the full-rank route, where the rows span every right-hand side.
     """
 
     dim: int
@@ -225,17 +254,21 @@ class AffineCache:
         rhs = rhs_raw / scale
 
         gram = rows @ rows.T
-        vals, vecs = np.linalg.eigh(gram)
-        active = vals > 1e-12 * max(vals[-1], 0.0)
-        basis = vecs[:, active]
-        gram_pinv = (basis / vals[active]) @ basis.T
-
-        # Every X has ||rows @ x - rhs|| >= ||rhs - P rhs||, P the projection
-        # onto the range of the normalized operator. Raw residuals are the
-        # normalized ones times scale, so max_i |raw residual_i| is at least
-        # min(scale) * ||rhs - P rhs|| / sqrt(M).
-        proj = basis @ (basis.T @ rhs)
-        lb = float(scale.min() * np.linalg.norm(rhs - proj)) / np.sqrt(len(rhs))
+        gram_pinv = _gram_inverse(gram)
+        if gram_pinv is not None:
+            lb = 0.0  # full rank: the rows span R^M, so some X meets every row
+        else:
+            vals, vecs = np.linalg.eigh(gram)
+            active = vals > _GRAM_CUTOFF * max(vals[-1], 0.0)
+            basis = vecs[:, active]
+            gram_pinv = (basis / vals[active]) @ basis.T
+            # Every X has ||rows @ x - rhs|| >= ||rhs - P rhs||, P the
+            # projection onto the range of the normalized operator. Raw
+            # residuals are the normalized ones times scale, so
+            # max_i |raw residual_i| is at least
+            # min(scale) * ||rhs - P rhs|| / sqrt(M).
+            proj = basis @ (basis.T @ rhs)
+            lb = float(scale.min() * np.linalg.norm(rhs - proj)) / np.sqrt(len(rhs))
         return cls(dim=problem.dim, row_mat=rows, rhs=rhs, row_mat_raw=rows_raw,
                    rhs_raw=rhs_raw, gram_pinv=gram_pinv, infeasibility_lb=lb)
 

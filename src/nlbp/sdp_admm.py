@@ -32,23 +32,37 @@ projection does not depend on rho, so a change costs nothing but the new
 gradient step (1/rho) I and shrinkage threshold.
 
 The cone step is warm-started. The program looks for a rank-one optimum
-x x^T, so near it the cone input Z - U2 has exactly one positive eigenvalue.
-``project_psd`` takes the previous cone output as a start, its row of
-largest diagonal, and takes one Rayleigh-quotient step to a pair (lam, v),
-A the symmetrized input. It then proves that no other eigenvalue of A is
-positive: a Cholesky factorization of 2 lam v v^T - A must succeed. That
-matrix is then positive definite, so A < 2 lam v v^T, whose second
-eigenvalue is 0; by Weyl's inequalities A's second eigenvalue is negative,
-whatever v is. At most two more steps then refine (lam, v) until the
-residual ||A v - lam v|| is below 1e-13 lam: lam is A's positive eigenvalue
-to within the residual, and lam v v^T is the projection to roundoff. When
-any step fails the full eigendecomposition runs instead, so the output is
-the same map either way and the start is not a setting. Each step cubes the
-tangent of the start's angle to the eigenvector, so three steps accept
-starts up to about 15 degrees off, two only about 2. On the seed-42
-ensembles the fallbacks left, about 6 per solve, are mostly inputs with two
-or more positive eigenvalues, in iterations 2-6; the Cholesky proof refuses
-them after one step.
+x x^T, so near it the cone input A = Z - U2 has exactly one positive
+eigenvalue. ``project_psd`` takes the previous cone output as a start, its
+row of largest diagonal, and takes one Rayleigh-quotient step to a pair
+(lam, v). It then proves that no other eigenvalue of A is positive: a
+Cholesky factorization of 2 lam v v^T - A must succeed. That matrix is then
+positive definite, so A < 2 lam v v^T, whose second eigenvalue is 0; by
+Weyl's inequalities A's second eigenvalue is negative, whatever v is. At
+most two more steps then refine (lam, v) until the residual ||A v - lam v||
+is below 1e-13 lam: lam is A's positive eigenvalue to within the residual,
+and lam v v^T is the projection to roundoff. When any step fails the full
+eigendecomposition runs instead, so the output is the same map either way
+and the start is not a setting. Each step cubes the tangent of the start's
+angle to the eigenvector, so three steps accept starts up to about 15
+degrees off, two only about 2. On the seed-42 ensembles the fallbacks left,
+about 6 per solve, are mostly inputs with two or more positive eigenvalues,
+in iterations 2-6; the Cholesky proof refuses them after one step.
+
+Within a solve the proof is reused. The loop first factors
+2 lam v v^T - A - delta I with the margin delta = lam / 100; when that
+succeeds, A's second eigenvalue is below -delta, and (A, delta) becomes the
+solve's anchor (``InertiaProof``). A later input A' with ||A' - A||_F < delta
+differs from A by less than delta in every eigenvalue (Weyl again, the
+spectral norm being at most the Frobenius one), so its second eigenvalue is
+still negative, and its Rayleigh-quotient steps need no factorization. Near
+convergence the input moves by less than that margin from one iteration to
+the next: about half the cone steps of the seed-42 ensembles are proven by
+that one distance check. An input outside the anchor's reach is proven
+afresh, and becomes the anchor when the margin proof holds; when only the
+plain proof holds, the anchor stays. So every input the plain proof accepts
+is still accepted, and the outputs are those of the plain proof bit for bit
+wherever both accept.
 
 The loop runs on packed vectors, the svec form in which SCS keeps its PSD
 cone variables (O'Donoghue et al., J. Optim. Theory Appl. 2016): a symmetric
@@ -89,7 +103,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -176,14 +189,6 @@ class SolveReport:
     accelerated: int = 0
 
 
-@lru_cache(maxsize=None)
-def _identity(dim: int) -> np.ndarray:
-    """Built once per dimension and shared, hence read-only."""
-    eye = np.eye(dim)
-    eye.setflags(write=False)
-    return eye
-
-
 # The rank-one cone step (see the module docstring): at most this many
 # Rayleigh-quotient steps, and acceptance once ||A v - lam v|| <= tol * lam.
 # The certified gap is at least lam, so v is then within an angle tol of the
@@ -191,8 +196,31 @@ def _identity(dim: int) -> np.ndarray:
 _RANK_ONE_STEPS = 3
 _RANK_ONE_TOL = 1e-13
 
+# The margin of an anchored inertia proof, as a fraction of the Rayleigh
+# quotient it was proven with: 2 lam v v^T - A - (lam / 100) I > 0 holds for
+# every later input within lam / 100 of A in Frobenius norm.
+_PROOF_MARGIN = 1e-2
 
-def project_psd(X: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
+
+@dataclass
+class InertiaProof:
+    """The cone step's last margin proof within one solve: ``anchor`` (a
+    copy of the input A it was proven on, None before the first) has its
+    second eigenvalue below -``margin``, so by Weyl's inequalities every
+    symmetric A' with ||A' - A||_F < margin has at most one positive
+    eigenvalue (see the module docstring)."""
+
+    anchor: np.ndarray | None = None
+    margin: float = 0.0
+
+    def covers(self, sym: np.ndarray) -> bool:
+        if self.anchor is None:
+            return False
+        return _norm(sym - self.anchor) < self.margin
+
+
+def project_psd(X: np.ndarray, start: np.ndarray | None = None,
+                proof: InertiaProof | None = None) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix: clamp negative
     eigenvalues of the symmetrized input to zero.
 
@@ -200,11 +228,16 @@ def project_psd(X: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
     projection, such as the previous iterate's. With it, a certified
     rank-one step is tried first (``_rank_one_projection``); the full
     eigendecomposition runs whenever that step cannot prove its answer, so
-    the result is the projection to roundoff with or without a start."""
+    the result is the projection to roundoff with or without a start.
+
+    ``proof`` is the solver's per-solve anchor (see ``InertiaProof``): the
+    rank-one step reads it and replaces it by each new margin proof. With a
+    proof, X must be exactly symmetric, as an ``smat`` output is, and is
+    used as it is."""
     X = np.asarray(X, dtype=float)
-    sym = 0.5 * (X + X.T)
+    sym = X if proof is not None else 0.5 * (X + X.T)
     if start is not None:
-        out = _rank_one_projection(sym, np.asarray(start, dtype=float))
+        out = _rank_one_projection(sym, np.asarray(start, dtype=float), proof)
         if out is not None:
             return out
     vals, vecs = np.linalg.eigh(sym)
@@ -212,13 +245,13 @@ def project_psd(X: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _rank_one_projection(sym: np.ndarray, start: np.ndarray) -> np.ndarray | None:
+def _rank_one_projection(sym: np.ndarray, start: np.ndarray,
+                         proof: InertiaProof | None = None) -> np.ndarray | None:
     """lam v v^T when the symmetric ``sym`` provably has exactly one positive
     eigenvalue lam, v its unit eigenvector refined by Rayleigh-quotient
     iteration from the row of ``start`` with the largest diagonal; None when
-    that row is zero, lam <= 0, the Cholesky factorization of
-    2 lam v v^T - sym after the first step (the proof that every other
-    eigenvalue is negative) fails, or the residual stays above tolerance."""
+    that row is zero, lam <= 0, the inertia proof after the first step
+    (``_prove_inertia``) fails, or the residual stays above tolerance."""
     # array methods, not np.* functions: at dim 21 their dispatch costs
     # several microseconds
     v = start[start.diagonal().argmax()]
@@ -229,10 +262,12 @@ def _rank_one_projection(sym: np.ndarray, start: np.ndarray) -> np.ndarray | Non
     lam = v.dot(sym @ v)
     if not lam > 0:
         return None
-    eye = _identity(len(v))
+    shifted = sym.copy()
+    diagonal = shifted.reshape(-1)[::len(v) + 1]
     try:
         for step in range(_RANK_ONE_STEPS):
-            w = np.linalg.solve(sym - lam * eye, v)
+            np.subtract(sym.diagonal(), lam, out=diagonal)  # sym - lam I, bit for bit
+            w = np.linalg.solve(shifted, v)
             v = w / np.sqrt(w.dot(w))
             Av = sym @ v
             lam = v.dot(Av)
@@ -241,8 +276,7 @@ def _rank_one_projection(sym: np.ndarray, start: np.ndarray) -> np.ndarray | Non
             if step == 0:
                 # the inertia proof holds for any unit v, so an input with a
                 # second positive eigenvalue is refused before any refinement
-                w = np.sqrt(2.0 * lam) * v
-                np.linalg.cholesky(w[:, None] * w - sym)
+                _prove_inertia(sym, lam, v, proof)
             r = Av - lam * v
             if np.sqrt(r.dot(r)) <= _RANK_ONE_TOL * lam:
                 w = np.sqrt(lam) * v
@@ -250,6 +284,32 @@ def _rank_one_projection(sym: np.ndarray, start: np.ndarray) -> np.ndarray | Non
     except np.linalg.LinAlgError:
         return None
     return None
+
+
+def _prove_inertia(sym: np.ndarray, lam: float, v: np.ndarray,
+                   proof: InertiaProof | None) -> None:
+    """Return when ``sym`` provably has at most one positive eigenvalue, and
+    raise LinAlgError when the proof fails: no factorization when ``proof``
+    covers sym, else the Cholesky factorization of 2 lam v v^T - sym - delta I,
+    delta = lam / 100, which on success becomes the new anchor, and when
+    that fails (or without a proof) the plain one of 2 lam v v^T - sym."""
+    if proof is not None and proof.covers(sym):
+        return
+    w = np.sqrt(2.0 * lam) * v
+    gap = w[:, None] * w - sym
+    if proof is not None:
+        diagonal = gap.reshape(-1)[::len(v) + 1]
+        plain = diagonal.copy()
+        margin = _PROOF_MARGIN * lam
+        diagonal -= margin
+        try:
+            np.linalg.cholesky(gap)
+        except np.linalg.LinAlgError:
+            diagonal[...] = plain
+        else:
+            proof.anchor, proof.margin = sym.copy(), margin
+            return
+    np.linalg.cholesky(gap)
 
 
 def soft_threshold(Z: np.ndarray, t: float | np.ndarray) -> np.ndarray:
@@ -380,6 +440,7 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None) -> So
 
     blocks = np.empty((2, packed))  # the affine and cone outputs x1, x2
     X2 = None  # the previous cone output warm-starts the next cone step
+    proof = InertiaProof()
     for iteration in range(1, config.max_iters + 1):
         z_prev, u_prev = states[state][0], states[state][1:]
         out = iteration & 1
@@ -392,7 +453,7 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None) -> So
             # stand-in for project_psd (perfbench's raising-solver test)
             # still gets the call it expects
             M = index.smat(z_prev - u_prev[1])
-            X2 = project_psd(M) if X2 is None else project_psd(M, X2)
+            X2 = project_psd(M) if X2 is None else project_psd(M, X2, proof=proof)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"eigendecomposition failed: {exc}", iteration) from exc
         blocks[1] = X2.ravel()[index.upper] * index.weight

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -351,6 +352,16 @@ class TestConstraintType:
         with pytest.raises(ValueError):
             problem.values[0] = 1.0
         assert problem.basis is exponent_table(1, 1)
+
+    def test_equality_and_hash_are_identity(self):
+        # the generated field-wise __eq__ would compare the array fields and
+        # raise; each problem owns its cached operator, so identity it is
+        problem = one_var_problem(np.zeros((1, 3)), [0.0])
+        copy = dataclasses.replace(problem)
+        assert problem == problem
+        assert (copy == problem) is False and copy != problem
+        assert {problem, problem, copy} == {problem, copy}
+        assert hash(problem) == hash(problem)
 
     def test_basis_must_be_the_exponent_table_of_the_order(self):
         assert one_var_problem(np.zeros((1, 3)), [0.0], basis=[[0], [1]]).basis.tolist() == [

@@ -8,6 +8,7 @@ import pytest
 from nlbp.baselines import refine_solution
 from nlbp.harness import default_trial_config, dense_spec, sample_trial, table1_spec
 from nlbp.lifting import (
+    LiftedProblem,
     build_lifted_problem,
     generate_dependency_constraints,
     lift_vector,
@@ -29,6 +30,7 @@ from nlbp.sdp_admm import (
 )
 from packed_layout import dense_operator, pack, svec_weight, unpack
 from poly_terms import stack, system_of
+from spectra import with_spectrum
 
 
 def planted_problem(n, num_eqs, order, seed):
@@ -147,7 +149,8 @@ class TestProjectAffine:
     @pytest.mark.parametrize("n, order, num_eqs", [(5, 2, 30), (5, 4, 50), (8, 4, 120)])
     def test_matches_cache_of_per_constraint_stack(self, n, order, num_eqs):
         # reference: the packed constraints lifted one at a time, stacked row
-        # by row, weighted to svec rows and normalized, decomposed and
+        # by row, weighted to svec rows and normalized, inverted (full rank,
+        # proven by Cholesky, trace product within 1e12) or decomposed, and
         # projected as written out here
         polys = [random_polynomial(n, order, 7000 + j, 1.0) for j in range(num_eqs)]
         x = np.random.default_rng(n + order).normal(size=n)
@@ -164,9 +167,18 @@ class TestProjectAffine:
         norms = np.linalg.norm(svec_rows, axis=1)
         scale = np.where(norms > 0, norms, 1.0)
         svec_rows, rhs = svec_rows / scale[:, None], rhs_raw / scale
-        vals, vecs = np.linalg.eigh(svec_rows @ svec_rows.T)
-        active = vals > 1e-12 * max(vals[-1], 0.0)
-        pinv = (vecs[:, active] / vals[active]) @ vecs[:, active].T
+        gram = svec_rows @ svec_rows.T
+        try:
+            np.linalg.cholesky(gram)
+            pinv = np.linalg.inv(gram)
+            full_rank = np.trace(gram) * np.trace(pinv) <= 1e12
+        except np.linalg.LinAlgError:
+            full_rank = False
+        assert full_rank == (order == 4)  # the degree-2 lift has M > width
+        if not full_rank:
+            vals, vecs = np.linalg.eigh(gram)
+            active = vals > 1e-12 * max(vals[-1], 0.0)
+            pinv = (vecs[:, active] / vals[active]) @ vecs[:, active].T
 
         cache = build_lifted_problem(stack(polys), values, order).affine
         assert np.array_equal(cache.row_mat, svec_rows)
@@ -179,6 +191,60 @@ class TestProjectAffine:
             fold = np.where(i == j, 0.5, 1.0)
             traces = rows_raw @ ((X[i, j] + X[j, i]) * fold)
             assert cache.violation(X) == float(np.max(np.abs(traces - rhs_raw)))
+
+    def test_full_rank_gram_is_inverted_without_eigh(self, monkeypatch):
+        # the NLBP lift's Gram matrix is full rank and well conditioned: a
+        # Cholesky proof and an inverse replace the eigendecomposition
+        problem, _ = trial_problem(table1_spec(trials=1, seed=42), 0)
+        M = problem.num_constraints
+        calls = count_eigh_calls(monkeypatch)
+        cache = problem.affine
+        monkeypatch.undo()
+        assert calls == []
+        gram = cache.row_mat @ cache.row_mat.T
+        vals, vecs = np.linalg.eigh(gram)
+        assert vals[0] > 1e-12 * vals[-1]
+        pinv = (vecs / vals) @ vecs.T
+        assert cache.gram_pinv.shape == (M, M)
+        assert np.linalg.norm(cache.gram_pinv - pinv) <= 1e-12 * np.linalg.norm(pinv)
+        assert cache.infeasibility_lb == 0.0
+
+    @pytest.mark.parametrize("case", ["qbp", "ill_conditioned"])
+    def test_rank_deficient_or_ill_conditioned_gram_takes_eigh(self, monkeypatch, case):
+        if case == "qbp":
+            # the degree-2 QBP lift has more constraints than svec columns
+            problem = list(inconsistent_systems())[1]
+            assert problem.num_constraints > problem.dim * (problem.dim + 1) // 2
+        else:
+            # two unit rows 1e-6 apart: the Gram matrix is positive definite
+            # (the Cholesky factorization succeeds) but its trace product is
+            # about 4e12, past the cutoff
+            operator = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1e-6]])
+            problem = LiftedProblem(basis=exponent_table(1, 1), num_vars=1, order=2,
+                                    num_data=0, operator=operator, values=[1.0, 1.0])
+        M = problem.num_constraints
+        refused = []
+        cholesky = np.linalg.cholesky
+
+        def spying(a):
+            try:
+                return cholesky(a)
+            except np.linalg.LinAlgError:
+                refused.append(a.shape)
+                raise
+
+        monkeypatch.setattr(np.linalg, "cholesky", spying)
+        calls = count_eigh_calls(monkeypatch)
+        cache = problem.affine
+        monkeypatch.undo()
+        assert calls == [(M, M)]
+        assert refused == ([] if case == "ill_conditioned" else [(M, M)])
+        gram = cache.row_mat @ cache.row_mat.T
+        vals, vecs = np.linalg.eigh(gram)
+        active = vals > 1e-12 * vals[-1]
+        assert active.sum() < M
+        pinv = (vecs[:, active] / vals[active]) @ vecs[:, active].T
+        assert np.linalg.norm(cache.gram_pinv - pinv) <= 1e-9 * np.linalg.norm(pinv)
 
     def test_infeasibility_lb_is_a_lower_bound(self):
         # no X, random or least squares, violates some constraint by less
@@ -223,13 +289,6 @@ class TestProjectPsd:
             A = rng.normal(size=(4, 4))
             candidate = A @ A.T
             assert base <= np.linalg.norm(candidate - X) + 1e-12
-
-
-def with_spectrum(eigenvalues, seed):
-    """A symmetric matrix with the given eigenvalues in a random orthonormal
-    basis, and that basis (column k pairs with eigenvalue k)."""
-    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(eigenvalues),) * 2))
-    return (q * np.asarray(eigenvalues, dtype=float)) @ q.T, q
 
 
 def count_eigh_calls(monkeypatch):
@@ -834,9 +893,9 @@ class TestLoopPinned:
         psd, factor = sdp_admm.project_psd, sdp_admm._penalty_factor
         solve = np.linalg.solve
 
-        def counting_psd(X, start=None):
+        def counting_psd(X, start=None, proof=None):
             iteration[0] += 1
-            return psd(X) if start is None else psd(X, start)
+            return psd(X) if start is None else psd(X, start, proof=proof)
 
         def spying_factor(*args):
             out = factor(*args)
@@ -885,11 +944,11 @@ class TestLoopPinned:
         assert before.accelerated > 0
         psd, calls = sdp_admm.project_psd, []
 
-        def failing(X, start=None):
+        def failing(X, start=None, proof=None):
             calls.append(X.shape)
             if len(calls) == 30:
                 raise np.linalg.LinAlgError("no convergence")
-            return psd(X) if start is None else psd(X, start)
+            return psd(X) if start is None else psd(X, start, proof=proof)
 
         monkeypatch.setattr(sdp_admm, "project_psd", failing)
         with pytest.raises(SolverError) as info:
