@@ -20,10 +20,10 @@ start), the warm cone steps that still ran the full ``eigh``
 factorization nor ``eigh`` because the solve's inertia proof covered them
 (``proof_reuses_per_solve``), the cache build's ``cholesky`` and ``eigh``
 calls (``build_cholesky_per_solve``, ``build_eigh_per_solve``), and the
-minor page faults of each trial (``getrusage``). Each size runs one untimed warm-up trial
-first, so per-key caches are built outside the figures. Times are read on
-the process's CPU clock, which leaves out the time the host takes the CPU
-away. Figures are means per trial; each ensemble is repeated ``--reps``
+minor page faults of each trial (``getrusage``). Each size runs one
+untimed warm-up trial first, so per-key caches are built outside the
+figures. Times are read on the process's CPU clock, which leaves out the
+time the host takes the CPU away. Figures are means per trial; each ensemble is repeated ``--reps``
 times and the median of the repetitions is kept, because the host's speed
 drifts between runs.
 
@@ -86,22 +86,21 @@ def measure(n: int, num_eqs: int, trials: int, seed: int) -> dict:
         mark()
         return originals["sample_trial"](spec, t)
 
-    def in_phase(name, fn):
-        def wrapper(*args, **kwargs):
-            phase[0] = name
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                phase[0] = None
-        return wrapper
+    def building(cls, problem):
+        phase[0] = "build"
+        try:
+            return build.__func__(cls, problem)
+        finally:
+            phase[0] = None
 
     def project_psd(X, start=None, **kwargs):
         # the solver's proof keyword, where there is one, passes through
         before = counts["cone_cholesky"] + counts["cone_eigh"]
-        run = in_phase("cone" if start is None else "warm", originals["project_psd"])
+        phase[0] = "cone" if start is None else "warm"
         try:
-            return run(X) if start is None else run(X, start, **kwargs)
+            return originals["project_psd"](X, start, **kwargs)
         finally:
+            phase[0] = None
             if start is not None and counts["cone_cholesky"] + counts["cone_eigh"] == before:
                 counts["proof_reuses"] += 1
 
@@ -124,7 +123,7 @@ def measure(n: int, num_eqs: int, trials: int, seed: int) -> dict:
     for kernel in KERNELS:
         setattr(np.linalg, kernel, counted(kernel))
     sdp_admm.AffineCache.build = classmethod(
-        _timed(totals, "cache_build_ms", in_phase("build", build.__func__)))
+        _timed(totals, "cache_build_ms", building))
     try:
         spec = harness.table1_spec(trials=trials, seed=seed, num_vars=n,
                                    num_equations=num_eqs, methods=(Method.NLBP,))

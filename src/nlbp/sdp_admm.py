@@ -32,22 +32,23 @@ projection does not depend on rho, so a change costs nothing but the new
 gradient step (1/rho) I and shrinkage threshold.
 
 The cone step is warm-started. The program looks for a rank-one optimum
-x x^T, so near it the cone input A = Z - U2 has exactly one positive
-eigenvalue. ``project_psd`` takes the previous cone output as a start, its
-row of largest diagonal, and takes one Rayleigh-quotient step to a pair
-(lam, v). It then proves that no other eigenvalue of A is positive: a
-Cholesky factorization of 2 lam v v^T - A must succeed. That matrix is then
-positive definite, so A < 2 lam v v^T, whose second eigenvalue is 0; by
-Weyl's inequalities A's second eigenvalue is negative, whatever v is. At
-most two more steps then refine (lam, v) until the residual ||A v - lam v||
-is below 1e-13 lam: lam is A's positive eigenvalue to within the residual,
-and lam v v^T is the projection to roundoff. When any step fails the full
-eigendecomposition runs instead, so the output is the same map either way
-and the start is not a setting. Each step cubes the tangent of the start's
-angle to the eigenvector, so three steps accept starts up to about 15
-degrees off, two only about 2. On the seed-42 ensembles the fallbacks left,
-about 6 per solve, are mostly inputs with two or more positive eigenvalues,
-in iterations 2-6; the Cholesky proof refuses them after one step.
+x x^T, so near it the cone input Z - U2 has exactly one positive eigenvalue.
+``project_psd`` takes the previous cone output as a start, its row of
+largest diagonal, and takes one Rayleigh-quotient step to a pair (lam, v),
+A the symmetrized input. It then proves that no other eigenvalue of A is
+positive: a Cholesky factorization of 2 lam v v^T - A must succeed. That
+matrix is then positive definite, so A < 2 lam v v^T, whose second
+eigenvalue is 0; by Weyl's inequalities A's second eigenvalue is negative,
+whatever v is. At most two more steps then refine (lam, v) until the
+residual ||A v - lam v|| is below 1e-13 lam: lam is A's positive eigenvalue
+to within the residual, and lam v v^T is the projection to roundoff. When
+any step fails the full eigendecomposition runs instead, so the output is
+the same map either way and the start is not a setting. Each step cubes the
+tangent of the start's angle to the eigenvector, so three steps accept
+starts up to about 15 degrees off, two only about 2. On the seed-42
+ensembles the fallbacks left, about 6 per solve, are mostly inputs with two
+or more positive eigenvalues, in iterations 2-6; the Cholesky proof refuses
+them after one step.
 
 Within a solve the proof is reused. The loop first factors
 2 lam v v^T - A - delta I with the margin delta = lam / 100; when that
