@@ -23,9 +23,12 @@ calls (``build_cholesky_per_solve``, ``build_eigh_per_solve``), and the
 minor page faults of each trial (``getrusage``). Each size runs one
 untimed warm-up trial first, so per-key caches are built outside the
 figures. Times are read on the process's CPU clock, which leaves out the
-time the host takes the CPU away. Figures are means per trial; each ensemble is repeated ``--reps``
-times and the median of the repetitions is kept, because the host's speed
-drifts between runs.
+time the host takes the CPU away. Figures are means per trial; each
+ensemble is repeated ``--reps`` times and the median of the repetitions is
+kept, because the host's speed drifts between runs. Beside each timed
+median (the ``*_ms`` figures and ``admm_us_per_iter``) the min and max over
+the repetitions are printed as ``*_min`` and ``*_max``, so the spread shows
+whether two runs differ; counts stay single numbers.
 
 Usage, from the root of a checkout (PYTHONPATH selects the code measured):
 
@@ -159,7 +162,11 @@ def main(argv=None) -> int:
         measure(n, num_eqs, 1, args.seed + 1)
         reps = [measure(n, num_eqs, trials, args.seed) for _ in range(args.reps)]
         row = {"n": n, "N": num_eqs, "trials": trials}
-        row.update({k: round(statistics.median(r[k] for r in reps), 3) for k in reps[0]})
+        for k in reps[0]:
+            values = [r[k] for r in reps]
+            row[k] = round(statistics.median(values), 3)
+            if k.endswith("_ms") or k == "admm_us_per_iter":
+                row[f"{k}_min"], row[f"{k}_max"] = round(min(values), 3), round(max(values), 3)
         rows.append(row)
         print(json.dumps(row), flush=True)
     return 0

@@ -4,6 +4,7 @@ matrix lifting and an ADMM-solved semidefinite relaxation."""
 from .monomials import (
     PolySystem,
     exponent_table,
+    monomial_vector,
     random_polynomial,
     system_from_json,
 )
@@ -15,7 +16,6 @@ from .lifting import (
     OddOrderError,
     build_lifted_problem,
     generate_dependency_constraints,
-    lift_vector,
     lifted_problem_from_json,
     lifted_problem_to_json,
     quadratic_forms,
@@ -37,8 +37,8 @@ from .recovery import (
     extract_rank1,
 )
 from .baselines import (
-    BaselineResult,
     Method,
+    MethodRun,
     l0_oracle,
     refine_solution,
     solve_linear,

@@ -1,7 +1,8 @@
 """End-to-end solvers for polynomial systems, baselines, and test oracles.
 
-Three methods return an estimate and its squared residual against the
-original system:
+Three methods each return one ``MethodRun``, an estimate with its squared
+residual against the original system (the lifted two add their problem,
+solve report and extraction):
 
 * the full lifted pipeline at a chosen even order (the main method),
 * the same pipeline after truncating every polynomial to degree two
@@ -46,21 +47,18 @@ class Method(Enum):
 
 
 @dataclass
-class BaselineResult:
-    method: Method
+class MethodRun:
+    """One method run: the estimate and its squared residual, and for the
+    lifted methods the lifted problem, the solve report and the extraction,
+    which the harness records and certificate and invariant checks inspect.
+    ``recovered`` is None when the solved matrix was numerically zero; a
+    linear run has no problem, report or extraction."""
+
     x_hat: np.ndarray
     residual_sq: float  # against the original polynomials, always
-
-
-@dataclass
-class LiftedRunArtifacts:
-    """The intermediate objects of one lifted-pipeline run: what the harness
-    records of it, and what certificate and invariant checks inspect.
-    ``recovered`` is None when the solved matrix was numerically zero."""
-
-    problem: LiftedProblem
-    report: SolveReport
-    recovered: RecoveredSolution | None
+    problem: LiftedProblem | None = None
+    report: SolveReport | None = None
+    recovered: RecoveredSolution | None = None
 
 
 def system_residual_sq(system: PolySystem, values, x) -> float:
@@ -147,7 +145,7 @@ def _run_lifted(
     order: int,
     config: SolverConfig | None,
     method: Method,
-) -> tuple[BaselineResult, LiftedRunArtifacts]:
+) -> MethodRun:
     """Shared lift -> solve -> extract -> polish pipeline.
 
     NLBP lifts ``system`` at ``order``; QBP truncates it to degree two and
@@ -168,8 +166,8 @@ def _run_lifted(
             x_hat = refine_solution(model, values, x_hat)
     except DegenerateTopEigenvalueError:
         pass
-    result = BaselineResult(method, x_hat, system_residual_sq(system, values, x_hat))
-    return result, LiftedRunArtifacts(problem, report, recovered)
+    return MethodRun(x_hat, system_residual_sq(system, values, x_hat),
+                     problem, report, recovered)
 
 
 def solve_nlbp_system(
@@ -177,28 +175,27 @@ def solve_nlbp_system(
     values,
     order: int = 4,
     config: SolverConfig | None = None,
-) -> BaselineResult:
-    """Full lifted pipeline at the given even order: the estimate and its
-    squared residual."""
-    return _run_lifted(system, values, order, config, Method.NLBP)[0]
+) -> MethodRun:
+    """Full lifted pipeline at the given even order."""
+    return _run_lifted(system, values, order, config, Method.NLBP)
 
 
 def solve_qbp(
     system: PolySystem,
     values,
     config: SolverConfig | None = None,
-) -> BaselineResult:
+) -> MethodRun:
     """Quadratic baseline: truncate every polynomial to degree two (its
     second-order Taylor expansion around zero) and run the lifted pipeline at
     order two. The residual is still taken against the original system."""
-    return _run_lifted(system, values, 2, config, Method.QBP)[0]
+    return _run_lifted(system, values, 2, config, Method.QBP)
 
 
 def solve_linear(
     system: PolySystem,
     values,
     lam: float = 0.0,
-) -> BaselineResult:
+) -> MethodRun:
     """Linear baseline: truncate to degree one, giving values - const = A x.
 
     ``lam > 0`` solves the l1-regularized least squares problem by scaled
@@ -227,7 +224,7 @@ def solve_linear(
                     and np.linalg.norm(z - z_prev) <= 1e-12 * (1 + np.linalg.norm(z))):
                 break
         x_hat = z
-    return BaselineResult(Method.LASSO, x_hat, system_residual_sq(system, values, x_hat))
+    return MethodRun(x_hat, system_residual_sq(system, values, x_hat))
 
 
 def l0_oracle(

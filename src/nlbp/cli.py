@@ -6,8 +6,10 @@ and the solver's final multipliers).
 
 Exit codes: 0 on success, 1 on usage or input errors (including malformed
 JSON, reported with line and column, non-finite numbers, out-of-range
-indices, and report matrices whose size does not match the lifted
-problem), 2 on solver failure.
+indices, report matrices whose size does not match the lifted problem, and
+solver or ensemble settings that ``SolverConfig`` or ``ExperimentSpec``
+refuse, such as ``--lambda nan``, before any iteration), 2 on solver
+failure.
 """
 
 from __future__ import annotations

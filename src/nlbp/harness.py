@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import (
-    BaselineResult,
-    LiftedRunArtifacts,
     Method,
+    MethodRun,
     _meets_success_rule,
     _run_lifted,
     solve_linear,
@@ -81,12 +80,12 @@ class ExperimentSpec:
             if (isinstance(self.sparsity, bool) or not isinstance(self.sparsity, int)
                     or not 0 <= self.sparsity <= self.num_vars):
                 raise ValueError("sparsity must be 'dense' or an int <= num_vars")
-        if not self.planted_std >= 0:
-            raise ValueError("planted_std must be >= 0")
-        if not self.coeff_std > 0:
-            raise ValueError("coeff_std must be > 0")
-        if not self.lam >= 0:
-            raise ValueError("lam must be >= 0")
+        if not (math.isfinite(self.planted_std) and self.planted_std >= 0):
+            raise ValueError("planted_std must be finite and >= 0")
+        if not (math.isfinite(self.coeff_std) and self.coeff_std > 0):
+            raise ValueError("coeff_std must be finite and > 0")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError("lam must be finite and >= 0")
 
 
 @dataclass
@@ -112,15 +111,6 @@ class TrialRecord:
 
 
 @dataclass
-class TrialArtifacts:
-    """Raw per-method objects of one trial, retained on request for deeper
-    checks; ``lifted`` holds the lifted methods only."""
-
-    lifted: dict[Method, LiftedRunArtifacts] = field(default_factory=dict)
-    results: dict[Method, BaselineResult] = field(default_factory=dict)
-
-
-@dataclass
 class MethodSummary:
     success_rate: float
     residual_min: float
@@ -135,7 +125,8 @@ class ExperimentResult:
     spec: ExperimentSpec
     records: list[TrialRecord]
     summary: dict[Method, MethodSummary]
-    artifacts: list[TrialArtifacts] | None = None
+    # per trial, each method's run, when run_experiment keeps them
+    artifacts: list[dict[Method, MethodRun]] | None = None
 
 
 def table1_spec(trials: int = 100, seed: int = 42, **overrides) -> ExperimentSpec:
@@ -190,25 +181,26 @@ def default_trial_config(spec: ExperimentSpec, values) -> SolverConfig:
 
 
 def _run_method(method: Method, polys, values, x_true, spec: ExperimentSpec,
-                config: SolverConfig, artifacts: TrialArtifacts | None):
+                config: SolverConfig, artifacts: dict[Method, MethodRun] | None):
     """One method's outcome on a trial; the estimate is judged here, by the
-    frozen success rule, whatever the method."""
+    frozen success rule, whatever the method. The run is kept in
+    ``artifacts`` when that is a dict."""
     start = time.perf_counter()
-    rank1_ratio, iterations, status, valid = math.nan, 0, "", False
     if method is Method.LASSO:
-        result = solve_linear(polys, values, lam=spec.lam)
+        run = solve_linear(polys, values, lam=spec.lam)
     else:
-        result, lifted = _run_lifted(polys, values, spec.order, config, method)
-        iterations, status = lifted.report.iterations, lifted.report.status.value
-        if lifted.recovered is not None:
-            rank1_ratio, valid = lifted.recovered.rank1_ratio, lifted.recovered.valid
-        if artifacts is not None:
-            artifacts.lifted[method] = lifted
-    success = _meets_success_rule(result.x_hat, x_true, result.residual_sq, values)
+        run = _run_lifted(polys, values, spec.order, config, method)
+    success = _meets_success_rule(run.x_hat, x_true, run.residual_sq, values)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
+    iterations, status = 0, ""
+    if run.report is not None:
+        iterations, status = run.report.iterations, run.report.status.value
+    rank1_ratio, valid = math.nan, False
+    if run.recovered is not None:
+        rank1_ratio, valid = run.recovered.rank1_ratio, run.recovered.valid
     if artifacts is not None:
-        artifacts.results[method] = result
-    return MethodOutcome(success, result.residual_sq, rank1_ratio, iterations,
+        artifacts[method] = run
+    return MethodOutcome(success, run.residual_sq, rank1_ratio, iterations,
                          elapsed_ms, status, valid)
 
 
@@ -219,14 +211,16 @@ def run_experiment(spec: ExperimentSpec,
     Each trial's solver settings come from ``default_trial_config``. A solver
     failure inside one trial is recorded as an unsuccessful outcome with
     infinite residual and the exception's class name in ``error``; it never
-    aborts the ensemble.
+    aborts the ensemble. With ``keep_artifacts`` the result also keeps, per
+    trial, a dict of each completed method's ``MethodRun``; a kept lifted
+    problem keeps its factored operator too.
     """
     records: list[TrialRecord] = []
-    kept: list[TrialArtifacts] | None = [] if keep_artifacts else None
+    kept: list[dict[Method, MethodRun]] | None = [] if keep_artifacts else None
     for t in range(spec.trials):
         polys, x_true, values = sample_trial(spec, t)
         config = default_trial_config(spec, values)
-        artifacts = TrialArtifacts() if keep_artifacts else None
+        artifacts: dict[Method, MethodRun] | None = {} if keep_artifacts else None
         outcomes: dict[Method, MethodOutcome] = {}
         for method in spec.methods:
             try:

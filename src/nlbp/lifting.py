@@ -9,8 +9,10 @@ a set of structural constraints is generated alongside the data constraints:
 one normalization (the constant entry squares to 1) and one dependency per
 representable entry product.
 
-The whole system is one linear map on the matrix variable, held as a single
-read-only (M, dim (dim + 1) / 2) array plus its (M,) right-hand side
+The matrix variable is indexed by the basis ``exponent_table(n, q/2)``, which
+a problem derives from n and q (``LiftedProblem.basis``). The whole system
+is one linear map on that matrix, held as a single read-only
+(M, dim (dim + 1) / 2) array plus its (M,) right-hand side
 (``LiftedProblem.operator`` and ``.values``). Row i packs the upper triangle
 of the symmetric constraint matrix C_i row by row, with the matrix's own
 values: the cells the lifted JSON stores. ``packed_index`` maps between that
@@ -33,7 +35,6 @@ from .monomials import (
     checked_float,
     checked_int,
     exponent_table,
-    monomial_vector,
     table_rows,
 )
 
@@ -114,11 +115,12 @@ def packed_index(dim: int) -> PackedIndex:
 
 @dataclass(frozen=True, eq=False)
 class LiftedProblem:
-    """A lifted instance: the basis plus one linear map on the matrix variable.
+    """A lifted instance: one linear map on the matrix variable.
 
     ``basis`` is the read-only (dim, num_vars) table
-    ``exponent_table(num_vars, order // 2)``, checked on construction, so an
-    odd ``order`` is refused here as in ``build_lifted_problem``.
+    ``exponent_table(num_vars, order // 2)`` that indexes the matrix, derived
+    from the two, so an odd ``order`` is refused here as in
+    ``build_lifted_problem``.
     ``operator`` is an (M, dim (dim + 1) / 2) array whose row i packs the
     upper triangle of the symmetric matrix C_i (see ``PackedIndex``), and
     ``values`` the (M,) right-hand sides, so row i is the constraint
@@ -129,7 +131,6 @@ class LiftedProblem:
     identity, as the factored operator each one keeps (``affine``) does.
     """
 
-    basis: np.ndarray
     num_vars: int
     order: int
     num_data: int
@@ -137,15 +138,10 @@ class LiftedProblem:
     values: np.ndarray
 
     def __post_init__(self):
-        half = _half_order(self.order)
-        basis = exponent_table(self.num_vars, half)
-        if not np.array_equal(self.basis, basis):
-            raise ValueError(f"basis is not exponent_table({self.num_vars}, {half}) "
-                             f"in the frozen graded order")
-        object.__setattr__(self, "basis", basis)
+        _half_order(self.order)
         operator = np.ascontiguousarray(self.operator, dtype=float).view()
         values = np.ascontiguousarray(self.values, dtype=float).view()
-        dim = len(basis)
+        dim = self.dim
         width = dim * (dim + 1) // 2
         if operator.ndim != 2 or operator.shape[1] != width:
             raise ValueError(
@@ -158,6 +154,10 @@ class LiftedProblem:
         for name, a in (("operator", operator), ("values", values)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+
+    @property
+    def basis(self) -> np.ndarray:
+        return exponent_table(self.num_vars, self.order // 2)
 
     @property
     def dim(self) -> int:
@@ -404,7 +404,6 @@ def build_lifted_problem(system: PolySystem, values, order: int) -> LiftedProble
         raise DegreeTooHighError(
             f"polynomial degree {system.degree} exceeds lift order {order}"
         )
-    basis = exponent_table(system.num_vars, half)
     structural = _structural_constraints(system.num_vars, half)
     num_data = len(values)
     operator = np.empty((num_data + len(structural), structural.shape[1]))
@@ -413,13 +412,8 @@ def build_lifted_problem(system: PolySystem, values, order: int) -> LiftedProble
     rhs = np.zeros(len(operator))
     rhs[:num_data] = values
     rhs[num_data] = 1.0
-    return LiftedProblem(basis=basis, num_vars=system.num_vars, order=order,
+    return LiftedProblem(num_vars=system.num_vars, order=order,
                          num_data=num_data, operator=operator, values=rhs)
-
-
-def lift_vector(x, basis: np.ndarray) -> np.ndarray:
-    """Evaluate every basis monomial at x; the leading entry is always 1."""
-    return monomial_vector(x, basis)
 
 
 def lifted_problem_to_json(problem: LiftedProblem) -> dict:
@@ -446,9 +440,10 @@ def lifted_problem_to_json(problem: LiftedProblem) -> dict:
 
 def lifted_problem_from_json(data: dict) -> LiftedProblem:
     """Inverse of ``lifted_problem_to_json``; rejects non-finite numbers, cell
-    indices outside [0, dim), an order or stored basis that ``LiftedProblem``
-    refuses, and a basis of the wrong length before building any table of
-    the order's size. A cell with row > col sets its mirror; a
+    indices outside [0, dim), an order that ``LiftedProblem`` refuses, a
+    stored basis of the wrong length before building any table of the
+    order's size, and then one that is not ``exponent_table(num_vars,
+    order // 2)``. A cell with row > col sets its mirror; a
     constraint that sets one cell twice, directly or through its mirror,
     must give it the same value both times."""
     n = checked_int(data["num_vars"], 1)
@@ -460,6 +455,9 @@ def lifted_problem_from_json(data: dict) -> LiftedProblem:
     if len(basis) != dim:
         raise ValueError(f"basis has {len(basis)} rows, but "
                          f"exponent_table({n}, {order // 2}) has {dim}")
+    if not np.array_equal(basis, exponent_table(n, order // 2)):
+        raise ValueError(f"basis is not exponent_table({n}, {order // 2}) "
+                         f"in the frozen graded order")
     items = data["constraints"]
     cell = packed_index(dim).cell
     operator = np.zeros((len(items), dim * (dim + 1) // 2))
@@ -475,7 +473,7 @@ def lifted_problem_from_json(data: dict) -> LiftedProblem:
     kinds = [ConstraintKind(item["kind"]) for item in items]
     num_data = next((i for i, k in enumerate(kinds) if k is not ConstraintKind.DATA),
                     len(kinds))
-    problem = LiftedProblem(basis=basis, num_vars=n, order=order,
+    problem = LiftedProblem(num_vars=n, order=order,
                             num_data=num_data, operator=operator,
                             values=[checked_float(item["y"]) for item in items])
     if tuple(kinds) != problem.kinds:

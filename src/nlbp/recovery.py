@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lifting import LiftedProblem, lift_vector, packed_index
+from .lifting import LiftedProblem, packed_index
+from .monomials import monomial_vector
 from .sdp_admm import SolveReport, SolveStatus
 
 
@@ -86,7 +87,7 @@ def extract_rank1(X: np.ndarray, basis: np.ndarray) -> RecoveredSolution:
     x_bar = candidate / candidate[0]
     x = x_bar[degree_one].copy()
 
-    consistency = float(np.max(np.abs(lift_vector(x, basis) - x_bar)))
+    consistency = float(np.max(np.abs(monomial_vector(x, basis) - x_bar)))
     valid = bool(
         ratio <= RANK1_RATIO
         and consistency <= LIFT_CONSISTENCY * (1.0 + np.max(np.abs(x_bar)))
@@ -149,7 +150,7 @@ def dual_certificate(problem: LiftedProblem, report: SolveReport,
     back into the dual residual (it is zero on a solver's report, but not
     necessarily on one read from a file).
     """
-    x_bar = lift_vector(x, problem.basis)
+    x_bar = monomial_vector(x, problem.basis)
     S = report.dual_psd
     vals = np.linalg.eigvalsh(S)
     slack_norm = float(np.max(np.abs(vals)))

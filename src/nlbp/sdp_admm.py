@@ -102,6 +102,7 @@ identical iterate sequence.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -141,14 +142,18 @@ class SolverConfig:
     eps_rel: float = 1e-7
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.rho <= 0:
-            raise ValueError("rho must be > 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.eps_abs <= 0 or self.eps_rel <= 0:
-            raise ValueError("tolerances must be > 0")
+        # written so that nan fails every test; bool is an Integral, and True
+        # would pass as one iteration
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError("lam must be finite and >= 0")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise ValueError("rho must be finite and > 0")
+        if (isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, numbers.Integral)
+                or self.max_iters < 1):
+            raise ValueError("max_iters must be an integer >= 1")
+        if not all(math.isfinite(e) and e > 0 for e in (self.eps_abs, self.eps_rel)):
+            raise ValueError("tolerances must be finite and > 0")
 
 
 @dataclass

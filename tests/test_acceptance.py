@@ -18,11 +18,10 @@ from nlbp.harness import (
 )
 from nlbp.lifting import (
     build_lifted_problem,
-    lift_vector,
     packed_index,
     polynomial_to_quadratic_form,
 )
-from nlbp.monomials import exponent_table, random_polynomial
+from nlbp.monomials import exponent_table, monomial_vector, random_polynomial
 from nlbp.recovery import dual_certificate
 from nlbp import sdp_admm
 from nlbp.sdp_admm import (
@@ -108,7 +107,7 @@ def test_criterion_3_representation_identity():
                 form = unpack(polynomial_to_quadratic_form(poly, basis), len(basis))
                 for _ in range(100):
                     x = rng.normal(size=n)
-                    lifted = lift_vector(x, basis)
+                    lifted = monomial_vector(x, basis)
                     value = poly.evaluate(x)[0]
                     err = abs(float(lifted @ form @ lifted) - value)
                     bound = 1e-9 * (1 + abs(value))
@@ -131,7 +130,7 @@ def test_criterion_4_planted_lift_feasibility():
         x = rng.normal(size=n)
         values = polys.evaluate(x)
         problem = build_lifted_problem(polys, values, order)
-        lifted = lift_vector(x, problem.basis)
+        lifted = monomial_vector(x, problem.basis)
         planted = np.outer(lifted, lifted)
         for c, value in zip(dense_operator(problem), problem.values):
             err = abs(float(np.sum(c * planted)) - value)
@@ -249,15 +248,15 @@ def test_criterion_7_oracle_equivalence():
         values = polys.evaluate(x)
         config = SolverConfig(rho=1.0 / (1.0 + np.max(np.abs(values))),
                               eps_abs=1e-9, eps_rel=1e-7, max_iters=60000)
-        result, lifted = _run_lifted(polys, values, 4, config, Method.NLBP)
-        if lifted.recovered is None or not lifted.recovered.valid:
+        run = _run_lifted(polys, values, 4, config, Method.NLBP)
+        if run.recovered is None or not run.recovered.valid:
             continue
         compared += 1
         oracle_x = l0_oracle(polys, values, max_support=2, rng_seed=k)
         assert oracle_x is not None, f"oracle failed on planted instance {k}"
-        assert support_of(oracle_x) == support_of(result.x_hat), (
+        assert support_of(oracle_x) == support_of(run.x_hat), (
             f"instance {k}: oracle {support_of(oracle_x)} vs "
-            f"pipeline {support_of(result.x_hat)}")
+            f"pipeline {support_of(run.x_hat)}")
         agreements += 1
     assert compared >= 20  # the pipeline should be valid on nearly all
     verdict(7, "support agreement with enumeration oracle", True,
@@ -272,16 +271,15 @@ def test_criterion_8_certificate_soundness(table1_result, dense_result):
     for result in (table1_result, dense_result):
         checked = held = 0
         for record, art in zip(result.records, result.artifacts):
-            lifted = art.lifted.get(Method.NLBP)
-            if lifted is None or lifted.recovered is None:
+            run = art.get(Method.NLBP)
+            if run is None or run.recovered is None:
                 continue
-            if lifted.report.status is not SolveStatus.CONVERGED:
+            if run.report.status is not SolveStatus.CONVERGED:
                 continue
-            if not lifted.recovered.valid:
+            if not run.recovered.valid:
                 continue
             checked += 1
-            cert = dual_certificate(lifted.problem, lifted.report,
-                                    art.results[Method.NLBP].x_hat)
+            cert = dual_certificate(run.problem, run.report, run.x_hat)
             if cert.holds:
                 held += 1
                 assert record.outcomes[Method.NLBP].success, (

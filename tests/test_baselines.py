@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from nlbp.baselines import (
-    Method,
     l0_oracle,
     refine_solution,
     solve_linear,
@@ -75,7 +74,6 @@ class TestSolveLinear:
         result = solve_linear(polys, values, lam=0.0)
         assert success_criterion(result.x_hat, x, polys, values)
         assert np.max(np.abs(result.x_hat - x)) < 1e-10
-        assert result.method is Method.LASSO
 
     def test_normal_equations(self):
         # inconsistent overdetermined data: least squares still satisfies the

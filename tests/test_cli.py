@@ -377,6 +377,32 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "bad lifted file" in err and "even" in err
 
+    @pytest.mark.parametrize("args", [
+        ["solve", "LIFTED", "--lambda", "nan"],
+        ["solve", "LIFTED", "--rho", "nan"],
+        ["solve", "LIFTED", "--eps-abs", "nan"],
+        ["bench", "table1", "--trials", "1", "--lambda", "inf"],
+    ], ids=["solve_lambda_nan", "solve_rho_nan", "solve_eps_abs_nan",
+            "bench_lambda_inf"])
+    def test_non_finite_setting_exits_1_before_any_iteration(
+            self, tmp_path, capsys, monkeypatch, args):
+        from nlbp import baselines, cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(cli, "solve_nlbp", never)
+        monkeypatch.setattr(baselines, "solve_nlbp", never)
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps(self.TRIVIAL))
+        lifted = tmp_path / "lifted.json"
+        assert cli_main(["lift", str(problem), "-o", str(lifted)]) == 0
+        out = tmp_path / "out"
+        argv = [str(lifted) if a == "LIFTED" else a for a in args]
+        assert cli_main(argv + ["-o", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("field,value", [
         ("row", -1), ("row", 9), ("col", 2), ("y", float("inf")), ("row", None),
     ])

@@ -73,6 +73,15 @@ class TestSpecs:
             table1_spec(sparsity=True)
         with pytest.raises(ValueError, match="lam"):
             table1_spec(lam=-0.1)
+        # nan fails every comparison, and inf would run a 60,000-iteration
+        # solve per trial and write lambda=inf into the CSV
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="lam"):
+                table1_spec(lam=bad)
+            with pytest.raises(ValueError, match="planted_std"):
+                dense_spec(planted_std=bad)
+            with pytest.raises(ValueError, match="coeff_std"):
+                dense_spec(coeff_std=bad)
         assert dense_spec(planted_std=0.0).planted_std == 0.0
 
 
@@ -135,9 +144,9 @@ class TestRunExperiment:
         assert result.artifacts is not None
         assert len(result.artifacts) == 1
         art = result.artifacts[0]
-        assert Method.NLBP in art.lifted
-        assert Method.NLBP in art.results
-        assert art.lifted[Method.NLBP].problem.dim == 21
+        assert list(art) == list(result.spec.methods)
+        assert art[Method.NLBP].problem.dim == 21
+        assert art[Method.LASSO].problem is None
 
 
 class TestQuartiles:
@@ -285,11 +294,24 @@ class TestOutcomeDiagnostics:
                                             num_equations=12), keep_artifacts=True)
         valid = []
         for record, art in zip(result.records, result.artifacts):
-            for method in (Method.NLBP, Method.QBP):
-                recovered = art.lifted[method].recovered
-                assert record.outcomes[method].extraction_valid == recovered.valid
-                if recovered.valid:
-                    valid.append(recovered.x)
+            # every outcome is what its kept run holds; LASSO has no problem,
+            # report or extraction
+            assert list(art) == list(result.spec.methods)
+            for method, run in art.items():
+                o = record.outcomes[method]
+                assert o.residual_sq == run.residual_sq
+                if method is Method.LASSO:
+                    assert run.problem is None and run.report is None
+                    assert run.recovered is None
+                    assert (o.iterations, o.status, o.extraction_valid) == (0, "", False)
+                    assert math.isnan(o.rank1_ratio)
+                    continue
+                assert o.iterations == run.report.iterations
+                assert o.status == run.report.status.value
+                assert o.rank1_ratio == run.recovered.rank1_ratio
+                assert o.extraction_valid == run.recovered.valid
+                if run.recovered.valid:
+                    valid.append(run.recovered.x)
         assert len(starts) == len(valid) == 4
         for x0, x in zip(starts, valid):
             assert np.array_equal(x0, x)

@@ -15,12 +15,11 @@ from nlbp.lifting import (
     OddOrderError,
     build_lifted_problem,
     generate_dependency_constraints,
-    lift_vector,
     lifted_problem_from_json,
     lifted_problem_to_json,
     polynomial_to_quadratic_form,
 )
-from nlbp.monomials import exponent_table, random_polynomial
+from nlbp.monomials import exponent_table, monomial_vector, random_polynomial
 from packed_layout import dense_operator, pack, unpack
 from poly_terms import stack, system_of
 
@@ -95,7 +94,7 @@ class TestQuadraticForm:
         rng = np.random.default_rng(0)
         for _ in range(100):
             x = rng.normal(size=2)
-            lifted = lift_vector(x, basis)
+            lifted = monomial_vector(x, basis)
             assert quad_value(form, lifted) == pytest.approx(
                 p.evaluate(x)[0], rel=1e-12, abs=1e-12)
 
@@ -125,7 +124,7 @@ class TestQuadraticForm:
             form = unpack(row, len(basis))
             for _ in range(100):
                 x = rng.normal(size=3)
-                lifted = lift_vector(x, basis)
+                lifted = monomial_vector(x, basis)
                 val = p.evaluate(x)[0]
                 assert abs(quad_value(form, lifted) - val) < 1e-9 * (1 + abs(val))
 
@@ -196,7 +195,7 @@ class TestDependencyGeneration:
         cons = dense_block(basis)
         for _ in range(20):
             x = rng.normal(size=3)
-            lifted = lift_vector(x, basis)
+            lifted = monomial_vector(x, basis)
             for c, value in zip(cons, [1.0] + [0.0] * (len(cons) - 1)):
                 assert abs(quad_value(c, lifted) - value) < 1e-12 * (
                     1 + np.max(lifted) ** 2)
@@ -278,7 +277,7 @@ class TestBuildLiftedProblem:
             x = rng.normal(size=n)
             values = system.evaluate(x)
             problem = build_lifted_problem(system, values, 4)
-            lifted = lift_vector(x, problem.basis)
+            lifted = monomial_vector(x, problem.basis)
             planted = np.outer(lifted, lifted)
             for c, value in zip(dense_operator(problem), problem.values):
                 err = abs(float(np.sum(c * planted)) - value)
@@ -303,28 +302,27 @@ class TestBuildLiftedProblem:
 class TestLiftVector:
     def test_zero_point(self):
         basis = exponent_table(2, 2)
-        assert np.array_equal(lift_vector((0.0, 0.0), basis),
+        assert np.array_equal(monomial_vector((0.0, 0.0), basis),
                               np.array([1, 0, 0, 0, 0, 0.0]))
 
     def test_frozen_order_values(self):
         basis = exponent_table(2, 2)
-        assert np.array_equal(lift_vector((2.0, 3.0), basis),
+        assert np.array_equal(monomial_vector((2.0, 3.0), basis),
                               np.array([1.0, 2.0, 3.0, 4.0, 6.0, 9.0]))
 
     def test_leading_entry_always_one(self):
         rng = np.random.default_rng(6)
         basis = exponent_table(4, 2)
         for _ in range(10):
-            assert lift_vector(rng.normal(size=4), basis)[0] == 1.0
+            assert monomial_vector(rng.normal(size=4), basis)[0] == 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            lift_vector((1.0,), exponent_table(2, 1))
+            monomial_vector((1.0,), exponent_table(2, 1))
 
 
-def one_var_problem(operator, values, num_data=None, basis=None, order=2):
-    return LiftedProblem(basis=exponent_table(1, 1) if basis is None else basis,
-                         num_vars=1, order=order,
+def one_var_problem(operator, values, num_data=None, order=2):
+    return LiftedProblem(num_vars=1, order=order,
                          num_data=len(values) if num_data is None else num_data,
                          operator=operator, values=values)
 
@@ -364,11 +362,13 @@ class TestConstraintType:
         assert hash(problem) == hash(problem)
 
     def test_basis_must_be_the_exponent_table_of_the_order(self):
-        assert one_var_problem(np.zeros((1, 3)), [0.0], basis=[[0], [1]]).basis.tolist() == [
-            [0], [1]]
-        for basis in ([[1], [0]], [[0], [2]], [[0]], [[0, 0], [1, 0]]):
-            with pytest.raises(ValueError, match="basis"):
-                one_var_problem(np.zeros((1, 3)), [0.0], basis=basis)
+        # the basis is derived from num_vars and order, never passed in
+        problem = one_var_problem(np.zeros((1, 3)), [0.0])
+        assert problem.basis is exponent_table(1, 1)
+        assert problem.basis.tolist() == [[0], [1]]
+        with pytest.raises(TypeError):
+            LiftedProblem(basis=exponent_table(1, 1), num_vars=1, order=2,
+                          num_data=1, operator=np.zeros((1, 3)), values=[0.0])
         for order in (3, 0):
             with pytest.raises(OddOrderError):
                 one_var_problem(np.zeros((1, 3)), [0.0], order=order)
@@ -397,8 +397,9 @@ class TestProblemJson:
         data = lifted_problem_to_json(build_lifted_problem(p, [0.0], 2))
         with pytest.raises(OddOrderError):
             lifted_problem_from_json(dict(data, order=3))
-        with pytest.raises(ValueError, match="basis"):
-            lifted_problem_from_json(dict(data, basis=[[1], [0]]))
+        for basis in ([[1], [0]], [[0], [2]], [[0]], [[0, 0], [1, 0]]):
+            with pytest.raises(ValueError, match="basis"):
+                lifted_problem_from_json(dict(data, basis=basis))
 
     @pytest.mark.parametrize("order", [12, 16])
     def test_basis_of_the_wrong_size_refused_before_any_table(

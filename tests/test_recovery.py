@@ -9,12 +9,11 @@ from nlbp.lifting import (
     AffineCache,
     LiftedProblem,
     build_lifted_problem,
-    lift_vector,
     lifted_problem_from_json,
     lifted_problem_to_json,
     packed_index,
 )
-from nlbp.monomials import exponent_table, random_polynomial
+from nlbp.monomials import exponent_table, monomial_vector, random_polynomial
 from nlbp.recovery import (
     CERT_RANK_GAP,
     CERT_TOL,
@@ -28,8 +27,7 @@ from poly_terms import stack
 
 
 def manual_problem(constraint_matrices, values, n=1, order=2):
-    return LiftedProblem(basis=exponent_table(n, order // 2), num_vars=n,
-                         order=order, num_data=len(values),
+    return LiftedProblem(num_vars=n, order=order, num_data=len(values),
                          operator=pack(constraint_matrices), values=values)
 
 
@@ -55,7 +53,7 @@ class TestExtractRank1:
     def test_exact_rank_one_round_trip(self):
         basis = exponent_table(5, 2)
         x = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
-        lifted = lift_vector(x, basis)
+        lifted = monomial_vector(x, basis)
         sol = extract_rank1(np.outer(lifted, lifted), basis)
         assert sol.valid
         assert sol.rank1_ratio <= 1e-12
@@ -67,7 +65,7 @@ class TestExtractRank1:
         basis = exponent_table(3, 2)
         for _ in range(10):
             x = rng.normal(size=3)
-            lifted = lift_vector(x, basis)
+            lifted = monomial_vector(x, basis)
             sol = extract_rank1(np.outer(lifted, lifted), basis)
             assert sol.valid
             assert sol.rank1_ratio <= 1e-12
@@ -77,7 +75,7 @@ class TestExtractRank1:
         rng = np.random.default_rng(1)
         basis = exponent_table(4, 2)
         x = rng.normal(size=4)
-        lifted = lift_vector(x, basis)
+        lifted = monomial_vector(x, basis)
         noise = rng.normal(size=(len(basis), len(basis)))
         sol = extract_rank1(np.outer(lifted, lifted) + 1e-6 * (noise @ noise.T),
                             basis)
@@ -98,7 +96,7 @@ class TestExtractRank1:
     def test_sign_flip_handled(self):
         basis = exponent_table(2, 1)
         x = np.array([2.0, -3.0])
-        lifted = lift_vector(x, basis)
+        lifted = monomial_vector(x, basis)
         # eigenvector sign is arbitrary; the outer product is sign-free
         sol = extract_rank1(np.outer(-lifted, -lifted), basis)
         assert sol.valid
@@ -190,7 +188,7 @@ class TestDualCertificate:
         # x_bar in its null space, rho (U1 + U2), w and the gap are
         # unchanged, only the dual residual sees I + rho U1 leave the span
         problem, report, x = solved_planted(3, 10, 4)
-        x_bar = lift_vector(x, problem.basis)
+        x_bar = monomial_vector(x, problem.basis)
         dim = problem.dim
         cells = [(i, j) for i in range(dim) for j in range(i, dim)]
         basis = []
@@ -291,9 +289,9 @@ class TestOneFactorizationPerProblem:
         built = count_builds(monkeypatch)
         system, x = planted_system(3, 10, 4, 4)  # as in solved_planted(3, 10, 4)
         config = SolverConfig(eps_abs=1e-10, eps_rel=1e-9)
-        result, art = _run_lifted(system, system.evaluate(x), 4, config, Method.NLBP)
-        assert len(built) == 1 and built[0] is art.problem
-        cert = dual_certificate(art.problem, art.report, result.x_hat)
+        run = _run_lifted(system, system.evaluate(x), 4, config, Method.NLBP)
+        assert len(built) == 1 and built[0] is run.problem
+        cert = dual_certificate(run.problem, run.report, run.x_hat)
         assert cert.holds, cert
         assert len(built) == 1
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -11,11 +12,10 @@ from nlbp.lifting import (
     LiftedProblem,
     build_lifted_problem,
     generate_dependency_constraints,
-    lift_vector,
     packed_index,
     polynomial_to_quadratic_form,
 )
-from nlbp.monomials import exponent_table, random_polynomial
+from nlbp.monomials import exponent_table, monomial_vector, random_polynomial
 from nlbp import sdp_admm
 from nlbp.recovery import extract_rank1
 from nlbp.sdp_admm import (
@@ -68,7 +68,7 @@ def inconsistent_systems():
 class TestProjectAffine:
     def test_feasible_point_unchanged(self):
         problem, x = planted_problem(2, 4, 2, 1)
-        lifted = lift_vector(x, problem.basis)
+        lifted = monomial_vector(x, problem.basis)
         planted = np.outer(lifted, lifted)
         out = project_matrix(problem.affine, planted)
         assert np.max(np.abs(out - planted)) < 1e-12 * (1 + np.max(np.abs(planted)))
@@ -220,7 +220,7 @@ class TestProjectAffine:
             # (the Cholesky factorization succeeds) but its trace product is
             # about 4e12, past the cutoff
             operator = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1e-6]])
-            problem = LiftedProblem(basis=exponent_table(1, 1), num_vars=1, order=2,
+            problem = LiftedProblem(num_vars=1, order=2,
                                     num_data=0, operator=operator, values=[1.0, 1.0])
         M = problem.num_constraints
         refused = []
@@ -500,6 +500,16 @@ class TestSolverConfig:
             SolverConfig(rho=0.0)
         with pytest.raises(ValueError):
             SolverConfig(eps_abs=0.0)
+        # nan passes both < and <=, so each bound is written to fail on it
+        for field, message in (("lam", "lam"), ("rho", "rho"),
+                               ("eps_abs", "tolerances"), ("eps_rel", "tolerances")):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=message):
+                    SolverConfig(**{field: bad})
+        for bad in (0, 2.5, 100.0, True, math.nan):
+            with pytest.raises(ValueError, match="max_iters"):
+                SolverConfig(max_iters=bad)
+        assert SolverConfig(max_iters=np.int64(5)).max_iters == 5
 
 
 class TestSolve:
