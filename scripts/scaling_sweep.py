@@ -12,14 +12,16 @@ each trial by wrapping them at the names their callers use:
 * ``polish_ms``: ``baselines.refine_solution``;
 * ``trial_ms``: from one ``sample_trial`` call to the next (or to the end).
 
-It also counts, per solve, the LAPACK calls of the cone steps
+It also counts, per solve, the LAPACK calls of the cone steps, at the
+solver's seam ``sdp_admm._cholesky``, ``_solve`` and ``_eigh``
 (``cone_cholesky_per_solve``, ``cone_solve_per_solve`` and
 ``cone_eigh_per_solve``, the last including the first step, which has no
 start), the warm cone steps that still ran the full ``eigh``
 (``eigh_fallbacks_per_solve``), those that ran neither a Cholesky
 factorization nor ``eigh`` because the solve's inertia proof covered them
-(``proof_reuses_per_solve``), the cache build's ``cholesky`` and ``eigh``
-calls (``build_cholesky_per_solve``, ``build_eigh_per_solve``), and the
+(``proof_reuses_per_solve``), the cache build's ``np.linalg.cholesky`` and
+``np.linalg.eigh`` calls (``build_cholesky_per_solve``,
+``build_eigh_per_solve``), and the
 minor page faults of each trial (``getrusage``). Each size runs one
 untimed warm-up trial first, so per-key caches are built outside the
 figures. Times are read on the process's CPU clock, which leaves out the
@@ -54,7 +56,8 @@ from nlbp import baselines, harness, sdp_admm  # noqa: E402
 from nlbp.baselines import Method  # noqa: E402
 
 PHASES = ("sample_ms", "lift_ms", "cache_build_ms", "solve_ms", "polish_ms")
-KERNELS = ("cholesky", "solve", "eigh")
+CONE_KERNELS = ("cholesky", "solve", "eigh")  # counted as sdp_admm._cholesky, ...
+BUILD_KERNELS = ("cholesky", "eigh")  # counted at np.linalg
 COUNTS = ("cone_cholesky", "cone_solve", "cone_eigh", "eigh_fallbacks",
           "proof_reuses", "build_cholesky", "build_eigh")
 
@@ -78,7 +81,8 @@ def measure(n: int, num_eqs: int, trials: int, seed: int) -> dict:
     wrapped = {"sample_trial": harness, "build_lifted_problem": baselines,
                "solve_nlbp": baselines, "refine_solution": baselines,
                "project_psd": sdp_admm}
-    wrapped.update(dict.fromkeys(KERNELS, np.linalg))
+    wrapped.update({f"_{kernel}": sdp_admm for kernel in CONE_KERNELS})
+    wrapped.update(dict.fromkeys(BUILD_KERNELS, np.linalg))
     originals = {name: getattr(mod, name) for name, mod in wrapped.items()}
     build = sdp_admm.AffineCache.__dict__["build"]
 
@@ -107,14 +111,18 @@ def measure(n: int, num_eqs: int, trials: int, seed: int) -> dict:
             if start is not None and counts["cone_cholesky"] + counts["cone_eigh"] == before:
                 counts["proof_reuses"] += 1
 
-    def counted(kernel):
-        def wrapper(*args, **kwargs):
+    def counted_cone(kernel):
+        def wrapper(*args):
             where = phase[0]
-            if where == "build" and kernel in ("cholesky", "eigh"):
-                counts[f"build_{kernel}"] += 1
-            elif where in ("cone", "warm"):
+            if where in ("cone", "warm"):
                 counts[f"cone_{kernel}"] += 1
                 counts["eigh_fallbacks"] += where == "warm" and kernel == "eigh"
+            return originals[f"_{kernel}"](*args)
+        return wrapper
+
+    def counted_build(kernel):
+        def wrapper(*args, **kwargs):
+            counts[f"build_{kernel}"] += phase[0] == "build"
             return originals[kernel](*args, **kwargs)
         return wrapper
 
@@ -123,8 +131,10 @@ def measure(n: int, num_eqs: int, trials: int, seed: int) -> dict:
     baselines.solve_nlbp = _timed(totals, "solve_ms", originals["solve_nlbp"])
     baselines.refine_solution = _timed(totals, "polish_ms", originals["refine_solution"])
     sdp_admm.project_psd = project_psd
-    for kernel in KERNELS:
-        setattr(np.linalg, kernel, counted(kernel))
+    for kernel in CONE_KERNELS:
+        setattr(sdp_admm, f"_{kernel}", counted_cone(kernel))
+    for kernel in BUILD_KERNELS:
+        setattr(np.linalg, kernel, counted_build(kernel))
     sdp_admm.AffineCache.build = classmethod(
         _timed(totals, "cache_build_ms", building))
     try:

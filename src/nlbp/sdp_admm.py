@@ -95,6 +95,17 @@ too small. The stopping rule, the balancing, the plateau test and the
 returned iterate and multipliers all take T(x), the output of an ADMM
 iteration, never the extrapolated state.
 
+The loop's LAPACK calls (the Rayleigh-quotient solves, the Cholesky proofs,
+the fallback eigh and the Anderson m x m solve) go through ``_solve``,
+``_cholesky`` and ``_eigh``. Each calls the gufunc of
+``numpy.linalg._umath_linalg`` that its np.linalg counterpart calls, with
+the same signature and error state, so the bits and the LinAlgError
+messages are numpy's; what it skips is the wrapper's argument conversion
+and checks, about 3-4 us a call, which at dim 21 is a third of a solve and
+close to half of a Cholesky factorization. Calls made once per solve (the
+cache build, the report's eigvalsh) stay on np.linalg. The seam is also
+where tests count and break the loop's kernels.
+
 All steps are deterministic: identical problem and config give a bitwise
 identical iterate sequence.
 """
@@ -107,9 +118,39 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo, eigh_lo, solve1
 
 from .lifting import AffineCache, LiftedProblem, packed_index
 from .monomials import checked_float, checked_int
+
+
+# The loop's LAPACK seam (see the module docstring). Callers pass square
+# float64 matrices only, and b a float64 vector: on those, every check and
+# conversion of np.linalg's skipped wrapper is a no-op.
+
+def _lapack_errors(message: str) -> np.errstate:
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(message)
+    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
+@_lapack_errors("Singular matrix")
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` for a square a and a vector b."""
+    return solve1(a, b, signature="dd->d")
+
+
+@_lapack_errors("Matrix is not positive definite")
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.cholesky(a)``: the lower factor."""
+    return cholesky_lo(a, signature="d->d")
+
+
+@_lapack_errors("Eigenvalues did not converge")
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(a)`` as a plain (eigenvalues, eigenvectors) pair."""
+    return eigh_lo(a, signature="d->dd")
 
 
 class SolverError(RuntimeError):
@@ -228,7 +269,7 @@ class InertiaProof:
 def project_psd(X: np.ndarray, start: np.ndarray | None = None,
                 proof: InertiaProof | None = None) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix: clamp negative
-    eigenvalues of the symmetrized input to zero.
+    eigenvalues of the symmetrized input, a square matrix, to zero.
 
     ``start`` is an optional warm start: a symmetric matrix near the
     projection, such as the previous iterate's. With it, a certified
@@ -246,7 +287,7 @@ def project_psd(X: np.ndarray, start: np.ndarray | None = None,
         out = _rank_one_projection(sym, np.asarray(start, dtype=float), proof)
         if out is not None:
             return out
-    vals, vecs = np.linalg.eigh(sym)
+    vals, vecs = _eigh(sym)
     out = (vecs * np.maximum(vals, 0.0)) @ vecs.T
     return 0.5 * (out + out.T)
 
@@ -273,7 +314,7 @@ def _rank_one_projection(sym: np.ndarray, start: np.ndarray,
     try:
         for step in range(_RANK_ONE_STEPS):
             np.subtract(sym.diagonal(), lam, out=diagonal)  # sym - lam I, bit for bit
-            w = np.linalg.solve(shifted, v)
+            w = _solve(shifted, v)
             v = w / np.sqrt(w.dot(w))
             Av = sym @ v
             lam = v.dot(Av)
@@ -309,13 +350,13 @@ def _prove_inertia(sym: np.ndarray, lam: float, v: np.ndarray,
         margin = _PROOF_MARGIN * lam
         diagonal -= margin
         try:
-            np.linalg.cholesky(gap)
+            _cholesky(gap)
         except np.linalg.LinAlgError:
             diagonal[...] = plain
         else:
             proof.anchor, proof.margin = sym.copy(), margin
             return
-    np.linalg.cholesky(gap)
+    _cholesky(gap)
 
 
 def soft_threshold(Z: np.ndarray, t: float | np.ndarray) -> np.ndarray:
@@ -531,7 +572,7 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None) -> So
             gram[:filled, head] = row
             head = (head + 1) % _AA_MEMORY
             try:
-                gamma = np.linalg.solve(gram[:filled, :filled], projected[:filled])
+                gamma = _solve(gram[:filled, :filled], projected[:filled])
             except np.linalg.LinAlgError:  # no differences left: plain step
                 filled = head = 0
             else:

@@ -25,12 +25,13 @@ DIM = 10
 
 @contextlib.contextmanager
 def counting(*names):
-    """Count calls of the named ``np.linalg`` kernels, and under
+    """Count calls of the named kernels at the solver's LAPACK seam
+    (``sdp_admm._cholesky`` for "cholesky", and so on), and under
     "singular" the LinAlgErrors of ``solve``. Hypothesis runs many examples
     per test, so this patches and restores by hand rather than through the
     function-scoped ``monkeypatch`` fixture."""
     calls = {name: 0 for name in names}
-    originals = {name: getattr(np.linalg, name) for name in names}
+    originals = {name: getattr(sdp_admm, f"_{name}") for name in names}
 
     def spy(name):
         def wrapper(*args, **kwargs):
@@ -45,11 +46,11 @@ def counting(*names):
 
     try:
         for name in names:
-            setattr(np.linalg, name, spy(name))
+            setattr(sdp_admm, f"_{name}", spy(name))
         yield calls
     finally:
         for name, fn in originals.items():
-            setattr(np.linalg, name, fn)
+            setattr(sdp_admm, f"_{name}", fn)
 
 
 def symmetric(A):

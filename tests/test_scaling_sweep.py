@@ -36,8 +36,11 @@ def sweep(monkeypatch):
 def _wrapped_bindings():
     owners = {"sample_trial": harness, "build_lifted_problem": baselines,
               "solve_nlbp": baselines, "refine_solution": baselines,
-              "project_psd": sdp_admm, "cholesky": np.linalg, "solve": np.linalg,
-              "eigh": np.linalg}
+              "project_psd": sdp_admm,
+              # the cone step's kernels at the solver's LAPACK seam, the
+              # cache build's at np.linalg
+              "_cholesky": sdp_admm, "_solve": sdp_admm, "_eigh": sdp_admm,
+              "cholesky": np.linalg, "eigh": np.linalg}
     bindings = {name: vars(owner)[name] for name, owner in owners.items()}
     bindings["build"] = vars(sdp_admm.AffineCache)["build"]
     return bindings

@@ -291,16 +291,28 @@ class TestProjectPsd:
             assert base <= np.linalg.norm(candidate - X) + 1e-12
 
 
-def count_eigh_calls(monkeypatch):
+def count_calls(monkeypatch, owner, name):
+    """Record the shape of the first argument of every call of
+    ``owner.name``."""
     calls = []
-    eigh = np.linalg.eigh
+    kernel = getattr(owner, name)
 
-    def counting(A):
+    def counting(A, *args):
         calls.append(A.shape)
-        return eigh(A)
+        return kernel(A, *args)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def count_eigh_calls(monkeypatch):
+    """The ``np.linalg.eigh`` calls: the cache build's."""
+    return count_calls(monkeypatch, np.linalg, "eigh")
+
+
+def count_cone_eigh_calls(monkeypatch):
+    """The cone step's ``eigh`` calls, made through the loop's LAPACK seam."""
+    return count_calls(monkeypatch, sdp_admm, "_eigh")
 
 
 class TestWarmStartedProjectPsd:
@@ -334,7 +346,7 @@ class TestWarmStartedProjectPsd:
     def test_one_positive_eigenvalue_skips_eigh(self, monkeypatch):
         A, q = with_spectrum([5.0] + self.NEGATIVE, 3)
         start = project_psd(A + 1e-4 * with_spectrum(range(self.DIM), 4)[0])
-        calls = count_eigh_calls(monkeypatch)
+        calls = count_cone_eigh_calls(monkeypatch)
         out = self.assert_is_projection(A, start)
         assert calls == [(self.DIM, self.DIM)]  # the reference call only
         np.testing.assert_allclose(out, 5.0 * np.outer(q[:, 0], q[:, 0]),
@@ -350,7 +362,7 @@ class TestWarmStartedProjectPsd:
         u = np.cos(angle) * q[:, 0] + np.sin(angle) * off / np.linalg.norm(off)
         start = np.outer(u, u)
         ref = project_psd(A)
-        calls = count_eigh_calls(monkeypatch)
+        calls = count_cone_eigh_calls(monkeypatch)
         out = project_psd(A, start)
         assert calls == []
         assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(A)
@@ -364,7 +376,7 @@ class TestWarmStartedProjectPsd:
         spec = table1_spec(trials=1, seed=42)
         system, _, values = sample_trial(spec, 0)
         problem = build_lifted_problem(system, values, 4)
-        calls = count_eigh_calls(monkeypatch)
+        calls = count_cone_eigh_calls(monkeypatch)
         report = solve_nlbp(problem, default_trial_config(spec, values))
         assert report.iterations == 84
         # iteration 1 has no start; every other dim x dim eigh is a fallback
@@ -388,7 +400,7 @@ class TestWarmStartedProjectPsd:
         # the Cholesky check sees that 5 is positive too
         A, q = with_spectrum([5.0, 2.0] + self.NEGATIVE[1:], 9)
         refused = []
-        cholesky = np.linalg.cholesky
+        cholesky = sdp_admm._cholesky
 
         def spying(B):
             try:
@@ -397,7 +409,7 @@ class TestWarmStartedProjectPsd:
                 refused.append(B.shape)
                 raise
 
-        monkeypatch.setattr(np.linalg, "cholesky", spying)
+        monkeypatch.setattr(sdp_admm, "_cholesky", spying)
         out = self.assert_is_projection(A, np.outer(q[:, 1], q[:, 1]))
         assert refused == [(self.DIM, self.DIM)]
         assert np.linalg.matrix_rank(out, tol=1e-9) == 2
@@ -409,13 +421,13 @@ class TestWarmStartedProjectPsd:
         A, q = with_spectrum([5.0, 2.0] + self.NEGATIVE[1:], 9)
         near = q[:, 0] + 1e-2 * q[:, 2]
         solves = []
-        solve = np.linalg.solve
+        solve = sdp_admm._solve
 
         def counting(a, b):
             solves.append(a.shape)
             return solve(a, b)
 
-        monkeypatch.setattr(np.linalg, "solve", counting)
+        monkeypatch.setattr(sdp_admm, "_solve", counting)
         assert sdp_admm._rank_one_projection(A, np.outer(near, near)) is None
         assert solves == [(self.DIM, self.DIM)]
 
@@ -433,18 +445,20 @@ class TestWarmStartedProjectPsd:
             raised.append(kernel)
             raise np.linalg.LinAlgError("singular")
 
-        monkeypatch.setattr(np.linalg, kernel, broken)
-        calls = count_eigh_calls(monkeypatch)
+        monkeypatch.setattr(sdp_admm, f"_{kernel}", broken)
+        calls = count_cone_eigh_calls(monkeypatch)
         assert np.array_equal(project_psd(A, start), ref)
         assert raised == [kernel] and calls == [(self.DIM, self.DIM)]
 
     @pytest.mark.parametrize("passes", [1, 3])
     def test_eigh_failure_in_the_loop_is_a_solver_error(self, monkeypatch, passes):
-        # the first call decomposes the constraint Gram matrix in
-        # problem.affine; the next ones are cone steps that fell back
+        # the cache is built first, so every call counted is a cone step's:
+        # the first has no start, the next ones fell back. A cone step makes
+        # at most one eigh, so the k-th call comes at iteration k or later.
         problem, _ = planted_problem(2, 4, 4, 12)
+        problem.affine  # the cache build, outside the count
         calls = []
-        eigh = np.linalg.eigh
+        eigh = sdp_admm._eigh
 
         def failing(A):
             calls.append(A.shape)
@@ -452,12 +466,77 @@ class TestWarmStartedProjectPsd:
                 raise np.linalg.LinAlgError("no convergence")
             return eigh(A)
 
-        monkeypatch.setattr(np.linalg, "eigh", failing)
+        monkeypatch.setattr(sdp_admm, "_eigh", failing)
         with pytest.raises(SolverError) as info:
             solve_nlbp(problem)
-        assert info.value.iteration >= passes
+        assert len(calls) == passes + 1
+        assert info.value.iteration >= passes + 1
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
         assert calls[-1] == (problem.dim, problem.dim)
+
+
+class TestLapackSeam:
+    """``sdp_admm._solve``, ``_cholesky`` and ``_eigh`` run the gufuncs of
+    ``np.linalg.solve``, ``cholesky`` and ``eigh`` without their wrapper:
+    the same bits, the same LinAlgError messages, and no ``np.linalg``
+    call left in the loop."""
+
+    @staticmethod
+    def operands(dim, seed):
+        """A general matrix, a symmetric positive definite one and a
+        vector, each also as a non-contiguous view: the leading block of
+        a larger array, as the Anderson solve's ``gram[:k, :k]`` is."""
+        rng = np.random.default_rng(seed)
+        big = rng.normal(size=(dim + 3, dim + 3))
+        general = big[:dim, :dim]
+        spd = big @ big.T + dim * np.eye(dim + 3)
+        b = rng.normal(size=2 * dim)[::2]
+        return [(general, spd[:dim, :dim], b),
+                (general.copy(), spd[:dim, :dim].copy(), b.copy())]
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 21, 45])
+    def test_same_bits_as_numpy_linalg(self, dim):
+        for general, spd, b in self.operands(dim, dim):
+            assert np.array_equal(sdp_admm._solve(general, b), np.linalg.solve(general, b))
+            assert np.array_equal(sdp_admm._cholesky(spd), np.linalg.cholesky(spd))
+            for a in (spd, 0.5 * (general + general.T)):
+                vals, vecs = sdp_admm._eigh(a)
+                ref = np.linalg.eigh(a)
+                assert np.array_equal(vals, ref.eigenvalues)
+                assert np.array_equal(vecs, ref.eigenvectors)
+
+    @pytest.mark.parametrize("kernel, args", [
+        ("solve", (np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))),
+        ("cholesky", (np.diag([1.0, -1.0]),)),
+        ("eigh", (np.full((3, 3), np.nan),)),
+    ], ids=["singular", "not_positive_definite", "nan"])
+    def test_failures_raise_numpys_linalg_error(self, kernel, args):
+        with pytest.raises(np.linalg.LinAlgError) as expected:
+            getattr(np.linalg, kernel)(*args)
+        before = np.geterr()
+        with pytest.raises(np.linalg.LinAlgError) as raised:
+            getattr(sdp_admm, f"_{kernel}")(*args)
+        assert str(raised.value) == str(expected.value)
+        assert np.geterr() == before  # the error state is restored
+
+    def test_the_loop_makes_no_numpy_linalg_call(self, monkeypatch):
+        # with the cache built first, a solve runs every LAPACK call through
+        # the seam: breaking np.linalg leaves the report's bits as they were
+        problem, config = trial_problem(table1_spec(trials=1, seed=42), 0)
+        problem.affine  # the cache build calls np.linalg
+        ref = solve_nlbp(problem, config)
+        assert ref.accelerated > 0  # the Anderson solve ran too
+
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("np.linalg called")
+
+        for kernel in ("solve", "cholesky", "eigh"):
+            monkeypatch.setattr(np.linalg, kernel, broken)
+        report = solve_nlbp(problem, config)
+        monkeypatch.undo()
+        for field in dataclasses.fields(report):
+            a, b = getattr(report, field.name), getattr(ref, field.name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
 class TestSoftThreshold:
@@ -901,7 +980,7 @@ class TestLoopPinned:
         # two iterations later (one iteration to record g, one to difference)
         iteration, changes, solves = [0], [], []
         psd, factor = sdp_admm.project_psd, sdp_admm._penalty_factor
-        solve = np.linalg.solve
+        solve = sdp_admm._solve
 
         def counting_psd(X, start=None, proof=None):
             iteration[0] += 1
@@ -920,7 +999,7 @@ class TestLoopPinned:
 
         monkeypatch.setattr(sdp_admm, "project_psd", counting_psd)
         monkeypatch.setattr(sdp_admm, "_penalty_factor", spying_factor)
-        monkeypatch.setattr(np.linalg, "solve", spying_solve)
+        monkeypatch.setattr(sdp_admm, "_solve", spying_solve)
         report = solve_nlbp(problem, config)
         monkeypatch.undo()
         assert_same_as_reference(report, ref)
