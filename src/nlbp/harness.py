@@ -20,6 +20,7 @@ one and two OpenBLAS threads, at n = 5 they do not.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -50,6 +51,13 @@ RESULTS_HEADER = "# nlbp-results v1"
 BOXPLOT_HEADER = "# nlbp-boxplot v1"
 
 
+def _is_int(value, low: int, high: int | None = None) -> bool:
+    """An integer in [low, high], high None for no bound. bool is an
+    Integral, and True would pass as 1."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high))
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything needed to reproduce one Monte-Carlo ensemble."""
@@ -67,19 +75,14 @@ class ExperimentSpec:
     lam: float
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.num_vars < 1:
-            raise ValueError("num_vars must be >= 1")
-        if self.num_equations < 1:
-            raise ValueError("num_equations must be >= 1")
+        for field, low in (("trials", 1), ("num_vars", 1), ("num_equations", 1),
+                           ("order", 2), ("seed", 0)):
+            if not _is_int(getattr(self, field), low):
+                raise ValueError(f"{field} must be an int >= {low}")
         if self.order % 2 != 0:
             raise ValueError("order must be even")
-        if self.sparsity != DENSE:
-            # bool is a subclass of int, and True would pass as a support of 1
-            if (isinstance(self.sparsity, bool) or not isinstance(self.sparsity, int)
-                    or not 0 <= self.sparsity <= self.num_vars):
-                raise ValueError("sparsity must be 'dense' or an int <= num_vars")
+        if self.sparsity != DENSE and not _is_int(self.sparsity, 0, self.num_vars):
+            raise ValueError("sparsity must be 'dense' or an int <= num_vars")
         if not (math.isfinite(self.planted_std) and self.planted_std >= 0):
             raise ValueError("planted_std must be finite and >= 0")
         if not (math.isfinite(self.coeff_std) and self.coeff_std > 0):

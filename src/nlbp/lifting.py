@@ -278,11 +278,12 @@ class AffineCache:
         return x - self.row_mat.T @ (self.gram_pinv @ (self.row_mat @ x - self.rhs))
 
     def violation(self, X: np.ndarray) -> float:
-        """max_i |trace(C_i X) - v_i| against the original (unscaled) rows."""
+        """max_i |trace(C_i X) - v_i| against the original (unscaled) rows,
+        0 when there are none."""
         index = packed_index(self.dim)
         vec = X.ravel()
         pairs = (vec[index.upper] + vec[index.lower]) * index.fold
-        return float(np.max(np.abs(self.row_mat_raw @ pairs - self.rhs_raw)))
+        return float(np.max(np.abs(self.row_mat_raw @ pairs - self.rhs_raw), initial=0.0))
 
 
 @functools.lru_cache(maxsize=None)

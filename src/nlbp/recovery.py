@@ -166,7 +166,7 @@ def dual_certificate(problem: LiftedProblem, report: SolveReport,
 
     X_bar = np.outer(x_bar, x_bar)
     primal_residual = (cache.violation(X_bar)
-                       / (1.0 + float(np.max(np.abs(problem.values)))))
+                       / (1.0 + float(np.max(np.abs(problem.values), initial=0.0))))
     primal_objective = float(np.trace(X_bar) + report.lam * np.sum(np.abs(X_bar)))
     duality_gap = (abs(primal_objective - float(cache.rhs @ u))
                    / (1.0 + abs(primal_objective)))

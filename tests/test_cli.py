@@ -250,6 +250,17 @@ class TestSolveRecoverCertify:
         assert f"{key} has shape (2, 3)" in err and "(2, 2)" in err
         assert cli_main(["recover", str(report), str(lifted)]) == (1 if key == "X" else 0)
 
+    def test_problem_without_constraints_solves(self, tmp_path):
+        # the violation over no rows is 0, not numpy's empty-max error
+        lifted = tmp_path / "lifted.json"
+        report = tmp_path / "report.json"
+        lifted.write_text(json.dumps({"num_vars": 1, "order": 2, "basis": [[0], [1]],
+                                      "constraints": []}))
+        assert cli_main(["solve", str(lifted), "-o", str(report)]) == 0
+        rep = json.loads(report.read_text())
+        assert rep["status"] == "converged"
+        assert rep["constraint_violation"] == 0.0
+
     def test_infeasible_problem_exits_2(self, tmp_path, capsys):
         path = tmp_path / "clash.json"
         write_problem(path, system_of(1, {(1,): 1.0}, {(1,): 1.0}), [0.0, 1.0])

@@ -73,6 +73,15 @@ class TestSpecs:
             table1_spec(sparsity=True)
         with pytest.raises(ValueError, match="lam"):
             table1_spec(lam=-0.1)
+        # each of these used to build a spec whose first trial failed: an
+        # order of 0 or -2 in the lift, a negative seed in SeedSequence, a
+        # float or a bool count when an array was sized by it
+        for field, bad in (("order", 0), ("order", -2), ("seed", -1),
+                           ("num_vars", 2.0), ("num_equations", True),
+                           ("trials", 1.0), ("seed", 4.2)):
+            with pytest.raises(ValueError, match=field):
+                table1_spec(**{field: bad})
+        assert table1_spec(seed=0).seed == 0
         # nan fails every comparison, and inf would run a 60,000-iteration
         # solve per trial and write lambda=inf into the CSV
         for bad in (math.nan, math.inf):

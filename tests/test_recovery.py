@@ -270,6 +270,14 @@ class TestDualCertificate:
         assert cert.primal_residual > CERT_TOL
         assert not cert.holds
 
+    def test_problem_without_constraints_returns(self):
+        # no rows, no right-hand sides: both maxima over them are 0
+        problem = manual_problem(np.zeros((0, 2, 2)), np.zeros(0))
+        report = solve_nlbp(problem)
+        assert report.status is SolveStatus.CONVERGED
+        cert = dual_certificate(problem, report, np.zeros(1))
+        assert cert.primal_residual == 0.0
+
 
 def count_builds(monkeypatch):
     """The problems ``AffineCache.build`` is called on from now on."""

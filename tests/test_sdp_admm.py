@@ -944,14 +944,23 @@ def assert_same_as_reference(report, ref):
 
 
 class TestLoopPinned:
-    @pytest.mark.parametrize("lam", [0.0, 0.1])
-    def test_matches_reference_loop_bitwise(self, lam):
-        spec = table1_spec(trials=1, seed=42)
-        polys, _, values = sample_trial(spec, 0)
-        problem = build_lifted_problem(polys, values, spec.order)
-        config = dataclasses.replace(default_trial_config(spec, values), lam=lam)
+    # trial 0 of each spec; the dense one at lam = 0.1 takes 327 iterations
+    # with 2 rho changes and rejects 2 extrapolations, the n = 8 one (dim 45)
+    # rejects 1, so the bitwise match covers every transition of the memory
+    @pytest.mark.parametrize("spec, lam, rejects", [
+        *(pytest.param(table1_spec(trials=1, seed=42), lam, False, id=f"{lam}")
+          for lam in (0.0, 0.1)),
+        *(pytest.param(dense_spec(trials=1, seed=42), lam, lam > 0, id=f"dense-{lam}")
+          for lam in (0.0, 0.1)),
+        *(pytest.param(table1_spec(trials=1, seed=1000, num_vars=8, num_equations=120),
+                       lam, lam > 0, id=f"n8-{lam}")
+          for lam in (0.0, 0.1)),
+    ])
+    def test_matches_reference_loop_bitwise(self, spec, lam, rejects):
+        problem, config = trial_problem(spec, 0, lam=lam)
         ref = reference_loop(problem, config)
         assert ref.accelerated > 0
+        assert (ref.restarts["rejected"] > 0) == rejects
         assert_same_as_reference(solve_nlbp(problem, config), ref)
 
     @pytest.mark.parametrize("lam", [0.0, 0.1])
