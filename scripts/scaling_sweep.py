@@ -8,7 +8,12 @@ each trial by wrapping them at the names their callers use:
 * ``lift_ms``: ``baselines.build_lifted_problem``;
 * ``cache_build_ms``: ``sdp_admm.AffineCache.build``;
 * ``admm_loop_ms``: ``baselines.solve_nlbp`` less its cache build, and
-  ``admm_us_per_iter``, that time over the ADMM iterations;
+  ``admm_us_per_iter``, that time over the ADMM iterations, split into
+  ``cone_us_per_iter`` (``sdp_admm.project_psd``, with the cost of the
+  kernel counters below), ``affine_us_per_iter``
+  (``AffineCache.project``) and ``rest_us_per_iter``, the remainder: the
+  loop's vector updates, residuals, balancing and acceleration, the solve's
+  set-up and report, and the two timing wrappers' own cost;
 * ``polish_ms``: ``baselines.refine_solution``;
 * ``trial_ms``: from one ``sample_trial`` call to the next (or to the end).
 
@@ -28,7 +33,7 @@ figures. Times are read on the process's CPU clock, which leaves out the
 time the host takes the CPU away. Figures are means per trial; each
 ensemble is repeated ``--reps`` times and the median of the repetitions is
 kept, because the host's speed drifts between runs. Beside each timed
-median (the ``*_ms`` figures and ``admm_us_per_iter``) the min and max over
+median (the ``*_ms`` and ``*_us_per_iter`` figures) the min and max over
 the repetitions are printed as ``*_min`` and ``*_max``, so the spread shows
 whether two runs differ; counts stay single numbers.
 
@@ -56,6 +61,7 @@ from nlbp import baselines, harness, sdp_admm  # noqa: E402
 from nlbp.baselines import Method  # noqa: E402
 
 PHASES = ("sample_ms", "lift_ms", "cache_build_ms", "solve_ms", "polish_ms")
+LOOP_PARTS = ("cone", "affine")  # timed inside the loop, reported per iteration
 CONE_KERNELS = ("cholesky", "solve", "eigh")  # counted as sdp_admm._cholesky, ...
 BUILD_KERNELS = ("cholesky", "eigh")  # counted at np.linalg
 COUNTS = ("cone_cholesky", "cone_solve", "cone_eigh", "eigh_fallbacks",
@@ -74,7 +80,7 @@ def _timed(totals: dict, key: str, fn):
 
 def measure(n: int, num_eqs: int, trials: int, seed: int) -> dict:
     """Mean per-trial figures of one ensemble at num_vars n."""
-    totals = dict.fromkeys(PHASES, 0.0)
+    totals = dict.fromkeys(PHASES + LOOP_PARTS, 0.0)
     counts = dict.fromkeys(COUNTS, 0)
     phase = [None]  # "build", "cone" or "warm" (a cone step with a start)
     marks: list[tuple[float, int]] = []
@@ -85,6 +91,7 @@ def measure(n: int, num_eqs: int, trials: int, seed: int) -> dict:
     wrapped.update(dict.fromkeys(BUILD_KERNELS, np.linalg))
     originals = {name: getattr(mod, name) for name, mod in wrapped.items()}
     build = sdp_admm.AffineCache.__dict__["build"]
+    project = sdp_admm.AffineCache.__dict__["project"]
 
     def mark():
         marks.append((time.process_time(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
@@ -130,7 +137,8 @@ def measure(n: int, num_eqs: int, trials: int, seed: int) -> dict:
     baselines.build_lifted_problem = _timed(totals, "lift_ms", originals["build_lifted_problem"])
     baselines.solve_nlbp = _timed(totals, "solve_ms", originals["solve_nlbp"])
     baselines.refine_solution = _timed(totals, "polish_ms", originals["refine_solution"])
-    sdp_admm.project_psd = project_psd
+    sdp_admm.project_psd = _timed(totals, "cone", project_psd)
+    sdp_admm.AffineCache.project = _timed(totals, "affine", project)
     for kernel in CONE_KERNELS:
         setattr(sdp_admm, f"_{kernel}", counted_cone(kernel))
     for kernel in BUILD_KERNELS:
@@ -146,6 +154,7 @@ def measure(n: int, num_eqs: int, trials: int, seed: int) -> dict:
         for name, mod in wrapped.items():
             setattr(mod, name, originals[name])
         sdp_admm.AffineCache.build = build
+        sdp_admm.AffineCache.project = project
     outcomes = [r.outcomes[Method.NLBP] for r in result.records]
     per_trial = {k: v / trials for k, v in totals.items()}
     per_trial["admm_loop_ms"] = per_trial.pop("solve_ms") - per_trial["cache_build_ms"]
@@ -153,8 +162,12 @@ def measure(n: int, num_eqs: int, trials: int, seed: int) -> dict:
     per_trial["minor_faults"] = (marks[-1][1] - marks[0][1]) / trials
     per_trial.update({f"{k}_per_solve": v / trials for k, v in counts.items()})
     per_trial["iterations"] = sum(o.iterations for o in outcomes) / trials
-    per_trial["admm_us_per_iter"] = (
-        per_trial["admm_loop_ms"] * 1e3 / max(per_trial["iterations"], 1))
+    iterations = max(per_trial["iterations"], 1)
+    per_trial["admm_us_per_iter"] = per_trial["admm_loop_ms"] * 1e3 / iterations
+    for part in LOOP_PARTS:
+        per_trial[f"{part}_us_per_iter"] = per_trial.pop(part) * 1e3 / iterations
+    per_trial["rest_us_per_iter"] = per_trial["admm_us_per_iter"] - sum(
+        per_trial[f"{part}_us_per_iter"] for part in LOOP_PARTS)
     per_trial["successes"] = sum(o.success for o in outcomes)
     return per_trial
 
@@ -166,6 +179,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1000)
     parser.add_argument("--reps", type=int, default=3)
     args = parser.parse_args(argv)
+    if args.reps < 1:
+        parser.error("--reps must be >= 1")
     rows = []
     for item in args.sizes.split(","):
         n, num_eqs, trials = (int(v) for v in item.split(":"))
@@ -175,7 +190,7 @@ def main(argv=None) -> int:
         for k in reps[0]:
             values = [r[k] for r in reps]
             row[k] = round(statistics.median(values), 3)
-            if k.endswith("_ms") or k == "admm_us_per_iter":
+            if k.endswith(("_ms", "_us_per_iter")):
                 row[f"{k}_min"], row[f"{k}_max"] = round(min(values), 3), round(max(values), 3)
         rows.append(row)
         print(json.dumps(row), flush=True)

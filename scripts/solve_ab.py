@@ -16,7 +16,9 @@ Per case it prints one JSON line: ``ratio``, the median over all timed
 solves of the change's time over the base's on the same problem and rep,
 ``ratio_q1`` and ``ratio_q3``, its quartiles, ``wins``, the solves in which
 the change took less time, ``base_ms`` and ``change_ms``, the median solve
-times, and ``iterations``, the ADMM iterations of the case's problems.
+times, ``base_us_per_iter`` and ``change_us_per_iter``, each side's summed
+timed CPU time over the summed iterations of its timed solves, and
+``iterations``, the ADMM iterations of the case's problems.
 
 A case is ``table1:T`` or ``dense:T``, the first T trials of the seed-42
 ensembles that ``nlbp bench`` runs, or ``n:N:T``, the first T trials of the
@@ -121,7 +123,7 @@ def differing_field(base, change) -> str | None:
 def run_case(packages, case: str, reps: int) -> dict:
     cases = [problems(package, case) for package in packages]
     solves = [package.sdp_admm.solve_nlbp for package in packages]
-    ratios, times = [], ([], [])
+    ratios, times, total_ns = [], ([], []), [0, 0]
     iterations = 0
     for rep in range(-1, reps):  # rep -1 is the untimed warm-up
         order = (1, 0) if rep % 2 else (0, 1)
@@ -141,12 +143,17 @@ def run_case(packages, case: str, reps: int) -> dict:
             ratios.append(elapsed[1] / elapsed[0])
             for side in (0, 1):
                 times[side].append(elapsed[side] / 1e6)
+                total_ns[side] += elapsed[side]
     q1, median, q3 = np.percentile(ratios, [25, 50, 75])
     return {"case": case, "solves": len(ratios), "ratio": round(median, 4),
             "ratio_q1": round(q1, 4), "ratio_q3": round(q3, 4),
             "wins": sum(r < 1.0 for r in ratios),
             "base_ms": round(float(np.median(times[0])), 3),
             "change_ms": round(float(np.median(times[1])), 3),
+            # both sides take the same steps, so the timed iterations are
+            # the warm-up's once per rep
+            "base_us_per_iter": round(total_ns[0] / 1e3 / (iterations * reps), 2),
+            "change_us_per_iter": round(total_ns[1] / 1e3 / (iterations * reps), 2),
             "iterations": iterations}
 
 
@@ -158,6 +165,8 @@ def main(argv=None) -> int:
                         help="comma-separated table1:T, dense:T or n:N:T")
     parser.add_argument("--reps", type=int, default=10)
     args = parser.parse_args(argv)
+    if args.reps < 1:
+        parser.error("--reps must be >= 1")
     with tempfile.TemporaryDirectory() as tmp:
         try:
             packages = load_packages([args.base, args.change], Path(tmp))

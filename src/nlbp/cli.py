@@ -65,13 +65,18 @@ def _load_json(path: str):
         raise UsageError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
 
 
-def _dump_json(data, path: str | None):
-    text = json.dumps(data, indent=2) + "\n"
+def _write(text: str, path: str | None):
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def _dump_json(data, path: str | None):
+    # strict JSON: a non-finite number (an infinite lift_consistency) is null
+    data = json.loads(json.dumps(data), parse_constant=lambda name: None)
+    _write(json.dumps(data, indent=2, allow_nan=False) + "\n", path)
 
 
 def _parse_file(path: str, parse, what: str):
@@ -215,12 +220,7 @@ def _cmd_bench(args) -> int:
     else:
         spec = dense_spec(trials=args.trials, seed=args.seed, **overrides)
     result = run_experiment(spec)
-    csv_text = results_to_csv(result, include_timings=args.timings)
-    if args.output is None:
-        sys.stdout.write(csv_text)
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(csv_text)
+    _write(results_to_csv(result, include_timings=args.timings), args.output)
     if args.boxplot is not None:
         with open(args.boxplot, "w") as fh:
             fh.write(emit_boxplot_data(result.records))

@@ -275,7 +275,7 @@ class AffineCache:
     def project(self, x: np.ndarray) -> np.ndarray:
         """Frobenius projection of the packed svec vector x (the solver's
         coordinates, see ``PackedIndex``) onto the affine constraint set."""
-        return x - self.row_mat.T @ (self.gram_pinv @ (self.row_mat @ x - self.rhs))
+        return x - self.row_mat.T.dot(self.gram_pinv.dot(self.row_mat.dot(x) - self.rhs))
 
     def violation(self, X: np.ndarray) -> float:
         """max_i |trace(C_i X) - v_i| against the original (unscaled) rows,

@@ -106,6 +106,12 @@ close to half of a Cholesky factorization. Calls made once per solve (the
 cache build, the report's eigvalsh) stay on np.linalg. The seam is also
 where tests count and break the loop's kernels.
 
+At dim 21 numpy's dispatch costs an iteration more than its arithmetic, so
+the loop works in buffers made once per solve, passes scalars as 0-d arrays
+and multiplies by ``dot`` (the gemv of ``@``, with less dispatch). The dual
+residual is computed only where it is read: by the stopping rule once the
+primal residual passes, by the balancing, and on the last iteration allowed.
+
 All steps are deterministic: identical problem and config give a bitwise
 identical iterate sequence.
 """
@@ -260,11 +266,6 @@ class InertiaProof:
     anchor: np.ndarray | None = None
     margin: float = 0.0
 
-    def covers(self, sym: np.ndarray) -> bool:
-        if self.anchor is None:
-            return False
-        return _norm(sym - self.anchor) < self.margin
-
 
 def project_psd(X: np.ndarray, start: np.ndarray | None = None,
                 proof: InertiaProof | None = None) -> np.ndarray:
@@ -279,15 +280,16 @@ def project_psd(X: np.ndarray, start: np.ndarray | None = None,
 
     ``proof`` is the solver's per-solve anchor (see ``InertiaProof``): the
     rank-one step reads it and replaces it by each new margin proof. With a
-    proof, X must be exactly symmetric, as an ``smat`` output is, and is
-    used as it is."""
-    X = np.asarray(X, dtype=float)
-    sym = X if proof is not None else 0.5 * (X + X.T)
+    proof, X must be an exactly symmetric float array, as an ``smat`` output
+    is, and start a float array; both are used as they are."""
+    if proof is None:
+        X = np.asarray(X, dtype=float)
+        X, start = 0.5 * (X + X.T), None if start is None else np.asarray(start, dtype=float)
     if start is not None:
-        out = _rank_one_projection(sym, np.asarray(start, dtype=float), proof)
+        out = _rank_one_projection(X, start, proof)
         if out is not None:
             return out
-    vals, vecs = _eigh(sym)
+    vals, vecs = _eigh(X)
     out = (vecs * np.maximum(vals, 0.0)) @ vecs.T
     return 0.5 * (out + out.T)
 
@@ -299,24 +301,25 @@ def _rank_one_projection(sym: np.ndarray, start: np.ndarray,
     iteration from the row of ``start`` with the largest diagonal; None when
     that row is zero, lam <= 0, the inertia proof after the first step
     (``_prove_inertia``) fails, or the residual stays above tolerance."""
-    # array methods, not np.* functions: at dim 21 their dispatch costs
-    # several microseconds
+    # array methods and math.sqrt, not np.* functions or @ (a.dot(v) is the
+    # same gemv): at dim 21 their dispatch costs several microseconds
     v = start[start.diagonal().argmax()]
-    norm = np.sqrt(v.dot(v))
+    norm = math.sqrt(v.dot(v))
     if not norm > 0:
         return None
     v = v / norm
-    lam = v.dot(sym @ v)
+    lam = v.dot(sym.dot(v))
     if not lam > 0:
         return None
     shifted = sym.copy()
     diagonal = shifted.reshape(-1)[::len(v) + 1]
+    sym_diagonal = sym.diagonal()
     try:
         for step in range(_RANK_ONE_STEPS):
-            np.subtract(sym.diagonal(), lam, out=diagonal)  # sym - lam I, bit for bit
+            np.subtract(sym_diagonal, lam, out=diagonal)  # sym - lam I, bit for bit
             w = _solve(shifted, v)
-            v = w / np.sqrt(w.dot(w))
-            Av = sym @ v
+            v = w / math.sqrt(w.dot(w))
+            Av = sym.dot(v)
             lam = v.dot(Av)
             if not lam > 0:
                 return None
@@ -325,8 +328,8 @@ def _rank_one_projection(sym: np.ndarray, start: np.ndarray,
                 # second positive eigenvalue is refused before any refinement
                 _prove_inertia(sym, lam, v, proof)
             r = Av - lam * v
-            if np.sqrt(r.dot(r)) <= _RANK_ONE_TOL * lam:
-                w = np.sqrt(lam) * v
+            if math.sqrt(r.dot(r)) <= _RANK_ONE_TOL * lam:
+                w = math.sqrt(lam) * v
                 return w[:, None] * w  # bitwise symmetric: w_i w_j == w_j w_i
     except np.linalg.LinAlgError:
         return None
@@ -336,13 +339,15 @@ def _rank_one_projection(sym: np.ndarray, start: np.ndarray,
 def _prove_inertia(sym: np.ndarray, lam: float, v: np.ndarray,
                    proof: InertiaProof | None) -> None:
     """Return when ``sym`` provably has at most one positive eigenvalue, and
-    raise LinAlgError when the proof fails: no factorization when ``proof``
-    covers sym, else the Cholesky factorization of 2 lam v v^T - sym - delta I,
-    delta = lam / 100, which on success becomes the new anchor, and when
-    that fails (or without a proof) the plain one of 2 lam v v^T - sym."""
-    if proof is not None and proof.covers(sym):
-        return
-    w = np.sqrt(2.0 * lam) * v
+    raise LinAlgError when the proof fails: no factorization when sym lies
+    within ``proof``'s margin of its anchor, else the Cholesky factorization
+    of 2 lam v v^T - sym - delta I, delta = lam / 100, which on success
+    becomes the new anchor, and when that fails (or without a proof) the
+    plain one of 2 lam v v^T - sym."""
+    if proof is not None and proof.anchor is not None:
+        if _norm(sym - proof.anchor) < proof.margin:
+            return
+    w = math.sqrt(2.0 * lam) * v
     gap = w[:, None] * w - sym
     if proof is not None:
         diagonal = gap.reshape(-1)[::len(v) + 1]
@@ -368,12 +373,12 @@ def soft_threshold(Z: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     return np.sign(Z) * np.maximum(np.abs(Z) - t, 0.0)
 
 
-def _norm(A: np.ndarray) -> np.float64:
+def _norm(A: np.ndarray) -> float:
     """Frobenius norm, computed exactly as ``np.linalg.norm(A)`` computes it
     (the dot product of the K-order ravel with itself, then its square root)
     without that function's argument dispatch."""
     v = A.ravel(order="K")
-    return np.sqrt(v.dot(v))
+    return math.sqrt(v.dot(v))
 
 
 # Over-relaxation factor alpha (see the module docstring). At 1.6 the seed-42
@@ -435,17 +440,14 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None) -> So
     cache = problem.affine
     dim = problem.dim
     rho = config.rho
-    # Everything but the cone step works on svec vectors (see the module
-    # docstring); ``diagonal`` holds the packed positions of the diagonal,
-    # where the trace objective's gradient step (1/rho) I lands.
+    # everything but the cone step works on svec vectors (see the module docstring)
     index = packed_index(dim)
-    diagonal = index.cell.diagonal()
-    shift = 1.0 / rho
+    weight = index.weight
     feas_tol = _feasibility_tolerance(cache)
     if cache.infeasibility_lb > feas_tol:
         # Proven inconsistent: no iterate can become feasible, so return the
         # first affine step (the least-squares point) projected onto the cone.
-        affine = index.smat(cache.project(index.svec(-shift * np.eye(dim))))
+        affine = index.smat(cache.project(index.svec(-(1.0 / rho) * np.eye(dim))))
         try:
             X = project_psd(affine)
         except np.linalg.LinAlgError as exc:
@@ -454,94 +456,111 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None) -> So
                        SolveStatus.INFEASIBLE, cache, config, rho,
                        np.zeros((dim, dim)), np.zeros((dim, dim)))
 
+    sqrt2, max_iters, eps_rel = math.sqrt(2.0), config.max_iters, config.eps_rel
+    abs_floor = sqrt2 * dim * config.eps_abs  # sqrt2 dim: sqrt of the stacked primal dimension
+    # formed anew only when rho changes: the gradient step (1/rho) I, packed
+    # (0 off the diagonal, and a - 0 == a), and the shrinkage thresholds
+    eye = index.svec(np.eye(dim))
     threshold = config.lam / (2.0 * rho)
-    scale = np.sqrt(2.0) * dim  # sqrt of the stacked primal dimension
-    abs_floor = scale * config.eps_abs
+    gradient, thresholds = eye / rho, threshold * weight
 
     # Anderson acceleration works on the flat state x = (z, u1, u2), the
-    # iteration's input, and on f = T(x), its output, each a (flat, z, u)
-    # triple of a preallocated vector and its views, u the rows u1, u2: a
-    # fresh T(x) with its views each iteration costs about 2% of a solve at
-    # dim 21. Two buffers take turns holding T(x). Each iteration writes over
-    # the T(x) before last, since x is ``f_prev``, the previous T(x), or the
+    # iteration's input, and on f = T(x), its output, each a tuple of a
+    # preallocated vector and its views (flat, z, u, u1, u2), u the rows u1,
+    # u2. Two buffers take turns holding T(x). Each iteration writes over the
+    # T(x) before last, since x is ``f_prev``, the previous T(x), or the
     # ``extrapolated`` state; a rejection swaps f and f_prev back. ``g_prev``
-    # is the previous g = T(x) - x, None after the memory was cleared, and
-    # ``jumped`` says whether x was extrapolated. The rings ``delta_g`` and
-    # ``delta_f`` hold the differences Delta g and Delta F; row ``head`` is
-    # written next.
-    packed = len(index.weight)
+    # is the previous g = T(x) - x (g and g_prev take turns in two buffers),
+    # None after the memory was cleared, and ``jumped`` says whether x was
+    # extrapolated. The rings ``delta_g`` and ``delta_f`` hold the
+    # differences Delta g and Delta F; row ``head`` is written next.
+    packed = len(weight)
     size = 3 * packed
     def buffer():
         flat = np.zeros(size)
-        return flat, flat[:packed], flat[packed:].reshape(2, packed)
+        u = flat[packed:].reshape(2, packed)
+        return flat, flat[:packed], u, u[0], u[1]
     x = f = buffer()
     f_prev, extrapolated = buffer(), buffer()
     g_prev, g_prev_sq, jumped = None, np.inf, False
+    g, g_spare = np.empty(size), np.empty(size)
     delta_g = np.empty((_AA_MEMORY, size))
     delta_f = np.empty((_AA_MEMORY, size))
     gram = np.empty((_AA_MEMORY, _AA_MEMORY))  # delta_g[i] . delta_g[j]
     projected = np.zeros(_AA_MEMORY)  # delta_g[i] . g
+    # their views, made once: by slot, and by the number of slots filled
+    slots = [(delta_g[i], delta_f[i], gram[i], gram[:, i]) for i in range(_AA_MEMORY)]
+    fills = [(delta_g[:k], delta_f[:k], gram[:k, :k], projected[:k])
+             for k in range(_AA_MEMORY + 1)]
     filled = head = accelerated = 0
 
     converged = False
     primal = dual = np.inf
     primal_checkpoint = np.inf  # primal residual at 3/4 of the budget
-    checkpoint_at = max(1, (3 * config.max_iters) // 4)
+    checkpoint_at = max(1, (3 * max_iters) // 4)
     iteration = 0
 
-    blocks = np.empty((2, packed))  # the affine and cone outputs x1, x2
+    # per-solve buffers and 0-d constants (see the module docstring)
+    x1, x2 = blocks = np.empty((2, packed))
+    affine_in, cone_in, relaxed = np.empty((3, packed))
+    residual = np.empty((2, packed))
+    subtract, multiply, add = np.subtract, np.multiply, np.add
+    relax, keep, half = np.array(_RELAX), np.array(1.0 - _RELAX), np.array(0.5)
     X2 = None  # the previous cone output warm-starts the next cone step
     proof = InertiaProof()
-    for iteration in range(1, config.max_iters + 1):
+    for iteration in range(1, max_iters + 1):
         f, f_prev = f_prev, f
-        x_flat, z_prev, u_prev = x
-        f_flat, z, v = f
-        a = z_prev - u_prev[0]
-        a[diagonal] -= shift
-        blocks[0] = cache.project(a)
+        x_flat, z_prev, u_prev, u1_prev, u2_prev = x
+        f_flat, z, v, v1, v2 = f
+        subtract(z_prev, u1_prev, out=affine_in)
+        affine_in -= gradient
+        x1[...] = cache.project(affine_in)
         try:
             # a start only once there is one, so that a one-argument
             # stand-in for project_psd (perfbench's raising-solver test)
             # still gets the call it expects
-            M = index.smat(z_prev - u_prev[1])
+            M = index.smat(subtract(z_prev, u2_prev, out=cone_in))
             X2 = project_psd(M) if X2 is None else project_psd(M, X2, proof=proof)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"eigendecomposition failed: {exc}", iteration) from exc
-        blocks[1] = X2.ravel()[index.upper] * index.weight
+        multiply(X2.ravel()[index.upper], weight, out=x2)
 
         # v_i = h_i + u_i, where h_i = alpha x_i + (1 - alpha) z_prev is the
-        # relaxed output of block i; built in place, because every temporary
-        # array costs about a microsecond
-        np.multiply(blocks, _RELAX, out=v)
-        v += (1.0 - _RELAX) * z_prev
+        # relaxed output of block i
+        multiply(blocks, relax, out=v)
+        multiply(z_prev, keep, out=relaxed)
+        v1 += relaxed
+        v2 += relaxed
         v += u_prev
-        np.add(v[0], v[1], out=z)
-        z *= 0.5
+        add(v1, v2, out=z)
+        multiply(z, half, out=z)
         if threshold > 0:  # at lam = 0 the shrinkage is the identity
-            # an off-diagonal svec entry is sqrt(2) times its matrix cell
-            z[...] = soft_threshold(z, threshold * index.weight)
-        v -= z  # now the multipliers u1, u2 of T(x)
+            z[...] = soft_threshold(z, thresholds)
+        v1 -= z  # now the multipliers u1, u2 of T(x)
+        v2 -= z
 
-        # the residuals and tolerances take the unrelaxed x1, x2
-        primal = _norm(blocks - z)
-        dual = rho * np.sqrt(2.0) * _norm(z - z_prev)
-
-        primal_scale = max(_norm(blocks), np.sqrt(2.0) * _norm(z))
-        eps_pri = abs_floor + config.eps_rel * primal_scale
-        if primal <= eps_pri:  # only then is the dual tolerance needed
-            eps_dual = abs_floor + config.eps_rel * rho * _norm(v)
-            if dual <= eps_dual:
+        # the residuals and tolerances take the unrelaxed x1, x2; the dual
+        # residual is computed only where it is read (see the module docstring)
+        subtract(x1, z, out=residual[0])
+        subtract(x2, z, out=residual[1])
+        primal = _norm(residual)
+        primal_scale = max(_norm(blocks), sqrt2 * _norm(z))
+        eps_pri = abs_floor + eps_rel * primal_scale
+        adapt = iteration % _ADAPT_EVERY == 0
+        if primal <= eps_pri or adapt or iteration == max_iters:
+            dual = rho * sqrt2 * _norm(z - z_prev)
+            if primal <= eps_pri and dual <= abs_floor + eps_rel * rho * _norm(v):
                 converged = True
                 break
         if iteration == checkpoint_at:
             primal_checkpoint = primal
-        if iteration % _ADAPT_EVERY == 0:
+        if adapt:
             factor = _penalty_factor(primal, primal_scale, dual, rho * _norm(v))
             if factor != 1.0:
                 rho *= factor
                 v /= factor
-                shift = 1.0 / rho
                 threshold = config.lam / (2.0 * rho)
+                gradient, thresholds = eye / rho, threshold * weight
                 # the scaled multipliers moved: the memory no longer applies
                 filled = head = 0
                 g_prev, g_prev_sq, jumped = None, np.inf, False
@@ -551,8 +570,8 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None) -> So
             x = f
             continue
 
-        g = f_flat - x_flat
-        g_sq = g.dot(g)
+        g, g_spare = g_spare, g  # g_prev stays in the other buffer
+        g_sq = subtract(f_flat, x_flat, out=g).dot(g)
         if jumped and g_sq > g_prev_sq:
             # the extrapolation made things worse: undo it, and go on from
             # the previous T(x) as a plain iteration would have
@@ -564,26 +583,27 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None) -> So
         if g_sq > g_prev_sq:
             filled = head = 0
         elif g_prev is not None:
-            np.subtract(g, g_prev, out=delta_g[head])
-            np.subtract(f_flat, f_prev[0], out=delta_f[head])
+            dg, df, gram_row, gram_col = slots[head]
+            subtract(g, g_prev, out=dg)
+            subtract(f_flat, f_prev[0], out=df)
             filled = min(filled + 1, _AA_MEMORY)
-            dg = delta_g[head]
-            row = delta_g[:filled] @ dg
+            dgs, dfs, gram_k, projected_k = fills[filled]
+            row = dgs.dot(dg)
             # delta_g[i] . g follows from its value at the previous g by one
             # Gram row; only the new difference needs its own product
-            projected[:filled] += row
+            projected_k += row
             projected[head] = dg.dot(g)
             row[head] *= 1.0 + _AA_REG
-            gram[head, :filled] = row
-            gram[:filled, head] = row
+            gram_row[:filled] = row
+            gram_col[:filled] = row
             head = (head + 1) % _AA_MEMORY
             try:
-                gamma = _solve(gram[:filled, :filled], projected[:filled])
+                gamma = _solve(gram_k, projected_k)
             except np.linalg.LinAlgError:  # no differences left: plain step
                 filled = head = 0
             else:
-                step = np.dot(gamma, delta_f[:filled], out=extrapolated[0])
-                np.subtract(f_flat, step, out=step)
+                step = np.dot(gamma, dfs, out=extrapolated[0])
+                subtract(f_flat, step, out=step)
                 x, jumped = extrapolated, True
                 accelerated += 1
         g_prev, g_prev_sq = g, g_sq
@@ -592,7 +612,7 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None) -> So
     violation = cache.violation(X)
     # A plateau call needs a meaningful budget: a run cut off after a handful
     # of iterations is just unfinished.
-    plateaued = config.max_iters >= 200 and primal >= 0.5 * primal_checkpoint
+    plateaued = max_iters >= 200 and primal >= 0.5 * primal_checkpoint
     if converged:
         status = SolveStatus.CONVERGED
     elif violation > feas_tol and plateaued:
@@ -601,7 +621,7 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None) -> So
     else:
         status = SolveStatus.MAX_ITERS
     return _report(X, iteration, primal, dual, violation, status, cache, config,
-                   rho, index.smat(rho * v[0]), index.smat(rho * v[1]), accelerated)
+                   rho, index.smat(rho * v1), index.smat(rho * v2), accelerated)
 
 
 def _report(X, iterations, primal, dual, violation, status, cache, config, rho,

@@ -261,6 +261,24 @@ class TestSolveRecoverCertify:
         assert rep["status"] == "converged"
         assert rep["constraint_violation"] == 0.0
 
+    def test_recover_writes_strict_json(self, tmp_path, capsys):
+        # with no constraint rows the top eigenvector has no constant entry,
+        # so lift_consistency is infinite: written as null, not Infinity
+        lifted = tmp_path / "lifted.json"
+        report = tmp_path / "report.json"
+        lifted.write_text(json.dumps({"num_vars": 1, "order": 2, "basis": [[0], [1]],
+                                      "constraints": []}))
+        assert cli_main(["solve", str(lifted), "--dump-x", "-o", str(report)]) == 0
+        capsys.readouterr()
+        assert cli_main(["recover", str(report), str(lifted)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        out = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert out["lift_consistency"] is None
+        assert out["valid"] is False
+
     def test_infeasible_problem_exits_2(self, tmp_path, capsys):
         path = tmp_path / "clash.json"
         write_problem(path, system_of(1, {(1,): 1.0}, {(1,): 1.0}), [0.0, 1.0])

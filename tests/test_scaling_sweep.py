@@ -14,7 +14,8 @@ from nlbp import baselines, harness, sdp_admm
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "scaling_sweep.py"
 
 TIMED = ("sample_ms", "lift_ms", "cache_build_ms", "polish_ms", "admm_loop_ms",
-         "trial_ms", "admm_us_per_iter")
+         "trial_ms", "admm_us_per_iter", "cone_us_per_iter", "affine_us_per_iter",
+         "rest_us_per_iter")
 COUNTED = ("minor_faults", "cone_cholesky_per_solve", "cone_solve_per_solve",
            "cone_eigh_per_solve", "eigh_fallbacks_per_solve",
            "proof_reuses_per_solve", "build_cholesky_per_solve",
@@ -43,6 +44,7 @@ def _wrapped_bindings():
               "cholesky": np.linalg, "eigh": np.linalg}
     bindings = {name: vars(owner)[name] for name, owner in owners.items()}
     bindings["build"] = vars(sdp_admm.AffineCache)["build"]
+    bindings["project"] = vars(sdp_admm.AffineCache)["project"]
     return bindings
 
 
@@ -52,6 +54,10 @@ def test_measure_reports_every_figure_and_restores_what_it_wraps(sweep):
     assert set(row) == set(TIMED) | set(COUNTED)
     assert row["successes"] == 1
     assert row["iterations"] > 0 and row["cone_eigh_per_solve"] >= 1
+    # the loop's time splits into the two wrapped steps and the rest
+    assert row["cone_us_per_iter"] > 0 and row["affine_us_per_iter"] > 0
+    assert row["cone_us_per_iter"] + row["affine_us_per_iter"] + row["rest_us_per_iter"] \
+        == pytest.approx(row["admm_us_per_iter"])
     after = _wrapped_bindings()
     assert all(after[name] is before[name] for name in before)
 
@@ -63,3 +69,9 @@ def test_main_prints_the_spread_of_timed_figures_only(sweep, capsys):
         assert row[f"{key}_min"] <= row[key] <= row[f"{key}_max"]
     for key in COUNTED:
         assert key in row and f"{key}_min" not in row and f"{key}_max" not in row
+
+
+def test_no_repetition_is_a_usage_error(sweep, capsys):
+    with pytest.raises(SystemExit) as info:
+        sweep.main(["--sizes", "3:12:1", "--reps", "0"])
+    assert info.value.code == 2 and "--reps must be >= 1" in capsys.readouterr().err

@@ -963,6 +963,20 @@ class TestLoopPinned:
         assert (ref.restarts["rejected"] > 0) == rejects
         assert_same_as_reference(solve_nlbp(problem, config), ref)
 
+    # trial 0 converges at 84 iterations at lam = 0 and at 53 at lam = 0.1
+    @pytest.mark.parametrize("lam, cap", [(0.0, 73), (0.1, 43)])
+    def test_capped_solve_matches_reference_loop_bitwise(self, lam, cap):
+        # the solver computes the dual residual only where it is read; the
+        # cap is no multiple of the balancing interval, and the primal test
+        # fails there, so the reported dual residual is the one the cap reads
+        problem, config = trial_problem(table1_spec(trials=1, seed=42), 0, lam=lam,
+                                        max_iters=cap)
+        assert config.max_iters % sdp_admm._ADAPT_EVERY != 0
+        ref = reference_loop(problem, config)
+        report = solve_nlbp(problem, config)
+        assert report.status is SolveStatus.MAX_ITERS and report.iterations == cap
+        assert_same_as_reference(report, ref)
+
     @pytest.mark.parametrize("lam", [0.0, 0.1])
     def test_matches_matrix_loop(self, lam):
         # the loop of matrices the packed state replaced takes the same

@@ -34,9 +34,16 @@ def test_a_tree_against_itself_gives_equal_reports_and_a_ratio(solve_ab, capsys)
     assert row["case"] == "3:12:1" and row["solves"] == 2
     assert row["ratio_q1"] <= row["ratio"] <= row["ratio_q3"]
     assert 0 <= row["wins"] <= row["solves"] and row["iterations"] > 0
+    assert row["base_us_per_iter"] > 0 and row["change_us_per_iter"] > 0
     # nothing of the two imports is left behind
     assert sys.path == path
     assert not any(name.startswith("nlbp_") for name in sys.modules)
+
+
+def test_no_timed_rep_is_a_usage_error(solve_ab, capsys):
+    with pytest.raises(SystemExit) as info:
+        solve_ab.main([str(SRC), str(SRC), "--cases", "3:12:1", "--reps", "0"])
+    assert info.value.code == 2 and "--reps must be >= 1" in capsys.readouterr().err
 
 
 def test_a_change_of_steps_is_refused(solve_ab, tmp_path, capsys):
