@@ -6,7 +6,6 @@ from .monomials import (
     exponent_table,
     monomial_vector,
     random_polynomial,
-    system_from_json,
 )
 from .lifting import (
     AffineCache,
@@ -16,8 +15,6 @@ from .lifting import (
     OddOrderError,
     build_lifted_problem,
     generate_dependency_constraints,
-    lifted_problem_from_json,
-    lifted_problem_to_json,
     quadratic_forms,
 )
 from .sdp_admm import (

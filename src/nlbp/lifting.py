@@ -23,7 +23,6 @@ factored operator per problem, ``LiftedProblem.affine``.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -32,8 +31,6 @@ import numpy as np
 
 from .monomials import (
     PolySystem,
-    checked_float,
-    checked_int,
     exponent_table,
     table_rows,
 )
@@ -415,69 +412,3 @@ def build_lifted_problem(system: PolySystem, values, order: int) -> LiftedProble
     rhs[num_data] = 1.0
     return LiftedProblem(num_vars=system.num_vars, order=order,
                          num_data=num_data, operator=operator, values=rhs)
-
-
-def lifted_problem_to_json(problem: LiftedProblem) -> dict:
-    """Sparse triplet export of the nonzero packed cells, so every stored
-    cell has row <= col."""
-    rows, cols = np.triu_indices(problem.dim)
-    constraints = []
-    for packed, value, kind in zip(problem.operator, problem.values, problem.kinds):
-        constraints.append({
-            "y": float(value),
-            "kind": kind.value,
-            "entries": [
-                {"row": int(rows[c]), "col": int(cols[c]), "value": float(packed[c])}
-                for c in np.flatnonzero(packed)
-            ],
-        })
-    return {
-        "num_vars": problem.num_vars,
-        "order": problem.order,
-        "basis": problem.basis.tolist(),
-        "constraints": constraints,
-    }
-
-
-def lifted_problem_from_json(data: dict) -> LiftedProblem:
-    """Inverse of ``lifted_problem_to_json``; rejects non-finite numbers, cell
-    indices outside [0, dim), an order that ``LiftedProblem`` refuses, a
-    stored basis of the wrong length before building any table of the
-    order's size, and then one that is not ``exponent_table(num_vars,
-    order // 2)``. A cell with row > col sets its mirror; a
-    constraint that sets one cell twice, directly or through its mirror,
-    must give it the same value both times."""
-    n = checked_int(data["num_vars"], 1)
-    order = checked_int(data["order"], 2)
-    basis = [[checked_int(e, 0) for e in a] for a in data["basis"]]
-    # the basis size follows from n and order alone: a file whose basis is
-    # the wrong size is refused before any table of that size is built
-    dim = math.comb(n + _half_order(order), n)
-    if len(basis) != dim:
-        raise ValueError(f"basis has {len(basis)} rows, but "
-                         f"exponent_table({n}, {order // 2}) has {dim}")
-    if not np.array_equal(basis, exponent_table(n, order // 2)):
-        raise ValueError(f"basis is not exponent_table({n}, {order // 2}) "
-                         f"in the frozen graded order")
-    items = data["constraints"]
-    cell = packed_index(dim).cell
-    operator = np.zeros((len(items), dim * (dim + 1) // 2))
-    for i, (row, item) in enumerate(zip(operator, items)):
-        seen = set()
-        for entry in item["entries"]:
-            r, c = checked_int(entry["row"], 0, dim), checked_int(entry["col"], 0, dim)
-            k, value = int(cell[r, c]), checked_float(entry["value"])
-            if k in seen and row[k] != value:
-                raise ValueError(f"constraint {i} gives cell ({r}, {c}) two values")
-            seen.add(k)
-            row[k] = value
-    kinds = [ConstraintKind(item["kind"]) for item in items]
-    num_data = next((i for i, k in enumerate(kinds) if k is not ConstraintKind.DATA),
-                    len(kinds))
-    problem = LiftedProblem(num_vars=n, order=order,
-                            num_data=num_data, operator=operator,
-                            values=[checked_float(item["y"]) for item in items])
-    if tuple(kinds) != problem.kinds:
-        raise ValueError("constraint kinds are not in the frozen order: data, "
-                         "then one normalization, then dependencies")
-    return problem

@@ -5,9 +5,9 @@ A monomial is a row of an exponent table. ``exponent_table(n, degree)``
 lists every monomial of degree <= degree over n variables; it is also the
 monomial basis of a lift. A ``PolySystem`` holds N polynomials as an (N, T)
 coefficient matrix whose column t multiplies the monomial in row t of its
-table, and a single polynomial is a one-row system. Problem files are read
-straight into a system by ``system_from_json``. Tables and systems are
-read-only after construction.
+table, and a single polynomial is a one-row system. Its table may list only
+the monomials that occur, as a system read from a problem file does. Tables
+and systems are read-only after construction.
 
 The row order is frozen globally: ascending total degree, and within a
 degree the monomial with higher exponents on earlier variables comes first
@@ -151,7 +151,7 @@ class PolySystem:
     num_vars) table ``exponents``, which lists distinct monomials of degree
     <= degree in the frozen graded order. By default it is the shared
     ``exponent_table(num_vars, degree)`` of every such monomial, which is
-    what a sampled system uses; a system read by ``system_from_json`` keeps
+    what a sampled system uses; a system read from a problem file keeps
     only the monomials that occur, so a sparse high-degree system costs what
     it stores rather than C(num_vars + degree, degree) columns. A table that
     lists every monomial is replaced by the shared one. Both arrays are
@@ -248,15 +248,9 @@ class PolySystem:
 
     def linear_parts(self) -> tuple[np.ndarray, np.ndarray]:
         """(A, const): A[i, j] is the coefficient of x_j in equation i and
-        const[i] its constant term."""
-        degrees = self.exponents.sum(axis=1)
-        A = np.zeros((len(self), self.num_vars))
-        linear = np.flatnonzero(degrees == 1)
-        A[:, self.exponents[linear].argmax(axis=1)] = self.coeffs[:, linear]
-        const = np.zeros(len(self))
-        if len(degrees) and degrees[0] == 0:
-            const[:] = self.coeffs[:, 0]
-        return A, const
+        const[i] its constant term; both may be read-only views."""
+        c = self.truncate(1).full_coeffs(1)
+        return c[:, 1:], c[:, 0]
 
     def restrict(self, support) -> "PolySystem":
         """The system over the variables ``support`` (strictly increasing)
@@ -313,63 +307,3 @@ def eval_polynomial(p: PolySystem, x) -> float:
 def truncate_polynomial(p: PolySystem, max_degree: int) -> PolySystem:
     """Every term of degree > max_degree dropped (Taylor truncation at 0)."""
     return p.truncate(max_degree)
-
-
-def _json_number(value):
-    # bool is a subclass of int, and float() would also take a numeric string
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
-    return value
-
-
-def checked_float(value) -> float:
-    """A number read from a file; nan and infinities are rejected, as is
-    anything but a JSON number."""
-    number = float(_json_number(value))
-    if not math.isfinite(number):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return number
-
-
-def checked_int(value, low: int, high: int | None = None) -> int:
-    """An integer in [low, high) read from a file. Integral floats such as
-    2.0 are accepted; a fraction is rejected rather than truncated."""
-    number = float(_json_number(value))
-    if not number.is_integer() or number < low or (high is not None and number >= high):
-        bounds = f"[{low}, {high})" if high is not None else f">= {low}"
-        raise ValueError(f"expected an integer {bounds}, got {value!r}")
-    return int(number)
-
-
-def system_from_json(polynomials: list) -> PolySystem:
-    """The system of a problem file's polynomials, each
-    ``{"num_vars": n, "terms": [{"alpha": [...], "coeff": c}, ...]}``.
-
-    Repeated terms of a polynomial are summed in file order, and terms that
-    end up zero are dropped before the degree and the table are taken, so
-    the table lists only the monomials that occur. Coefficients must be
-    finite, exponents non-negative integers, and every term and polynomial
-    must have the same number of variables.
-    """
-    rows = []
-    for poly in polynomials:
-        n = checked_int(poly["num_vars"], 1)
-        row: dict[tuple, float] = {}
-        for item in poly["terms"]:
-            alpha = tuple(checked_int(e, 0) for e in item["alpha"])
-            if len(alpha) != n:
-                raise ValueError(f"term {list(alpha)} has {len(alpha)} exponents, "
-                                 f"expected {n}")
-            row[alpha] = row.get(alpha, 0.0) + checked_float(item["coeff"])
-        rows.append((n, row))
-    if not rows:
-        raise ValueError("need at least one polynomial")
-    n = rows[0][0]
-    if any(m != n for m, _ in rows):
-        raise ValueError("all polynomials must share the same variable count")
-    alphas = sorted({a for _, row in rows for a, c in row.items() if c != 0.0},
-                    key=lambda a: (sum(a), tuple(-e for e in a)))
-    coeffs = np.array([[row.get(a, 0.0) for a in alphas] for _, row in rows])
-    return PolySystem(n, max((sum(a) for a in alphas), default=0),
-                      coeffs.reshape(len(rows), len(alphas)),
-                      np.array(alphas, dtype=np.int64).reshape(-1, n))

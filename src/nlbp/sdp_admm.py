@@ -127,7 +127,6 @@ import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo, eigh_lo, solve1
 
 from .lifting import AffineCache, LiftedProblem, packed_index
-from .monomials import checked_float, checked_int
 
 
 # The loop's LAPACK seam (see the module docstring). Callers pass square
@@ -641,62 +640,4 @@ def _report(X, iterations, primal, dual, violation, status, cache, config, rho,
         dual_psd=dual_psd,
         rho=float(rho),
         accelerated=accelerated,
-    )
-
-
-def report_to_json(report: SolveReport, include_matrix: bool = False) -> dict:
-    out = {
-        "iterations": report.iterations,
-        "primal_residual": report.primal_residual,
-        "dual_residual": report.dual_residual,
-        "objective": report.objective,
-        "constraint_violation": report.constraint_violation,
-        "min_eigenvalue": report.min_eigenvalue,
-        "status": report.status.value,
-        "lambda": report.lam,
-        "infeasibility_lb": report.infeasibility_lb,
-        "rho": report.rho,
-        "accelerated": report.accelerated,
-    }
-    if include_matrix:
-        for key, matrix in (("X", report.X), ("dual_affine", report.dual_affine),
-                            ("dual_psd", report.dual_psd)):
-            out[key] = [[float(v) for v in row] for row in matrix]
-    return out
-
-
-def report_from_json(data: dict) -> SolveReport:
-    """Inverse of ``report_to_json``. Every number must be a finite JSON
-    number (the iteration counts non-negative integers, ``lambda`` not
-    negative), and a matrix a list of equally long rows of them. Matrices a
-    report was written without come back as empty (0, 0) arrays; ``lam``,
-    ``infeasibility_lb`` and ``rho`` as nan when absent."""
-
-    def matrix(key: str) -> np.ndarray:
-        if key not in data:
-            return np.zeros((0, 0))
-        return np.array([[checked_float(v) for v in row] for row in data[key]],
-                        dtype=float)
-
-    def optional(key: str) -> float:
-        return checked_float(data[key]) if key in data else math.nan
-
-    lam = optional("lambda")
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam!r}")
-    return SolveReport(
-        X=matrix("X"),
-        iterations=checked_int(data["iterations"], 0),
-        primal_residual=checked_float(data["primal_residual"]),
-        dual_residual=checked_float(data["dual_residual"]),
-        objective=checked_float(data["objective"]),
-        constraint_violation=checked_float(data["constraint_violation"]),
-        min_eigenvalue=checked_float(data["min_eigenvalue"]),
-        status=SolveStatus(data["status"]),
-        lam=lam,
-        infeasibility_lb=optional("infeasibility_lb"),
-        dual_affine=matrix("dual_affine"),
-        dual_psd=matrix("dual_psd"),
-        rho=optional("rho"),
-        accelerated=checked_int(data.get("accelerated", 0), 0),
     )

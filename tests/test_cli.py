@@ -172,6 +172,19 @@ class TestSolveRecoverCertify:
         assert cli_main(["certify", str(lifted), str(report)]) == 0
         assert json.loads(capsys.readouterr().out)["holds"] is True
 
+    def test_solve_recover_certify_output_is_pinned(self, tmp_path, trivial_problem_file):
+        # a writer that reorders keys or reformats numbers changes these bytes
+        lifted, report, solution = self.run_pipeline(tmp_path, trivial_problem_file)
+        cert = tmp_path / "cert.json"
+        assert cli_main(["certify", str(lifted), str(report), "-o", str(cert)]) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (report, solution, cert)}
+        assert digests == {
+            "report.json": "6bda5d160d533a3e6684a710ffb9c2594922afc6429d1cc75b95e5c09f01aeb1",
+            "solution.json": "c5d1307e3f9b7d4b0993af87af9080a2b81deefc216b085540be3ef51d6754cc",
+            "cert.json": "6b7e5d82a2c4d7179122653b7d71bc40bf13aabce93f9f7a3d34f97102bb8c3d",
+        }
+
     def test_solve_defaults_are_the_solver_config_defaults(self):
         args = _build_parser().parse_args(["solve", "lifted.json"])
         assert SolverConfig(lam=args.lam, rho=args.rho, max_iters=args.max_iters,
@@ -506,3 +519,24 @@ class TestUsage:
 
     def test_no_arguments(self, capsys):
         assert cli_main([]) == 1
+
+    @pytest.mark.parametrize("args, reason", [
+        (["lift", "DIR"], "Is a directory"),
+        (["lift", "PROBLEM", "-o", "DIR"], "Is a directory"),
+        (["lift", "PROBLEM", "-o", "MISSING"], "No such file or directory"),
+        (["lift", "UNDECODABLE"], "can't decode byte 0xe9"),
+        (["bench", "table1", "--trials", "1", "-o", "CSV", "--boxplot", "DIR"],
+         "Is a directory"),
+    ], ids=["read_dir", "write_dir", "write_missing_dir", "undecodable", "boxplot_dir"])
+    def test_bad_path_exits_1_naming_it(self, tmp_path, trivial_problem_file, capsys,
+                                        args, reason):
+        # a path the system cannot read or write is an input error, reported
+        # with the path, not a traceback
+        paths = {"DIR": tmp_path, "PROBLEM": trivial_problem_file,
+                 "MISSING": tmp_path / "missing" / "out.json",
+                 "UNDECODABLE": tmp_path / "latin1.json", "CSV": tmp_path / "r.csv"}
+        paths["UNDECODABLE"].write_bytes(b'{"values": ["\xe9"]}')
+        bad = next(arg for arg in args if arg in ("DIR", "MISSING", "UNDECODABLE"))
+        assert cli_main([str(paths.get(arg, arg)) for arg in args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {paths[bad]}: ") and reason in err

@@ -440,6 +440,25 @@ def test_trial_path_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_file_formats_stay_off_the_trial_path():
+    # the JSON readers and writers live in nlbp.cli alone: a trial loads
+    # neither it nor argparse and json, and the numerical modules define and
+    # import no file-format name
+    env = dict(os.environ, PYTHONPATH=str(Path(nlbp.__file__).parent.parent))
+    code = (
+        "import sys\n"
+        "from nlbp import lifting, monomials, sdp_admm\n"
+        "from nlbp.harness import run_experiment, table1_spec\n"
+        "run_experiment(table1_spec(trials=1))\n"
+        "print(sorted({'nlbp.cli', 'argparse', 'json'} & set(sys.modules)))\n"
+        "print(sorted(f'{m.__name__}.{name}' for m in (lifting, monomials, sdp_admm)\n"
+        "             for name in dir(m) if 'json' in name or name.startswith('checked_')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    assert out.stdout.splitlines() == ["[]", "[]"]
+
+
 def test_perfbench_tracer_finds_every_layer_it_wraps(monkeypatch):
     # perfbench's tracer wraps layer functions by module and name; a source
     # change that renames or deletes one leaves that layer's metrics at zero,

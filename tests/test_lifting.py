@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from nlbp import lifting
-from nlbp.cli import cli_main
+from nlbp import cli
+from nlbp.cli import cli_main, lifted_problem_from_json, lifted_problem_to_json
 from nlbp.lifting import (
     ConstraintKind,
     DegreeTooHighError,
@@ -15,8 +15,6 @@ from nlbp.lifting import (
     OddOrderError,
     build_lifted_problem,
     generate_dependency_constraints,
-    lifted_problem_from_json,
-    lifted_problem_to_json,
     polynomial_to_quadratic_form,
 )
 from nlbp.monomials import exponent_table, monomial_vector, random_polynomial
@@ -413,10 +411,10 @@ class TestProblemJson:
                 return build(*args)
             return guarded
 
-        monkeypatch.setattr(lifting, "exponent_table", bounded(
-            lifting.exponent_table, lambda n, degree: math.comb(n + degree, n)))
-        monkeypatch.setattr(lifting, "packed_index", bounded(
-            lifting.packed_index, lambda dim: dim * (dim + 1) // 2))
+        monkeypatch.setattr(cli, "exponent_table", bounded(
+            cli.exponent_table, lambda n, degree: math.comb(n + degree, n)))
+        monkeypatch.setattr(cli, "packed_index", bounded(
+            cli.packed_index, lambda dim: dim * (dim + 1) // 2))
         data = {"num_vars": 10, "order": order, "basis": [[0] * 10],
                 "constraints": [{"y": 1.0, "kind": "normalization", "entries": [
                     {"row": 0, "col": 0, "value": 1.0}]}]}

@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from nlbp.cli import system_from_json
 from nlbp.monomials import (
     PolySystem,
     eval_polynomial,
     exponent_table,
     monomial_vector,
     random_polynomial,
-    system_from_json,
     table_rows,
     truncate_polynomial,
 )

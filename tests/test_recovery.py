@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from nlbp.baselines import Method, _run_lifted
+from nlbp.cli import lifted_problem_from_json, lifted_problem_to_json
 from nlbp.lifting import (
     AffineCache,
     LiftedProblem,
     build_lifted_problem,
-    lifted_problem_from_json,
-    lifted_problem_to_json,
     packed_index,
 )
 from nlbp.monomials import exponent_table, monomial_vector, random_polynomial

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nlbp.baselines import refine_solution
+from nlbp.cli import report_from_json, report_to_json
 from nlbp.harness import default_trial_config, dense_spec, sample_trial, table1_spec
 from nlbp.lifting import (
     LiftedProblem,
@@ -23,8 +24,6 @@ from nlbp.sdp_admm import (
     SolverError,
     SolveStatus,
     project_psd,
-    report_from_json,
-    report_to_json,
     soft_threshold,
     solve_nlbp,
 )
