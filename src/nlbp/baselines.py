@@ -122,13 +122,13 @@ def success_criterion(x_hat, x_true, system: PolySystem, values) -> bool:
     """Frozen success rule used for every reported rate: the estimate matches
     the planted vector in sup norm (relative 1e-4) and solves the original
     system (relative squared residual 1e-8)."""
-    return _meets_success_rule(x_hat, x_true,
-                               system_residual_sq(system, values, x_hat), values)
+    return meets_success_rule(x_hat, x_true,
+                              system_residual_sq(system, values, x_hat), values)
 
 
-def _meets_success_rule(x_hat, x_true, residual_sq: float, values) -> bool:
+def meets_success_rule(x_hat, x_true, residual_sq: float, values) -> bool:
     """``success_criterion`` given the squared residual of x_hat, for callers
-    that have already computed it."""
+    that have already computed it, such as the harness."""
     x_hat = np.asarray(x_hat, dtype=float)
     x_true = np.asarray(x_true, dtype=float)
     if x_hat.shape != x_true.shape:
@@ -139,7 +139,7 @@ def _meets_success_rule(x_hat, x_true, residual_sq: float, values) -> bool:
     return bool(sup_ok and res_ok)
 
 
-def _run_lifted(
+def run_lifted(
     system: PolySystem,
     values,
     order: int,
@@ -177,7 +177,7 @@ def solve_nlbp_system(
     config: SolverConfig | None = None,
 ) -> MethodRun:
     """Full lifted pipeline at the given even order."""
-    return _run_lifted(system, values, order, config, Method.NLBP)
+    return run_lifted(system, values, order, config, Method.NLBP)
 
 
 def solve_qbp(
@@ -188,7 +188,7 @@ def solve_qbp(
     """Quadratic baseline: truncate every polynomial to degree two (its
     second-order Taylor expansion around zero) and run the lifted pipeline at
     order two. The residual is still taken against the original system."""
-    return _run_lifted(system, values, 2, config, Method.QBP)
+    return run_lifted(system, values, 2, config, Method.QBP)
 
 
 def solve_linear(

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -79,6 +81,26 @@ def _write(text: str, path: str | None):
             fh.write(text)
     except OSError as exc:
         raise UsageError(f"{path}: {exc.strerror or exc}")
+
+
+def _refuse_unwritable(path: str | None):
+    """Raise the error ``_write`` would meet on ``path`` (a directory, a
+    missing directory or no write permission) before any work is done. The
+    path is not opened, so an existing file keeps its contents."""
+    if path is None:
+        return
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise UsageError(f"{path}: {os.strerror(code)}")
 
 
 def _dump_json(data, path: str | None):
@@ -404,6 +426,9 @@ def _cmd_certify(args) -> int:
 def _cmd_bench(args) -> int:
     overrides = {} if args.lam is None else {"lam": args.lam}
     spec = _PRESETS[args.experiment](trials=args.trials, seed=args.seed, **overrides)
+    # a path that cannot be written fails now, not after the whole ensemble
+    for path in (args.output, args.boxplot):
+        _refuse_unwritable(path)
     result = run_experiment(spec)
     _write(results_to_csv(result, include_timings=args.timings), args.output)
     if args.boxplot is not None:

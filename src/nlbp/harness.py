@@ -29,8 +29,8 @@ import numpy as np
 from .baselines import (
     Method,
     MethodRun,
-    _meets_success_rule,
-    _run_lifted,
+    meets_success_rule,
+    run_lifted,
     solve_linear,
 )
 # The per-polynomial functions are no longer called here but stay bound:
@@ -192,8 +192,8 @@ def _run_method(method: Method, polys, values, x_true, spec: ExperimentSpec,
     if method is Method.LASSO:
         run = solve_linear(polys, values, lam=spec.lam)
     else:
-        run = _run_lifted(polys, values, spec.order, config, method)
-    success = _meets_success_rule(run.x_hat, x_true, run.residual_sq, values)
+        run = run_lifted(polys, values, spec.order, config, method)
+    success = meets_success_rule(run.x_hat, x_true, run.residual_sq, values)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     iterations, status = 0, ""
     if run.report is not None:

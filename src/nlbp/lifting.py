@@ -17,7 +17,9 @@ is one linear map on that matrix, held as a single read-only
 of the symmetric constraint matrix C_i row by row, with the matrix's own
 values: the cells the lifted JSON stores. ``packed_index`` maps between that
 layout and dense matrices; the solver and the certificate read one
-factored operator per problem, ``LiftedProblem.affine``.
+factored operator per problem, ``LiftedProblem.affine``, which merges the
+cells that no row tells apart (the cells of one moment class on one side of
+the diagonal, in a lift) into one column each.
 """
 
 from __future__ import annotations
@@ -179,9 +181,17 @@ class LiftedProblem:
         return AffineCache.build(self)
 
 
-# Rows squared at a time for the row norms of ``AffineCache.build``: 32 rows
-# of the n = 8 lift are 265 KB, where the whole matrix is 1.3 MB.
-_NORM_ROWS = 32
+# The bytes of packed rows that ``AffineCache.build`` reads at a time for its
+# merge test and its row norms: at n = 8 that is 31 rows of the 1.3 MB
+# operator, where the whole n = 5 operator fits in one block.
+_BLOCK_BYTES = 1 << 18
+
+
+def _row_blocks(rows: np.ndarray):
+    """Consecutive row slices of ``rows`` of about ``_BLOCK_BYTES`` each."""
+    step = max(1, _BLOCK_BYTES // (rows.shape[1] * rows.itemsize))
+    return (slice(k, k + step) for k in range(0, len(rows), step))
+
 
 # The relative eigenvalue cutoff of the Gram pseudo-inverse. A positive
 # definite G with tr(G) tr(G^-1) <= 1 / cutoff keeps every eigenvalue, since
@@ -207,20 +217,34 @@ def _gram_inverse(gram: np.ndarray) -> np.ndarray | None:
 class AffineCache:
     """Precomputed data for projecting onto {X : trace(C_i X) = v_i for all i}.
 
-    The problem's packed rows are weighted once into svec rows (see
+    The problem's packed rows are weighted into svec rows R (see
     ``PackedIndex``): dim (dim + 1) / 2 columns whose inner products are
-    those of the full dim x dim matrices. Those rows are normalized to unit
-    Frobenius norm (the feasible set, and hence the projection, is
-    unchanged), and the constraint Gram matrix G is inverted once;
-    ``gram_pinv`` is that (pseudo-)inverse, formed once so that a projection
-    applies it in one matvec. When a Cholesky factorization proves G
-    positive definite and tr(G) tr(G^-1) <= 1e12, ``gram_pinv`` is the
-    plain inverse: the trace product bounds the condition number, so the
-    eigenvalue cutoff below would have kept every eigenvalue. The NLBP lift's
-    Gram matrices take this route (condition numbers 9-19 on the seeded
-    ensembles). Otherwise G is eigendecomposed with the relative cutoff
-    1e-12, so that linearly dependent constraints, such as those of the
-    degree-2 QBP lift, are handled by pseudo-inversion.
+    those of the full dim x dim matrices. A lifted data row gives every
+    cell of a moment class (``_cell_map``) on one side of the diagonal the
+    same entry, and only the dependency rows (X[k, l] = X[0, i]) tell such
+    cells apart. So ``build`` merges each such group of cells on which every
+    row has one entry (an exact == test) into one column, and keeps a
+    column per cell of a group some row splits: R = R_c Pi, Pi the 0/1
+    (G, dim (dim + 1) / 2) matrix that sums each column's cells (``column``
+    maps cell to column), and ``row_mat`` is R_c, 559 columns instead of
+    1035 at n = 8. The projection is x - Pi^T R_c^T G^-1 (R_c Pi x - rhs),
+    with G = R R^T = R_c D R_c^T, D = Pi Pi^T the cell counts: exactly the
+    projection onto the rows R, with one ``bincount`` for Pi x and one
+    gather for Pi^T. An operator with no group to merge, such as the QBP
+    lift (its classes are single cells) or a file's arbitrary cells, gets
+    the identity map and R_c = R bit for bit.
+
+    The rows are normalized to unit Frobenius norm (the feasible set, and
+    hence the projection, is unchanged), and the constraint Gram matrix G
+    is inverted once; ``gram_pinv`` is that (pseudo-)inverse, formed once
+    so that a projection applies it in one matvec. When a Cholesky
+    factorization proves G positive definite and tr(G) tr(G^-1) <= 1e12,
+    ``gram_pinv`` is the plain inverse: the trace product bounds the
+    condition number, so the eigenvalue cutoff below would have kept every
+    eigenvalue. The NLBP lift's Gram matrices take this route (condition
+    numbers 9-19 on the seeded ensembles). Otherwise G is eigendecomposed
+    with the relative cutoff 1e-12, so that linearly dependent constraints,
+    such as those of the degree-2 QBP lift, are handled by pseudo-inversion.
     ``infeasibility_lb`` is a provable lower bound on
     max_i |trace(C_i X) - v_i| over all X; it is zero (up to roundoff)
     exactly when the constraint system is consistent, and exactly zero on
@@ -228,29 +252,43 @@ class AffineCache:
     """
 
     dim: int
-    row_mat: np.ndarray          # (M, dim*(dim+1)/2), normalized svec rows
+    row_mat: np.ndarray          # (M, G) normalized merged svec rows R_c
     rhs: np.ndarray              # (M,) normalized right-hand sides
     row_mat_raw: np.ndarray      # (M, dim*(dim+1)/2) view of problem.operator
     rhs_raw: np.ndarray          # (M,) view of problem.values
     gram_pinv: np.ndarray = field(repr=False)  # (M, M)
+    column: np.ndarray = field(repr=False)     # (dim*(dim+1)/2,) cell -> column
     infeasibility_lb: float = 0.0
 
     @classmethod
     def build(cls, problem: LiftedProblem) -> "AffineCache":
         rows_raw = problem.operator
         rhs_raw = problem.values
-        rows = rows_raw * packed_index(problem.dim).weight
+        n, half = problem.num_vars, problem.order // 2
+        # a group merges when every row has one entry on it; a lift of
+        # degree 2 has no group of two cells, and nothing to test
+        _, left, right = _cell_groups(n, half)
+        agree = np.ones(len(left), dtype=bool)
+        for block in _row_blocks(rows_raw) if len(left) else ():
+            part = rows_raw[block]
+            agree &= (part[:, left] == part[:, right]).all(axis=0)
+        column, first, gain, unroot = _merge_map(n, half, agree.tobytes())
+        # R_c D^(1/2), whose norms and Gram matrix are those of R; under the
+        # identity map gain is the svec weight, and these are R's bits
+        rows = np.take(rows_raw, first, axis=1)  # C order, as the norms need
+        rows *= gain
         # np.linalg.norm(rows, axis=1) bit for bit, but squaring a block of
         # rows at a time instead of the whole matrix
         norms = np.empty(len(rows))
-        for k in range(0, len(rows), _NORM_ROWS):
-            block = rows[k:k + _NORM_ROWS]
-            norms[k:k + _NORM_ROWS] = np.sqrt(np.add.reduce(block * block, axis=1))
+        for block in _row_blocks(rows):
+            part = rows[block]
+            norms[block] = np.sqrt(np.add.reduce(part * part, axis=1))
         scale = np.where(norms > 0, norms, 1.0)
         rows /= scale[:, None]
         rhs = rhs_raw / scale
 
         gram = rows @ rows.T
+        rows *= unroot  # R_c, the common entry of each column's cells
         gram_pinv = _gram_inverse(gram)
         if gram_pinv is not None:
             lb = 0.0  # full rank: the rows span R^M, so some X meets every row
@@ -267,12 +305,17 @@ class AffineCache:
             proj = basis @ (basis.T @ rhs)
             lb = float(scale.min() * np.linalg.norm(rhs - proj)) / np.sqrt(len(rhs))
         return cls(dim=problem.dim, row_mat=rows, rhs=rhs, row_mat_raw=rows_raw,
-                   rhs_raw=rhs_raw, gram_pinv=gram_pinv, infeasibility_lb=lb)
+                   rhs_raw=rhs_raw, gram_pinv=gram_pinv, column=column,
+                   infeasibility_lb=lb)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Frobenius projection of the packed svec vector x (the solver's
-        coordinates, see ``PackedIndex``) onto the affine constraint set."""
-        return x - self.row_mat.T.dot(self.gram_pinv.dot(self.row_mat.dot(x) - self.rhs))
+        coordinates, see ``PackedIndex``) onto the affine constraint set:
+        x - Pi^T R_c^T G^-1 (R_c Pi x - rhs), Pi x a ``bincount`` and Pi^T a
+        gather."""
+        column = self.column
+        return x - self.row_mat.T.dot(self.gram_pinv.dot(
+            self.row_mat.dot(np.bincount(column, x)) - self.rhs))[column]
 
     def violation(self, X: np.ndarray) -> float:
         """max_i |trace(C_i X) - v_i| against the original (unscaled) rows,
@@ -303,6 +346,68 @@ def _cell_map(n: int, half_degree: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     for a in (column, pairs, share):
         a.setflags(write=False)
     return column, pairs, share
+
+
+@functools.lru_cache(maxsize=None)
+def _cell_groups(n: int, half_degree: int) -> tuple[np.ndarray, ...]:
+    """The packed cells grouped by moment class (``_cell_map``) and by side
+    of the diagonal: a lifted data row gives every cell of a group the same
+    entry, the class's coefficient over its pair count, halved off the
+    diagonal.
+
+    ``group`` is each cell's group, numbered by the group's first cell, and
+    the pairs of cells (``left[k]``, ``right[k]``) chain the cells of every
+    group of two or more: a row has one entry on each group exactly when
+    it has equal entries on each pair. The groups are found in one dict
+    pass, not by ``np.unique``, whose sort kernels a solve never otherwise
+    runs: loading their code adds about 0.25 MB to a process's peak RSS.
+    """
+    column, _, share = _cell_map(n, half_degree)
+    first, last = {}, {}
+    group, left, right = [], [], []
+    for cell, key in enumerate(zip(column.tolist(), share.tolist())):
+        group.append(first.setdefault(key, cell))
+        if key in last:
+            left.append(last[key])
+            right.append(cell)
+        last[key] = cell
+    out = tuple(np.array(a, dtype=np.intp) for a in (group, left, right))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _merge_map(n: int, half_degree: int, agree: bytes) -> tuple[np.ndarray, ...]:
+    """The merged columns of a packed operator on the basis of (n,
+    half_degree), given ``agree``: the bytes of a bool per chained pair of
+    cells (``_cell_groups``), true when every row has equal entries on it.
+
+    A group whose pairs all agree becomes one column, and a group that some
+    row splits keeps a column per cell. Columns are numbered in the order of
+    their first cells, so an operator that leaves no group of two or more
+    cells whole gets the identity map. Returns, per cell, ``column``; per
+    column, ``first``, its first cell, ``gain``, that cell's svec weight
+    times the square root of the column's cell count, and ``unroot``, one
+    over that square root. Cached: the rows of a plain lift split the same
+    groups every time (its dependency rows), so each build after the first
+    of its shape is a lookup, which saves about a tenth of an n = 5 build.
+    """
+    group, left, _ = _cell_groups(n, half_degree)
+    split = np.zeros(len(group), dtype=bool)
+    split[group[left[~np.frombuffer(agree, dtype=bool)]]] = True
+    cells = np.arange(len(group))
+    lead = np.where(split[group], cells, group)  # the first cell of each cell's column
+    first = np.flatnonzero(lead == cells)
+    number = np.empty_like(cells)
+    number[first] = np.arange(len(first))
+    column = number[lead]
+    root = np.sqrt(np.bincount(column))
+    weight = packed_index(len(exponent_table(n, half_degree))).weight
+    out = (column, first, weight[first] * root, 1.0 / root)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def quadratic_forms(system: PolySystem, basis: np.ndarray) -> np.ndarray:

@@ -143,7 +143,8 @@ def dual_certificate(problem: LiftedProblem, report: SolveReport,
     passes at tolerance CERT_TOL.
 
     The least squares runs on the normalized svec rows of
-    ``problem.affine``, through its Gram pseudo-inverse; their multiplier u is
+    ``problem.affine`` (its merged rows, summed into and spread back from
+    their columns), through its Gram pseudo-inverse; their multiplier u is
     w times the row norms, so the duality gap pairs u with the normalized
     right-hand sides. Those rows see only the symmetric part of
     I + rho * U1; its skew part, orthogonal to every C_i, is added
@@ -159,9 +160,10 @@ def dual_certificate(problem: LiftedProblem, report: SolveReport,
     cache = problem.affine
     target = np.eye(problem.dim) + report.dual_affine
     packed_target = packed_index(problem.dim).svec(target)
-    u = cache.gram_pinv @ (cache.row_mat @ packed_target)
+    u = cache.gram_pinv @ (cache.row_mat @ np.bincount(cache.column, packed_target))
+    fitted = (cache.row_mat.T @ u)[cache.column]
     skew = 0.5 * (target - target.T)
-    dual_residual = float(np.hypot(np.linalg.norm(cache.row_mat.T @ u - packed_target),
+    dual_residual = float(np.hypot(np.linalg.norm(fitted - packed_target),
                                    np.linalg.norm(skew)) / np.linalg.norm(target))
 
     X_bar = np.outer(x_bar, x_bar)

@@ -433,6 +433,8 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None) -> So
     iteration 0, with the first affine step (the affine least-squares point)
     projected onto the PSD cone. Otherwise INFEASIBLE means the residuals
     plateaued at the cap above the feasibility tolerance 1e-6 * (1 + max |v_i|).
+    A penalty that grows until rho ||(U1, U2)|| overflows, as on a consistent
+    lift with no PSD point, raises SolverError at that balancing step.
     """
     if config is None:
         config = SolverConfig()
@@ -458,10 +460,12 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None) -> So
     sqrt2, max_iters, eps_rel = math.sqrt(2.0), config.max_iters, config.eps_rel
     abs_floor = sqrt2 * dim * config.eps_abs  # sqrt2 dim: sqrt of the stacked primal dimension
     # formed anew only when rho changes: the gradient step (1/rho) I, packed
-    # (0 off the diagonal, and a - 0 == a), and the shrinkage thresholds
+    # (0 off the diagonal, and a - 0 == a), the shrinkage thresholds and
+    # the bounds of u1 + u2, twice the thresholds
     eye = index.svec(np.eye(dim))
     threshold = config.lam / (2.0 * rho)
     gradient, thresholds = eye / rho, threshold * weight
+    bounds = 2.0 * thresholds
 
     # Anderson acceleration works on the flat state x = (z, u1, u2), the
     # iteration's input, and on f = T(x), its output, each a tuple of a
@@ -501,7 +505,7 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None) -> So
 
     # per-solve buffers and 0-d constants (see the module docstring)
     x1, x2 = blocks = np.empty((2, packed))
-    affine_in, cone_in, relaxed = np.empty((3, packed))
+    affine_in, cone_in, relaxed, clipped = np.empty((4, packed))
     residual = np.empty((2, packed))
     subtract, multiply, add = np.subtract, np.multiply, np.add
     relax, keep, half = np.array(_RELAX), np.array(1.0 - _RELAX), np.array(0.5)
@@ -532,11 +536,20 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None) -> So
         v2 += relaxed
         v += u_prev
         add(v1, v2, out=z)
-        multiply(z, half, out=z)
-        if threshold > 0:  # at lam = 0 the shrinkage is the identity
+        if threshold > 0:
+            # u1 + u2 = v1 + v2 - 2 z is v1 + v2 clipped to twice the
+            # thresholds. u2 is taken from that clip, so that rho (u1 + u2)
+            # lies in the l1 subgradient's [-lam, lam] to rounding at the
+            # scale of the duals; v2 - z would round at the scale rho |z|
+            np.clip(z, -bounds, bounds, out=clipped)
+            multiply(z, half, out=z)
             z[...] = soft_threshold(z, thresholds)
-        v1 -= z  # now the multipliers u1, u2 of T(x)
-        v2 -= z
+            v1 -= z  # now the multipliers u1, u2 of T(x)
+            subtract(clipped, v1, out=v2)
+        else:  # at lam = 0 the shrinkage is the identity
+            multiply(z, half, out=z)
+            v1 -= z  # now the multipliers u1, u2 of T(x)
+            v2 -= z
 
         # the residuals and tolerances take the unrelaxed x1, x2; the dual
         # residual is computed only where it is read (see the module docstring)
@@ -554,12 +567,19 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None) -> So
         if iteration == checkpoint_at:
             primal_checkpoint = primal
         if adapt:
-            factor = _penalty_factor(primal, primal_scale, dual, rho * _norm(v))
+            dual_scale = rho * _norm(v)
+            if not math.isfinite(dual_scale):
+                # rho grew without bound (a consistent lift with no PSD
+                # point): the balancing has nothing left to compare
+                raise SolverError(f"penalty rho = {rho:.3g} overflowed the dual scale",
+                                  iteration)
+            factor = _penalty_factor(primal, primal_scale, dual, dual_scale)
             if factor != 1.0:
                 rho *= factor
                 v /= factor
                 threshold = config.lam / (2.0 * rho)
                 gradient, thresholds = eye / rho, threshold * weight
+                bounds = 2.0 * thresholds
                 # the scaled multipliers moved: the memory no longer applies
                 filled = head = 0
                 g_prev, g_prev_sq, jumped = None, np.inf, False

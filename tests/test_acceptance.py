@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from nlbp.baselines import Method, _run_lifted, l0_oracle
+from nlbp.baselines import Method, l0_oracle, run_lifted
 from nlbp.harness import (
     dense_spec,
     emit_boxplot_data,
@@ -248,7 +248,7 @@ def test_criterion_7_oracle_equivalence():
         values = polys.evaluate(x)
         config = SolverConfig(rho=1.0 / (1.0 + np.max(np.abs(values))),
                               eps_abs=1e-9, eps_rel=1e-7, max_iters=60000)
-        run = _run_lifted(polys, values, 4, config, Method.NLBP)
+        run = run_lifted(polys, values, 4, config, Method.NLBP)
         if run.recovered is None or not run.recovered.valid:
             continue
         compared += 1

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from nlbp import cli
 from nlbp.cli import _build_parser, _problem_from_json, cli_main
 from nlbp.monomials import exponent_table, random_polynomial
 from nlbp.sdp_admm import SolverConfig
@@ -527,16 +528,24 @@ class TestUsage:
         (["lift", "UNDECODABLE"], "can't decode byte 0xe9"),
         (["bench", "table1", "--trials", "1", "-o", "CSV", "--boxplot", "DIR"],
          "Is a directory"),
-    ], ids=["read_dir", "write_dir", "write_missing_dir", "undecodable", "boxplot_dir"])
+        (["bench", "table1", "--trials", "1", "-o", "MISSING"], "No such file or directory"),
+    ], ids=["read_dir", "write_dir", "write_missing_dir", "undecodable", "boxplot_dir",
+            "bench_missing_dir"])
     def test_bad_path_exits_1_naming_it(self, tmp_path, trivial_problem_file, capsys,
-                                        args, reason):
+                                        monkeypatch, args, reason):
         # a path the system cannot read or write is an input error, reported
-        # with the path, not a traceback
+        # with the path, not a traceback; bench reports it before it runs
+        # the ensemble, and leaves an existing output file as it was
         paths = {"DIR": tmp_path, "PROBLEM": trivial_problem_file,
                  "MISSING": tmp_path / "missing" / "out.json",
                  "UNDECODABLE": tmp_path / "latin1.json", "CSV": tmp_path / "r.csv"}
         paths["UNDECODABLE"].write_bytes(b'{"values": ["\xe9"]}')
+        paths["CSV"].write_text("kept\n")
+        runs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: runs.append(a))
         bad = next(arg for arg in args if arg in ("DIR", "MISSING", "UNDECODABLE"))
         assert cli_main([str(paths.get(arg, arg)) for arg in args]) == 1
+        assert runs == []
+        assert paths["CSV"].read_text() == "kept\n"
         err = capsys.readouterr().err
         assert err.startswith(f"error: {paths[bad]}: ") and reason in err

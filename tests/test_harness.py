@@ -347,6 +347,17 @@ class TestOutcomeDiagnostics:
             assert result.summary[method].residual_min == math.inf
         assert outcomes[Method.LASSO].error == ""
 
+    def test_rho_overflow_is_recorded_as_a_solver_error(self):
+        # the QBP lift of this trial holds no PSD point, and its penalty
+        # overflows at iteration 25,600 (see test_sdp_admm): the ensemble
+        # records the failure and goes on
+        spec = table1_spec(trials=1, seed=7, num_equations=8, methods=(Method.QBP,))
+        result = run_experiment(spec)
+        outcome = result.records[0].outcomes[Method.QBP]
+        assert outcome.error == "SolverError"
+        assert not outcome.success and math.isinf(outcome.residual_sq)
+        assert result.summary[Method.QBP].success_rate == 0.0
+
     @pytest.mark.parametrize("method", list(Method))
     def test_one_residual_sum_per_method_and_trial(self, monkeypatch, method):
         from nlbp import baselines
@@ -396,9 +407,9 @@ class TestGoldenDigests:
 
     @pytest.mark.parametrize("spec, digest", [
         (table1_spec(trials=5, seed=1000),
-         "2f385403bce473fbed4e96e37f8ec1015d419dddab898f564ea4adf44fa8681d"),
+         "8fe1f7be66a42c914955c3a5ced77e42d42ac1d39d151e3d7a518cbe02b6e2b7"),
         (dense_spec(trials=5, seed=1000),
-         "9c6956638c1104f1e647cf232e10faadc3accb9419e983efcceb04a7aa584c13"),
+         "6f4047c41c872a65f2f8bd1162d55f34aa719b954095e6ed4662089557df6c8f"),
     ], ids=["table1", "dense"])
     def test_n5_ensembles(self, spec, digest):
         # at n = 5 the bytes do not depend on the BLAS thread count
@@ -422,7 +433,7 @@ class TestGoldenDigests:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=300)
         assert out.stdout.strip() == (
-            "b3a32356287d130c3cdf5d563893e85ebd69c6f893ee072ed6629efced17ddb5")
+            "9e36bd244dd821e10d63015ac265437a932904790d1c043be33906304a5b0804")
 
 
 def test_trial_path_loads_no_scipy():

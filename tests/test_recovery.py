@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from nlbp.baselines import Method, _run_lifted
+from nlbp.baselines import Method, run_lifted
 from nlbp.cli import lifted_problem_from_json, lifted_problem_to_json
 from nlbp.lifting import (
     AffineCache,
@@ -296,7 +296,7 @@ class TestOneFactorizationPerProblem:
         built = count_builds(monkeypatch)
         system, x = planted_system(3, 10, 4, 4)  # as in solved_planted(3, 10, 4)
         config = SolverConfig(eps_abs=1e-10, eps_rel=1e-9)
-        run = _run_lifted(system, system.evaluate(x), 4, config, Method.NLBP)
+        run = run_lifted(system, system.evaluate(x), 4, config, Method.NLBP)
         assert len(built) == 1 and built[0] is run.problem
         cert = dual_certificate(run.problem, run.report, run.x_hat)
         assert cert.holds, cert

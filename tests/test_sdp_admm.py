@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from nlbp.baselines import refine_solution
-from nlbp.cli import report_from_json, report_to_json
+from nlbp.cli import lifted_problem_from_json, report_from_json, report_to_json
 from nlbp.harness import default_trial_config, dense_spec, sample_trial, table1_spec
 from nlbp.lifting import (
     LiftedProblem,
+    _cell_map,
     build_lifted_problem,
     generate_dependency_constraints,
     packed_index,
@@ -62,6 +63,83 @@ def inconsistent_systems():
     yield build_lifted_problem(system_of(1, {(1,): 1.0}, {(1,): 1.0}), [0.0, 1.0], 2)
     polys, _, values = sample_trial(table1_spec(trials=1, seed=42), 0)
     yield build_lifted_problem(polys.truncate(2), values, 2)
+
+
+def written_out(problem):
+    """The problem's affine data as the svec formula states it: the packed
+    rows times the svec weight, normalized to unit norm, with their
+    right-hand sides, and the pseudo-inverse of their Gram matrix (the
+    inverse when a Cholesky factorization succeeds and the trace product is
+    within 1e12, else an eigendecomposition cut at 1e-12 relative)."""
+    weight = svec_weight(problem.dim)
+    rows = problem.operator * weight
+    norms = np.linalg.norm(rows, axis=1)
+    scale = np.where(norms > 0, norms, 1.0)
+    rows, rhs = rows / scale[:, None], problem.values / scale
+    gram = rows @ rows.T
+    try:
+        np.linalg.cholesky(gram)
+        pinv = np.linalg.inv(gram)
+        full_rank = np.trace(gram) * np.trace(pinv) <= 1e12
+    except np.linalg.LinAlgError:
+        full_rank = False
+    if not full_rank:
+        vals, vecs = np.linalg.eigh(gram)
+        active = vals > 1e-12 * max(vals[-1], 0.0)
+        pinv = (vecs[:, active] / vals[active]) @ vecs[:, active].T
+    return rows, rhs, pinv
+
+
+def spread_rows(cache):
+    """The cache's merged rows R_c spread back over the packed cells, R_c Pi:
+    the normalized svec rows, one column per cell."""
+    return cache.row_mat[:, cache.column]
+
+
+def assert_merge_is_exact(problem):
+    """Every merged column's cells lie in one moment class on one side of
+    the diagonal, and every row has one entry on them."""
+    cache = problem.affine
+    column_of, _, share = _cell_map(problem.num_vars, problem.order // 2)
+    for c in range(cache.row_mat.shape[1]):
+        cells = np.flatnonzero(cache.column == c)
+        assert len(set(column_of[cells])) == 1 and len(set(share[cells])) == 1
+        assert (problem.operator[:, cells] == problem.operator[:, cells[:1]]).all()
+
+
+def split_by_an_extra_row():
+    """A quartic lift in two variables plus one row on a single cell,
+    x1 * (x1 x2), of the two off-diagonal cells of the class x1^2 x2."""
+    problem = planted_problem(2, 4, 4, 3)[0]
+    cell = packed_index(problem.dim).cell  # basis 1, x1, x2, x1^2, x1 x2, x2^2
+    row = np.zeros(problem.operator.shape[1])
+    row[cell[1, 4]] = 1.0
+    return LiftedProblem(num_vars=2, order=4, num_data=problem.num_data,
+                         operator=np.vstack([problem.operator, row]),
+                         values=np.append(problem.values, 0.3))
+
+
+def arbitrary_cells_from_json():
+    """A lifted file in two variables at order 4 whose three rows give every
+    upper cell an arbitrary value."""
+    rng = np.random.default_rng(21)
+    basis = exponent_table(2, 2)
+    cells = [(i, j) for i in range(len(basis)) for j in range(i, len(basis))]
+    constraints = [{"y": float(rng.normal()), "kind": "data",
+                    "entries": [{"row": i, "col": j, "value": float(rng.normal())}
+                                for i, j in cells]} for _ in range(3)]
+    return lifted_problem_from_json({"num_vars": 2, "order": 4,
+                                     "basis": basis.tolist(),
+                                     "constraints": constraints})
+
+
+def ill_conditioned():
+    """Two unit rows 1e-6 apart: the Gram matrix is positive definite (the
+    Cholesky factorization succeeds) but its trace product is about 4e12,
+    past the cutoff."""
+    operator = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1e-6]])
+    return LiftedProblem(num_vars=1, order=2, num_data=0, operator=operator,
+                         values=[1.0, 1.0])
 
 
 class TestProjectAffine:
@@ -135,22 +213,32 @@ class TestProjectAffine:
         assert np.shares_memory(cache.rhs_raw, problem.values)
 
     def test_rows_are_half_width(self):
-        # packed raw rows and svec rows: dim (dim + 1) / 2 columns, the svec
-        # rows of unit norm
+        # packed raw rows, and svec rows merged into fewer columns: spread
+        # back over the dim (dim + 1) / 2 cells they are the unit-norm svec
+        # rows; the raw rows are the problem's own
         problem, _ = planted_problem(2, 4, 4, 3)
         cache = problem.affine
-        dim = problem.dim
-        assert cache.row_mat.shape == (problem.num_constraints, dim * (dim + 1) // 2)
-        assert cache.row_mat_raw.shape == (problem.num_constraints, dim * (dim + 1) // 2)
+        width = problem.dim * (problem.dim + 1) // 2
+        assert cache.row_mat_raw.shape == (problem.num_constraints, width)
         assert np.shares_memory(cache.row_mat_raw, problem.operator)
-        assert np.allclose(np.linalg.norm(cache.row_mat, axis=1), 1.0, rtol=0, atol=1e-14)
+        assert cache.column.shape == (width,)
+        assert cache.row_mat.shape == (problem.num_constraints, cache.column.max() + 1)
+        assert np.array_equal(np.unique(cache.column), np.arange(cache.row_mat.shape[1]))
+        assert cache.row_mat.shape[1] < width
+        rows = spread_rows(cache)
+        assert np.allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0, atol=1e-14)
+        assert np.allclose(rows, written_out(problem)[0], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("n, order, num_eqs", [(5, 2, 30), (5, 4, 50), (8, 4, 120)])
     def test_matches_cache_of_per_constraint_stack(self, n, order, num_eqs):
         # reference: the packed constraints lifted one at a time, stacked row
         # by row, weighted to svec rows and normalized, inverted (full rank,
         # proven by Cholesky, trace product within 1e12) or decomposed, and
-        # projected as written out here
+        # projected as written out here. The degree-2 lift's classes are
+        # single cells: its identity map gives these rows and projections
+        # bit for bit. The quartic lifts merge each class's cells on one side
+        # of the diagonal that no dependency row tells apart (151 and 559
+        # columns instead of 231 and 1035), and agree to roundoff.
         polys = [random_polynomial(n, order, 7000 + j, 1.0) for j in range(num_eqs)]
         x = np.random.default_rng(n + order).normal(size=n)
         values = [p.evaluate(x)[0] for p in polys]
@@ -159,37 +247,66 @@ class TestProjectAffine:
         rows_raw = np.stack([polynomial_to_quadratic_form(p, basis) for p in polys]
                             + list(structural))
         rhs_raw = np.array(values + [1.0] + [0.0] * (len(structural) - 1))
+        problem = build_lifted_problem(stack(polys), values, order)
+        assert np.array_equal(problem.operator, rows_raw)
+        assert np.array_equal(problem.values, rhs_raw)
+        svec_rows, rhs, pinv = written_out(problem)
         d = len(basis)
         i, j = np.triu_indices(d)
         weight = np.where(i == j, 1.0, np.sqrt(2.0))
-        svec_rows = rows_raw * weight
-        norms = np.linalg.norm(svec_rows, axis=1)
-        scale = np.where(norms > 0, norms, 1.0)
-        svec_rows, rhs = svec_rows / scale[:, None], rhs_raw / scale
-        gram = svec_rows @ svec_rows.T
-        try:
-            np.linalg.cholesky(gram)
-            pinv = np.linalg.inv(gram)
-            full_rank = np.trace(gram) * np.trace(pinv) <= 1e12
-        except np.linalg.LinAlgError:
-            full_rank = False
-        assert full_rank == (order == 4)  # the degree-2 lift has M > width
-        if not full_rank:
-            vals, vecs = np.linalg.eigh(gram)
-            active = vals > 1e-12 * max(vals[-1], 0.0)
-            pinv = (vecs[:, active] / vals[active]) @ vecs[:, active].T
 
-        cache = build_lifted_problem(stack(polys), values, order).affine
-        assert np.array_equal(cache.row_mat, svec_rows)
+        cache = problem.affine
+        assert cache.row_mat.shape[1] == {2: 21, 5: 151, 8: 559}[n if order == 4 else 2]
+        assert_merge_is_exact(problem)
+        if order == 2:
+            assert np.array_equal(cache.column, np.arange(len(i)))
+            assert np.array_equal(cache.row_mat, svec_rows)
+        else:
+            assert np.allclose(spread_rows(cache), svec_rows, rtol=0, atol=1e-15)
         rng = np.random.default_rng(n * order)
         for _ in range(3):
             X = rng.normal(size=(d, d))
             x_svec = (X[i, j] + X[j, i]) * (0.5 * weight)
-            mult = pinv @ (svec_rows @ x_svec - rhs)
-            assert np.array_equal(cache.project(x_svec), x_svec - svec_rows.T @ mult)
+            expected = x_svec - svec_rows.T @ (pinv @ (svec_rows @ x_svec - rhs))
+            if order == 2:
+                assert np.array_equal(cache.project(x_svec), expected)
+            else:
+                err = np.max(np.abs(cache.project(x_svec) - expected))
+                assert err <= 1e-14 * np.max(np.abs(expected))
             fold = np.where(i == j, 0.5, 1.0)
             traces = rows_raw @ ((X[i, j] + X[j, i]) * fold)
             assert cache.violation(X) == float(np.max(np.abs(traces - rhs_raw)))
+
+    @pytest.mark.parametrize("make", [
+        split_by_an_extra_row, arbitrary_cells_from_json, ill_conditioned,
+        lambda: list(inconsistent_systems())[1]],
+        ids=["split_by_an_extra_row", "arbitrary_cells_from_json", "ill_conditioned", "qbp"])
+    def test_any_operator_projects_like_the_svec_formula(self, make):
+        # the merge rule on operators that are not plain lifts: a row that
+        # splits a class keeps that class's cells apart, and an operator
+        # with nothing to merge gets the identity map and the formula's bits
+        problem = make()
+        cache = problem.affine
+        assert_merge_is_exact(problem)
+        identity = problem.dim * (problem.dim + 1) // 2 == cache.row_mat.shape[1]
+        if make is split_by_an_extra_row:
+            cell = packed_index(problem.dim).cell
+            # x1 (x1 x2) and x2 x1^2 are split, x1 x2^2 and x2 (x1 x2) merged
+            assert cache.column[cell[1, 4]] != cache.column[cell[2, 3]]
+            assert cache.column[cell[1, 5]] == cache.column[cell[2, 4]]
+            assert not identity
+        else:
+            assert identity
+        svec_rows, rhs, pinv = written_out(problem)
+        rng = np.random.default_rng(22)
+        for _ in range(3):
+            x = rng.normal(size=svec_rows.shape[1])
+            expected = x - svec_rows.T @ (pinv @ (svec_rows @ x - rhs))
+            ours = cache.project(x)
+            if identity:
+                assert np.array_equal(ours, expected)
+            else:
+                assert np.max(np.abs(ours - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_full_rank_gram_is_inverted_without_eigh(self, monkeypatch):
         # the NLBP lift's Gram matrix is full rank and well conditioned: a
@@ -200,7 +317,8 @@ class TestProjectAffine:
         cache = problem.affine
         monkeypatch.undo()
         assert calls == []
-        gram = cache.row_mat @ cache.row_mat.T
+        rows = spread_rows(cache)
+        gram = rows @ rows.T
         vals, vecs = np.linalg.eigh(gram)
         assert vals[0] > 1e-12 * vals[-1]
         pinv = (vecs / vals) @ vecs.T
@@ -215,12 +333,7 @@ class TestProjectAffine:
             problem = list(inconsistent_systems())[1]
             assert problem.num_constraints > problem.dim * (problem.dim + 1) // 2
         else:
-            # two unit rows 1e-6 apart: the Gram matrix is positive definite
-            # (the Cholesky factorization succeeds) but its trace product is
-            # about 4e12, past the cutoff
-            operator = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1e-6]])
-            problem = LiftedProblem(num_vars=1, order=2,
-                                    num_data=0, operator=operator, values=[1.0, 1.0])
+            problem = ill_conditioned()
         M = problem.num_constraints
         refused = []
         cholesky = np.linalg.cholesky
@@ -238,7 +351,8 @@ class TestProjectAffine:
         monkeypatch.undo()
         assert calls == [(M, M)]
         assert refused == ([] if case == "ill_conditioned" else [(M, M)])
-        gram = cache.row_mat @ cache.row_mat.T
+        rows = spread_rows(cache)
+        gram = rows @ rows.T
         vals, vecs = np.linalg.eigh(gram)
         active = vals > 1e-12 * vals[-1]
         assert active.sum() < M
@@ -721,7 +835,9 @@ def reference_loop(problem, config, alpha=sdp_admm._RELAX, balance=True,
     ``packed_layout``. Each block's output is over-relaxed by ``alpha``
     before the consensus and multiplier updates (alpha = 1 is plain ADMM);
     the residuals and the stopping rule use the unrelaxed outputs. The
-    shrinkage threshold of an entry is lam / (2 rho) times its svec weight.
+    shrinkage threshold of an entry is lam / (2 rho) times its svec weight;
+    at lam > 0 the new U2 is the consensus sum clipped to twice the
+    thresholds minus the new U1, as the solver takes it.
     With ``balance``, every 50 iterations rho is scaled by the square root
     of the ratio of the normalized primal and dual residuals, clamped to
     [1/4, 4] and kept when within [1/2, 2], and u1, u2 are divided by the
@@ -768,10 +884,14 @@ def reference_loop(problem, config, alpha=sdp_admm._RELAX, balance=True,
         x2 = pack(X2) * weight
         H1 = alpha * X1 + (1.0 - alpha) * Z
         H2 = alpha * x2 + (1.0 - alpha) * Z
-        Z_new = soft_threshold(0.5 * ((H1 + U1) + (H2 + U2)),
-                               config.lam / (2.0 * rho) * weight)
+        W = (H1 + U1) + (H2 + U2)
+        threshold = config.lam / (2.0 * rho) * weight
+        Z_new = soft_threshold(0.5 * W, threshold)
         U1_new = U1 + H1 - Z_new
-        U2_new = U2 + H2 - Z_new
+        if config.lam > 0:
+            U2_new = np.clip(W, -2.0 * threshold, 2.0 * threshold) - U1_new
+        else:
+            U2_new = U2 + H2 - Z_new
         primal = np.linalg.norm(np.concatenate([X1 - Z_new, x2 - Z_new]))
         dual = rho * np.sqrt(2.0) * np.linalg.norm(Z_new - Z)
         history.append((primal, dual))
@@ -1066,6 +1186,21 @@ class TestLoopPinned:
             solve_nlbp(problem, config)
         assert info.value.iteration == 30
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_rho_overflow_is_a_solver_error(self):
+        # a consistent lift with no PSD point, the QBP lift of trial 0 of the
+        # seed-7 table1 shape with 8 equations (dim 6, 9 rows): balancing
+        # multiplies rho by 4 every 50 iterations until rho ||v|| overflows,
+        # and the solve then fails at that balancing step with a SolverError,
+        # where it used to divide by zero
+        spec = table1_spec(trials=1, seed=7, num_equations=8)
+        polys, _, values = sample_trial(spec, 0)
+        problem = build_lifted_problem(polys.truncate(2), values, 2)
+        assert (problem.dim, problem.num_constraints) == (6, 9)
+        assert problem.affine.infeasibility_lb == 0.0
+        with pytest.raises(SolverError, match="overflowed") as info:
+            solve_nlbp(problem, default_trial_config(spec, values))
+        assert info.value.iteration == 25600
 
 
 class TestOverRelaxation:
