@@ -368,7 +368,12 @@ def soft_threshold(Z: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     a scalar or an array of thresholds that broadcasts against Z."""
     if np.min(t) < 0:
         raise ValueError("threshold must be >= 0")
-    Z = np.asarray(Z, dtype=float)
+    return _shrink(np.asarray(Z, dtype=float), t)
+
+
+def _shrink(Z: np.ndarray, t) -> np.ndarray:
+    """``soft_threshold`` without its argument check, for the loop, whose
+    thresholds are nonnegative by construction."""
     return np.sign(Z) * np.maximum(np.abs(Z) - t, 0.0)
 
 
@@ -543,7 +548,7 @@ def solve_nlbp(problem: LiftedProblem, config: SolverConfig | None = None) -> So
             # scale of the duals; v2 - z would round at the scale rho |z|
             np.clip(z, -bounds, bounds, out=clipped)
             multiply(z, half, out=z)
-            z[...] = soft_threshold(z, thresholds)
+            z[...] = _shrink(z, thresholds)
             v1 -= z  # now the multipliers u1, u2 of T(x)
             subtract(clipped, v1, out=v2)
         else:  # at lam = 0 the shrinkage is the identity
