@@ -65,12 +65,40 @@ def table_rows(exponents, degree: int) -> np.ndarray:
     return np.array([row_of[e] for e in map(tuple, exponents.tolist())], dtype=np.intp)
 
 
+def _power_plan(table: np.ndarray):
+    """(variables, exponents, index) of a (T, n) table: pairs (variable j,
+    exponent e), and the (n, T) index of each entry's pair among them. The
+    pairs are every j with every e up to the table's highest exponent when
+    there are at most T such e, as in a full table, and otherwise only the
+    distinct pairs that occur, so a sparse table with a high power costs
+    what it stores."""
+    n = table.shape[1]
+    top = int(table.max(initial=0))
+    if top < len(table):
+        pairs, index = np.arange(n * (top + 1)), table * n + np.arange(n)
+    else:
+        pairs, index = np.unique(table * n + np.arange(n), return_inverse=True)
+    out = (pairs % n, pairs // n, np.ascontiguousarray(index.reshape(table.shape).T))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _monomials(x, variables, exponents, index) -> np.ndarray:
+    """The monomials of a ``_power_plan`` at the point x. Each coordinate is
+    raised once to each of its exponents, and each monomial multiplies its n
+    gathered powers from the first variable on, the order in which
+    ``np.prod(x ** table, axis=1)`` multiplies the same pow() results; the
+    two agree bit for bit."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != index.shape[:1]:
+        raise ValueError(f"point has {x.shape} entries, expected {len(index)}")
+    return np.multiply.reduce((x[variables] ** exponents)[index], axis=0)
+
+
 def monomial_vector(x, table: np.ndarray) -> np.ndarray:
     """The monomial of every row of an exponent table evaluated at x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (table.shape[1],):
-        raise ValueError(f"point has {x.shape} entries, expected {table.shape[1]}")
-    return np.prod(x ** table, axis=1)
+    return _monomials(x, *_power_plan(table))
 
 
 def _graded_table(exponents, n: int, degree: int) -> np.ndarray:
@@ -93,54 +121,25 @@ def _graded_table(exponents, n: int, degree: int) -> np.ndarray:
 
 
 def _derivative_map_of(table: np.ndarray):
-    """Per variable j, as rows of three read-only (n, K) arrays: the columns
-    of ``table`` whose monomial contains x_j, the exponent of x_j there, and
-    the row of the monomial with that exponent lowered by one in the
-    returned extended table, which is ``table`` followed by the lowered
-    monomials it lacks (none, for a full table). A variable in fewer than K
-    columns is padded with exponent 0, which adds an exact zero."""
+    """The scatter that builds the (T, n) derivative matrix D of the
+    monomials, D[t, j] = table[t, j] * m(t - e_j): the flat position t * n + j
+    of every nonzero exponent, that exponent as a float, the row of the
+    lowered monomial t - e_j in the table of the distinct lowered monomials,
+    and the ``_power_plan`` of that table. The arrays are read-only."""
     n = table.shape[1]
-    extended = [tuple(e) for e in table.tolist()]
-    row_of = {e: t for t, e in enumerate(extended)}
-    per_var = []
-    for j in range(n):
-        cols = np.flatnonzero(table[:, j] > 0)
-        lowered = []
-        for e in table[cols].tolist():
-            e[j] -= 1
-            e = tuple(e)
-            if e not in row_of:
-                row_of[e] = len(extended)
-                extended.append(e)
-            lowered.append(row_of[e])
-        per_var.append((cols, table[cols, j], lowered))
-    width = max(len(cols) for cols, _, _ in per_var)
-    out = tuple(
-        np.array([np.pad(np.asarray(v[k], dtype=np.intp), (0, width - len(v[k])))
-                  for v in per_var], dtype=np.intp).reshape(n, width)
-        for k in range(3))
-    out += (np.array(extended, dtype=np.int64).reshape(-1, n),)
+    rows, cols = np.nonzero(table)
+    lowered = table[rows] - (cols[:, None] == np.arange(n))
+    distinct, lowered_rows = np.unique(lowered, axis=0, return_inverse=True)
+    out = (rows * n + cols, table[rows, cols].astype(float), lowered_rows.reshape(-1))
     for a in out:
         a.setflags(write=False)
-    return out
+    return out + (_power_plan(distinct),)
 
 
 @functools.lru_cache(maxsize=None)
 def _derivative_map(n: int, degree: int):
     """``_derivative_map_of`` the full table, built once per key."""
     return _derivative_map_of(exponent_table(n, degree))
-
-
-def _term_sums(terms: np.ndarray) -> np.ndarray:
-    """Sums over the first axis of a C-ordered (terms, lanes) array, one
-    term at a time from the first, as a per-row loop adds them; a pairwise
-    or BLAS reduction rounds differently. numpy reduces a slow axis in that
-    order, but sums a single lane, a contiguous reduction, pairwise."""
-    if terms.shape[1] != 1:
-        return np.add.reduce(terms, axis=0)
-    if len(terms) == 0:
-        return np.zeros(1)
-    return np.add.accumulate(terms[:, 0])[-1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,9 +157,11 @@ class PolySystem:
     read-only, the coefficients a copy. Two systems are equal when their
     tables and coefficients are.
 
-    ``evaluate``, ``residual`` and ``jacobian`` add the terms of a row one at
-    a time in table order. A zero coefficient adds an exact zero, so a row
-    padded with zeros sums to the same bits as its nonzero terms alone.
+    ``evaluate``, ``residual`` and ``jacobian`` are BLAS products of the
+    coefficients with the monomial vector m(x) and with the (T, num_vars)
+    derivative matrix D(x) of the monomials. BLAS chooses the order in which
+    a row's terms are added, so the last bits differ from a sum in table
+    order, within the bound gamma_T sum_t |c_t m_t| that every order shares.
     """
 
     num_vars: int
@@ -200,42 +201,31 @@ class PolySystem:
     __hash__ = None
 
     def evaluate(self, x) -> np.ndarray:
-        """The value of every polynomial at x, each row summed term by term
-        in table order."""
-        m = monomial_vector(x, self.exponents)
-        return _term_sums(self._terms_by_lane * m[:, None])
+        """The value of every polynomial at x, ``coeffs @ m(x)``."""
+        return self.coeffs @ _monomials(x, *self._powers)
 
     def residual(self, x, values) -> np.ndarray:
         """p_i(x) - values_i."""
         return self.evaluate(x) - values
 
     @functools.cached_property
-    def _terms_by_lane(self) -> np.ndarray:
-        # (T, N) C-ordered transpose of coeffs: term t of every row in one run
-        return np.ascontiguousarray(self.coeffs.T)
+    def _powers(self):
+        return _power_plan(self.exponents)
 
     @functools.cached_property
     def _derivatives(self):
-        # (columns, exponents as floats, lowered rows, extended table)
         if self._full:
-            cols, exps, lowered, extended = _derivative_map(self.num_vars, self.degree)
-        else:
-            cols, exps, lowered, extended = _derivative_map_of(self.exponents)
-        return cols, exps.astype(float)[:, :, None], lowered, extended
+            return _derivative_map(self.num_vars, self.degree)
+        return _derivative_map_of(self.exponents)
 
     def jacobian(self, x) -> np.ndarray:
-        """(N, num_vars) partial derivatives at x, each summed term by term:
-        column j adds (coefficient * exponent) * lowered monomial over the
-        terms holding x_j."""
-        cols, exps, lowered, extended = self._derivatives
-        m = monomial_vector(x, extended)[:, None]
-        out = np.empty((len(self), self.num_vars))
-        for j in range(self.num_vars):
-            terms = self._terms_by_lane[cols[j]]
-            terms *= exps[j]
-            terms *= m[lowered[j]]
-            out[:, j] = _term_sums(terms)
-        return out
+        """(N, num_vars) partial derivatives at x, ``coeffs @ D(x)``, where
+        D[t, j] = e_tj m(t - e_j) is scattered over the exponents e_tj > 0."""
+        positions, exps, lowered, plan = self._derivatives
+        m = _monomials(x, *plan)
+        D = np.zeros(self.exponents.size)
+        D[positions] = exps * m[lowered]
+        return self.coeffs @ D.reshape(self.exponents.shape)
 
     def truncate(self, degree: int) -> "PolySystem":
         """Every term of degree > degree dropped: a column prefix, because

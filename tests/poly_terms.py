@@ -4,7 +4,8 @@ terms back.
 A term is an exponent tuple with its coefficient, and row i of a system is
 the sum of coeffs[i, t] times the monomial in row t of its exponent table.
 These helpers are written from that definition alone, so the tests do not
-lean on the package's own problem-file reader.
+lean on the package's own problem-file reader. ``assert_within_sum_bound``
+compares two sums of the same terms added in different orders.
 """
 
 import numpy as np
@@ -56,3 +57,18 @@ def problem_json(system, values):
         ],
         "values": [float(v) for v in values],
     }
+
+
+def gamma(k):
+    """gamma_k = k u / (1 - k u), u the unit roundoff."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
+def assert_within_sum_bound(got, want, scale, k):
+    """|got - want| <= gamma_k * scale entrywise, where scale is the sum of
+    the terms' magnitudes: an inner product of k terms computed in any order
+    lies within that bound of the exact one (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, section 3.1), and real roundoff stays far
+    below it."""
+    assert np.all(np.abs(np.subtract(got, want)) <= gamma(k) * np.asarray(scale))

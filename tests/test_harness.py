@@ -26,6 +26,7 @@ from nlbp.harness import (
     table1_spec,
 )
 from nlbp.sdp_admm import SolverError
+from poly_terms import assert_within_sum_bound
 
 
 def tiny_spec(**overrides):
@@ -123,12 +124,15 @@ class TestSampleTrial:
         assert np.all(x != 0.0)
 
     def test_values_consistent_with_plant(self):
-        from nlbp.monomials import PolySystem
+        from nlbp.monomials import PolySystem, monomial_vector
         spec = tiny_spec()
         polys, x, values = sample_trial(spec, 0)
+        assert np.array_equal(values, polys.evaluate(x))
+        # one row at a time, BLAS may add a row's terms in another order
         again = [PolySystem(spec.num_vars, spec.order, row[None]).evaluate(x)[0]
                  for row in polys.coeffs]
-        assert np.array_equal(values, again)
+        scale = np.abs(polys.coeffs) @ np.abs(monomial_vector(x, polys.exponents))
+        assert_within_sum_bound(again, values, scale, polys.coeffs.shape[1])
 
 
 class TestRunExperiment:
@@ -401,39 +405,47 @@ def csv_sha256(spec) -> str:
     return hashlib.sha256(results_to_csv(run_experiment(spec)).encode()).hexdigest()
 
 
+def csv_sha256_in_child(spec_code: str, blas_threads: int) -> str:
+    """``csv_sha256`` of the spec that ``spec_code`` builds, run in a child
+    process whose BLAS is pinned to ``blas_threads`` threads."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nlbp.__file__).parent.parent))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(blas_threads)
+    code = (
+        "import hashlib\n"
+        "from nlbp.baselines import Method\n"
+        "from nlbp.harness import dense_spec, results_to_csv, run_experiment, table1_spec\n"
+        f"spec = {spec_code}\n"
+        "csv = results_to_csv(run_experiment(spec))\n"
+        "print(hashlib.sha256(csv.encode()).hexdigest())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    return out.stdout.strip()
+
+
 class TestGoldenDigests:
     """sha256 of ``results_to_csv`` for fixed ensembles. A change that moves
     any byte of the solver's output fails here and has to say why."""
 
-    @pytest.mark.parametrize("spec, digest", [
-        (table1_spec(trials=5, seed=1000),
-         "8fe1f7be66a42c914955c3a5ced77e42d42ac1d39d151e3d7a518cbe02b6e2b7"),
-        (dense_spec(trials=5, seed=1000),
-         "6f4047c41c872a65f2f8bd1162d55f34aa719b954095e6ed4662089557df6c8f"),
+    @pytest.mark.parametrize("make_spec, digest", [
+        (table1_spec, "033d1275f1ee288ca11ad568eca88508ebe409a20bb378aa1436c5f1c4f35796"),
+        (dense_spec, "936f9e92d9bc60a838ca73fc8919b9de2ffc98570194566e5f8d97e504b30785"),
     ], ids=["table1", "dense"])
-    def test_n5_ensembles(self, spec, digest):
-        # at n = 5 the bytes do not depend on the BLAS thread count
-        assert csv_sha256(spec) == digest
+    def test_n5_ensembles(self, make_spec, digest):
+        # at n = 5 the bytes do not depend on the BLAS thread count: the
+        # ensemble hashes the same here and in children pinned to 1 and 2
+        assert csv_sha256(make_spec(trials=5, seed=1000)) == digest
+        spec_code = f"{make_spec.__name__}(trials=5, seed=1000)"
+        assert [csv_sha256_in_child(spec_code, k) for k in (1, 2)] == [digest, digest]
 
     def test_sparse_n8_with_one_blas_thread(self):
         # at n = 8 they do, so the ensemble runs in a child pinned to one
         # thread, as perfbench pins its workers
-        env = dict(os.environ, PYTHONPATH=str(Path(nlbp.__file__).parent.parent))
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = "1"
-        code = (
-            "import hashlib\n"
-            "from nlbp.baselines import Method\n"
-            "from nlbp.harness import results_to_csv, run_experiment, table1_spec\n"
-            "spec = table1_spec(trials=1, seed=1000, num_vars=8, num_equations=120,\n"
-            "                   methods=(Method.NLBP,))\n"
-            "csv = results_to_csv(run_experiment(spec))\n"
-            "print(hashlib.sha256(csv.encode()).hexdigest())\n"
-        )
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True, timeout=300)
-        assert out.stdout.strip() == (
-            "9e36bd244dd821e10d63015ac265437a932904790d1c043be33906304a5b0804")
+        spec_code = ("table1_spec(trials=1, seed=1000, num_vars=8, num_equations=120, "
+                     "methods=(Method.NLBP,))")
+        assert csv_sha256_in_child(spec_code, 1) == (
+            "7d876804e9ff305f41d1b3021551d13d517e76030bc04771605e30650a58d265")
 
 
 def test_trial_path_loads_no_scipy():

@@ -160,6 +160,28 @@ class TestEvalMonomial:
             lhs = m[table_rows([table[a] + table[b]], 6)[0]]
             assert lhs == pytest.approx(m[a] * m[b], rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("n, degree", [(2, 3), (5, 4), (8, 4), (10, 4), (8, 2)])
+    def test_power_table_matches_pow_per_entry(self, n, degree):
+        # each coordinate is raised once per exponent; every monomial must
+        # round exactly as the per-entry product does
+        rng = np.random.default_rng(n * degree)
+        full = exponent_table(n, degree)
+        sparse = full[np.sort(rng.choice(len(full), size=len(full) // 3, replace=False))]
+        for _ in range(50):
+            x = rng.normal(size=n) * rng.choice([0.1, 1.0, 7.0])
+            x[rng.random(n) < 0.25] = 0.0
+            for table in (full, sparse):
+                assert np.array_equal(monomial_vector(x, table),
+                                      np.prod(x ** table, axis=1))
+
+    def test_power_table_of_a_high_degree_sparse_table(self):
+        # x_1 ** 10**9 is one power to take, not a table of 10**9 of them
+        table = np.array([[0, 0, 0], [2, 0, 1], [0, 0, 3], [25, 0, 0], [1, 1, 23],
+                          [0, 10**9, 0]])
+        for x in ([1.7, -0.3, 0.0], [-1.1, -1.0, -0.9], [0.0, 0.0, 0.0], [0.5, 1.0, -2.0]):
+            x = np.array(x)
+            assert np.array_equal(monomial_vector(x, table), np.prod(x ** table, axis=1))
+
 
 def poly_1_x1_x2cubed():
     return system_of(2, {(0, 0): 1.0, (1, 0): 1.0, (0, 3): 1.0})
