@@ -73,11 +73,12 @@ def _power_plan(table: np.ndarray):
     distinct pairs that occur, so a sparse table with a high power costs
     what it stores."""
     n = table.shape[1]
+    keys = table * n + np.arange(n)  # pair (j, e) as e * n + j
     top = int(table.max(initial=0))
     if top < len(table):
-        pairs, index = np.arange(n * (top + 1)), table * n + np.arange(n)
+        pairs, index = np.arange(n * (top + 1)), keys
     else:
-        pairs, index = np.unique(table * n + np.arange(n), return_inverse=True)
+        pairs, index = np.unique(keys, return_inverse=True)
     out = (pairs % n, pairs // n, np.ascontiguousarray(index.reshape(table.shape).T))
     for a in out:
         a.setflags(write=False)
