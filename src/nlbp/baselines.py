@@ -37,7 +37,7 @@ from .lifting import LiftedProblem, build_lifted_problem
 # Retargeting the tracer at the PolySystem methods deletes this binding.
 from .monomials import PolySystem, eval_polynomial  # noqa: F401
 from .recovery import DegenerateTopEigenvalueError, RecoveredSolution, extract_rank1
-from .sdp_admm import SolveReport, SolverConfig, solve_nlbp
+from .sdp_admm import SolveReport, SolverConfig, soft_threshold, solve_nlbp
 
 
 class Method(Enum):
@@ -67,22 +67,16 @@ def system_residual_sq(system: PolySystem, values, x) -> float:
     return float(r @ r)
 
 
-# The polish and the oracle call this private name, which perfbench's tracer
-# does not wrap, so its system_residual_sq span counts one residual per
-# method run.
-_residual_sq = system_residual_sq
-
-
 def _gauss_newton(system: PolySystem, values: np.ndarray, x0: np.ndarray,
                   max_iters: int = 60, tol_sq: float = 0.0) -> np.ndarray:
     """Damped Gauss-Newton descent on the squared residual."""
     x = np.array(x0, dtype=float)
     n = system.num_vars
-    best = _residual_sq(system, values, x)
+    r = system.residual(x, values)
+    best = float(r @ r)
     for _ in range(max_iters):
         if best <= tol_sq:
             break
-        r = system.residual(x, values)
         J = system.jacobian(x)
         JtJ = J.T @ J
         damping = 1e-12 * max(1.0, float(np.trace(JtJ)) / n)
@@ -94,7 +88,8 @@ def _gauss_newton(system: PolySystem, values: np.ndarray, x0: np.ndarray,
         t = 1.0
         for _ in range(12):
             trial = x + t * step
-            val = _residual_sq(system, values, trial)
+            r_trial = system.residual(trial, values)
+            val = float(r_trial @ r_trial)
             if val < best:
                 # give up on true stalls, and early on plateaus far above the
                 # target (roots attract quadratically, so slow grinding at a
@@ -102,7 +97,7 @@ def _gauss_newton(system: PolySystem, values: np.ndarray, x0: np.ndarray,
                 gain = best - val
                 stalled = gain <= 1e-12 * (1.0 + best) or (
                     best > 1e3 * tol_sq + 1e-12 and gain <= 1e-6 * best)
-                x, best = trial, val
+                x, r, best = trial, r_trial, val
                 improved = not stalled
                 break
             t *= 0.5
@@ -218,7 +213,7 @@ def solve_linear(
         for _ in range(5000):
             x = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs_fixed + rho * (z - u)))
             z_prev = z
-            z = np.sign(x + u) * np.maximum(np.abs(x + u) - lam / rho, 0.0)
+            z = soft_threshold(x + u, lam / rho)
             u = u + x - z
             if (np.linalg.norm(x - z) <= 1e-12 * (1 + np.linalg.norm(z))
                     and np.linalg.norm(z - z_prev) <= 1e-12 * (1 + np.linalg.norm(z))):
@@ -254,7 +249,7 @@ def l0_oracle(
     values = np.asarray(values, dtype=float)
     tol_sq = 1e-12 * (1.0 + float(values @ values))
 
-    if _residual_sq(system, values, np.zeros(n)) <= tol_sq:
+    if system_residual_sq(system, values, np.zeros(n)) <= tol_sq:
         return np.zeros(n)
 
     seed_root = np.random.SeedSequence(rng_seed)
@@ -270,7 +265,7 @@ def l0_oracle(
                 z0 = rng.normal(0.0, 1.0, size)
                 z = _gauss_newton(restricted, values, z0,
                                   max_iters=100, tol_sq=tol_sq)
-                val = _residual_sq(restricted, values, z)
+                val = system_residual_sq(restricted, values, z)
                 if val <= tol_sq and val < best_residual:
                     x = np.zeros(n)
                     x[list(support)] = z

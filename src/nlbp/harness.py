@@ -60,7 +60,11 @@ def _is_int(value, low: int, high: int | None = None) -> bool:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything needed to reproduce one Monte-Carlo ensemble."""
+    """Everything needed to reproduce one Monte-Carlo ensemble.
+
+    ``planted_std`` scales only a dense plant (``sparsity`` "dense"), drawn
+    Gaussian with that standard deviation; a sparse plant puts 1.0 on its
+    support whatever the field holds."""
 
     name: str
     num_vars: int

@@ -9,8 +9,11 @@ a set of structural constraints is generated alongside the data constraints:
 one normalization (the constant entry squares to 1) and one dependency per
 representable entry product.
 
-The matrix variable is indexed by the basis ``exponent_table(n, q/2)``, which
-a problem derives from n and q (``LiftedProblem.basis``). The whole system
+The matrix variable is indexed by the basis ``exponent_table(n, q/2)``, so
+the whole layout of a lift is a function of its shape (n, q): a problem
+derives its basis from the two (``LiftedProblem.basis``), and
+``quadratic_forms``, ``generate_dependency_constraints`` and the cell maps
+behind them are keyed by that shape, not by a basis. The whole system
 is one linear map on that matrix, held as a single read-only
 (M, dim (dim + 1) / 2) array plus its (M,) right-hand side
 (``LiftedProblem.operator`` and ``.values``). Row i packs the upper triangle
@@ -19,7 +22,9 @@ values: the cells the lifted JSON stores. ``packed_index`` maps between that
 layout and dense matrices; the solver and the certificate read one
 factored operator per problem, ``LiftedProblem.affine``, which merges the
 cells that no row tells apart (the cells of one moment class on one side of
-the diagonal, in a lift) into one column each.
+the diagonal, in a lift) into one column each. The solver projects through
+it (``AffineCache.project``) and the certificate fits through it
+(``AffineCache.fit``); neither reads its merged layout.
 """
 
 from __future__ import annotations
@@ -51,12 +56,6 @@ def _half_order(order: int) -> int:
     if order % 2 != 0 or order < 2:
         raise OddOrderError(f"lift order must be even and >= 2, got {order}")
     return order // 2
-
-
-def _half_degree(basis: np.ndarray) -> int:
-    """The degree of a basis table: that of its last row, the order being
-    graded."""
-    return int(basis[-1].sum())
 
 
 class ConstraintKind(Enum):
@@ -215,7 +214,8 @@ def _gram_inverse(gram: np.ndarray) -> np.ndarray | None:
 
 @dataclass
 class AffineCache:
-    """Precomputed data for projecting onto {X : trace(C_i X) = v_i for all i}.
+    """Precomputed data for projecting onto {X : trace(C_i X) = v_i for all i}
+    (``project``) and for least-squares fitting by the rows C_i (``fit``).
 
     The problem's packed rows are weighted into svec rows R (see
     ``PackedIndex``): dim (dim + 1) / 2 columns whose inner products are
@@ -232,7 +232,8 @@ class AffineCache:
     projection onto the rows R, with one ``bincount`` for Pi x and one
     gather for Pi^T. An operator with no group to merge, such as the QBP
     lift (its classes are single cells) or a file's arbitrary cells, gets
-    the identity map and R_c = R bit for bit.
+    the identity map and R_c = R bit for bit. Outside this class the
+    merged layout is read only through ``project`` and ``fit``.
 
     The rows are normalized to unit Frobenius norm (the feasible set, and
     hence the projection, is unchanged), and the constraint Gram matrix G
@@ -316,6 +317,14 @@ class AffineCache:
         column = self.column
         return x - self.row_mat.T.dot(self.gram_pinv.dot(
             self.row_mat.dot(np.bincount(column, x)) - self.rhs))[column]
+
+    def fit(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Least-squares fit of the packed svec vector x by the normalized
+        rows: the multipliers u = G^-1 R_c Pi x and the fitted vector
+        Pi^T R_c^T u, the projection of x onto the span of the rows."""
+        column = self.column
+        u = self.gram_pinv @ (self.row_mat @ np.bincount(column, x))
+        return u, (self.row_mat.T @ u)[column]
 
     def violation(self, X: np.ndarray) -> float:
         """max_i |trace(C_i X) - v_i| against the original (unscaled) rows,
@@ -410,51 +419,53 @@ def _merge_map(n: int, half_degree: int, agree: bytes) -> tuple[np.ndarray, ...]
     return out
 
 
-def quadratic_forms(system: PolySystem, basis: np.ndarray) -> np.ndarray:
+def quadratic_forms(system: PolySystem, order: int) -> np.ndarray:
     """(N, dim (dim + 1) / 2) packed rows of the symmetric matrices C_k with
-    m(x)' C_k m(x) equal to polynomial k of the system, identically.
+    m(x)' C_k m(x) equal to polynomial k of the system, identically, m(x)
+    the monomials of degree <= order / 2 (``exponent_table``).
 
     Each coefficient is split equally over all unordered basis pairs whose
     exponents sum to its monomial; a diagonal pair receives its full share
     and an off-diagonal pair half the share on each mirrored cell. Any split
     satisfying the identity would do; the equal split is the canonical one.
     """
-    if system.num_vars != basis.shape[1]:
-        raise ValueError(
-            f"polynomial has {system.num_vars} variables, basis has {basis.shape[1]}"
-        )
-    half = _half_degree(basis)
-    if system.degree > 2 * half:
+    return _write_forms(system, order)
+
+
+def _write_forms(system: PolySystem, order: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The packed forms of ``quadratic_forms``, written into ``out`` (a new
+    array when None) and returned: one gather of the coefficients by cell,
+    then the division by ``pairs`` and the multiplication by ``share``, in
+    place and in that order. Refuses an odd order and a system of higher
+    degree, for every caller."""
+    half = _half_order(order)
+    if system.degree > order:
         raise DegreeTooHighError(
-            f"polynomial degree {system.degree} exceeds representable degree {2 * half}"
+            f"polynomial degree {system.degree} exceeds lift order {order}"
         )
-    forms = np.empty((len(system), len(basis) * (len(basis) + 1) // 2))
-    _write_forms(system, half, forms)
-    return forms
-
-
-def _write_forms(system: PolySystem, half: int, out: np.ndarray) -> None:
-    """The packed forms of ``quadratic_forms`` written into ``out``: one
-    gather of the coefficients by cell, then the division by ``pairs`` and
-    the multiplication by ``share``, in place and in that order."""
     column, pairs, share = _cell_map(system.num_vars, half)
+    if out is None:
+        out = np.empty((len(system), len(column)))
     # mode="clip" writes straight into out; the default mode buffers a copy
-    np.take(system.full_coeffs(2 * half), column, axis=1, out=out, mode="clip")
+    np.take(system.full_coeffs(order), column, axis=1, out=out, mode="clip")
     out /= pairs
     out *= share
+    return out
 
 
-def polynomial_to_quadratic_form(p: PolySystem, basis: np.ndarray) -> np.ndarray:
+def polynomial_to_quadratic_form(p: PolySystem, order: int) -> np.ndarray:
     """Packed row of the symmetric matrix C with m(x)' C m(x) == p(x)
     identically, for a one-row system p. Not called by the package: it stays
     bound for perfbench's tracer until that wraps ``quadratic_forms``."""
-    return quadratic_forms(p, basis)[0]
+    return quadratic_forms(p, order)[0]
 
 
-def generate_dependency_constraints(basis: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def generate_dependency_constraints(num_vars: int, order: int) -> np.ndarray:
     """(1 + D, dim (dim + 1) / 2) structural block of packed rows: the
     normalization matrix followed by one matrix per representable entry
-    product.
+    product, over the basis ``exponent_table(num_vars, order // 2)``.
 
     A dependency ties basis[k] * basis[l] (1 <= l <= k) to the entry i
     with basis[i] == basis[k] + basis[l]: the product cell gets weight
@@ -462,10 +473,12 @@ def generate_dependency_constraints(basis: np.ndarray) -> np.ndarray:
     constant gets weight -1/2, so trace(C X) is 0 on any lifted point. The
     constant entry never participates as a factor. Rows are ordered by i,
     then l, then k; the normalization matrix pins the (0, 0) cell, with
-    value 1.
+    value 1. The block does not depend on the data, so it is built once per
+    key and shared, hence read-only.
     """
-    dim = len(basis)
-    column = _cell_map(basis.shape[1], _half_degree(basis))[0]
+    half = _half_order(order)
+    column = _cell_map(num_vars, half)[0]
+    dim = len(exponent_table(num_vars, half))
     # packed cells run over (l, k) in row-major order, so a stable sort by
     # the product's entry i gives the (i, l, k) order
     l, k = np.triu_indices(dim)
@@ -477,14 +490,6 @@ def generate_dependency_constraints(basis: np.ndarray) -> np.ndarray:
     rows = np.arange(1, 1 + len(products))
     block[rows, products] = np.where(l[products] == k[products], 1.0, 0.5)
     block[rows, cell[0, column[products]]] = -0.5
-    return block
-
-
-@functools.lru_cache(maxsize=None)
-def _structural_constraints(n: int, half_degree: int) -> np.ndarray:
-    """The data-independent block of a basis, generated once per key and
-    shared read-only."""
-    block = generate_dependency_constraints(exponent_table(n, half_degree))
     block.setflags(write=False)
     return block
 
@@ -502,15 +507,10 @@ def build_lifted_problem(system: PolySystem, values, order: int) -> LiftedProble
         raise ValueError(
             f"got {len(system)} polynomials but {values.shape} right-hand sides"
         )
-    half = _half_order(order)
-    if system.degree > order:
-        raise DegreeTooHighError(
-            f"polynomial degree {system.degree} exceeds lift order {order}"
-        )
-    structural = _structural_constraints(system.num_vars, half)
+    structural = generate_dependency_constraints(system.num_vars, order)
     num_data = len(values)
     operator = np.empty((num_data + len(structural), structural.shape[1]))
-    _write_forms(system, half, operator[:num_data])
+    _write_forms(system, order, operator[:num_data])
     operator[num_data:] = structural
     rhs = np.zeros(len(operator))
     rhs[:num_data] = values

@@ -5,10 +5,10 @@ the constant-monomial entry equals 1, yields the lifted monomial vector and
 hence the unknowns from the degree-one positions. A dual certificate built
 from the solver's final multipliers then checks, without trusting the
 solver, that the rank-one lift of that vector is the unique optimum of the
-relaxation. It reads the operator the solve factored, ``problem.affine``:
-normalized svec rows (see ``lifting.PackedIndex``), whose inner products
-with the svec of a matrix X are the traces trace(C_i X) over the row norms,
-and the pseudo-inverse of their Gram matrix.
+relaxation. It fits through the operator the solve factored,
+``problem.affine`` (``AffineCache.fit``): normalized svec rows (see
+``lifting.PackedIndex``), whose inner products with the svec of a matrix X
+are the traces trace(C_i X) over the row norms.
 """
 
 from __future__ import annotations
@@ -142,14 +142,12 @@ def dual_certificate(problem: LiftedProblem, report: SolveReport,
     certificate holds only on a CONVERGED report and only when every check
     passes at tolerance CERT_TOL.
 
-    The least squares runs on the normalized svec rows of
-    ``problem.affine`` (its merged rows, summed into and spread back from
-    their columns), through its Gram pseudo-inverse; their multiplier u is
-    w times the row norms, so the duality gap pairs u with the normalized
-    right-hand sides. Those rows see only the symmetric part of
-    I + rho * U1; its skew part, orthogonal to every C_i, is added
-    back into the dual residual (it is zero on a solver's report, but not
-    necessarily on one read from a file).
+    The least squares is ``problem.affine.fit``, on the normalized svec
+    rows; their multiplier u is w times the row norms, so the duality gap
+    pairs u with the normalized right-hand sides. Those rows see only the
+    symmetric part of I + rho * U1; its skew part, orthogonal to every C_i,
+    is added back into the dual residual (it is zero on a solver's report,
+    but not necessarily on one read from a file).
     """
     x_bar = monomial_vector(x, problem.basis)
     S = report.dual_psd
@@ -160,8 +158,7 @@ def dual_certificate(problem: LiftedProblem, report: SolveReport,
     cache = problem.affine
     target = np.eye(problem.dim) + report.dual_affine
     packed_target = packed_index(problem.dim).svec(target)
-    u = cache.gram_pinv @ (cache.row_mat @ np.bincount(cache.column, packed_target))
-    fitted = (cache.row_mat.T @ u)[cache.column]
+    u, fitted = cache.fit(packed_target)
     skew = 0.5 * (target - target.T)
     dual_residual = float(np.hypot(np.linalg.norm(fitted - packed_target),
                                    np.linalg.norm(skew)) / np.linalg.norm(target))

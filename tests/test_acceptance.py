@@ -104,7 +104,7 @@ def test_criterion_3_representation_identity():
             basis = exponent_table(n, order // 2)
             for _ in range(20):
                 poly = random_polynomial(n, order, rng, 1.0)
-                form = unpack(polynomial_to_quadratic_form(poly, basis), len(basis))
+                form = unpack(polynomial_to_quadratic_form(poly, order), len(basis))
                 for _ in range(100):
                     x = rng.normal(size=n)
                     lifted = monomial_vector(x, basis)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nlbp.baselines import (
+    _gauss_newton,
     l0_oracle,
     refine_solution,
     solve_linear,
@@ -10,7 +11,7 @@ from nlbp.baselines import (
     success_criterion,
     system_residual_sq,
 )
-from nlbp.monomials import random_polynomial, truncate_polynomial
+from nlbp.monomials import PolySystem, random_polynomial, truncate_polynomial
 from nlbp.sdp_admm import SolverConfig
 from poly_terms import stack, system_of, terms, unit
 
@@ -154,6 +155,34 @@ class TestRefineSolution:
         polished = refine_solution(polys, values, rough)
         assert system_residual_sq(polys, values, polished) < 1e-20 * (
             1 + float(values @ values))
+        assert np.max(np.abs(polished - x)) < 1e-9
+
+    def test_one_residual_per_point_and_one_jacobian_per_step(self, monkeypatch):
+        # every point the descent evaluates, the start and each line-search
+        # trial, costs one residual, and each step one Jacobian at the point
+        # it starts from, the start or the trial last accepted
+        polys, x, values = planted_sparse_system(4, 12, 4, (1, 2), 7)
+        start = x + 1e-1 * np.array([1.0, -2.0, 0.5, 1.5])
+        evaluated, linearized = [], []
+        residual, jacobian = PolySystem.residual, PolySystem.jacobian
+
+        def counted_residual(self, point, vals):
+            evaluated.append(np.array(point).tobytes())
+            return residual(self, point, vals)
+
+        def counted_jacobian(self, point):
+            linearized.append(np.array(point).tobytes())
+            return jacobian(self, point)
+
+        monkeypatch.setattr(PolySystem, "residual", counted_residual)
+        monkeypatch.setattr(PolySystem, "jacobian", counted_jacobian)
+        polished = _gauss_newton(polys, values, start, tol_sq=1e-28)
+        assert len(linearized) >= 3
+        assert len(set(evaluated)) == len(evaluated)
+        assert len(set(linearized)) == len(linearized)
+        assert linearized[0] == start.tobytes()
+        assert set(linearized) <= set(evaluated)
+        assert polished.tobytes() in evaluated
         assert np.max(np.abs(polished - x)) < 1e-9
 
     def test_no_change_when_already_exact(self):

@@ -16,6 +16,7 @@ from nlbp.lifting import (
     build_lifted_problem,
     generate_dependency_constraints,
     polynomial_to_quadratic_form,
+    quadratic_forms,
 )
 from nlbp.monomials import exponent_table, monomial_vector, random_polynomial
 from packed_layout import dense_operator, pack, unpack
@@ -26,12 +27,17 @@ def quad_value(matrix, vec):
     return float(vec @ matrix @ vec)
 
 
-def dense_form(p, basis):
-    return unpack(polynomial_to_quadratic_form(p, basis), len(basis))
+def dim_of(num_vars, order):
+    return len(exponent_table(num_vars, order // 2))
 
 
-def dense_block(basis):
-    return unpack(generate_dependency_constraints(basis), len(basis))
+def dense_form(p, order):
+    return unpack(polynomial_to_quadratic_form(p, order), dim_of(p.num_vars, order))
+
+
+def dense_block(num_vars, order):
+    return unpack(generate_dependency_constraints(num_vars, order),
+                  dim_of(num_vars, order))
 
 
 def entries_of(basis):
@@ -84,7 +90,7 @@ class TestQuadraticForm:
     def test_one_plus_x1_entries(self):
         basis = exponent_table(2, 2)
         p = system_of(2, {(0, 0): 1.0, (1, 0): 1.0})
-        form = dense_form(p, basis)
+        form = dense_form(p, 4)
         assert form[0, 0] == 1.0
         assert form[0, 1] == 0.5
         assert form[1, 0] == 0.5
@@ -97,16 +103,14 @@ class TestQuadraticForm:
                 p.evaluate(x)[0], rel=1e-12, abs=1e-12)
 
     def test_zero_polynomial(self):
-        basis = exponent_table(2, 2)
-        form = polynomial_to_quadratic_form(system_of(2, {}), basis)
+        form = polynomial_to_quadratic_form(system_of(2, {}), 4)
         assert form.shape == (6 * 7 // 2,)
         assert np.all(form == 0.0)
 
     def test_equal_split_over_pairs(self):
         # x^2 over a half-degree-2 basis splits across (1, x^2) and (x, x)
-        basis = exponent_table(1, 2)
         p = system_of(1, {(2,): 1.0})
-        form = dense_form(p, basis)
+        form = dense_form(p, 4)
         assert form[0, 2] == 0.25
         assert form[2, 0] == 0.25
         assert form[1, 1] == 0.5
@@ -117,7 +121,7 @@ class TestQuadraticForm:
         basis = exponent_table(3, 2)
         for seed in range(5):
             p = random_polynomial(3, 4, seed, 1.0)
-            row = polynomial_to_quadratic_form(p, basis)
+            row = polynomial_to_quadratic_form(p, 4)
             assert row.shape == (len(basis) * (len(basis) + 1) // 2,)
             form = unpack(row, len(basis))
             for _ in range(100):
@@ -127,21 +131,25 @@ class TestQuadraticForm:
                 assert abs(quad_value(form, lifted) - val) < 1e-9 * (1 + abs(val))
 
     def test_degree_too_high(self):
-        basis = exponent_table(2, 1)
         p = system_of(2, {(2, 1): 1.0})
         with pytest.raises(DegreeTooHighError):
-            polynomial_to_quadratic_form(p, basis)
+            polynomial_to_quadratic_form(p, 2)
 
-    def test_variable_count_mismatch(self):
-        basis = exponent_table(2, 1)
-        with pytest.raises(ValueError):
-            polynomial_to_quadratic_form(system_of(3, {}), basis)
+    @pytest.mark.parametrize("system, order, error", [
+        (system_of(2, {(1, 0): 1.0}), 3, OddOrderError),
+        (system_of(2, {(2, 1): 1.0}), 2, DegreeTooHighError),
+    ], ids=["odd_order", "degree_too_high"])
+    def test_forms_and_the_lift_refuse_alike(self, system, order, error):
+        with pytest.raises(error) as forms:
+            quadratic_forms(system, order)
+        with pytest.raises(error) as lift:
+            build_lifted_problem(system, [0.0], order)
+        assert str(forms.value) == str(lift.value)
 
 
 class TestDependencyGeneration:
     def test_normalization_first(self):
-        basis = exponent_table(2, 2)
-        cons = dense_block(basis)
+        cons = dense_block(2, 4)
         expected = np.zeros((6, 6))
         expected[0, 0] = 1.0
         assert np.array_equal(cons[0], expected)
@@ -153,7 +161,7 @@ class TestDependencyGeneration:
         # x1 * x2 reproduces the x1*x2 entry: product cell 1/2, tie to the
         # constant-row cell -1/2
         basis = exponent_table(2, 2)
-        cons = dense_block(basis)
+        cons = dense_block(2, 4)
         i_prod = index_of(basis, (1, 1))
         k = index_of(basis, (1, 0))
         l = index_of(basis, (0, 1))
@@ -166,7 +174,7 @@ class TestDependencyGeneration:
 
     def test_square_relation_cells(self):
         basis = exponent_table(2, 2)
-        cons = dense_block(basis)
+        cons = dense_block(2, 4)
         i_sq = index_of(basis, (2, 0))
         k = index_of(basis, (1, 0))
         match = [c for c in cons[1:] if c[k, k] == 1.0 and c[0, i_sq] == -0.5]
@@ -175,14 +183,12 @@ class TestDependencyGeneration:
 
     def test_no_dependencies_when_unrepresentable(self):
         # basis {1, x1}: the only candidate product x1*x1 leaves the basis
-        basis = exponent_table(1, 1)
-        cons = generate_dependency_constraints(basis)
+        cons = generate_dependency_constraints(1, 2)
         assert cons.shape == (1, 3)
         assert np.array_equal(cons[0], [1.0, 0.0, 0.0])
 
     def test_dependency_shape_and_values(self):
-        basis = exponent_table(3, 2)
-        for c in dense_block(basis)[1:]:
+        for c in dense_block(3, 4)[1:]:
             nz = np.count_nonzero(c)
             assert nz in (3, 4)
             assert set(np.unique(c[c != 0.0])) <= {-0.5, 0.5, 1.0}
@@ -190,7 +196,7 @@ class TestDependencyGeneration:
     def test_planted_lift_satisfies_dependencies(self):
         rng = np.random.default_rng(4)
         basis = exponent_table(3, 2)
-        cons = dense_block(basis)
+        cons = dense_block(3, 4)
         for _ in range(20):
             x = rng.normal(size=3)
             lifted = monomial_vector(x, basis)
@@ -202,7 +208,7 @@ class TestDependencyGeneration:
         basis = exponent_table(2, 2)
         # three representable products: x1^2, x1*x2, x2^2; the mixed one is
         # emitted twice by the raw sweep and once by the generator
-        assert len(generate_dependency_constraints(basis)) == 1 + 3
+        assert len(generate_dependency_constraints(2, 4)) == 1 + 3
         assert len(raw_sweep(basis)) == 4
 
     def test_dedup_preserves_order_and_prefix(self):
@@ -215,7 +221,7 @@ class TestDependencyGeneration:
             dim = len(basis)
             expected = [dependency_matrix(dim, *t)
                         for t in first_occurrences(raw_sweep(basis))]
-            block = generate_dependency_constraints(basis)
+            block = generate_dependency_constraints(n, 2 * half)
             assert len(block) == 1 + len(expected)
             for got, want in zip(block[1:], expected):
                 assert np.array_equal(got, pack(want))
@@ -225,7 +231,7 @@ class TestDependencyGeneration:
         # non-constant entries must be covered by some dependency
         basis = exponent_table(2, 3)
         entries = entries_of(basis)
-        deps = dense_block(basis)[1:]
+        deps = dense_block(2, 6)[1:]
         for k, l in itertools.combinations_with_replacement(
                 range(1, len(basis)), 2):
             i = index_of(basis, added(entries[k], entries[l]))
@@ -240,7 +246,7 @@ class TestDependencyGeneration:
     def test_count_is_function_of_shape_only(self):
         # frozen counts: 15 products of degree-one entries over 5 variables
         basis = exponent_table(5, 2)
-        assert len(generate_dependency_constraints(basis)) == 1 + 15
+        assert len(generate_dependency_constraints(5, 4)) == 1 + 15
         assert len(raw_sweep(basis)) == 25
 
 

@@ -21,7 +21,6 @@ import pytest
 from nlbp.baselines import refine_solution
 from nlbp.harness import sample_trial, table1_spec
 from nlbp.lifting import (
-    _structural_constraints,
     build_lifted_problem,
     generate_dependency_constraints,
     polynomial_to_quadratic_form,
@@ -167,11 +166,21 @@ def test_batched_forms_match_per_term_forms(n):
     for order in (2, 4):
         basis = exponent_table(n, order // 2)
         model = system.truncate(order)
-        forms = quadratic_forms(model, basis)
+        forms = quadratic_forms(model, order)
         for k in range(len(model)):
             assert np.array_equal(forms[k], reference_form(model, k, basis))
-            assert np.array_equal(polynomial_to_quadratic_form(one_row(model, k), basis),
+            assert np.array_equal(polynomial_to_quadratic_form(one_row(model, k), order),
                                   forms[k])
+
+
+@pytest.mark.parametrize("n", (2, 5, 8))
+def test_quadratic_forms_are_the_lifts_data_rows(n):
+    _, (system, _, values) = trial(n)
+    for order in (2, 4):
+        model = system.truncate(order)
+        problem = build_lifted_problem(model, values, order)
+        assert np.array_equal(quadratic_forms(model, order),
+                              problem.operator[:NUM_EQS])
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -261,7 +270,7 @@ def test_sparse_system_matches_per_term_references(n):
         for j in range(n):
             assert A[i, j] == row.get(unit(n, j), 0.0)
     basis = exponent_table(n, 3)
-    for k, form in enumerate(quadratic_forms(system, basis)):
+    for k, form in enumerate(quadratic_forms(system, 6)):
         assert np.array_equal(form, reference_form(system, k, basis))
     support = (0, n - 1)
     restricted = system.restrict(support)
@@ -352,13 +361,11 @@ def test_restrict_keeps_the_terms_inside_the_support():
 
 def test_dependency_constraints_are_shared_and_read_only():
     _, (system, _, values) = trial(3)
-    cached = _structural_constraints(3, 2)
-    assert cached is _structural_constraints(3, 2)
-    assert not cached.flags.writeable
-    fresh = generate_dependency_constraints(exponent_table(3, 2))
-    assert np.array_equal(cached, fresh)
+    block = generate_dependency_constraints(3, 4)
+    assert block is generate_dependency_constraints(3, 4)
+    assert not block.flags.writeable
     problem = build_lifted_problem(system, values, 4)
-    assert np.array_equal(problem.operator[NUM_EQS:], fresh)
+    assert np.array_equal(problem.operator[NUM_EQS:], block)
     assert not problem.operator.flags.writeable
 
 

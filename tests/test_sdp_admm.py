@@ -212,6 +212,22 @@ class TestProjectAffine:
         assert np.shares_memory(cache.row_mat_raw, problem.operator)
         assert np.shares_memory(cache.rhs_raw, problem.values)
 
+    @pytest.mark.parametrize("make", [
+        lambda: planted_problem(5, 50, 4, 2)[0], lambda: list(inconsistent_systems())[1],
+        arbitrary_cells_from_json], ids=["nlbp", "qbp", "split_cells_from_json"])
+    def test_fit_is_the_least_squares_fit_by_the_merged_rows(self, make):
+        # the multipliers G^-1 R_c Pi x and the fit Pi^T R_c^T u, written out
+        # on the cache's own arrays, bit for bit
+        problem = make()
+        cache = problem.affine
+        X = np.random.default_rng(5).normal(size=(problem.dim, problem.dim))
+        x = packed_index(problem.dim).svec(X)
+        u = cache.gram_pinv @ (cache.row_mat @ np.bincount(cache.column, x))
+        fitted = (cache.row_mat.T @ u)[cache.column]
+        got_u, got_fitted = cache.fit(x)
+        assert np.array_equal(got_u, u)
+        assert np.array_equal(got_fitted, fitted)
+
     def test_rows_are_half_width(self):
         # packed raw rows, and svec rows merged into fewer columns: spread
         # back over the dim (dim + 1) / 2 cells they are the unit-norm svec
@@ -243,8 +259,8 @@ class TestProjectAffine:
         x = np.random.default_rng(n + order).normal(size=n)
         values = [p.evaluate(x)[0] for p in polys]
         basis = exponent_table(n, order // 2)
-        structural = generate_dependency_constraints(basis)
-        rows_raw = np.stack([polynomial_to_quadratic_form(p, basis) for p in polys]
+        structural = generate_dependency_constraints(n, order)
+        rows_raw = np.stack([polynomial_to_quadratic_form(p, order) for p in polys]
                             + list(structural))
         rhs_raw = np.array(values + [1.0] + [0.0] * (len(structural) - 1))
         problem = build_lifted_problem(stack(polys), values, order)
