@@ -137,12 +137,15 @@ def checked_float(value) -> float:
 
 def checked_int(value, low: int, high: int | None = None) -> int:
     """An integer in [low, high) read from a file. Integral floats such as
-    2.0 are accepted; a fraction is rejected rather than truncated."""
-    number = float(_json_number(value))
-    if not number.is_integer() or number < low or (high is not None and number >= high):
+    2.0 are accepted; a fraction is rejected rather than truncated, and an
+    int is taken as it is, not rounded through a float."""
+    number = _json_number(value)
+    if isinstance(number, float) and number.is_integer():
+        number = int(number)
+    if not isinstance(number, int) or number < low or (high is not None and number >= high):
         bounds = f"[{low}, {high})" if high is not None else f">= {low}"
         raise ValueError(f"expected an integer {bounds}, got {value!r}")
-    return int(number)
+    return number
 
 
 def system_from_json(polynomials: list) -> PolySystem:

@@ -20,10 +20,12 @@ is one linear map on that matrix, held as a single read-only
 of the symmetric constraint matrix C_i row by row, with the matrix's own
 values: the cells the lifted JSON stores. ``packed_index`` maps between that
 layout and dense matrices; the solver and the certificate read one
-factored operator per problem, ``LiftedProblem.affine``, which merges the
-cells that no row tells apart (the cells of one moment class on one side of
-the diagonal, in a lift) into one column each. The solver projects through
-it (``AffineCache.project``) and the certificate fits through it
+factored operator per problem, ``LiftedProblem.affine``. It merges into
+one column the off-diagonal cells of each moment class above the basis
+degree, which no row of a lift tells apart: a rule on the shape alone
+(``_merge_map``). An operator made by hand whose rows split such a class
+gets one column per cell instead. The solver projects through it
+(``AffineCache.project``) and the certificate fits through it
 (``AffineCache.fit``); neither reads its merged layout.
 """
 
@@ -221,19 +223,21 @@ class AffineCache:
     ``PackedIndex``): dim (dim + 1) / 2 columns whose inner products are
     those of the full dim x dim matrices. A lifted data row gives every
     cell of a moment class (``_cell_map``) on one side of the diagonal the
-    same entry, and only the dependency rows (X[k, l] = X[0, i]) tell such
-    cells apart. So ``build`` merges each such group of cells on which every
-    row has one entry (an exact == test) into one column, and keeps a
-    column per cell of a group some row splits: R = R_c Pi, Pi the 0/1
-    (G, dim (dim + 1) / 2) matrix that sums each column's cells (``column``
-    maps cell to column), and ``row_mat`` is R_c, 559 columns instead of
-    1035 at n = 8. The projection is x - Pi^T R_c^T G^-1 (R_c Pi x - rhs),
-    with G = R R^T = R_c D R_c^T, D = Pi Pi^T the cell counts: exactly the
-    projection onto the rows R, with one ``bincount`` for Pi x and one
-    gather for Pi^T. An operator with no group to merge, such as the QBP
-    lift (its classes are single cells) or a file's arbitrary cells, gets
-    the identity map and R_c = R bit for bit. Outside this class the
-    merged layout is read only through ``project`` and ``fit``.
+    same entry, and the dependency rows (X[k, l] = X[0, i]) touch only the
+    classes of degree <= order / 2. So ``build`` merges the off-diagonal
+    cells of each class above that degree into one column (``_merge_map``,
+    a rule on the shape (n, order)) and keeps a column per other cell:
+    R = R_c Pi, Pi the 0/1 (G, dim (dim + 1) / 2) matrix that sums each
+    column's cells (``column`` maps cell to column), and ``row_mat`` is
+    R_c, 559 columns instead of 1035 at n = 8. The projection is
+    x - Pi^T R_c^T G^-1 (R_c Pi x - rhs), with G = R R^T = R_c D R_c^T,
+    D = Pi Pi^T the cell counts: exactly the projection onto the rows R,
+    with one ``bincount`` for Pi x and one gather for Pi^T. ``build``
+    checks that every row has one entry on each merged column's cells (an
+    exact == test); an operator made by hand that splits one, such as a
+    file's arbitrary cells, gets the identity map and R_c = R bit for bit,
+    as does the QBP lift, whose classes are single cells. Outside this
+    class the merged layout is read only through ``project`` and ``fit``.
 
     The rows are normalized to unit Frobenius norm (the feasible set, and
     hence the projection, is unchanged), and the constraint Gram matrix G
@@ -265,15 +269,17 @@ class AffineCache:
     def build(cls, problem: LiftedProblem) -> "AffineCache":
         rows_raw = problem.operator
         rhs_raw = problem.values
-        n, half = problem.num_vars, problem.order // 2
-        # a group merges when every row has one entry on it; a lift of
-        # degree 2 has no group of two cells, and nothing to test
-        _, left, right = _cell_groups(n, half)
-        agree = np.ones(len(left), dtype=bool)
-        for block in _row_blocks(rows_raw) if len(left) else ():
+        column, first, gain, unroot, merged, lead = _merge_map(
+            problem.num_vars, problem.order // 2)
+        # every row of a lift agrees on the merged cells (a lift of degree 2
+        # has none); an operator made by hand may split them, and then every
+        # cell keeps its own column
+        for block in _row_blocks(rows_raw) if len(merged) else ():
             part = rows_raw[block]
-            agree &= (part[:, left] == part[:, right]).all(axis=0)
-        column, first, gain, unroot = _merge_map(n, half, agree.tobytes())
+            if not (part[:, merged] == part[:, lead]).all():
+                column = first = np.arange(len(column))
+                gain, unroot = packed_index(problem.dim).weight, 1.0
+                break
         # R_c D^(1/2), whose norms and Gram matrix are those of R; under the
         # identity map gain is the svec weight, and these are R's bits
         rows = np.take(rows_raw, first, axis=1)  # C order, as the norms need
@@ -358,62 +364,37 @@ def _cell_map(n: int, half_degree: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 @functools.lru_cache(maxsize=None)
-def _cell_groups(n: int, half_degree: int) -> tuple[np.ndarray, ...]:
-    """The packed cells grouped by moment class (``_cell_map``) and by side
-    of the diagonal: a lifted data row gives every cell of a group the same
-    entry, the class's coefficient over its pair count, halved off the
-    diagonal.
+def _merge_map(n: int, half_degree: int) -> tuple[np.ndarray, ...]:
+    """The merged columns of a lift on the basis of (n, half_degree): the
+    off-diagonal cells of each moment class (``_cell_map``) above the basis
+    degree share one column, and every other cell keeps its own (see
+    ``AffineCache``). Columns are numbered in the order of their first
+    cells, found by ``np.minimum.at`` rather than ``np.unique``, whose sort
+    kernels a solve never otherwise runs: loading their code adds about
+    0.25 MB to a process's peak RSS.
 
-    ``group`` is each cell's group, numbered by the group's first cell, and
-    the pairs of cells (``left[k]``, ``right[k]``) chain the cells of every
-    group of two or more: a row has one entry on each group exactly when
-    it has equal entries on each pair. The groups are found in one dict
-    pass, not by ``np.unique``, whose sort kernels a solve never otherwise
-    runs: loading their code adds about 0.25 MB to a process's peak RSS.
+    Returns, per cell, ``column``; per column, ``first``, its first cell,
+    ``gain``, that cell's svec weight times the square root of the column's
+    cell count, and ``unroot``, one over that square root; and the pairs of
+    cells (``merged[k]``, ``lead[k]``), each merged cell after the first of
+    its column and that first cell, on which every row of a lift agrees.
     """
-    column, _, share = _cell_map(n, half_degree)
-    first, last = {}, {}
-    group, left, right = [], [], []
-    for cell, key in enumerate(zip(column.tolist(), share.tolist())):
-        group.append(first.setdefault(key, cell))
-        if key in last:
-            left.append(last[key])
-            right.append(cell)
-        last[key] = cell
-    out = tuple(np.array(a, dtype=np.intp) for a in (group, left, right))
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
-@functools.lru_cache(maxsize=64)
-def _merge_map(n: int, half_degree: int, agree: bytes) -> tuple[np.ndarray, ...]:
-    """The merged columns of a packed operator on the basis of (n,
-    half_degree), given ``agree``: the bytes of a bool per chained pair of
-    cells (``_cell_groups``), true when every row has equal entries on it.
-
-    A group whose pairs all agree becomes one column, and a group that some
-    row splits keeps a column per cell. Columns are numbered in the order of
-    their first cells, so an operator that leaves no group of two or more
-    cells whole gets the identity map. Returns, per cell, ``column``; per
-    column, ``first``, its first cell, ``gain``, that cell's svec weight
-    times the square root of the column's cell count, and ``unroot``, one
-    over that square root. Cached: the rows of a plain lift split the same
-    groups every time (its dependency rows), so each build after the first
-    of its shape is a lookup, which saves about a tenth of an n = 5 build.
-    """
-    group, left, _ = _cell_groups(n, half_degree)
-    split = np.zeros(len(group), dtype=bool)
-    split[group[left[~np.frombuffer(agree, dtype=bool)]]] = True
-    cells = np.arange(len(group))
-    lead = np.where(split[group], cells, group)  # the first cell of each cell's column
+    dim = len(exponent_table(n, half_degree))
+    classes, _, share = _cell_map(n, half_degree)
+    cells = np.arange(len(classes))
+    shared = np.flatnonzero((share < 1.0) & (classes >= dim))
+    lead_of = np.full(classes.max() + 1, len(cells))
+    np.minimum.at(lead_of, classes[shared], shared)
+    lead = cells.copy()
+    lead[shared] = lead_of[classes[shared]]
     first = np.flatnonzero(lead == cells)
     number = np.empty_like(cells)
     number[first] = np.arange(len(first))
     column = number[lead]
     root = np.sqrt(np.bincount(column))
-    weight = packed_index(len(exponent_table(n, half_degree))).weight
-    out = (column, first, weight[first] * root, 1.0 / root)
+    merged = np.flatnonzero(lead != cells)
+    out = (column, first, packed_index(dim).weight[first] * root, 1.0 / root,
+           merged, lead[merged])
     for a in out:
         a.setflags(write=False)
     return out

@@ -250,6 +250,9 @@ class PolySystem:
         cols = list(support)
         if not cols or any(a >= b for a, b in zip(cols, cols[1:])):
             raise ValueError(f"support must be non-empty and increasing, got {cols}")
+        for j in cols:
+            if not 0 <= j < self.num_vars:
+                raise ValueError(f"support entry {j} is outside [0, {self.num_vars})")
         others = np.setdiff1d(np.arange(self.num_vars), cols)
         keep = ~self.exponents[:, others].any(axis=1)
         return PolySystem(len(cols), self.degree, self.coeffs[:, keep],

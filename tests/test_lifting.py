@@ -243,6 +243,17 @@ class TestDependencyGeneration:
             )
             assert found, f"missing dependency for entries {k} * {l} -> {i}"
 
+    @pytest.mark.parametrize("n, order", [(n, order) for order in (2, 4) for n in range(1, 9)]
+                             + [(n, 6) for n in range(1, 6)] + [(1, 12), (2, 10), (3, 8)])
+    def test_no_dependency_touches_a_class_above_the_basis_degree(self, n, order):
+        # the structural rows tie the basis entries X[0, i] to products of
+        # degree <= order / 2, so every cell whose exponent sum is of higher
+        # degree is zero on them: the lift's merged columns rest on this
+        degree = exponent_table(n, order // 2).sum(axis=1)
+        rows, cols = np.triu_indices(len(degree))
+        block = generate_dependency_constraints(n, order)
+        assert not block[:, degree[rows] + degree[cols] > order // 2].any()
+
     def test_count_is_function_of_shape_only(self):
         # frozen counts: 15 products of degree-one entries over 5 variables
         basis = exponent_table(5, 2)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nlbp.cli import system_from_json
+from nlbp.cli import checked_int, system_from_json
 from nlbp.monomials import (
     PolySystem,
     eval_polynomial,
@@ -303,3 +303,14 @@ class TestJson:
             del broken[0]["terms"][0][key]
             with pytest.raises(KeyError):
                 system_from_json(broken)
+
+    def test_large_exponents_are_not_rounded(self):
+        # 2**53 + 1 rounds to 2**53 as a float: the two terms must stay apart
+        data = json.loads(json.dumps([{"num_vars": 1, "terms": [
+            {"alpha": [2**53 + 1], "coeff": 1.0}, {"alpha": [2**53], "coeff": 2.0}]}]))
+        system = system_from_json(data)
+        assert system.exponents.tolist() == [[2**53], [2**53 + 1]]
+        assert system.coeffs.tolist() == [[2.0, 1.0]]
+        assert system.degree == 2**53 + 1
+        assert checked_int(2**53 + 1, 0) == 2**53 + 1
+        assert checked_int(2.0, 0) == 2 and type(checked_int(2.0, 0)) is int

@@ -359,6 +359,15 @@ def test_restrict_keeps_the_terms_inside_the_support():
         system.restrict((3, 1))
 
 
+def test_restrict_refuses_a_variable_outside_the_system():
+    # -1 would index the last variable and 5 past the end of a 3-variable table
+    system = system_of(3, {(0, 0, 0): 1.0, (1, 0, 0): 2.0, (0, 0, 1): 3.0})
+    with pytest.raises(ValueError, match="entry -1 "):
+        system.restrict([-1])
+    with pytest.raises(ValueError, match="entry 5 "):
+        system.restrict([0, 5])
+
+
 def test_dependency_constraints_are_shared_and_read_only():
     _, (system, _, values) = trial(3)
     block = generate_dependency_constraints(3, 4)

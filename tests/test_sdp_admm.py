@@ -96,15 +96,29 @@ def spread_rows(cache):
     return cache.row_mat[:, cache.column]
 
 
-def assert_merge_is_exact(problem):
-    """Every merged column's cells lie in one moment class on one side of
-    the diagonal, and every row has one entry on them."""
-    cache = problem.affine
-    column_of, _, share = _cell_map(problem.num_vars, problem.order // 2)
-    for c in range(cache.row_mat.shape[1]):
-        cells = np.flatnonzero(cache.column == c)
-        assert len(set(column_of[cells])) == 1 and len(set(share[cells])) == 1
-        assert (problem.operator[:, cells] == problem.operator[:, cells[:1]]).all()
+def searched_merge(problem):
+    """The merged columns found by search: the cells grouped by moment class
+    and side of the diagonal, a group one column exactly when all of its
+    operator columns are equal and a column per cell otherwise, the columns
+    numbered in the order of their first cells."""
+    classes, _, share = _cell_map(problem.num_vars, problem.order // 2)
+    groups = {}
+    for cell, key in enumerate(zip(classes.tolist(), share.tolist())):
+        groups.setdefault(key, []).append(cell)
+    lead = np.arange(len(classes))
+    for cells in groups.values():
+        if (problem.operator[:, cells] == problem.operator[:, cells[:1]]).all():
+            lead[cells] = cells[0]
+    return np.searchsorted(np.unique(lead), lead)
+
+
+@pytest.mark.parametrize("n, order", [(n, order) for order in (2, 4) for n in range(1, 9)]
+                         + [(n, 6) for n in range(1, 6)])
+def test_lift_merges_exactly_the_groups_no_row_splits(n, order):
+    # the shape rule merges the off-diagonal cells of each class above the
+    # basis degree; on a lift that is every group the search finds unsplit
+    problem = planted_problem(n, 3, order, n + order)[0]
+    assert np.array_equal(problem.affine.column, searched_merge(problem))
 
 
 def split_by_an_extra_row():
@@ -273,7 +287,7 @@ class TestProjectAffine:
 
         cache = problem.affine
         assert cache.row_mat.shape[1] == {2: 21, 5: 151, 8: 559}[n if order == 4 else 2]
-        assert_merge_is_exact(problem)
+        assert np.array_equal(cache.column, searched_merge(problem))
         if order == 2:
             assert np.array_equal(cache.column, np.arange(len(i)))
             assert np.array_equal(cache.row_mat, svec_rows)
@@ -298,31 +312,19 @@ class TestProjectAffine:
         lambda: list(inconsistent_systems())[1]],
         ids=["split_by_an_extra_row", "arbitrary_cells_from_json", "ill_conditioned", "qbp"])
     def test_any_operator_projects_like_the_svec_formula(self, make):
-        # the merge rule on operators that are not plain lifts: a row that
-        # splits a class keeps that class's cells apart, and an operator
-        # with nothing to merge gets the identity map and the formula's bits
+        # operators that are not plain lifts merge nothing: a row that splits
+        # a merged class (x1 (x1 x2) apart from x2 x1^2) sends the operator
+        # to the identity map, and the projection is the formula's bits
         problem = make()
         cache = problem.affine
-        assert_merge_is_exact(problem)
-        identity = problem.dim * (problem.dim + 1) // 2 == cache.row_mat.shape[1]
-        if make is split_by_an_extra_row:
-            cell = packed_index(problem.dim).cell
-            # x1 (x1 x2) and x2 x1^2 are split, x1 x2^2 and x2 (x1 x2) merged
-            assert cache.column[cell[1, 4]] != cache.column[cell[2, 3]]
-            assert cache.column[cell[1, 5]] == cache.column[cell[2, 4]]
-            assert not identity
-        else:
-            assert identity
+        assert np.array_equal(cache.column, np.arange(len(cache.column)))
         svec_rows, rhs, pinv = written_out(problem)
+        assert np.array_equal(cache.row_mat, svec_rows)
         rng = np.random.default_rng(22)
         for _ in range(3):
             x = rng.normal(size=svec_rows.shape[1])
             expected = x - svec_rows.T @ (pinv @ (svec_rows @ x - rhs))
-            ours = cache.project(x)
-            if identity:
-                assert np.array_equal(ours, expected)
-            else:
-                assert np.max(np.abs(ours - expected)) <= 1e-14 * np.max(np.abs(expected))
+            assert np.array_equal(cache.project(x), expected)
 
     def test_full_rank_gram_is_inverted_without_eigh(self, monkeypatch):
         # the NLBP lift's Gram matrix is full rank and well conditioned: a
