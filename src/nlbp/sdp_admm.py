@@ -63,7 +63,9 @@ that one distance check. An input outside the anchor's reach is proven
 afresh, and becomes the anchor when the margin proof holds; when only the
 plain proof holds, the anchor stays. So every input the plain proof accepts
 is still accepted, and the outputs are those of the plain proof bit for bit
-wherever both accept.
+wherever both accept. Until the first anchor the plain proof runs first,
+so that an early input with two positive eigenvalues costs one
+factorization, not two.
 
 The loop runs on packed vectors, the svec form in which SCS keeps its PSD
 cone variables (O'Donoghue et al., J. Optim. Theory Appl. 2016): a symmetric
@@ -342,13 +344,18 @@ def _prove_inertia(sym: np.ndarray, lam: float, v: np.ndarray,
     within ``proof``'s margin of its anchor, else the Cholesky factorization
     of 2 lam v v^T - sym - delta I, delta = lam / 100, which on success
     becomes the new anchor, and when that fails (or without a proof) the
-    plain one of 2 lam v v^T - sym."""
-    if proof is not None and proof.anchor is not None:
-        if _norm(sym - proof.anchor) < proof.margin:
-            return
+    plain one of 2 lam v v^T - sym. Before a solve's first anchor the plain
+    proof runs first and the margin one only once it holds: the inputs of
+    the first iterations mostly have two positive eigenvalues, which both
+    proofs refuse."""
+    anchored = proof is not None and proof.anchor is not None
+    if anchored and _norm(sym - proof.anchor) < proof.margin:
+        return
     w = math.sqrt(2.0 * lam) * v
     gap = w[:, None] * w - sym
     if proof is not None:
+        if not anchored:
+            _cholesky(gap)
         diagonal = gap.reshape(-1)[::len(v) + 1]
         plain = diagonal.copy()
         margin = _PROOF_MARGIN * lam
@@ -356,6 +363,8 @@ def _prove_inertia(sym: np.ndarray, lam: float, v: np.ndarray,
         try:
             _cholesky(gap)
         except np.linalg.LinAlgError:
+            if not anchored:
+                return
             diagonal[...] = plain
         else:
             proof.anchor, proof.margin = sym.copy(), margin

@@ -67,7 +67,9 @@ def anchored(top, negatives, seed):
     proof = InertiaProof()
     with counting("cholesky") as calls:
         project_psd(A, start, proof=proof)
-    assert calls["cholesky"] == 1  # the margin proof held
+    # before the first anchor the plain proof runs first, then the margin
+    # proof, which held
+    assert calls["cholesky"] == 2
     assert proof.anchor is not None and np.array_equal(proof.anchor, A)
     return A, start, proof
 
@@ -158,3 +160,17 @@ def test_the_plain_proof_still_runs_when_the_margin_proof_fails():
     assert proof.anchor is None
     assert np.array_equal(out, project_psd(A, start))
     assert np.linalg.norm(out - project_psd(A)) <= 1e-12 * np.linalg.norm(A)
+
+
+def test_before_the_first_anchor_a_refusal_costs_one_factorization():
+    # two positive eigenvalues: the plain proof, which runs first while the
+    # solve has no anchor, refuses the input, and the margin proof is not
+    # tried; the full eigendecomposition gives the projection
+    A, q = with_spectrum([5.0, 2.0] + list(np.linspace(-3.0, -0.5, DIM - 2)), 9)
+    A = symmetric(A)
+    proof = InertiaProof()
+    with counting("cholesky", "eigh") as calls:
+        out = project_psd(A, np.outer(q[:, 0], q[:, 0]), proof=proof)
+    assert calls == {"cholesky": 1, "eigh": 1}
+    assert proof.anchor is None
+    assert np.array_equal(out, project_psd(A))
