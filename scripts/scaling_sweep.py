@@ -26,8 +26,12 @@ start), the warm cone steps that still ran the full ``eigh``
 factorization nor ``eigh`` because the solve's inertia proof covered them
 (``proof_reuses_per_solve``), the cache build's ``np.linalg.cholesky`` and
 ``np.linalg.eigh`` calls (``build_cholesky_per_solve``,
-``build_eigh_per_solve``), and the
-minor page faults of each trial (``getrusage``). Each size runs one
+``build_eigh_per_solve``; a lift's folded Gram matrix is inverted by one
+Schur split, which factors its leading block and that block's complement,
+so a full-rank lift of order 4 counts 2 Cholesky calls and an operator
+that folds nothing 1), the shape of the factored operator the last build
+made (``affine_rows`` and ``affine_cols``, ``AffineCache.row_mat``), and
+the minor page faults of each trial (``getrusage``). Each size runs one
 untimed warm-up trial first, so per-key caches are built outside the
 figures. Times are read on the process's CPU clock, which leaves out the
 time the host takes the CPU away. Figures are means per trial; each
@@ -83,6 +87,7 @@ def measure(n: int, num_eqs: int, trials: int, seed: int) -> dict:
     totals = dict.fromkeys(PHASES + LOOP_PARTS, 0.0)
     counts = dict.fromkeys(COUNTS, 0)
     phase = [None]  # "build", "cone" or "warm" (a cone step with a start)
+    shape = [0, 0]  # the last build's row_mat
     marks: list[tuple[float, int]] = []
     wrapped = {"sample_trial": harness, "build_lifted_problem": baselines,
                "solve_nlbp": baselines, "refine_solution": baselines,
@@ -103,7 +108,9 @@ def measure(n: int, num_eqs: int, trials: int, seed: int) -> dict:
     def building(cls, problem):
         phase[0] = "build"
         try:
-            return build.__func__(cls, problem)
+            cache = build.__func__(cls, problem)
+            shape[:] = cache.row_mat.shape
+            return cache
         finally:
             phase[0] = None
 
@@ -169,6 +176,7 @@ def measure(n: int, num_eqs: int, trials: int, seed: int) -> dict:
     per_trial["rest_us_per_iter"] = per_trial["admm_us_per_iter"] - sum(
         per_trial[f"{part}_us_per_iter"] for part in LOOP_PARTS)
     per_trial["successes"] = sum(o.success for o in outcomes)
+    per_trial["affine_rows"], per_trial["affine_cols"] = shape
     return per_trial
 
 

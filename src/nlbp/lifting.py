@@ -22,11 +22,14 @@ values: the cells the lifted JSON stores. ``packed_index`` maps between that
 layout and dense matrices; the solver and the certificate read one
 factored operator per problem, ``LiftedProblem.affine``. It merges into
 one column the off-diagonal cells of each moment class above the basis
-degree, which no row of a lift tells apart: a rule on the shape alone
-(``_merge_map``). An operator made by hand whose rows split such a class
-gets one column per cell instead. The solver projects through it
+degree, which no row of a lift tells apart, and folds into one column the
+cells of each class that a dependency row ties to X[0, i], dropping those
+rows: rules on the shape alone (``_merge_map``, ``_fold_map``). An operator
+made by hand whose rows split a merged class gets one column per cell
+instead, and one whose rows after the normalization row are not the lift's
+dependency block folds nothing. The solver projects through it
 (``AffineCache.project``) and the certificate fits through it
-(``AffineCache.fit``); neither reads its merged layout.
+(``AffineCache.fit``); neither reads its layout.
 """
 
 from __future__ import annotations
@@ -200,17 +203,47 @@ def _row_blocks(rows: np.ndarray):
 _GRAM_CUTOFF = 1e-12
 
 
-def _gram_inverse(gram: np.ndarray) -> np.ndarray | None:
-    """G^-1 when a Cholesky factorization proves the Gram matrix G positive
+def _gram_inverse(gram: np.ndarray, split: bool = False) -> np.ndarray | None:
+    """G^-1 when Cholesky factorizations prove the Gram matrix G positive
     definite and tr(G) tr(G^-1) <= 1 / ``_GRAM_CUTOFF``, so that the
-    pseudo-inverse keeps every eigenvalue; None otherwise."""
+    pseudo-inverse keeps every eigenvalue; None otherwise.
+
+    Unsplit, G itself is factored and inverted. Split, G = [[A, B], [B^T,
+    C]] at half its order is inverted through A and its Schur complement
+    S = C - B^T A^-1 B: G is positive definite exactly when A and S are, so
+    those two are factored and inverted, and the blocks are assembled with
+    matrix products. At order 121 that takes about half the time of the
+    unsplit route, whose bits every operator but a folded one keeps."""
     try:
-        np.linalg.cholesky(gram)
-        inverse = np.linalg.inv(gram)
+        if split and len(gram) > 1:
+            inverse = _split_inverse(gram)
+        else:
+            np.linalg.cholesky(gram)
+            inverse = np.linalg.inv(gram)
     except np.linalg.LinAlgError:
         return None
     if not np.trace(gram) * np.trace(inverse) * _GRAM_CUTOFF <= 1.0:
         return None
+    return inverse
+
+
+def _split_inverse(gram: np.ndarray) -> np.ndarray:
+    """The inverse of ``_gram_inverse``'s split route; raises LinAlgError
+    when a Cholesky factorization of A or of S fails."""
+    h = len(gram) // 2
+    lead, cross, trail = gram[:h, :h], gram[:h, h:], gram[h:, h:]
+    np.linalg.cholesky(lead)
+    lead_inv = np.linalg.inv(lead)
+    solved = lead_inv @ cross  # A^-1 B
+    schur = trail - cross.T @ solved
+    np.linalg.cholesky(schur)
+    schur_inv = np.linalg.inv(schur)
+    corner = solved @ schur_inv  # A^-1 B S^-1
+    inverse = np.empty_like(gram)
+    inverse[:h, :h] = lead_inv + corner @ solved.T
+    inverse[:h, h:] = -corner
+    inverse[h:, :h] = -corner.T
+    inverse[h:, h:] = schur_inv
     return inverse
 
 
@@ -221,35 +254,55 @@ class AffineCache:
 
     The problem's packed rows are weighted into svec rows R (see
     ``PackedIndex``): dim (dim + 1) / 2 columns whose inner products are
-    those of the full dim x dim matrices. A lifted data row gives every
-    cell of a moment class (``_cell_map``) on one side of the diagonal the
-    same entry, and the dependency rows (X[k, l] = X[0, i]) touch only the
-    classes of degree <= order / 2. So ``build`` merges the off-diagonal
-    cells of each class above that degree into one column (``_merge_map``,
-    a rule on the shape (n, order)) and keeps a column per other cell:
-    R = R_c Pi, Pi the 0/1 (G, dim (dim + 1) / 2) matrix that sums each
-    column's cells (``column`` maps cell to column), and ``row_mat`` is
-    R_c, 559 columns instead of 1035 at n = 8. The projection is
-    x - Pi^T R_c^T G^-1 (R_c Pi x - rhs), with G = R R^T = R_c D R_c^T,
-    D = Pi Pi^T the cell counts: exactly the projection onto the rows R,
-    with one ``bincount`` for Pi x and one gather for Pi^T. ``build``
-    checks that every row has one entry on each merged column's cells (an
-    exact == test); an operator made by hand that splits one, such as a
-    file's arbitrary cells, gets the identity map and R_c = R bit for bit,
-    as does the QBP lift, whose classes are single cells. Outside this
-    class the merged layout is read only through ``project`` and ``fit``.
+    those of the full dim x dim matrices. They are factored through G
+    columns: ``column`` maps each cell to its column and ``coef`` gives the
+    cell's weight in it, so that the column coordinates of a packed vector
+    x are y = E x = ``bincount(column, x * coef)``, and ``row_mat`` holds
+    the rows R_c on those columns. Two rules on the shape (n, order) alone
+    set the columns of a lift:
 
-    The rows are normalized to unit Frobenius norm (the feasible set, and
-    hence the projection, is unchanged), and the constraint Gram matrix G
-    is inverted once; ``gram_pinv`` is that (pseudo-)inverse, formed once
-    so that a projection applies it in one matvec. When a Cholesky
-    factorization proves G positive definite and tr(G) tr(G^-1) <= 1e12,
-    ``gram_pinv`` is the plain inverse: the trace product bounds the
-    condition number, so the eigenvalue cutoff below would have kept every
-    eigenvalue. The NLBP lift's Gram matrices take this route (condition
-    numbers 9-19 on the seeded ensembles). Otherwise G is eigendecomposed
-    with the relative cutoff 1e-12, so that linearly dependent constraints,
-    such as those of the degree-2 QBP lift, are handled by pseudo-inversion.
+    * merging (``_merge_map``): a lifted data row gives every cell of a
+      moment class (``_cell_map``) on one side of the diagonal the same
+      entry, and the dependency rows touch only the classes of degree
+      <= order / 2. So the off-diagonal cells of each class above that
+      degree share a column whose coef is 1: R = R_c E on them, and the
+      projection x - E^T R_c^T G^-1 (R_c E x - rhs), G = R R^T, is exactly
+      the projection onto the rows R. ``build`` checks that every row has
+      one entry on each merged column's cells (an exact == test); an
+      operator made by hand that splits one, such as a file's arbitrary
+      cells, gets the identity map and R_c = R bit for bit, as does the QBP
+      lift, whose classes are single cells.
+    * folding (``_fold_map``): the dependency rows X[k, l] = X[0, i], whose
+      right-hand sides are 0, say that the cells of each class they touch
+      hold one value. When the rows after the normalization row are the
+      lift's dependency block bit for bit, ``build`` drops them and gives
+      each such class one column along its unit svec direction q (coef is
+      q on its cells). The affine set lies in the subspace V those rows
+      leave, so projecting onto it projects P_V x, which is x off the
+      folded cells and (q . x) q on each folded class: with
+      c = R_c^T G^-1 (R_c y - rhs), the projection is x - c[column] off the
+      folded cells and (y - c)[column] * coef on them. It is the projection
+      onto all the rows, and ``fit`` is their least-squares fit, whose
+      multipliers on the dropped rows the right-hand sides 0 do not weigh
+      in the dual value. At n = 8 ``row_mat`` is 121 x 523 instead of
+      157 x 1035 (559 columns merged), at n = 5 51 x 136. ``folded`` lists
+      the folded cells, none on an operator that does not match.
+
+    Outside this class the layout is read only through ``project`` and
+    ``fit``. The rows are normalized to unit Frobenius norm, that of the
+    full svec row (the feasible set, and hence the projection, is
+    unchanged), and the Gram matrix G is inverted once; ``gram_pinv`` is
+    that (pseudo-)inverse, formed once so that a projection applies it in
+    one matvec. When Cholesky factorizations prove G positive definite and
+    tr(G) tr(G^-1) <= 1e12, ``gram_pinv`` is the plain inverse: the trace
+    product bounds the condition number, so the eigenvalue cutoff below
+    would have kept every eigenvalue. A folded Gram matrix is inverted by
+    one Schur split (``_gram_inverse``); one that this does not prove
+    full rank sends the build back to the unfolded rows. The NLBP lift's
+    Gram matrices take the full-rank route (condition numbers 9-19 on the
+    seeded ensembles). Otherwise G is eigendecomposed with the relative
+    cutoff 1e-12, so that linearly dependent constraints, such as those of
+    the degree-2 QBP lift, are handled by pseudo-inversion.
     ``infeasibility_lb`` is a provable lower bound on
     max_i |trace(C_i X) - v_i| over all X; it is zero (up to roundoff)
     exactly when the constraint system is consistent, and exactly zero on
@@ -257,12 +310,14 @@ class AffineCache:
     """
 
     dim: int
-    row_mat: np.ndarray          # (M, G) normalized merged svec rows R_c
-    rhs: np.ndarray              # (M,) normalized right-hand sides
+    row_mat: np.ndarray          # (M', G) normalized rows R_c, M' <= M
+    rhs: np.ndarray              # (M',) normalized right-hand sides
     row_mat_raw: np.ndarray      # (M, dim*(dim+1)/2) view of problem.operator
     rhs_raw: np.ndarray          # (M,) view of problem.values
-    gram_pinv: np.ndarray = field(repr=False)  # (M, M)
+    gram_pinv: np.ndarray = field(repr=False)  # (M', M')
     column: np.ndarray = field(repr=False)     # (dim*(dim+1)/2,) cell -> column
+    coef: np.ndarray = field(repr=False)       # (dim*(dim+1)/2,) cell -> weight
+    folded: tuple = field(repr=False)          # cells, their columns, coefs
     infeasibility_lb: float = 0.0
 
     @classmethod
@@ -271,29 +326,30 @@ class AffineCache:
         rhs_raw = problem.values
         column, first, gain, unroot, merged, lead = _merge_map(
             problem.num_vars, problem.order // 2)
+        fold = _fold_map(problem.num_vars, problem.order // 2)
+        keep = problem.num_data + 1
+        if (fold is not None and not rhs_raw[keep:].any()
+                and np.array_equal(rows_raw[keep:], fold.dependencies)):
+            checked = rows_raw[:keep]  # dependency rows are 0 on merged cells
+        else:
+            fold, checked = None, rows_raw
         # every row of a lift agrees on the merged cells (a lift of degree 2
         # has none); an operator made by hand may split them, and then every
         # cell keeps its own column
-        for block in _row_blocks(rows_raw) if len(merged) else ():
-            part = rows_raw[block]
+        for block in _row_blocks(checked) if len(merged) else ():
+            part = checked[block]
             if not (part[:, merged] == part[:, lead]).all():
                 column = first = np.arange(len(column))
                 gain, unroot = packed_index(problem.dim).weight, 1.0
                 break
+        else:
+            folded = None if fold is None else cls._folded(problem, fold)
+            if folded is not None:
+                return folded
         # R_c D^(1/2), whose norms and Gram matrix are those of R; under the
         # identity map gain is the svec weight, and these are R's bits
-        rows = np.take(rows_raw, first, axis=1)  # C order, as the norms need
-        rows *= gain
-        # np.linalg.norm(rows, axis=1) bit for bit, but squaring a block of
-        # rows at a time instead of the whole matrix
-        norms = np.empty(len(rows))
-        for block in _row_blocks(rows):
-            part = rows[block]
-            norms[block] = np.sqrt(np.add.reduce(part * part, axis=1))
-        scale = np.where(norms > 0, norms, 1.0)
-        rows /= scale[:, None]
+        rows, scale = _unit_rows(rows_raw, first, gain)
         rhs = rhs_raw / scale
-
         gram = rows @ rows.T
         rows *= unroot  # R_c, the common entry of each column's cells
         gram_pinv = _gram_inverse(gram)
@@ -313,24 +369,57 @@ class AffineCache:
             lb = float(scale.min() * np.linalg.norm(rhs - proj)) / np.sqrt(len(rhs))
         return cls(dim=problem.dim, row_mat=rows, rhs=rhs, row_mat_raw=rows_raw,
                    rhs_raw=rhs_raw, gram_pinv=gram_pinv, column=column,
+                   coef=np.ones(len(column)), folded=_NOTHING_FOLDED,
                    infeasibility_lb=lb)
+
+    @classmethod
+    def _folded(cls, problem: LiftedProblem, fold: _Fold) -> "AffineCache | None":
+        """The folded cache (see above) of a problem whose rows after the
+        normalization row are ``fold.dependencies``, with right-hand sides 0;
+        None when the Schur split does not prove its Gram matrix full rank."""
+        keep = problem.num_data + 1
+        rows, scale = _unit_rows(problem.operator[:keep], fold.first, fold.gain)
+        unfolded = len(fold.unroot) - fold.basis.shape[1]
+        rows = np.concatenate((rows[:, :unfolded], rows[:, unfolded:] @ fold.basis),
+                              axis=1)
+        gram_pinv = _gram_inverse(rows @ rows.T, split=True)
+        if gram_pinv is None:
+            return None
+        rows *= fold.unroot
+        return cls(dim=problem.dim, row_mat=rows, rhs=problem.values[:keep] / scale,
+                   row_mat_raw=problem.operator, rhs_raw=problem.values,
+                   gram_pinv=gram_pinv, column=fold.column, coef=fold.coef,
+                   folded=fold.folded)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Frobenius projection of the packed svec vector x (the solver's
         coordinates, see ``PackedIndex``) onto the affine constraint set:
-        x - Pi^T R_c^T G^-1 (R_c Pi x - rhs), Pi x a ``bincount`` and Pi^T a
-        gather."""
+        x - c[column], c = R_c^T G^-1 (R_c y - rhs) and y = E x a
+        ``bincount``, with (y - c)[column] * coef on the folded cells."""
         column = self.column
-        return x - self.row_mat.T.dot(self.gram_pinv.dot(
-            self.row_mat.dot(np.bincount(column, x)) - self.rhs))[column]
+        cells, columns, weights = self.folded
+        y = np.bincount(column, x * self.coef)
+        c = self.row_mat.T.dot(self.gram_pinv.dot(self.row_mat.dot(y) - self.rhs))
+        out = x - c[column]
+        y -= c
+        out[cells] = y[columns] * weights
+        return out
 
     def fit(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Least-squares fit of the packed svec vector x by the normalized
-        rows: the multipliers u = G^-1 R_c Pi x and the fitted vector
-        Pi^T R_c^T u, the projection of x onto the span of the rows."""
+        rows: the multipliers u = G^-1 R_c y, y = E x, of the rows kept, and
+        the fitted vector, the projection of x onto the span of all the
+        rows: c[column], c = R_c^T u, and x - (y - c)[column] * coef on the
+        folded cells."""
         column = self.column
-        u = self.gram_pinv @ (self.row_mat @ np.bincount(column, x))
-        return u, (self.row_mat.T @ u)[column]
+        cells, columns, weights = self.folded
+        y = np.bincount(column, x * self.coef)
+        u = self.gram_pinv @ (self.row_mat @ y)
+        c = self.row_mat.T @ u
+        fitted = c[column]
+        y -= c
+        fitted[cells] = x[cells] - y[columns] * weights
+        return u, fitted
 
     def violation(self, X: np.ndarray) -> float:
         """max_i |trace(C_i X) - v_i| against the original (unscaled) rows,
@@ -339,6 +428,29 @@ class AffineCache:
         vec = X.ravel()
         pairs = (vec[index.upper] + vec[index.lower]) * index.fold
         return float(np.max(np.abs(self.row_mat_raw @ pairs - self.rhs_raw), initial=0.0))
+
+
+# the ``folded`` triple of an operator that folds nothing
+_NOTHING_FOLDED = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
+for _a in _NOTHING_FOLDED:
+    _a.setflags(write=False)
+
+
+def _unit_rows(rows_raw: np.ndarray, cells: np.ndarray,
+               gain: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """The packed ``rows_raw`` read at ``cells`` times ``gain``, in C order,
+    each divided by its norm, and the norms (1 for a zero row)."""
+    rows = np.take(rows_raw, cells, axis=1)
+    rows *= gain
+    # np.linalg.norm(rows, axis=1) bit for bit, but squaring a block of rows
+    # at a time instead of the whole matrix
+    norms = np.empty(len(rows))
+    for block in _row_blocks(rows):
+        part = rows[block]
+        norms[block] = np.sqrt(np.add.reduce(part * part, axis=1))
+    scale = np.where(norms > 0, norms, 1.0)
+    rows /= scale[:, None]
+    return rows, scale
 
 
 @functools.lru_cache(maxsize=None)
@@ -378,6 +490,8 @@ def _merge_map(n: int, half_degree: int) -> tuple[np.ndarray, ...]:
     cell count, and ``unroot``, one over that square root; and the pairs of
     cells (``merged[k]``, ``lead[k]``), each merged cell after the first of
     its column and that first cell, on which every row of a lift agrees.
+    No cell of a class below the basis degree is merged: those that a
+    dependency row ties are folded on top of this map (``_fold_map``).
     """
     dim = len(exponent_table(n, half_degree))
     classes, _, share = _cell_map(n, half_degree)
@@ -396,6 +510,67 @@ def _merge_map(n: int, half_degree: int) -> tuple[np.ndarray, ...]:
     out = (column, first, packed_index(dim).weight[first] * root, 1.0 / root,
            merged, lead[merged])
     for a in out:
+        a.setflags(write=False)
+    return out
+
+
+class _Fold(NamedTuple):
+    """The folded layout of a lift (see ``AffineCache``): per cell, its
+    ``column`` and its weight ``coef`` in it; ``folded``, the folded cells,
+    their columns and their coefs; and ``dependencies``, the rows the fold
+    stands for. ``build`` reads the kept rows at ``first`` times ``gain``,
+    the merged layout's columns (``_merge_map``) with the folded cells
+    last, replaces the folded cells' block by its product with ``basis``,
+    their coefs set in their columns, and scales each column by
+    ``unroot``."""
+
+    dependencies: np.ndarray
+    column: np.ndarray
+    coef: np.ndarray
+    folded: tuple[np.ndarray, np.ndarray, np.ndarray]
+    first: np.ndarray
+    gain: np.ndarray
+    basis: np.ndarray
+    unroot: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _fold_map(n: int, half_degree: int) -> _Fold | None:
+    """The merged columns of ``_merge_map`` with each moment class that a
+    dependency row ties to its cell (0, i) folded into one column: the
+    columns left as they are keep their order, and the folded ones follow
+    in the order of their classes. None when the lift has no dependency row
+    (degree 2)."""
+    block = generate_dependency_constraints(n, 2 * half_degree)
+    if len(block) == 1:
+        return None
+    dim = len(exponent_table(n, half_degree))
+    classes = _cell_map(n, half_degree)[0]
+    column, first, gain, unroot = _merge_map(n, half_degree)[:4]
+    # a dependency row ties the product cell (l, k), l >= 1, of a class
+    # below dim to that class's cell (0, i); no such cell is merged, so each
+    # has a merged column of its own, of gain its svec weight and unroot 1
+    tied = np.zeros(classes.max() + 1, dtype=bool)
+    tied[classes[(np.triu_indices(dim)[0] >= 1) & (classes < dim)]] = True
+    is_folded = tied[classes[first]]
+    kept = np.flatnonzero(~is_folded)
+    cells = first[is_folded]
+    target = (np.cumsum(tied) - 1)[classes[cells]]  # its folded column
+    norms = np.sqrt(np.bincount(target, gain[is_folded] ** 2))
+    weights = gain[is_folded] / norms[target]
+    basis = np.zeros((len(cells), len(norms)))
+    basis[np.arange(len(cells)), target] = weights
+    renumber = np.empty(len(first), dtype=np.intp)
+    renumber[kept] = np.arange(len(kept))
+    renumber[is_folded] = len(kept) + target
+    fold_column = renumber[column]
+    coef = np.ones(len(column))
+    coef[cells] = weights
+    out = _Fold(block[1:], fold_column, coef, (cells, fold_column[cells], weights),
+                np.concatenate((first[kept], cells)),
+                np.concatenate((gain[kept], gain[is_folded])), basis,
+                np.concatenate((unroot[kept], np.ones(len(norms)))))
+    for a in (*out[:3], *out.folded, *out[4:]):
         a.setflags(write=False)
     return out
 

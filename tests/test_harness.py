@@ -429,8 +429,8 @@ class TestGoldenDigests:
     any byte of the solver's output fails here and has to say why."""
 
     @pytest.mark.parametrize("make_spec, digest", [
-        (table1_spec, "033d1275f1ee288ca11ad568eca88508ebe409a20bb378aa1436c5f1c4f35796"),
-        (dense_spec, "936f9e92d9bc60a838ca73fc8919b9de2ffc98570194566e5f8d97e504b30785"),
+        (table1_spec, "121231a3b9cbc451dcb8e509e6e0570fb646102b745bd8833edeaa5d154fbdd5"),
+        (dense_spec, "aa78e7e489f7a6884cf10e3b60c18960b761e9d77b1a1735a6fa6e747caca0dc"),
     ], ids=["table1", "dense"])
     def test_n5_ensembles(self, make_spec, digest):
         # at n = 5 the bytes do not depend on the BLAS thread count: the
@@ -439,13 +439,14 @@ class TestGoldenDigests:
         spec_code = f"{make_spec.__name__}(trials=5, seed=1000)"
         assert [csv_sha256_in_child(spec_code, k) for k in (1, 2)] == [digest, digest]
 
-    def test_sparse_n8_with_one_blas_thread(self):
-        # at n = 8 they do, so the ensemble runs in a child pinned to one
-        # thread, as perfbench pins its workers
+    def test_sparse_n8_with_one_and_two_blas_threads(self):
+        # at n = 8 too, since the lift's dependency rows are folded and its
+        # Gram matrix split: the one-trial ensemble hashes the same in
+        # children pinned to 1 and 2 threads
         spec_code = ("table1_spec(trials=1, seed=1000, num_vars=8, num_equations=120, "
                      "methods=(Method.NLBP,))")
-        assert csv_sha256_in_child(spec_code, 1) == (
-            "7d876804e9ff305f41d1b3021551d13d517e76030bc04771605e30650a58d265")
+        digest = "22bf450f6b217350245a8160d4a47190c4b7f7cbb4119068f78cbe24d2fb1b6b"
+        assert [csv_sha256_in_child(spec_code, k) for k in (1, 2)] == [digest, digest]
 
 
 def test_trial_path_loads_no_scipy():

@@ -19,7 +19,8 @@ TIMED = ("sample_ms", "lift_ms", "cache_build_ms", "polish_ms", "admm_loop_ms",
 COUNTED = ("minor_faults", "cone_cholesky_per_solve", "cone_solve_per_solve",
            "cone_eigh_per_solve", "eigh_fallbacks_per_solve",
            "proof_reuses_per_solve", "build_cholesky_per_solve",
-           "build_eigh_per_solve", "iterations", "successes")
+           "build_eigh_per_solve", "iterations", "successes", "affine_rows",
+           "affine_cols")
 
 
 @pytest.fixture
@@ -54,6 +55,10 @@ def test_measure_reports_every_figure_and_restores_what_it_wraps(sweep):
     assert set(row) == set(TIMED) | set(COUNTED)
     assert row["successes"] == 1
     assert row["iterations"] > 0 and row["cone_eigh_per_solve"] >= 1
+    # the 12 data rows and the normalization row on the folded columns, the
+    # leading block and its complement each factored
+    assert (row["affine_rows"], row["affine_cols"]) == (13, 38)
+    assert row["build_cholesky_per_solve"] == 2 and row["build_eigh_per_solve"] == 0
     # the loop's time splits into the two wrapped steps and the rest
     assert row["cone_us_per_iter"] > 0 and row["affine_us_per_iter"] > 0
     assert row["cone_us_per_iter"] + row["affine_us_per_iter"] + row["rest_us_per_iter"] \

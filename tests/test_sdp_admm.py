@@ -12,6 +12,8 @@ from nlbp.harness import default_trial_config, dense_spec, sample_trial, table1_
 from nlbp.lifting import (
     LiftedProblem,
     _cell_map,
+    _gram_inverse,
+    _merge_map,
     build_lifted_problem,
     generate_dependency_constraints,
     packed_index,
@@ -59,10 +61,13 @@ def project_matrix(cache, X):
 
 
 def inconsistent_systems():
-    """The x = 0, x = 1 clash and a QBP-truncated table1 trial."""
-    yield build_lifted_problem(system_of(1, {(1,): 1.0}, {(1,): 1.0}), [0.0, 1.0], 2)
+    """The x = 0, x = 1 clash, a QBP-truncated table1 trial, and the clash
+    lifted at order 4, whose dependency block matches the fold rule."""
+    clash = system_of(1, {(1,): 1.0}, {(1,): 1.0})
+    yield build_lifted_problem(clash, [0.0, 1.0], 2)
     polys, _, values = sample_trial(table1_spec(trials=1, seed=42), 0)
     yield build_lifted_problem(polys.truncate(2), values, 2)
+    yield build_lifted_problem(clash, [0.0, 1.0], 4)
 
 
 def written_out(problem):
@@ -91,9 +96,27 @@ def written_out(problem):
 
 
 def spread_rows(cache):
-    """The cache's merged rows R_c spread back over the packed cells, R_c Pi:
-    the normalized svec rows, one column per cell."""
-    return cache.row_mat[:, cache.column]
+    """The cache's rows R_c spread back over the packed cells, R_c E: one
+    column per cell, each times its weight in its column."""
+    return cache.row_mat[:, cache.column] * cache.coef
+
+
+def folds(problem):
+    """Whether the problem's cache folds its dependency rows."""
+    return len(problem.affine.folded[0]) > 0
+
+
+def kept_rows(problem):
+    """The written-out normalized svec rows that ``spread_rows`` gives: all
+    of them when the cache folds nothing, else the data and normalization
+    rows projected onto the null space of the dependency rows D, by
+    I - D^+ D."""
+    rows = written_out(problem)[0]
+    if not folds(problem):
+        return rows
+    keep = problem.num_data + 1
+    dependencies = rows[keep:]
+    return rows[:keep] - (rows[:keep] @ np.linalg.pinv(dependencies)) @ dependencies
 
 
 def searched_merge(problem):
@@ -118,7 +141,39 @@ def test_lift_merges_exactly_the_groups_no_row_splits(n, order):
     # the shape rule merges the off-diagonal cells of each class above the
     # basis degree; on a lift that is every group the search finds unsplit
     problem = planted_problem(n, 3, order, n + order)[0]
-    assert np.array_equal(problem.affine.column, searched_merge(problem))
+    assert np.array_equal(_merge_map(n, order // 2)[0], searched_merge(problem))
+
+
+@pytest.mark.parametrize("n, order", [(n, order) for order in (2, 4) for n in range(1, 9)]
+                         + [(n, 6) for n in range(1, 6)])
+def test_lift_projects_and_fits_as_all_of_its_rows(n, order):
+    # a lift of order >= 4 folds its dependency rows and keeps the data and
+    # normalization rows, yet projects and fits as the written-out formula
+    # over all of its rows does, to roundoff, with the same multipliers on
+    # the rows kept and the same dual value; at order 2 there is nothing to
+    # fold, and these are the formula's bits
+    problem = planted_problem(n, 3, order, n + order)[0]
+    cache = problem.affine
+    rows, rhs, pinv = written_out(problem)
+    assert folds(problem) == (order > 2)
+    keep = problem.num_data + 1 if order > 2 else problem.num_constraints
+    assert cache.row_mat.shape[0] == len(cache.rhs) == keep
+    rng = np.random.default_rng(n * order)
+    for _ in range(3):
+        x = rng.normal(size=rows.shape[1])
+        projected = x - rows.T @ (pinv @ (rows @ x - rhs))
+        u = pinv @ (rows @ x)
+        fitted = rows.T @ u
+        got_u, got_fitted = cache.fit(x)
+        if order == 2:
+            assert np.array_equal(cache.project(x), projected)
+            assert np.array_equal(got_u, u) and np.array_equal(got_fitted, fitted)
+            continue
+        for got, expected in ((cache.project(x), projected), (got_fitted, fitted),
+                              (got_u, u[:keep])):
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+        # the dropped rows' right-hand sides are 0
+        assert abs(cache.rhs @ got_u - rhs @ u) <= 1e-14 * np.abs(rhs * u).sum()
 
 
 def split_by_an_extra_row():
@@ -145,6 +200,26 @@ def arbitrary_cells_from_json():
     return lifted_problem_from_json({"num_vars": 2, "order": 4,
                                      "basis": basis.tolist(),
                                      "constraints": constraints})
+
+
+def edited_dependency():
+    """A quartic lift in two variables whose first dependency row has its
+    -1/2 changed to -0.4: no longer the lift's block, so nothing folds."""
+    problem = planted_problem(2, 4, 4, 3)[0]
+    operator = problem.operator.copy()
+    row = operator[problem.num_data + 1]
+    row[np.flatnonzero(row == -0.5)[0]] = -0.4
+    return LiftedProblem(num_vars=2, order=4, num_data=problem.num_data,
+                         operator=operator, values=problem.values)
+
+
+def dependency_off_zero():
+    """A quartic lift in two variables whose last dependency row asks for
+    0.25 instead of 0: nothing folds."""
+    problem = planted_problem(2, 4, 4, 3)[0]
+    return LiftedProblem(num_vars=2, order=4, num_data=problem.num_data,
+                         operator=problem.operator,
+                         values=np.append(problem.values[:-1], 0.25))
 
 
 def ill_conditioned():
@@ -230,34 +305,39 @@ class TestProjectAffine:
         lambda: planted_problem(5, 50, 4, 2)[0], lambda: list(inconsistent_systems())[1],
         arbitrary_cells_from_json], ids=["nlbp", "qbp", "split_cells_from_json"])
     def test_fit_is_the_least_squares_fit_by_the_merged_rows(self, make):
-        # the multipliers G^-1 R_c Pi x and the fit Pi^T R_c^T u, written out
-        # on the cache's own arrays, bit for bit
+        # the multipliers G^-1 R_c E x and the fit, R_c^T u spread over the
+        # cells and x less its part off the fold on the folded ones, written
+        # out on the cache's own arrays, bit for bit
         problem = make()
         cache = problem.affine
         X = np.random.default_rng(5).normal(size=(problem.dim, problem.dim))
         x = packed_index(problem.dim).svec(X)
-        u = cache.gram_pinv @ (cache.row_mat @ np.bincount(cache.column, x))
-        fitted = (cache.row_mat.T @ u)[cache.column]
+        cells, columns, weights = cache.folded
+        y = np.bincount(cache.column, x * cache.coef)
+        u = cache.gram_pinv @ (cache.row_mat @ y)
+        c = cache.row_mat.T @ u
+        fitted = c[cache.column]
+        fitted[cells] = x[cells] - (y - c)[columns] * weights
         got_u, got_fitted = cache.fit(x)
         assert np.array_equal(got_u, u)
         assert np.array_equal(got_fitted, fitted)
 
     def test_rows_are_half_width(self):
-        # packed raw rows, and svec rows merged into fewer columns: spread
-        # back over the dim (dim + 1) / 2 cells they are the unit-norm svec
-        # rows; the raw rows are the problem's own
+        # packed raw rows, and the rows kept (data and normalization) on
+        # fewer columns: spread back over the dim (dim + 1) / 2 cells they
+        # are the unit-norm svec rows projected off the dependency rows; the
+        # raw rows are the problem's own
         problem, _ = planted_problem(2, 4, 4, 3)
         cache = problem.affine
         width = problem.dim * (problem.dim + 1) // 2
         assert cache.row_mat_raw.shape == (problem.num_constraints, width)
         assert np.shares_memory(cache.row_mat_raw, problem.operator)
-        assert cache.column.shape == (width,)
-        assert cache.row_mat.shape == (problem.num_constraints, cache.column.max() + 1)
+        assert cache.column.shape == cache.coef.shape == (width,)
+        assert cache.row_mat.shape == (problem.num_data + 1, cache.column.max() + 1)
         assert np.array_equal(np.unique(cache.column), np.arange(cache.row_mat.shape[1]))
         assert cache.row_mat.shape[1] < width
-        rows = spread_rows(cache)
-        assert np.allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0, atol=1e-14)
-        assert np.allclose(rows, written_out(problem)[0], rtol=0, atol=1e-15)
+        assert folds(problem)
+        assert np.allclose(spread_rows(cache), kept_rows(problem), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("n, order, num_eqs", [(5, 2, 30), (5, 4, 50), (8, 4, 120)])
     def test_matches_cache_of_per_constraint_stack(self, n, order, num_eqs):
@@ -267,8 +347,10 @@ class TestProjectAffine:
         # projected as written out here. The degree-2 lift's classes are
         # single cells: its identity map gives these rows and projections
         # bit for bit. The quartic lifts merge each class's cells on one side
-        # of the diagonal that no dependency row tells apart (151 and 559
-        # columns instead of 231 and 1035), and agree to roundoff.
+        # of the diagonal that no dependency row tells apart, fold each class
+        # a dependency row ties into one column and drop those rows (51 x 136
+        # and 121 x 523 instead of 66 x 231 and 157 x 1035), and agree to
+        # roundoff.
         polys = [random_polynomial(n, order, 7000 + j, 1.0) for j in range(num_eqs)]
         x = np.random.default_rng(n + order).normal(size=n)
         values = [p.evaluate(x)[0] for p in polys]
@@ -286,13 +368,14 @@ class TestProjectAffine:
         weight = np.where(i == j, 1.0, np.sqrt(2.0))
 
         cache = problem.affine
-        assert cache.row_mat.shape[1] == {2: 21, 5: 151, 8: 559}[n if order == 4 else 2]
-        assert np.array_equal(cache.column, searched_merge(problem))
+        assert cache.row_mat.shape == {(5, 2): (31, 21), (5, 4): (51, 136),
+                                       (8, 4): (121, 523)}[n, order]
+        assert np.array_equal(_merge_map(n, order // 2)[0], searched_merge(problem))
         if order == 2:
             assert np.array_equal(cache.column, np.arange(len(i)))
             assert np.array_equal(cache.row_mat, svec_rows)
         else:
-            assert np.allclose(spread_rows(cache), svec_rows, rtol=0, atol=1e-15)
+            assert np.allclose(spread_rows(cache), kept_rows(problem), rtol=0, atol=1e-15)
         rng = np.random.default_rng(n * order)
         for _ in range(3):
             X = rng.normal(size=(d, d))
@@ -326,11 +409,30 @@ class TestProjectAffine:
             expected = x - svec_rows.T @ (pinv @ (svec_rows @ x - rhs))
             assert np.array_equal(cache.project(x), expected)
 
+    @pytest.mark.parametrize("make", [edited_dependency, dependency_off_zero],
+                             ids=["edited_dependency", "dependency_off_zero"])
+    def test_an_edited_dependency_block_is_merged_but_not_folded(self, make):
+        # the fold rule asks for the lift's dependency rows and right-hand
+        # sides 0 exactly; without them every row is kept on the merged
+        # columns, and the projection is the merged formula's bits
+        problem = make()
+        cache = problem.affine
+        assert not folds(problem)
+        assert np.array_equal(cache.column, _merge_map(2, 2)[0])
+        assert cache.row_mat.shape == (problem.num_constraints, cache.column.max() + 1)
+        assert not np.any(cache.coef != 1.0)
+        assert np.allclose(spread_rows(cache), written_out(problem)[0], rtol=0, atol=1e-15)
+        x = np.random.default_rng(23).normal(size=len(cache.column))
+        merged = np.bincount(cache.column, x)
+        step = cache.row_mat.T @ (cache.gram_pinv @ (cache.row_mat @ merged - cache.rhs))
+        assert np.array_equal(cache.project(x), x - step[cache.column])
+
     def test_full_rank_gram_is_inverted_without_eigh(self, monkeypatch):
-        # the NLBP lift's Gram matrix is full rank and well conditioned: a
-        # Cholesky proof and an inverse replace the eigendecomposition
+        # the NLBP lift's folded Gram matrix, over its data and
+        # normalization rows, is full rank and well conditioned: Cholesky
+        # proofs and inverses replace the eigendecomposition
         problem, _ = trial_problem(table1_spec(trials=1, seed=42), 0)
-        M = problem.num_constraints
+        M = problem.num_data + 1
         calls = count_eigh_calls(monkeypatch)
         cache = problem.affine
         monkeypatch.undo()
@@ -377,6 +479,21 @@ class TestProjectAffine:
         pinv = (vecs[:, active] / vals[active]) @ vecs[:, active].T
         assert np.linalg.norm(cache.gram_pinv - pinv) <= 1e-9 * np.linalg.norm(pinv)
 
+    def test_infeasibility_lb_is_that_of_all_the_rows(self):
+        # an inconsistent system's Gram matrix is not full rank, folded or
+        # not, so its cache keeps every row and bounds the violation as the
+        # eigendecomposition of the written-out rows does
+        for problem in inconsistent_systems():
+            cache = problem.affine
+            assert not folds(problem)
+            assert cache.gram_pinv.shape == (problem.num_constraints,) * 2
+            rows, rhs, _ = written_out(problem)
+            vals, vecs = np.linalg.eigh(rows @ rows.T)
+            basis = vecs[:, vals > 1e-12 * vals[-1]]
+            scale = np.linalg.norm(problem.operator * svec_weight(problem.dim), axis=1)
+            lb = scale.min() * np.linalg.norm(rhs - basis @ (basis.T @ rhs)) / np.sqrt(len(rhs))
+            assert cache.infeasibility_lb == pytest.approx(lb, rel=1e-12)
+
     def test_infeasibility_lb_is_a_lower_bound(self):
         # no X, random or least squares, violates some constraint by less
         rng = np.random.default_rng(15)
@@ -390,6 +507,29 @@ class TestProjectAffine:
                 for s in (1e-3, 1.0, 1e3) for _ in range(20)]
             for X in candidates:
                 assert cache.infeasibility_lb <= cache.violation(X)
+
+
+class TestGramInverse:
+    """``_gram_inverse``: the unsplit route every operator but a folded one
+    takes, and the Schur split of a folded Gram matrix."""
+
+    def test_split_is_the_inverse(self):
+        rng = np.random.default_rng(24)
+        for size in range(1, 201):
+            A = rng.normal(size=(size, 2 * size + 1))
+            gram = A @ A.T
+            expected = np.linalg.inv(gram)
+            got = _gram_inverse(gram, split=True)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("gram", [
+        np.diag([-1.0, 2.0, 3.0]), np.diag([2.0, 3.0, -1.0]),
+        np.array([[1.0, 2.0], [2.0, 1.0]]), np.diag([1.0, 1e-13]), np.diag([1e-13, 1.0])],
+        ids=["leading_block_indefinite", "complement_indefinite", "indefinite_2x2",
+             "past_the_cutoff", "past_the_cutoff_leading"])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_refuses_an_indefinite_or_ill_conditioned_gram(self, gram, split):
+        assert _gram_inverse(gram, split=split) is None
 
 
 class TestProjectPsd:
@@ -1337,7 +1477,7 @@ class TestPenaltyBalancing:
 
 class TestProvenInconsistentExit:
     @pytest.mark.parametrize("problem", list(inconsistent_systems()),
-                             ids=["clash", "table1_qbp"])
+                             ids=["clash", "table1_qbp", "clash_order_4"])
     def test_returns_least_squares_iterate_at_iteration_0(self, problem):
         config = SolverConfig(rho=0.5)
         report = solve_nlbp(problem, config)
