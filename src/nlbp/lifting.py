@@ -432,8 +432,6 @@ class AffineCache:
 
 # the ``folded`` triple of an operator that folds nothing
 _NOTHING_FOLDED = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
-for _a in _NOTHING_FOLDED:
-    _a.setflags(write=False)
 
 
 def _unit_rows(rows_raw: np.ndarray, cells: np.ndarray,

@@ -144,7 +144,9 @@ def dual_certificate(problem: LiftedProblem, report: SolveReport,
 
     The least squares is ``problem.affine.fit``, on the normalized svec
     rows; their multiplier u is w times the row norms, so the duality gap
-    pairs u with the normalized right-hand sides. Those rows see only the
+    pairs u with the normalized right-hand sides. u covers the rows the
+    cache keeps; the dependency rows it folds have right-hand sides 0 and
+    add nothing to that pairing. Those rows see only the
     symmetric part of I + rho * U1; its skew part, orthogonal to every C_i,
     is added back into the dual residual (it is zero on a solver's report,
     but not necessarily on one read from a file).
