@@ -13,23 +13,26 @@ The matrix variable is indexed by the basis ``exponent_table(n, q/2)``, so
 the whole layout of a lift is a function of its shape (n, q): a problem
 derives its basis from the two (``LiftedProblem.basis``), and
 ``quadratic_forms``, ``generate_dependency_constraints`` and the cell maps
-behind them are keyed by that shape, not by a basis. The whole system
-is one linear map on that matrix, held as a single read-only
-(M, dim (dim + 1) / 2) array plus its (M,) right-hand side
-(``LiftedProblem.operator`` and ``.values``). Row i packs the upper triangle
-of the symmetric constraint matrix C_i row by row, with the matrix's own
-values: the cells the lifted JSON stores. ``packed_index`` maps between that
-layout and dense matrices; the solver and the certificate read one
-factored operator per problem, ``LiftedProblem.affine``. It merges into
-one column the off-diagonal cells of each moment class above the basis
-degree, which no row of a lift tells apart, and folds into one column the
-cells of each class that a dependency row ties to X[0, i], dropping those
-rows: rules on the shape alone (``_merge_map``, ``_fold_map``). An operator
-made by hand whose rows split a merged class gets one column per cell
-instead, and one whose rows after the normalization row are not the lift's
-dependency block folds nothing. The solver projects through it
-(``AffineCache.project``) and the certificate fits through it
-(``AffineCache.fit``); neither reads its layout.
+behind them are keyed by that shape, not by a basis. A lift holds the
+coefficients of its polynomials over ``exponent_table(n, q)`` and its
+right-hand sides (``LiftedProblem.coefficients`` and ``.values``). The
+whole system is one linear map on the matrix: a read-only
+(M, dim (dim + 1) / 2) array whose row i packs the upper triangle of the
+symmetric constraint matrix C_i row by row, with the matrix's own values,
+the cells the lifted JSON stores (``LiftedProblem.operator``). A lift
+derives it from its coefficients on first read; a file or an operator made
+by hand is given it. ``packed_index`` maps between that layout and dense
+matrices. The solver and the certificate read one factored operator per
+problem, ``LiftedProblem.affine``. For a lift of order >= 4 it is built
+from the coefficients alone, on a layout of the shape (``_fold_map``): it
+merges into one column the off-diagonal cells of each moment class above
+the basis degree, which no row of a lift tells apart, and folds into one
+column the cells of each class that a dependency row ties to X[0, i],
+dropping those rows. A file whose rows are a lift's is read as one
+(``_read_as_lift``). Every other operator, and a lift whose folded Gram
+matrix is not proven full rank, gets one column per cell. The solver
+projects through it (``AffineCache.project``) and the certificate fits
+through it (``AffineCache.fit``); neither reads its layout.
 """
 
 from __future__ import annotations
@@ -116,7 +119,6 @@ def packed_index(dim: int) -> PackedIndex:
     return index
 
 
-@dataclass(frozen=True, eq=False)
 class LiftedProblem:
     """A lifted instance: one linear map on the matrix variable.
 
@@ -127,36 +129,61 @@ class LiftedProblem:
     ``operator`` is an (M, dim (dim + 1) / 2) array whose row i packs the
     upper triangle of the symmetric matrix C_i (see ``PackedIndex``), and
     ``values`` the (M,) right-hand sides, so row i is the constraint
-    trace(C_i @ X) == values[i]. Both arrays are read-only. Row order is
-    frozen and gives each row its kind: the ``num_data`` data rows first,
-    then (when any row follows) the single normalization row, then the
-    dependencies in generation order. Problems compare and hash by
-    identity, as the factored operator each one keeps (``affine``) does.
+    trace(C_i @ X) == values[i]. Row order is frozen and gives each row its
+    kind: the ``num_data`` data rows first, then (when any row follows) the
+    single normalization row, then the dependencies in generation order.
+
+    A problem is given either its rows, ``operator`` (a file, an operator
+    made by hand), or, as ``build_lifted_problem`` gives it, the
+    (num_data, T) ``coefficients`` of its polynomials over
+    ``exponent_table(num_vars, order)``; ``coefficients`` is None for rows
+    given. A lift's rows are those coefficients' forms
+    (``quadratic_forms``) and the structural block
+    (``generate_dependency_constraints``): ``operator`` derives them on
+    first read and keeps them. The factored operator (``affine``) reads
+    the coefficients, so a solve never forms the rows. Every array is
+    read-only. Problems compare and hash by identity, as the factored
+    operator each one keeps does.
     """
 
-    num_vars: int
-    order: int
-    num_data: int
-    operator: np.ndarray
-    values: np.ndarray
+    def __init__(self, *, num_vars: int, order: int, num_data: int, values,
+                 operator=None, coefficients=None):
+        _half_order(order)
+        self.num_vars, self.order, self.num_data = num_vars, order, num_data
+        if (operator is None) == (coefficients is None):
+            raise ValueError("give the operator or the coefficients, not both")
+        if operator is not None:
+            dim = self.dim
+            width = dim * (dim + 1) // 2
+            operator = np.ascontiguousarray(operator, dtype=float).view()
+            if operator.ndim != 2 or operator.shape[1] != width:
+                raise ValueError(
+                    f"operator must have shape (M, {width}), got {operator.shape}")
+            rows = len(operator)
+            operator.setflags(write=False)
+            self.operator = operator  # shadows the derivation below
+        else:
+            coefficients = np.ascontiguousarray(coefficients, dtype=float).view()
+            terms = len(exponent_table(num_vars, order))
+            if coefficients.shape != (num_data, terms):
+                raise ValueError(f"coefficients must have shape ({num_data}, {terms}), "
+                                 f"got {coefficients.shape}")
+            rows = num_data + len(generate_dependency_constraints(num_vars, order))
+            coefficients.setflags(write=False)
+        self.coefficients = coefficients
+        values = np.ascontiguousarray(values, dtype=float).view()
+        if values.shape != (rows,):
+            raise ValueError(f"got {rows} constraint rows but {values.shape} values")
+        if not 0 <= num_data <= rows:
+            raise ValueError(f"num_data {num_data} outside [0, {rows}]")
+        values.setflags(write=False)
+        self.values = values
 
-    def __post_init__(self):
-        _half_order(self.order)
-        operator = np.ascontiguousarray(self.operator, dtype=float).view()
-        values = np.ascontiguousarray(self.values, dtype=float).view()
-        dim = self.dim
-        width = dim * (dim + 1) // 2
-        if operator.ndim != 2 or operator.shape[1] != width:
-            raise ValueError(
-                f"operator must have shape (M, {width}), got {operator.shape}")
-        if values.shape != operator.shape[:1]:
-            raise ValueError(
-                f"got {len(operator)} constraint rows but {values.shape} values")
-        if not 0 <= self.num_data <= len(values):
-            raise ValueError(f"num_data {self.num_data} outside [0, {len(values)}]")
-        for name, a in (("operator", operator), ("values", values)):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+    @functools.cached_property
+    def operator(self) -> np.ndarray:
+        """The packed rows of a lift, derived from its coefficients on first
+        read (a problem given as rows holds its own)."""
+        return _packed_operator(self.coefficients, self.num_vars, self.order)
 
     @property
     def basis(self) -> np.ndarray:
@@ -185,16 +212,21 @@ class LiftedProblem:
         return AffineCache.build(self)
 
 
-# The bytes of packed rows that ``AffineCache.build`` reads at a time for its
-# merge test and its row norms: at n = 8 that is 31 rows of the 1.3 MB
-# operator, where the whole n = 5 operator fits in one block.
+# The bytes of svec rows whose squares ``_row_norms`` forms at a time: at
+# n = 8 that is 31 rows of a 1.3 MB operator, where the whole n = 5 operator
+# fits in one block.
 _BLOCK_BYTES = 1 << 18
 
 
-def _row_blocks(rows: np.ndarray):
-    """Consecutive row slices of ``rows`` of about ``_BLOCK_BYTES`` each."""
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(rows, axis=1) bit for bit, but squaring a block of
+    rows at a time instead of the whole matrix."""
+    norms = np.empty(len(rows))
     step = max(1, _BLOCK_BYTES // (rows.shape[1] * rows.itemsize))
-    return (slice(k, k + step) for k in range(0, len(rows), step))
+    for k in range(0, len(rows), step):
+        part = rows[k:k + step]
+        norms[k:k + step] = np.sqrt(np.add.reduce(part * part, axis=1))
+    return norms
 
 
 # The relative eigenvalue cutoff of the Gram pseudo-inverse. A positive
@@ -252,41 +284,44 @@ class AffineCache:
     """Precomputed data for projecting onto {X : trace(C_i X) = v_i for all i}
     (``project``) and for least-squares fitting by the rows C_i (``fit``).
 
-    The problem's packed rows are weighted into svec rows R (see
-    ``PackedIndex``): dim (dim + 1) / 2 columns whose inner products are
-    those of the full dim x dim matrices. They are factored through G
+    The problem's packed rows, weighted into svec rows R (see
+    ``PackedIndex``), have dim (dim + 1) / 2 columns whose inner products
+    are those of the full dim x dim matrices. They are factored through G
     columns: ``column`` maps each cell to its column and ``coef`` gives the
     cell's weight in it, so that the column coordinates of a packed vector
     x are y = E x = ``bincount(column, x * coef)``, and ``row_mat`` holds
-    the rows R_c on those columns. Two rules on the shape (n, order) alone
-    set the columns of a lift:
+    the rows R_c on those columns. There are two layouts.
 
-    * merging (``_merge_map``): a lifted data row gives every cell of a
-      moment class (``_cell_map``) on one side of the diagonal the same
-      entry, and the dependency rows touch only the classes of degree
-      <= order / 2. So the off-diagonal cells of each class above that
-      degree share a column whose coef is 1: R = R_c E on them, and the
-      projection x - E^T R_c^T G^-1 (R_c E x - rhs), G = R R^T, is exactly
-      the projection onto the rows R. ``build`` checks that every row has
-      one entry on each merged column's cells (an exact == test); an
-      operator made by hand that splits one, such as a file's arbitrary
-      cells, gets the identity map and R_c = R bit for bit, as does the QBP
-      lift, whose classes are single cells.
-    * folding (``_fold_map``): the dependency rows X[k, l] = X[0, i], whose
-      right-hand sides are 0, say that the cells of each class they touch
-      hold one value. When the rows after the normalization row are the
-      lift's dependency block bit for bit, ``build`` drops them and gives
-      each such class one column along its unit svec direction q (coef is
-      q on its cells). The affine set lies in the subspace V those rows
-      leave, so projecting onto it projects P_V x, which is x off the
-      folded cells and (q . x) q on each folded class: with
+    * A lift of order >= 4 (a problem with ``coefficients``, or given rows
+      that ``_read_as_lift`` reads as a lift) takes the folded layout of
+      its shape (n, order) (``_fold_map``), built from the coefficients
+      alone. Its data row gives every cell of a moment class
+      (``_cell_map``) its class's coefficient over the class's pair count,
+      times the cell's share. So the off-diagonal cells of each class above
+      the basis degree, which no row tells apart, share one column whose
+      coef is 1 (merging: R = R_c E on them). And the dependency rows
+      X[k, l] = X[0, i], whose right-hand sides are 0, say that the cells of
+      each class they touch hold one value: those rows are dropped, and
+      each such class gets one column along its unit svec direction q (coef
+      is q on its cells; folding). The affine set lies in the subspace V
+      the dropped rows leave, so projecting onto it projects P_V x, which
+      is x off the folded cells and (q . x) q on each folded class: with
       c = R_c^T G^-1 (R_c y - rhs), the projection is x - c[column] off the
       folded cells and (y - c)[column] * coef on them. It is the projection
       onto all the rows, and ``fit`` is their least-squares fit, whose
       multipliers on the dropped rows the right-hand sides 0 do not weigh
-      in the dual value. At n = 8 ``row_mat`` is 121 x 523 instead of
-      157 x 1035 (559 columns merged), at n = 5 51 x 136. ``folded`` lists
-      the folded cells, none on an operator that does not match.
+      in the dual value. Each column reads one class, so a data row on
+      column j is the class's coefficient times a factor of the shape, and
+      the row's full svec norm is sqrt((C * C) @ w), one weight per class:
+      ``build`` reads no packed row. At n = 8 ``row_mat`` is 121 x 523
+      instead of 157 x 1035, at n = 5 51 x 136. ``folded`` lists the folded
+      cells.
+    * Every other problem takes one column per cell, R_c = R, ``column``
+      the identity and ``folded`` empty: an operator given as rows that is
+      not a lift, a lift of degree 2 (whose classes are single cells, so
+      that its rows from the coefficients are R bit for bit), and a lift
+      whose folded Gram matrix the Schur split below does not prove full
+      rank, such as the x = 0, x = 1 clash at order 4.
 
     Outside this class the layout is read only through ``project`` and
     ``fit``. The rows are normalized to unit Frobenius norm, that of the
@@ -297,61 +332,82 @@ class AffineCache:
     tr(G) tr(G^-1) <= 1e12, ``gram_pinv`` is the plain inverse: the trace
     product bounds the condition number, so the eigenvalue cutoff below
     would have kept every eigenvalue. A folded Gram matrix is inverted by
-    one Schur split (``_gram_inverse``); one that this does not prove
-    full rank sends the build back to the unfolded rows. The NLBP lift's
-    Gram matrices take the full-rank route (condition numbers 9-19 on the
-    seeded ensembles). Otherwise G is eigendecomposed with the relative
-    cutoff 1e-12, so that linearly dependent constraints, such as those of
-    the degree-2 QBP lift, are handled by pseudo-inversion.
-    ``infeasibility_lb`` is a provable lower bound on
-    max_i |trace(C_i X) - v_i| over all X; it is zero (up to roundoff)
-    exactly when the constraint system is consistent, and exactly zero on
-    the full-rank route, where the rows span every right-hand side.
+    one Schur split (``_gram_inverse``). The NLBP lift's Gram matrices take
+    the full-rank route (condition numbers 9-19 on the seeded ensembles).
+    Otherwise G is eigendecomposed with the relative cutoff 1e-12, so that
+    linearly dependent constraints, such as those of the degree-2 QBP lift,
+    are handled by pseudo-inversion. ``infeasibility_lb`` is a provable
+    lower bound on max_i |trace(C_i X) - v_i| over all X; it is zero (up to
+    roundoff) exactly when the constraint system is consistent, and exactly
+    zero on the full-rank route, where the rows span every right-hand side.
+
+    ``violation`` reads a lift's coefficients against the class sums of X
+    and the dependency rows' cells, and rows given as they are.
+    ``row_mat_raw``, the problem's packed rows, is derived on first read
+    for a lift; ``rhs_raw`` is ``problem.values``.
     """
 
     dim: int
     row_mat: np.ndarray          # (M', G) normalized rows R_c, M' <= M
     rhs: np.ndarray              # (M',) normalized right-hand sides
-    row_mat_raw: np.ndarray      # (M, dim*(dim+1)/2) view of problem.operator
     rhs_raw: np.ndarray          # (M,) view of problem.values
     gram_pinv: np.ndarray = field(repr=False)  # (M', M')
     column: np.ndarray = field(repr=False)     # (dim*(dim+1)/2,) cell -> column
     coef: np.ndarray = field(repr=False)       # (dim*(dim+1)/2,) cell -> weight
     folded: tuple = field(repr=False)          # cells, their columns, coefs
     infeasibility_lb: float = 0.0
+    # (num_vars, order, coefficients) of a lift, else the rows given
+    lift: tuple | None = field(default=None, repr=False)
+    rows_given: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def build(cls, problem: LiftedProblem) -> "AffineCache":
-        rows_raw = problem.operator
-        rhs_raw = problem.values
-        column, first, gain, unroot, merged, lead = _merge_map(
-            problem.num_vars, problem.order // 2)
         fold = _fold_map(problem.num_vars, problem.order // 2)
-        keep = problem.num_data + 1
-        if (fold is not None and not rhs_raw[keep:].any()
-                and np.array_equal(rows_raw[keep:], fold.dependencies)):
-            checked = rows_raw[:keep]  # dependency rows are 0 on merged cells
-        else:
-            fold, checked = None, rows_raw
-        # every row of a lift agrees on the merged cells (a lift of degree 2
-        # has none); an operator made by hand may split them, and then every
-        # cell keeps its own column
-        for block in _row_blocks(checked) if len(merged) else ():
-            part = checked[block]
-            if not (part[:, merged] == part[:, lead]).all():
-                column = first = np.arange(len(column))
-                gain, unroot = packed_index(problem.dim).weight, 1.0
-                break
-        else:
-            folded = None if fold is None else cls._folded(problem, fold)
-            if folded is not None:
-                return folded
-        # R_c D^(1/2), whose norms and Gram matrix are those of R; under the
-        # identity map gain is the svec weight, and these are R's bits
-        rows, scale = _unit_rows(rows_raw, first, gain)
-        rhs = rhs_raw / scale
+        if fold is not None:
+            coefficients = problem.coefficients
+            if coefficients is None:
+                coefficients = _read_as_lift(problem)
+            if coefficients is not None:
+                cache = cls._folded(problem, coefficients, fold)
+                if cache is not None:
+                    return cache
+        return cls._per_cell(problem)
+
+    @classmethod
+    def _folded(cls, problem: LiftedProblem, coefficients: np.ndarray,
+                fold: _Fold) -> "AffineCache | None":
+        """The folded cache (see above) of the lift of ``coefficients``;
+        None when the Schur split does not prove its Gram matrix full
+        rank."""
+        num_data = len(coefficients)
+        # R_c D^(1/2), whose norms and Gram matrix are those of R
+        rows = np.empty((num_data + 1, len(fold.classes)))
+        data = rows[:num_data]
+        np.take(coefficients, fold.classes, axis=1, out=data, mode="clip")
+        data *= fold.scale
+        norms = np.sqrt((coefficients * coefficients) @ fold.norm_weight)
+        scale = np.append(np.where(norms > 0, norms, 1.0), 1.0)
+        data /= scale[:num_data, None]
+        rows[num_data] = 0.0
+        rows[num_data, fold.column[0]] = 1.0  # the normalization row, X[0, 0] = 1
+        gram_pinv = _gram_inverse(rows @ rows.T, split=True)
+        if gram_pinv is None:
+            return None
+        rows *= fold.unroot  # R_c, the common entry of each column's cells
+        return cls(dim=problem.dim, row_mat=rows,
+                   rhs=problem.values[:num_data + 1] / scale, gram_pinv=gram_pinv,
+                   column=fold.column, coef=fold.coef, folded=fold.folded,
+                   **_raw_rows(problem))
+
+    @classmethod
+    def _per_cell(cls, problem: LiftedProblem) -> "AffineCache":
+        """The cache on one column per cell, R_c = R."""
+        rows = _svec_rows(problem)
+        norms = _row_norms(rows)
+        scale = np.where(norms > 0, norms, 1.0)
+        rows /= scale[:, None]
+        rhs = problem.values / scale
         gram = rows @ rows.T
-        rows *= unroot  # R_c, the common entry of each column's cells
         gram_pinv = _gram_inverse(gram)
         if gram_pinv is not None:
             lb = 0.0  # full rank: the rows span R^M, so some X meets every row
@@ -367,29 +423,19 @@ class AffineCache:
             # min(scale) * ||rhs - P rhs|| / sqrt(M).
             proj = basis @ (basis.T @ rhs)
             lb = float(scale.min() * np.linalg.norm(rhs - proj)) / np.sqrt(len(rhs))
-        return cls(dim=problem.dim, row_mat=rows, rhs=rhs, row_mat_raw=rows_raw,
-                   rhs_raw=rhs_raw, gram_pinv=gram_pinv, column=column,
-                   coef=np.ones(len(column)), folded=_NOTHING_FOLDED,
-                   infeasibility_lb=lb)
+        cells = rows.shape[1]
+        return cls(dim=problem.dim, row_mat=rows, rhs=rhs, gram_pinv=gram_pinv,
+                   column=np.arange(cells), coef=np.ones(cells),
+                   folded=_NOTHING_FOLDED, infeasibility_lb=lb, **_raw_rows(problem))
 
-    @classmethod
-    def _folded(cls, problem: LiftedProblem, fold: _Fold) -> "AffineCache | None":
-        """The folded cache (see above) of a problem whose rows after the
-        normalization row are ``fold.dependencies``, with right-hand sides 0;
-        None when the Schur split does not prove its Gram matrix full rank."""
-        keep = problem.num_data + 1
-        rows, scale = _unit_rows(problem.operator[:keep], fold.first, fold.gain)
-        unfolded = len(fold.unroot) - fold.basis.shape[1]
-        rows = np.concatenate((rows[:, :unfolded], rows[:, unfolded:] @ fold.basis),
-                              axis=1)
-        gram_pinv = _gram_inverse(rows @ rows.T, split=True)
-        if gram_pinv is None:
-            return None
-        rows *= fold.unroot
-        return cls(dim=problem.dim, row_mat=rows, rhs=problem.values[:keep] / scale,
-                   row_mat_raw=problem.operator, rhs_raw=problem.values,
-                   gram_pinv=gram_pinv, column=fold.column, coef=fold.coef,
-                   folded=fold.folded)
+    @functools.cached_property
+    def row_mat_raw(self) -> np.ndarray:
+        """(M, dim*(dim+1)/2) packed rows: the problem's ``operator`` when
+        given, else derived anew from the lift's coefficients."""
+        if self.lift is None:
+            return self.rows_given
+        num_vars, order, coefficients = self.lift
+        return _packed_operator(coefficients, num_vars, order)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Frobenius projection of the packed svec vector x (the solver's
@@ -427,28 +473,82 @@ class AffineCache:
         index = packed_index(self.dim)
         vec = X.ravel()
         pairs = (vec[index.upper] + vec[index.lower]) * index.fold
-        return float(np.max(np.abs(self.row_mat_raw @ pairs - self.rhs_raw), initial=0.0))
+        if self.lift is None:
+            traces = self.rows_given @ pairs
+        else:
+            traces = _lift_traces(pairs, *self.lift)
+        return float(np.max(np.abs(traces - self.rhs_raw), initial=0.0))
 
 
 # the ``folded`` triple of an operator that folds nothing
 _NOTHING_FOLDED = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
 
 
-def _unit_rows(rows_raw: np.ndarray, cells: np.ndarray,
-               gain: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
-    """The packed ``rows_raw`` read at ``cells`` times ``gain``, in C order,
-    each divided by its norm, and the norms (1 for a zero row)."""
-    rows = np.take(rows_raw, cells, axis=1)
-    rows *= gain
-    # np.linalg.norm(rows, axis=1) bit for bit, but squaring a block of rows
-    # at a time instead of the whole matrix
-    norms = np.empty(len(rows))
-    for block in _row_blocks(rows):
-        part = rows[block]
-        norms[block] = np.sqrt(np.add.reduce(part * part, axis=1))
-    scale = np.where(norms > 0, norms, 1.0)
-    rows /= scale[:, None]
-    return rows, scale
+def _raw_rows(problem: LiftedProblem) -> dict:
+    """The ``AffineCache`` fields that stand for the problem's raw rows."""
+    if problem.coefficients is None:
+        return {"rhs_raw": problem.values, "rows_given": problem.operator}
+    return {"rhs_raw": problem.values,
+            "lift": (problem.num_vars, problem.order, problem.coefficients)}
+
+
+def _svec_rows(problem: LiftedProblem) -> np.ndarray:
+    """The problem's svec rows R on one column per cell, a new array: the
+    rows given times the svec weight, or a lift's written from its
+    coefficients without the packed operator. On a lift of degree 2, whose
+    pair counts are 1, these are the packed rows' own bits times the
+    weight."""
+    weight = packed_index(problem.dim).weight
+    coefficients = problem.coefficients
+    if coefficients is None:
+        return problem.operator * weight
+    classes, pairs, share = _cell_map(problem.num_vars, problem.order // 2)
+    structural = generate_dependency_constraints(problem.num_vars, problem.order)
+    rows = np.empty((problem.num_constraints, len(classes)))
+    data = rows[:problem.num_data]
+    np.take(coefficients, classes, axis=1, out=data, mode="clip")
+    data *= share * weight / pairs
+    np.multiply(structural, weight, out=rows[problem.num_data:])
+    return rows
+
+
+def _lift_traces(pairs: np.ndarray, num_vars: int, order: int,
+                 coefficients: np.ndarray) -> np.ndarray:
+    """trace(C_i X) for every row of a lift, given the packed cells' pair
+    values (X[upper] + X[lower]) * fold: the coefficients against X's sums
+    over each moment class (each cell times its share over the class's pair
+    count), X[0, 0], and each dependency row's two cells."""
+    half = order // 2
+    classes, count, share = _cell_map(num_vars, half)
+    products, weights, roots = _dependency_cells(num_vars, half)
+    sums = np.bincount(classes, pairs * share / count)
+    return np.concatenate((coefficients @ sums, pairs[:1],
+                           pairs[products] * weights - 0.5 * pairs[roots]))
+
+
+def _read_as_lift(problem: LiftedProblem) -> np.ndarray | None:
+    """The coefficients of the lift that a problem given as rows is, or
+    None. It is one when the rows after its data rows are the lift's
+    structural block, with right-hand sides 1 and then 0, and each data row
+    splits one value per moment class as ``quadratic_forms`` does: the
+    packed entry over the cell's share, an exact division by 1 or 1/2, is
+    the same on every cell of a class. The coefficients are those values
+    times the class's pair count, to roundoff those the rows were written
+    from."""
+    num_data, values = problem.num_data, problem.values
+    structural = generate_dependency_constraints(problem.num_vars, problem.order)
+    if (problem.num_constraints != num_data + len(structural)
+            or values[num_data] != 1.0 or values[num_data + 1:].any()
+            or not np.array_equal(problem.operator[num_data:], structural)):
+        return None
+    classes, pairs, share = _cell_map(problem.num_vars, problem.order // 2)
+    cells = np.arange(len(classes))
+    first = np.full(classes.max() + 1, len(cells))  # each class's first cell
+    np.minimum.at(first, classes, cells)
+    split = problem.operator[:num_data] / share
+    if not np.array_equal(split, split[:, first[classes]]):
+        return None
+    return split[:, first] * pairs[first]
 
 
 @functools.lru_cache(maxsize=None)
@@ -459,9 +559,9 @@ def _cell_map(n: int, half_degree: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     ``column`` is the row of basis[i] + basis[j] in
     ``exponent_table(n, 2 * half_degree)``, ``pairs`` the number of
     unordered basis pairs with that exponent sum, and ``share`` 1 on the
-    diagonal and 1/2 off it. Every cell belongs to exactly one exponent sum.
-    The basis is a row prefix of that table, so a column below dim is the
-    basis entry the product equals.
+    diagonal and 1/2 off it. Every cell belongs to exactly one exponent sum,
+    and every exponent sum has a cell. The basis is a row prefix of that
+    table, so a column below dim is the basis entry the product equals.
     """
     table = exponent_table(n, 2 * half_degree)
     rows, cols = np.triu_indices(len(exponent_table(n, half_degree)))
@@ -473,104 +573,101 @@ def _cell_map(n: int, half_degree: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return column, pairs, share
 
 
-@functools.lru_cache(maxsize=None)
-def _merge_map(n: int, half_degree: int) -> tuple[np.ndarray, ...]:
-    """The merged columns of a lift on the basis of (n, half_degree): the
-    off-diagonal cells of each moment class (``_cell_map``) above the basis
-    degree share one column, and every other cell keeps its own (see
-    ``AffineCache``). Columns are numbered in the order of their first
-    cells, found by ``np.minimum.at`` rather than ``np.unique``, whose sort
-    kernels a solve never otherwise runs: loading their code adds about
-    0.25 MB to a process's peak RSS.
-
-    Returns, per cell, ``column``; per column, ``first``, its first cell,
-    ``gain``, that cell's svec weight times the square root of the column's
-    cell count, and ``unroot``, one over that square root; and the pairs of
-    cells (``merged[k]``, ``lead[k]``), each merged cell after the first of
-    its column and that first cell, on which every row of a lift agrees.
-    No cell of a class below the basis degree is merged: those that a
-    dependency row ties are folded on top of this map (``_fold_map``).
-    """
-    dim = len(exponent_table(n, half_degree))
-    classes, _, share = _cell_map(n, half_degree)
-    cells = np.arange(len(classes))
-    shared = np.flatnonzero((share < 1.0) & (classes >= dim))
-    lead_of = np.full(classes.max() + 1, len(cells))
-    np.minimum.at(lead_of, classes[shared], shared)
-    lead = cells.copy()
-    lead[shared] = lead_of[classes[shared]]
-    first = np.flatnonzero(lead == cells)
-    number = np.empty_like(cells)
-    number[first] = np.arange(len(first))
-    column = number[lead]
-    root = np.sqrt(np.bincount(column))
-    merged = np.flatnonzero(lead != cells)
-    out = (column, first, packed_index(dim).weight[first] * root, 1.0 / root,
-           merged, lead[merged])
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
 class _Fold(NamedTuple):
-    """The folded layout of a lift (see ``AffineCache``): per cell, its
-    ``column`` and its weight ``coef`` in it; ``folded``, the folded cells,
-    their columns and their coefs; and ``dependencies``, the rows the fold
-    stands for. ``build`` reads the kept rows at ``first`` times ``gain``,
-    the merged layout's columns (``_merge_map``) with the folded cells
-    last, replaces the folded cells' block by its product with ``basis``,
-    their coefs set in their columns, and scales each column by
-    ``unroot``."""
+    """The folded layout of a lift (see ``AffineCache``). Per cell: its
+    ``column`` and its weight ``coef`` in it; ``folded``: the folded cells,
+    their columns and their coefs. Per column: the moment class it reads
+    (``classes``); ``scale``, which turns the class's coefficient into the
+    column's entry of a data row of R_c D^(1/2), D the cell counts of the
+    columns, before the row is normalized; and ``unroot``, D^(-1/2) (1 on a
+    folded column). Per class: ``norm_weight``, the weight of its squared
+    coefficient in the squared norm of a data row of R."""
 
-    dependencies: np.ndarray
     column: np.ndarray
     coef: np.ndarray
     folded: tuple[np.ndarray, np.ndarray, np.ndarray]
-    first: np.ndarray
-    gain: np.ndarray
-    basis: np.ndarray
+    classes: np.ndarray
+    scale: np.ndarray
     unroot: np.ndarray
+    norm_weight: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
 def _fold_map(n: int, half_degree: int) -> _Fold | None:
-    """The merged columns of ``_merge_map`` with each moment class that a
-    dependency row ties to its cell (0, i) folded into one column: the
-    columns left as they are keep their order, and the folded ones follow
-    in the order of their classes. None when the lift has no dependency row
-    (degree 2)."""
-    block = generate_dependency_constraints(n, 2 * half_degree)
-    if len(block) == 1:
+    """The folded layout of the lift on the basis of (n, half_degree); None
+    when the lift has no dependency row (degree 2).
+
+    Merging first: the off-diagonal cells of each moment class above the
+    basis degree share one column, and every other cell keeps its own, the
+    columns numbered in the order of their first cells. These are found by
+    ``np.minimum.at`` rather than ``np.unique``, whose sort kernels a solve
+    never otherwise runs: loading their code adds about 0.25 MB to a
+    process's peak RSS. Then folding: each class that a dependency row ties
+    to its cell (0, i), a class of degree 2 to half_degree, none of whose
+    cells is merged, becomes one column. The columns left as they are keep
+    their order, and the folded ones follow in the order of their classes.
+
+    A data row's packed entry on a cell is the class's coefficient over its
+    pair count, times the cell's share, 1 on the diagonal and 1/2 off it;
+    its svec entry is that times the cell's svec weight, 1 or sqrt(2). So a
+    merged column of m cells reads share * weight * sqrt(m) / pairs times
+    the coefficient in R_c D^(1/2), and a folded one the coefficient over
+    the norm of the class's svec weights: its entry is the row's inner
+    product with q, and share * weight^2 is 1 on every cell. Squared svec
+    entries are (share * weight / pairs)^2 times the squared coefficient,
+    1 / pairs^2 on the diagonal and 1 / (2 pairs^2) off it.
+    """
+    if half_degree < 2:
         return None
     dim = len(exponent_table(n, half_degree))
-    classes = _cell_map(n, half_degree)[0]
-    column, first, gain, unroot = _merge_map(n, half_degree)[:4]
-    # a dependency row ties the product cell (l, k), l >= 1, of a class
-    # below dim to that class's cell (0, i); no such cell is merged, so each
-    # has a merged column of its own, of gain its svec weight and unroot 1
-    tied = np.zeros(classes.max() + 1, dtype=bool)
+    classes, pairs, share = _cell_map(n, half_degree)
+    weight = packed_index(dim).weight
+    cells = np.arange(len(classes))
+    num_classes = classes.max() + 1
+    shared = np.flatnonzero((share < 1.0) & (classes >= dim))
+    lead_of = np.full(num_classes, len(cells))
+    np.minimum.at(lead_of, classes[shared], shared)
+    lead = cells.copy()
+    lead[shared] = lead_of[classes[shared]]
+    first = np.flatnonzero(lead == cells)  # each merged column's first cell
+    number = np.empty_like(cells)
+    number[first] = np.arange(len(first))
+    merged = number[lead]
+    tied = np.zeros(num_classes, dtype=bool)
     tied[classes[(np.triu_indices(dim)[0] >= 1) & (classes < dim)]] = True
     is_folded = tied[classes[first]]
-    kept = np.flatnonzero(~is_folded)
-    cells = first[is_folded]
-    target = (np.cumsum(tied) - 1)[classes[cells]]  # its folded column
-    norms = np.sqrt(np.bincount(target, gain[is_folded] ** 2))
-    weights = gain[is_folded] / norms[target]
-    basis = np.zeros((len(cells), len(norms)))
-    basis[np.arange(len(cells)), target] = weights
+    kept = first[~is_folded]
+    folded_cells = first[is_folded]
+    target = (np.cumsum(tied) - 1)[classes[folded_cells]]  # its folded column
+    norms = np.sqrt(np.bincount(target, weight[folded_cells] ** 2))
+    weights = weight[folded_cells] / norms[target]
     renumber = np.empty(len(first), dtype=np.intp)
-    renumber[kept] = np.arange(len(kept))
+    renumber[~is_folded] = np.arange(len(kept))
     renumber[is_folded] = len(kept) + target
-    fold_column = renumber[column]
-    coef = np.ones(len(column))
-    coef[cells] = weights
-    out = _Fold(block[1:], fold_column, coef, (cells, fold_column[cells], weights),
-                np.concatenate((first[kept], cells)),
-                np.concatenate((gain[kept], gain[is_folded])), basis,
-                np.concatenate((unroot[kept], np.ones(len(norms)))))
-    for a in (*out[:3], *out.folded, *out[4:]):
+    column = renumber[merged]
+    coef = np.ones(len(cells))
+    coef[folded_cells] = weights
+    root = np.sqrt(np.bincount(merged)[~is_folded])
+    svec_share = share * weight
+    out = _Fold(column, coef, (folded_cells, column[folded_cells], weights),
+                np.concatenate((classes[kept], np.flatnonzero(tied))),
+                np.concatenate((svec_share[kept] * root / pairs[kept], 1.0 / norms)),
+                np.concatenate((1.0 / root, np.ones(len(norms)))),
+                np.bincount(classes, svec_share ** 2) / np.bincount(classes) ** 2.0)
+    for a in (*out[:2], *out.folded, *out[3:]):
         a.setflags(write=False)
     return out
+
+
+def _coefficients(system: PolySystem, order: int) -> np.ndarray:
+    """The system's coefficients over ``exponent_table(num_vars, order)``.
+    Refuses an odd order and a system of higher degree, for every caller."""
+    _half_order(order)
+    if system.degree > order:
+        raise DegreeTooHighError(
+            f"polynomial degree {system.degree} exceeds lift order {order}"
+        )
+    return system.full_coeffs(order)
 
 
 def quadratic_forms(system: PolySystem, order: int) -> np.ndarray:
@@ -583,29 +680,35 @@ def quadratic_forms(system: PolySystem, order: int) -> np.ndarray:
     and an off-diagonal pair half the share on each mirrored cell. Any split
     satisfying the identity would do; the equal split is the canonical one.
     """
-    return _write_forms(system, order)
+    return _write_forms(_coefficients(system, order), system.num_vars, order)
 
 
-def _write_forms(system: PolySystem, order: int,
+def _write_forms(coefficients: np.ndarray, num_vars: int, order: int,
                  out: np.ndarray | None = None) -> np.ndarray:
     """The packed forms of ``quadratic_forms``, written into ``out`` (a new
     array when None) and returned: one gather of the coefficients by cell,
     then the division by ``pairs`` and the multiplication by ``share``, in
-    place and in that order. Refuses an odd order and a system of higher
-    degree, for every caller."""
-    half = _half_order(order)
-    if system.degree > order:
-        raise DegreeTooHighError(
-            f"polynomial degree {system.degree} exceeds lift order {order}"
-        )
-    column, pairs, share = _cell_map(system.num_vars, half)
+    place and in that order."""
+    column, pairs, share = _cell_map(num_vars, order // 2)
     if out is None:
-        out = np.empty((len(system), len(column)))
+        out = np.empty((len(coefficients), len(column)))
     # mode="clip" writes straight into out; the default mode buffers a copy
-    np.take(system.full_coeffs(order), column, axis=1, out=out, mode="clip")
+    np.take(coefficients, column, axis=1, out=out, mode="clip")
     out /= pairs
     out *= share
     return out
+
+
+def _packed_operator(coefficients: np.ndarray, num_vars: int, order: int) -> np.ndarray:
+    """The read-only packed rows of the lift of ``coefficients``: their
+    forms, then the structural block."""
+    structural = generate_dependency_constraints(num_vars, order)
+    num_data = len(coefficients)
+    operator = np.empty((num_data + len(structural), structural.shape[1]))
+    _write_forms(coefficients, num_vars, order, operator[:num_data])
+    operator[num_data:] = structural
+    operator.setflags(write=False)
+    return operator
 
 
 def polynomial_to_quadratic_form(p: PolySystem, order: int) -> np.ndarray:
@@ -613,6 +716,25 @@ def polynomial_to_quadratic_form(p: PolySystem, order: int) -> np.ndarray:
     identically, for a one-row system p. Not called by the package: it stays
     bound for perfbench's tracer until that wraps ``quadratic_forms``."""
     return quadratic_forms(p, order)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _dependency_cells(num_vars: int, half_degree: int) -> tuple[np.ndarray, ...]:
+    """The cells of the dependency rows of ``generate_dependency_constraints``,
+    in its row order: each row's product cell, that cell's weight and the
+    cell (0, i) of the entry the product equals."""
+    column = _cell_map(num_vars, half_degree)[0]
+    dim = len(exponent_table(num_vars, half_degree))
+    # packed cells run over (l, k) in row-major order, so a stable sort by
+    # the product's entry i gives the (i, l, k) order
+    l, k = np.triu_indices(dim)
+    products = np.flatnonzero((l >= 1) & (column < dim))
+    products = products[np.argsort(column[products], kind="stable")]
+    out = (products, np.where(l[products] == k[products], 1.0, 0.5),
+           packed_index(dim).cell[0, column[products]])
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -631,25 +753,21 @@ def generate_dependency_constraints(num_vars: int, order: int) -> np.ndarray:
     key and shared, hence read-only.
     """
     half = _half_order(order)
-    column = _cell_map(num_vars, half)[0]
+    products, weights, roots = _dependency_cells(num_vars, half)
     dim = len(exponent_table(num_vars, half))
-    # packed cells run over (l, k) in row-major order, so a stable sort by
-    # the product's entry i gives the (i, l, k) order
-    l, k = np.triu_indices(dim)
-    products = np.flatnonzero((l >= 1) & (column < dim))
-    products = products[np.argsort(column[products], kind="stable")]
-    cell = packed_index(dim).cell
     block = np.zeros((1 + len(products), dim * (dim + 1) // 2))
-    block[0, cell[0, 0]] = 1.0
+    block[0, 0] = 1.0  # cell (0, 0)
     rows = np.arange(1, 1 + len(products))
-    block[rows, products] = np.where(l[products] == k[products], 1.0, 0.5)
-    block[rows, cell[0, column[products]]] = -0.5
+    block[rows, products] = weights
+    block[rows, roots] = -0.5
     block.setflags(write=False)
     return block
 
 
 def build_lifted_problem(system: PolySystem, values, order: int) -> LiftedProblem:
-    """Assemble the lifted problem for the system values[i] = p_i(x).
+    """Assemble the lifted problem for the system values[i] = p_i(x): the
+    system's coefficients and the right-hand sides, the packed rows left to
+    ``LiftedProblem.operator``.
 
     ``order`` is the (even) lift order; every polynomial of ``system`` must
     have degree <= order. Inconsistent right-hand sides still build fine:
@@ -661,13 +779,10 @@ def build_lifted_problem(system: PolySystem, values, order: int) -> LiftedProble
         raise ValueError(
             f"got {len(system)} polynomials but {values.shape} right-hand sides"
         )
-    structural = generate_dependency_constraints(system.num_vars, order)
+    coefficients = _coefficients(system, order)
     num_data = len(values)
-    operator = np.empty((num_data + len(structural), structural.shape[1]))
-    _write_forms(system, order, operator[:num_data])
-    operator[num_data:] = structural
-    rhs = np.zeros(len(operator))
+    rhs = np.zeros(num_data + len(generate_dependency_constraints(system.num_vars, order)))
     rhs[:num_data] = values
     rhs[num_data] = 1.0
-    return LiftedProblem(num_vars=system.num_vars, order=order,
-                         num_data=num_data, operator=operator, values=rhs)
+    return LiftedProblem(num_vars=system.num_vars, order=order, num_data=num_data,
+                         values=rhs, coefficients=coefficients)

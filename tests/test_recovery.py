@@ -223,7 +223,9 @@ class TestDualCertificate:
         shift = np.zeros_like(w)
         shift[0], shift[1] = w[1], -w[0]
         shift *= 1e-3 / np.max(np.abs(shift))
-        moved = dataclasses.replace(problem, values=problem.values + shift)
+        moved = LiftedProblem(num_vars=problem.num_vars, order=problem.order,
+                              num_data=problem.num_data, values=problem.values + shift,
+                              coefficients=problem.coefficients)
         cert = dual_certificate(moved, report, x)
         # the moved problem is factored anew, not read from the solved one
         assert moved.affine is not problem.affine

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -6,14 +7,21 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nlbp.baselines import refine_solution
-from nlbp.cli import lifted_problem_from_json, report_from_json, report_to_json
+from nlbp import lifting
+from nlbp.baselines import Method, refine_solution, run_lifted
+from nlbp.cli import (
+    lifted_problem_from_json,
+    lifted_problem_to_json,
+    report_from_json,
+    report_to_json,
+)
 from nlbp.harness import default_trial_config, dense_spec, sample_trial, table1_spec
 from nlbp.lifting import (
+    AffineCache,
     LiftedProblem,
     _cell_map,
+    _fold_map,
     _gram_inverse,
-    _merge_map,
     build_lifted_problem,
     generate_dependency_constraints,
     packed_index,
@@ -135,13 +143,23 @@ def searched_merge(problem):
     return np.searchsorted(np.unique(lead), lead)
 
 
+def same_groups(a, b):
+    """Whether the labels a and b split their positions into the same
+    groups."""
+    pairs = len(set(zip(a.tolist(), b.tolist())))
+    return pairs == len(set(a.tolist())) == len(set(b.tolist()))
+
+
 @pytest.mark.parametrize("n, order", [(n, order) for order in (2, 4) for n in range(1, 9)]
                          + [(n, 6) for n in range(1, 6)])
 def test_lift_merges_exactly_the_groups_no_row_splits(n, order):
     # the shape rule merges the off-diagonal cells of each class above the
     # basis degree; on a lift that is every group the search finds unsplit
+    # among the cells left unfolded (a degree-2 lift has one column per cell)
     problem = planted_problem(n, 3, order, n + order)[0]
-    assert np.array_equal(_merge_map(n, order // 2)[0], searched_merge(problem))
+    column = problem.affine.column
+    unfolded = np.setdiff1d(np.arange(len(column)), problem.affine.folded[0])
+    assert same_groups(column[unfolded], searched_merge(problem)[unfolded])
 
 
 @pytest.mark.parametrize("n, order", [(n, order) for order in (2, 4) for n in range(1, 9)]
@@ -204,7 +222,7 @@ def arbitrary_cells_from_json():
 
 def edited_dependency():
     """A quartic lift in two variables whose first dependency row has its
-    -1/2 changed to -0.4: no longer the lift's block, so nothing folds."""
+    -1/2 changed to -0.4: no longer the lift's block."""
     problem = planted_problem(2, 4, 4, 3)[0]
     operator = problem.operator.copy()
     row = operator[problem.num_data + 1]
@@ -215,7 +233,7 @@ def edited_dependency():
 
 def dependency_off_zero():
     """A quartic lift in two variables whose last dependency row asks for
-    0.25 instead of 0: nothing folds."""
+    0.25 instead of 0."""
     problem = planted_problem(2, 4, 4, 3)[0]
     return LiftedProblem(num_vars=2, order=4, num_data=problem.num_data,
                          operator=problem.operator,
@@ -295,11 +313,16 @@ class TestProjectAffine:
         clash = build_lifted_problem(twice, [0.0, 1.0], 2)
         assert clash.affine.infeasibility_lb > 0.1
 
-    def test_raw_rows_are_views_of_the_problem(self):
+    def test_raw_rows_are_the_problems_rows(self):
+        # a lift's packed rows are derived on first read, bit for bit the
+        # problem's; rows given are the problem's own array
         problem, _ = planted_problem(2, 4, 4, 3)
         cache = problem.affine
-        assert np.shares_memory(cache.row_mat_raw, problem.operator)
+        assert "row_mat_raw" not in vars(cache) and "operator" not in vars(problem)
+        assert np.array_equal(cache.row_mat_raw, problem.operator)
         assert np.shares_memory(cache.rhs_raw, problem.values)
+        given = split_by_an_extra_row()
+        assert np.shares_memory(given.affine.row_mat_raw, given.operator)
 
     @pytest.mark.parametrize("make", [
         lambda: planted_problem(5, 50, 4, 2)[0], lambda: list(inconsistent_systems())[1],
@@ -331,7 +354,7 @@ class TestProjectAffine:
         cache = problem.affine
         width = problem.dim * (problem.dim + 1) // 2
         assert cache.row_mat_raw.shape == (problem.num_constraints, width)
-        assert np.shares_memory(cache.row_mat_raw, problem.operator)
+        assert np.array_equal(cache.row_mat_raw, problem.operator)
         assert cache.column.shape == cache.coef.shape == (width,)
         assert cache.row_mat.shape == (problem.num_data + 1, cache.column.max() + 1)
         assert np.array_equal(np.unique(cache.column), np.arange(cache.row_mat.shape[1]))
@@ -370,7 +393,8 @@ class TestProjectAffine:
         cache = problem.affine
         assert cache.row_mat.shape == {(5, 2): (31, 21), (5, 4): (51, 136),
                                        (8, 4): (121, 523)}[n, order]
-        assert np.array_equal(_merge_map(n, order // 2)[0], searched_merge(problem))
+        unfolded = np.setdiff1d(np.arange(len(i)), cache.folded[0])
+        assert same_groups(cache.column[unfolded], searched_merge(problem)[unfolded])
         if order == 2:
             assert np.array_equal(cache.column, np.arange(len(i)))
             assert np.array_equal(cache.row_mat, svec_rows)
@@ -388,16 +412,21 @@ class TestProjectAffine:
                 assert err <= 1e-14 * np.max(np.abs(expected))
             fold = np.where(i == j, 0.5, 1.0)
             traces = rows_raw @ ((X[i, j] + X[j, i]) * fold)
-            assert cache.violation(X) == float(np.max(np.abs(traces - rhs_raw)))
+            # the lift's traces are its coefficients against X's class sums
+            expected = float(np.max(np.abs(traces - rhs_raw)))
+            assert cache.violation(X) == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("make", [
         split_by_an_extra_row, arbitrary_cells_from_json, ill_conditioned,
-        lambda: list(inconsistent_systems())[1]],
-        ids=["split_by_an_extra_row", "arbitrary_cells_from_json", "ill_conditioned", "qbp"])
+        lambda: list(inconsistent_systems())[1], edited_dependency, dependency_off_zero],
+        ids=["split_by_an_extra_row", "arbitrary_cells_from_json", "ill_conditioned", "qbp",
+             "edited_dependency", "dependency_off_zero"])
     def test_any_operator_projects_like_the_svec_formula(self, make):
-        # operators that are not plain lifts merge nothing: a row that splits
-        # a merged class (x1 (x1 x2) apart from x2 x1^2) sends the operator
-        # to the identity map, and the projection is the formula's bits
+        # operators that are not lifts take one column per cell: a row that
+        # splits a class (x1 (x1 x2) apart from x2 x1^2), a dependency block
+        # not the lift's bit for bit or off right-hand sides 0; and the QBP
+        # lift, whose classes are single cells. The projection is the
+        # formula's bits
         problem = make()
         cache = problem.affine
         assert np.array_equal(cache.column, np.arange(len(cache.column)))
@@ -408,24 +437,6 @@ class TestProjectAffine:
             x = rng.normal(size=svec_rows.shape[1])
             expected = x - svec_rows.T @ (pinv @ (svec_rows @ x - rhs))
             assert np.array_equal(cache.project(x), expected)
-
-    @pytest.mark.parametrize("make", [edited_dependency, dependency_off_zero],
-                             ids=["edited_dependency", "dependency_off_zero"])
-    def test_an_edited_dependency_block_is_merged_but_not_folded(self, make):
-        # the fold rule asks for the lift's dependency rows and right-hand
-        # sides 0 exactly; without them every row is kept on the merged
-        # columns, and the projection is the merged formula's bits
-        problem = make()
-        cache = problem.affine
-        assert not folds(problem)
-        assert np.array_equal(cache.column, _merge_map(2, 2)[0])
-        assert cache.row_mat.shape == (problem.num_constraints, cache.column.max() + 1)
-        assert not np.any(cache.coef != 1.0)
-        assert np.allclose(spread_rows(cache), written_out(problem)[0], rtol=0, atol=1e-15)
-        x = np.random.default_rng(23).normal(size=len(cache.column))
-        merged = np.bincount(cache.column, x)
-        step = cache.row_mat.T @ (cache.gram_pinv @ (cache.row_mat @ merged - cache.rhs))
-        assert np.array_equal(cache.project(x), x - step[cache.column])
 
     def test_full_rank_gram_is_inverted_without_eigh(self, monkeypatch):
         # the NLBP lift's folded Gram matrix, over its data and
@@ -507,6 +518,120 @@ class TestProjectAffine:
                 for s in (1e-3, 1.0, 1e3) for _ in range(20)]
             for X in candidates:
                 assert cache.infeasibility_lb <= cache.violation(X)
+
+
+def rows_given(problem):
+    """The problem's rows as a problem given them, on one column per cell
+    (``AffineCache._per_cell``, which does not read rows as a lift)."""
+    given = LiftedProblem(num_vars=problem.num_vars, order=problem.order,
+                          num_data=problem.num_data, values=problem.values,
+                          operator=problem.operator)
+    return AffineCache._per_cell(given)
+
+
+def empty_row_problem():
+    """A planted quartic lift in three variables, one of whose polynomials
+    has terms that cancel: a data row of zeros, with value 0."""
+    problem = planted_problem(3, 4, 4, 9)[0]
+    coefficients = problem.coefficients.copy()
+    coefficients[1] -= coefficients[1]
+    values = problem.values.copy()
+    values[1] = 0.0
+    return LiftedProblem(num_vars=3, order=4, num_data=4, values=values,
+                         coefficients=coefficients)
+
+
+def coefficient_cases():
+    for order in (2, 4, 6):
+        for n in range(1, 7):
+            yield pytest.param(lambda n=n, order=order: planted_problem(n, 3, order, n)[0],
+                               id=f"n{n}-order{order}")
+    yield pytest.param(empty_row_problem, id="empty_row")
+    yield pytest.param(lambda: list(inconsistent_systems())[2], id="clash_order4")
+
+
+class TestCoefficientBuild:
+    """A lift's cache is built from its coefficients: the folded layout of
+    its shape, or one column per cell where that is not proven full rank;
+    the packed operator is derived only when read."""
+
+    @pytest.mark.parametrize("make", coefficient_cases())
+    def test_matches_the_per_cell_cache_of_the_derived_operator(self, make):
+        # the same projection, fit and infeasibility bound as the rows given
+        # on one column per cell, to 1e-14 relative; on a degree-2 lift,
+        # whose classes are single cells, the same bits
+        problem = make()
+        cache = problem.affine
+        assert "operator" not in vars(problem)
+        reference = rows_given(problem)
+        scale = 1.0 + np.max(np.abs(problem.values))
+        assert abs(cache.infeasibility_lb - reference.infeasibility_lb) <= 1e-14 * scale
+        rng = np.random.default_rng(problem.dim)
+        for _ in range(3):
+            x = rng.normal(size=len(reference.column))
+            for got, expected in ((cache.project(x), reference.project(x)),
+                                  (cache.fit(x)[1], reference.fit(x)[1])):
+                if problem.order == 2:
+                    assert np.array_equal(got, expected)
+                else:
+                    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_a_lift_not_proven_full_rank_takes_one_column_per_cell(self):
+        # the clash and the cancelled polynomial: the folded Gram matrix is
+        # singular, and the cache on one column per cell bounds the violation
+        for problem in (empty_row_problem(), list(inconsistent_systems())[2]):
+            cache = problem.affine
+            assert not folds(problem)
+            assert cache.row_mat.shape == (problem.num_constraints, len(cache.column))
+        assert list(inconsistent_systems())[2].affine.infeasibility_lb > 0.1
+        assert empty_row_problem().affine.infeasibility_lb < 1e-12
+
+    @pytest.mark.parametrize("method, n, num_eqs", [
+        (Method.NLBP, 5, 50), (Method.NLBP, 8, 120), (Method.QBP, 5, 50)],
+        ids=["nlbp_n5", "nlbp_n8", "qbp_n5"])
+    def test_a_trial_never_forms_the_packed_operator(self, monkeypatch, method, n, num_eqs):
+        polys, _, values = sample_trial(
+            table1_spec(trials=1, seed=1000, num_vars=n, num_equations=num_eqs), 0)
+
+        def refused(*args):
+            raise AssertionError("the packed operator was formed")
+
+        monkeypatch.setattr(lifting, "_packed_operator", refused)
+        run = run_lifted(polys, values, 4, default_trial_config(table1_spec(), values),
+                         method)
+        assert "operator" not in vars(run.problem)
+        assert "row_mat_raw" not in vars(run.problem.affine)
+        assert run.report.iterations > 0 or method is Method.QBP
+
+    @pytest.mark.parametrize("n, order", [(1, 2), (3, 2), (2, 4), (5, 4), (3, 6)])
+    def test_derived_operator_is_the_packed_writer_bit_for_bit(self, n, order):
+        # each data cell the class's coefficient over its pair count, times
+        # its share, in that order, then the structural block; read-only
+        problem = planted_problem(n, 4, order, n + order)[0]
+        column, pairs, share = _cell_map(n, order // 2)
+        data = problem.coefficients[:, column] / pairs * share
+        expected = np.vstack([data, generate_dependency_constraints(n, order)])
+        assert np.array_equal(problem.operator, expected)
+        assert not problem.operator.flags.writeable
+        assert problem.operator is problem.operator
+
+    def test_a_file_of_a_lift_is_read_as_one(self):
+        # its data rows split one value per class equally and its structural
+        # rows are the lift's block: folded, as the lift it was written from
+        problem = planted_problem(3, 6, 4, 5)[0]
+        text = json.dumps(lifted_problem_to_json(problem))
+        back = lifted_problem_from_json(json.loads(text))
+        assert back.coefficients is None and folds(back)
+        assert np.array_equal(back.affine.column, problem.affine.column)
+        x = np.random.default_rng(6).normal(size=len(problem.affine.column))
+        expected = problem.affine.project(x)
+        assert np.max(np.abs(back.affine.project(x) - expected)) <= 1e-14 * np.max(np.abs(expected))
+        # a row whose diagonal cell leaves the equal split is not a lift's
+        operator = back.operator.copy()
+        operator[0, packed_index(back.dim).cell[1, 1]] += 0.5
+        edited = LiftedProblem(num_vars=3, order=4, num_data=back.num_data,
+                               values=back.values, operator=operator)
+        assert not folds(edited)
 
 
 class TestGramInverse:
