@@ -258,14 +258,18 @@ _PROOF_MARGIN = 1e-2
 
 @dataclass
 class InertiaProof:
-    """The cone step's last margin proof within one solve: ``anchor`` (a
-    copy of the input A it was proven on, None before the first) has its
-    second eigenvalue below -``margin``, so by Weyl's inequalities every
-    symmetric A' with ||A' - A||_F < margin has at most one positive
-    eigenvalue (see the module docstring)."""
+    """The cone step's state within one solve. Its last margin proof:
+    ``anchor`` (a copy of the input A it was proven on, None before the
+    first) has its second eigenvalue below -``margin``, so by Weyl's
+    inequalities every symmetric A' with ||A' - A||_F < margin has at most
+    one positive eigenvalue (see the module docstring). And
+    ``rank_above_one``, whether the last output of a full eigendecomposition
+    had two or more positive eigenvalues: while it had, the rank-one step is
+    not tried."""
 
     anchor: np.ndarray | None = None
     margin: float = 0.0
+    rank_above_one: bool = False
 
 
 def project_psd(X: np.ndarray, start: np.ndarray | None = None,
@@ -279,18 +283,23 @@ def project_psd(X: np.ndarray, start: np.ndarray | None = None,
     eigendecomposition runs whenever that step cannot prove its answer, so
     the result is the projection to roundoff with or without a start.
 
-    ``proof`` is the solver's per-solve anchor (see ``InertiaProof``): the
-    rank-one step reads it and replaces it by each new margin proof. With a
-    proof, X must be an exactly symmetric float array, as an ``smat`` output
-    is, and start a float array; both are used as they are."""
+    ``proof`` is the solver's per-solve state (see ``InertiaProof``): the
+    rank-one step reads its anchor and replaces it by each new margin proof,
+    and is skipped while the last eigendecomposition's output had two or
+    more positive eigenvalues, which the next input then mostly has too.
+    With a proof, X must be an exactly symmetric float array, as an
+    ``smat`` output is, and start a float array; both are used as they
+    are."""
     if proof is None:
         X = np.asarray(X, dtype=float)
         X, start = 0.5 * (X + X.T), None if start is None else np.asarray(start, dtype=float)
-    if start is not None:
+    if start is not None and (proof is None or not proof.rank_above_one):
         out = _rank_one_projection(X, start, proof)
         if out is not None:
             return out
     vals, vecs = _eigh(X)
+    if proof is not None:
+        proof.rank_above_one = bool(len(vals) > 1 and vals[-2] > 0.0)  # ascending
     out = (vecs * np.maximum(vals, 0.0)) @ vecs.T
     return 0.5 * (out + out.T)
 

@@ -827,6 +827,26 @@ class TestWarmStartedProjectPsd:
         assert sdp_admm._rank_one_projection(A, np.outer(near, near)) is None
         assert solves == [(self.DIM, self.DIM)]
 
+    def test_no_rank_one_attempt_after_an_output_of_higher_rank(self, monkeypatch):
+        # an eigh output with two positive eigenvalues marks the solve's
+        # state; the next input, though it has one, goes straight to eigh
+        # (same bits as without a start) and clears the mark, and the one
+        # after that tries the rank-one step again
+        two, _ = with_spectrum([5.0, 2.0] + self.NEGATIVE[1:], 12)
+        one, q = with_spectrum([5.0] + self.NEGATIVE, 13)
+        two, one = 0.5 * (two + two.T), 0.5 * (one + one.T)  # as a proof needs
+        start = np.outer(q[:, 0], q[:, 0])
+        proof = sdp_admm.InertiaProof()
+        calls = count_cone_eigh_calls(monkeypatch)
+        solves = count_calls(monkeypatch, sdp_admm, "_solve")
+        project_psd(two, start, proof=proof)
+        assert proof.rank_above_one and len(calls) == 1
+        tried = len(solves)
+        assert np.array_equal(project_psd(one, start, proof=proof), project_psd(one))
+        assert not proof.rank_above_one and len(calls) == 3 and len(solves) == tried
+        project_psd(one, start, proof=proof)
+        assert len(calls) == 3 and len(solves) > tried
+
     @pytest.mark.parametrize("kernel", ["solve", "cholesky"])
     def test_fast_path_linalg_error_falls_back(self, monkeypatch, kernel):
         # every start takes one Rayleigh-quotient step (solve) and then the
@@ -1113,8 +1133,12 @@ def reference_loop(problem, config, alpha=sdp_admm._RELAX, balance=True,
     coordinates: the state x = (z, u1, u2) as one flat vector of three
     packed dim (dim + 1) / 2 blocks, off-diagonals times sqrt(2), a fresh
     array for every step, a fresh gradient step and a shrinkage call every
-    iteration, ``np.linalg.norm``, the same ``cache.project`` and the same ``project_psd`` warm-started from the previous
-    cone output. Only the cone step sees a matrix, unpacked and repacked by
+    iteration, ``np.linalg.norm`` and the same ``cache.project``. The cone
+    step tries the solver's certified rank-one step from the previous cone
+    output, without the solve's inertia anchor, and otherwise runs
+    ``np.linalg.eigh``; it does not try the rank-one step while the last
+    eigendecomposition after the first had two or more positive
+    eigenvalues. Only the cone step sees a matrix, unpacked and repacked by
     ``packed_layout``. Each block's output is over-relaxed by ``alpha``
     before the consensus and multiplier updates (alpha = 1 is plain ADMM);
     the residuals and the stopping rule use the unrelaxed outputs. The
@@ -1159,11 +1183,20 @@ def reference_loop(problem, config, alpha=sdp_admm._RELAX, balance=True,
     restarts = {"rho": 0, "growth": 0, "rejected": 0}
     history = []
     scale = np.sqrt(2.0) * dim
-    X2 = None
+    X2, rank_above_one = None, False
     for iteration in range(1, config.max_iters + 1):
         Z, U1, U2 = x.reshape(3, S)
         X1 = cache.project(Z - U1 - (1.0 / rho) * on_diagonal)
-        X2 = project_psd(matrix(Z - U2), X2)
+        M = matrix(Z - U2)
+        out = None
+        if X2 is not None and not rank_above_one:
+            out = sdp_admm._rank_one_projection(M, X2)
+        if out is None:
+            vals, vecs = np.linalg.eigh(M)
+            out = (vecs * np.maximum(vals, 0.0)) @ vecs.T
+            out = 0.5 * (out + out.T)
+            rank_above_one = X2 is not None and vals[-2] > 0.0
+        X2 = out
         x2 = pack(X2) * weight
         H1 = alpha * X1 + (1.0 - alpha) * Z
         H2 = alpha * x2 + (1.0 - alpha) * Z
