@@ -1,8 +1,8 @@
 """Per-phase cost of one NLBP trial as num_vars grows.
 
-Runs ``run_experiment`` on ``table1_spec(num_vars=n, num_equations=N)`` with
-NLBP only, one process, BLAS pinned to one thread, and times the layers of
-each trial by wrapping them at the names their callers use:
+Runs ``run_experiment`` on ``table1_spec(num_vars=n, num_equations=N,
+lam=lam)`` with NLBP only, one process, BLAS pinned to one thread, and times
+the layers of each trial by wrapping them at the names their callers use:
 
 * ``sample_ms``: ``harness.sample_trial``;
 * ``lift_ms``: ``baselines.build_lifted_problem``;
@@ -44,6 +44,9 @@ whether two runs differ; counts stay single numbers.
 Usage, from the root of a checkout (PYTHONPATH selects the code measured):
 
     PYTHONPATH=src python3 scripts/scaling_sweep.py --sizes 5:50:20,8:120:20,10:200:4
+
+Each size is n:N:trials, or n:N:trials:lam for an l1 weight other than the
+preset's 0, as in the underdetermined regime ``5:12:10:0.1``.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ def _timed(totals: dict, key: str, fn):
     return wrapper
 
 
-def measure(n: int, num_eqs: int, trials: int, seed: int) -> dict:
+def measure(n: int, num_eqs: int, trials: int, seed: int, lam: float = 0.0) -> dict:
     """Mean per-trial figures of one ensemble at num_vars n."""
     totals = dict.fromkeys(PHASES + LOOP_PARTS, 0.0)
     counts = dict.fromkeys(COUNTS, 0)
@@ -153,7 +156,7 @@ def measure(n: int, num_eqs: int, trials: int, seed: int) -> dict:
     sdp_admm.AffineCache.build = classmethod(
         _timed(totals, "cache_build_ms", building))
     try:
-        spec = harness.table1_spec(trials=trials, seed=seed, num_vars=n,
+        spec = harness.table1_spec(trials=trials, seed=seed, num_vars=n, lam=lam,
                                    num_equations=num_eqs, methods=(Method.NLBP,))
         result = harness.run_experiment(spec)
         mark()
@@ -183,7 +186,7 @@ def measure(n: int, num_eqs: int, trials: int, seed: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="5:50:20,8:120:20,10:200:4",
-                        help="comma-separated n:N:trials")
+                        help="comma-separated n:N:trials[:lam]")
     parser.add_argument("--seed", type=int, default=1000)
     parser.add_argument("--reps", type=int, default=3)
     args = parser.parse_args(argv)
@@ -191,10 +194,14 @@ def main(argv=None) -> int:
         parser.error("--reps must be >= 1")
     rows = []
     for item in args.sizes.split(","):
-        n, num_eqs, trials = (int(v) for v in item.split(":"))
-        measure(n, num_eqs, 1, args.seed + 1)
-        reps = [measure(n, num_eqs, trials, args.seed) for _ in range(args.reps)]
-        row = {"n": n, "N": num_eqs, "trials": trials}
+        fields = item.split(":")
+        if len(fields) not in (3, 4):
+            parser.error(f"size {item!r} is not n:N:trials[:lam]")
+        n, num_eqs, trials = (int(v) for v in fields[:3])
+        lam = float(fields[3]) if len(fields) == 4 else 0.0
+        measure(n, num_eqs, 1, args.seed + 1, lam)
+        reps = [measure(n, num_eqs, trials, args.seed, lam) for _ in range(args.reps)]
+        row = {"n": n, "N": num_eqs, "trials": trials, "lam": lam}
         for k in reps[0]:
             values = [r[k] for r in reps]
             row[k] = round(statistics.median(values), 3)

@@ -76,6 +76,17 @@ def test_main_prints_the_spread_of_timed_figures_only(sweep, capsys):
         assert key in row and f"{key}_min" not in row and f"{key}_max" not in row
 
 
+def test_a_size_may_give_its_l1_weight(sweep, capsys):
+    # n:N:trials:lam runs the ensemble at that lam; without it lam is 0
+    assert sweep.main(["--sizes", "3:12:1,3:12:1:0.1", "--reps", "1"]) == 0
+    plain, weighted = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+    assert (plain["lam"], weighted["lam"]) == (0.0, 0.1)
+    assert plain["iterations"] != weighted["iterations"]
+    with pytest.raises(SystemExit) as info:
+        sweep.main(["--sizes", "3:12", "--reps", "1"])
+    assert info.value.code == 2 and "n:N:trials[:lam]" in capsys.readouterr().err
+
+
 def test_no_repetition_is_a_usage_error(sweep, capsys):
     with pytest.raises(SystemExit) as info:
         sweep.main(["--sizes", "3:12:1", "--reps", "0"])
