@@ -13,8 +13,8 @@ depend on execution order.
 
 CSV output is byte-reproducible for a fixed spec, seed and BLAS thread
 count; wall-clock timings are therefore excluded unless explicitly requested.
-The thread count matters at larger lifts: at n = 8 the bytes differ between
-one and two OpenBLAS threads, at n = 5 they do not.
+The thread count matters at larger lifts: at n = 10 the bytes differ between
+one and two OpenBLAS threads, at n = 5 and n = 8 they do not.
 """
 
 from __future__ import annotations

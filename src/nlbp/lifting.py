@@ -212,23 +212,6 @@ class LiftedProblem:
         return AffineCache.build(self)
 
 
-# The bytes of svec rows whose squares ``_row_norms`` forms at a time: at
-# n = 8 that is 31 rows of a 1.3 MB operator, where the whole n = 5 operator
-# fits in one block.
-_BLOCK_BYTES = 1 << 18
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(rows, axis=1) bit for bit, but squaring a block of
-    rows at a time instead of the whole matrix."""
-    norms = np.empty(len(rows))
-    step = max(1, _BLOCK_BYTES // (rows.shape[1] * rows.itemsize))
-    for k in range(0, len(rows), step):
-        part = rows[k:k + step]
-        norms[k:k + step] = np.sqrt(np.add.reduce(part * part, axis=1))
-    return norms
-
-
 # The relative eigenvalue cutoff of the Gram pseudo-inverse. A positive
 # definite G with tr(G) tr(G^-1) <= 1 / cutoff keeps every eigenvalue, since
 # tr(G) tr(G^-1) >= lambda_max / lambda_min.
@@ -403,7 +386,7 @@ class AffineCache:
     def _per_cell(cls, problem: LiftedProblem) -> "AffineCache":
         """The cache on one column per cell, R_c = R."""
         rows = _svec_rows(problem)
-        norms = _row_norms(rows)
+        norms = np.linalg.norm(rows, axis=1)
         scale = np.where(norms > 0, norms, 1.0)
         rows /= scale[:, None]
         rhs = problem.values / scale

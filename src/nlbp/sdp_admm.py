@@ -48,7 +48,11 @@ tangent of the start's angle to the eigenvector, so three steps accept
 starts up to about 15 degrees off, two only about 2. On the seed-42
 ensembles the fallbacks left, about 6 per solve, are mostly inputs with two
 or more positive eigenvalues, in iterations 2-6; the Cholesky proof refuses
-them after one step.
+them after one step. Where such inputs are the rule, as at lam > 0 with few
+equations, even that step is waste: while the last full eigendecomposition
+gave an output with two or more positive eigenvalues (a count ``eigh``
+already gives), the next cone step runs ``eigh`` at once, and the rank-one
+step is tried again after an output with one.
 
 Within a solve the proof is reused. The loop first factors
 2 lam v v^T - A - delta I with the margin delta = lam / 100; when that
