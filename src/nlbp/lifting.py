@@ -141,7 +141,7 @@ class LiftedProblem:
     (``quadratic_forms``) and the structural block
     (``generate_dependency_constraints``): ``operator`` derives them on
     first read and keeps them. The factored operator (``affine``) reads
-    the coefficients, so a solve never forms the rows. Every array is
+    the coefficients, so a solve never forms ``operator``. Every array is
     read-only. Problems compare and hash by identity, as the factored
     operator each one keeps does.
     """
@@ -151,7 +151,7 @@ class LiftedProblem:
         _half_order(order)
         self.num_vars, self.order, self.num_data = num_vars, order, num_data
         if (operator is None) == (coefficients is None):
-            raise ValueError("give the operator or the coefficients, not both")
+            raise ValueError("give exactly one of operator and coefficients")
         if operator is not None:
             dim = self.dim
             width = dim * (dim + 1) // 2
@@ -183,7 +183,7 @@ class LiftedProblem:
     def operator(self) -> np.ndarray:
         """The packed rows of a lift, derived from its coefficients on first
         read (a problem given as rows holds its own)."""
-        return _packed_operator(self.coefficients, self.num_vars, self.order)
+        return _read_only(_packed_rows(self.coefficients, self.num_vars, self.order))
 
     @property
     def basis(self) -> np.ndarray:
@@ -418,7 +418,7 @@ class AffineCache:
         if self.lift is None:
             return self.rows_given
         num_vars, order, coefficients = self.lift
-        return _packed_operator(coefficients, num_vars, order)
+        return _read_only(_packed_rows(coefficients, num_vars, order))
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Frobenius projection of the packed svec vector x (the solver's
@@ -476,22 +476,14 @@ def _raw_rows(problem: LiftedProblem) -> dict:
 
 
 def _svec_rows(problem: LiftedProblem) -> np.ndarray:
-    """The problem's svec rows R on one column per cell, a new array: the
-    rows given times the svec weight, or a lift's written from its
-    coefficients without the packed operator. On a lift of degree 2, whose
-    pair counts are 1, these are the packed rows' own bits times the
-    weight."""
+    """The problem's svec rows R on one column per cell, a new array: its
+    packed rows times the svec weight, a lift's written afresh rather than
+    read from ``operator``, so that the problem does not keep them."""
     weight = packed_index(problem.dim).weight
-    coefficients = problem.coefficients
-    if coefficients is None:
+    if problem.coefficients is None:
         return problem.operator * weight
-    classes, pairs, share = _cell_map(problem.num_vars, problem.order // 2)
-    structural = generate_dependency_constraints(problem.num_vars, problem.order)
-    rows = np.empty((problem.num_constraints, len(classes)))
-    data = rows[:problem.num_data]
-    np.take(coefficients, classes, axis=1, out=data, mode="clip")
-    data *= share * weight / pairs
-    np.multiply(structural, weight, out=rows[problem.num_data:])
+    rows = _packed_rows(problem.coefficients, problem.num_vars, problem.order)
+    rows *= weight
     return rows
 
 
@@ -682,16 +674,20 @@ def _write_forms(coefficients: np.ndarray, num_vars: int, order: int,
     return out
 
 
-def _packed_operator(coefficients: np.ndarray, num_vars: int, order: int) -> np.ndarray:
-    """The read-only packed rows of the lift of ``coefficients``: their
+def _packed_rows(coefficients: np.ndarray, num_vars: int, order: int) -> np.ndarray:
+    """The packed rows of the lift of ``coefficients``, a new array: their
     forms, then the structural block."""
     structural = generate_dependency_constraints(num_vars, order)
     num_data = len(coefficients)
-    operator = np.empty((num_data + len(structural), structural.shape[1]))
-    _write_forms(coefficients, num_vars, order, operator[:num_data])
-    operator[num_data:] = structural
-    operator.setflags(write=False)
-    return operator
+    rows = np.empty((num_data + len(structural), structural.shape[1]))
+    _write_forms(coefficients, num_vars, order, rows[:num_data])
+    rows[num_data:] = structural
+    return rows
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def polynomial_to_quadratic_form(p: PolySystem, order: int) -> np.ndarray:

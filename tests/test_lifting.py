@@ -356,6 +356,21 @@ class TestConstraintType:
         with pytest.raises(ValueError):
             one_var_problem(np.zeros((1, 3)), [0.0], num_data=2)
 
+    def test_rows_or_coefficients_exactly_one(self):
+        # a problem is given its packed rows or its coefficients, of shape
+        # (num_data, T) over exponent_table(num_vars, order)
+        with pytest.raises(ValueError, match="exactly one"):
+            LiftedProblem(num_vars=1, order=2, num_data=0, values=[1.0])
+        with pytest.raises(ValueError, match="exactly one"):
+            LiftedProblem(num_vars=1, order=2, num_data=0, values=[1.0],
+                          operator=np.zeros((1, 3)), coefficients=np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="coefficients must have shape"):
+            LiftedProblem(num_vars=1, order=2, num_data=1, values=[0.0, 1.0],
+                          coefficients=np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="2 constraint rows"):
+            LiftedProblem(num_vars=1, order=2, num_data=1, values=[0.0],
+                          coefficients=np.zeros((1, 3)))
+
     def test_arrays_read_only_and_caller_array_untouched(self):
         operator = np.zeros((1, 3))
         problem = one_var_problem(operator, np.array([0.0]))

@@ -7,7 +7,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nlbp import lifting
 from nlbp.baselines import Method, refine_solution, run_lifted
 from nlbp.cli import (
     lifted_problem_from_json,
@@ -20,7 +19,6 @@ from nlbp.lifting import (
     AffineCache,
     LiftedProblem,
     _cell_map,
-    _fold_map,
     _gram_inverse,
     build_lifted_problem,
     generate_dependency_constraints,
@@ -28,7 +26,7 @@ from nlbp.lifting import (
     polynomial_to_quadratic_form,
 )
 from nlbp.monomials import exponent_table, monomial_vector, random_polynomial
-from nlbp import sdp_admm
+from nlbp import lifting, sdp_admm
 from nlbp.recovery import extract_rank1
 from nlbp.sdp_admm import (
     SolverConfig,
@@ -558,8 +556,8 @@ class TestCoefficientBuild:
     @pytest.mark.parametrize("make", coefficient_cases())
     def test_matches_the_per_cell_cache_of_the_derived_operator(self, make):
         # the same projection, fit and infeasibility bound as the rows given
-        # on one column per cell, to 1e-14 relative; on a degree-2 lift,
-        # whose classes are single cells, the same bits
+        # on one column per cell, to 1e-14 relative; the same bits where the
+        # lift takes one column per cell too
         problem = make()
         cache = problem.affine
         assert "operator" not in vars(problem)
@@ -571,7 +569,7 @@ class TestCoefficientBuild:
             x = rng.normal(size=len(reference.column))
             for got, expected in ((cache.project(x), reference.project(x)),
                                   (cache.fit(x)[1], reference.fit(x)[1])):
-                if problem.order == 2:
+                if not folds(problem):
                     assert np.array_equal(got, expected)
                 else:
                     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
@@ -590,13 +588,16 @@ class TestCoefficientBuild:
         (Method.NLBP, 5, 50), (Method.NLBP, 8, 120), (Method.QBP, 5, 50)],
         ids=["nlbp_n5", "nlbp_n8", "qbp_n5"])
     def test_a_trial_never_forms_the_packed_operator(self, monkeypatch, method, n, num_eqs):
+        # an NLBP trial writes no packed row at all; the degree-2 QBP lift's
+        # rows, one column per cell, are its cache's own rows, written afresh
         polys, _, values = sample_trial(
             table1_spec(trials=1, seed=1000, num_vars=n, num_equations=num_eqs), 0)
 
         def refused(*args):
-            raise AssertionError("the packed operator was formed")
+            raise AssertionError("packed rows were written")
 
-        monkeypatch.setattr(lifting, "_packed_operator", refused)
+        if method is Method.NLBP:
+            monkeypatch.setattr(lifting, "_packed_rows", refused)
         run = run_lifted(polys, values, 4, default_trial_config(table1_spec(), values),
                          method)
         assert "operator" not in vars(run.problem)
