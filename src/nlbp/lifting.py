@@ -23,14 +23,15 @@ the cells the lifted JSON stores (``LiftedProblem.operator``). A lift
 derives it from its coefficients on first read; a file or an operator made
 by hand is given it. ``packed_index`` maps between that layout and dense
 matrices. The solver and the certificate read one factored operator per
-problem, ``LiftedProblem.affine``. For a lift of order >= 4 it is built
-from the coefficients alone, on a layout of the shape (``_fold_map``): it
-merges into one column the off-diagonal cells of each moment class above
-the basis degree, which no row of a lift tells apart, and folds into one
-column the cells of each class that a dependency row ties to X[0, i],
-dropping those rows. A file whose rows are a lift's is read as one
-(``_read_as_lift``). Every other operator, and a lift whose folded Gram
-matrix is not proven full rank, gets one column per cell. The solver
+problem, ``LiftedProblem.affine``. A lift's is built from the coefficients
+alone, on the layout of its shape (``_fold_map``). From order 4 on, that
+layout merges into one column the off-diagonal cells of each moment class
+above the basis degree, which no row of a lift tells apart, and folds into
+one column the cells of each class that a dependency row ties to X[0, i],
+dropping those rows; at order 2 it is one column per cell. A file of order
+4 or more whose rows are a lift's is read as one (``_read_as_lift``). Every
+other operator given as rows, and a lift whose folded Gram matrix is not
+proven full rank, gets one column per cell from its packed rows. The solver
 projects through it (``AffineCache.project``) and the certificate fits
 through it (``AffineCache.fit``); neither reads its layout.
 """
@@ -275,16 +276,16 @@ class AffineCache:
     x are y = E x = ``bincount(column, x * coef)``, and ``row_mat`` holds
     the rows R_c on those columns. There are two layouts.
 
-    * A lift of order >= 4 (a problem with ``coefficients``, or given rows
-      that ``_read_as_lift`` reads as a lift) takes the folded layout of
-      its shape (n, order) (``_fold_map``), built from the coefficients
-      alone. Its data row gives every cell of a moment class
-      (``_cell_map``) its class's coefficient over the class's pair count,
-      times the cell's share. So the off-diagonal cells of each class above
-      the basis degree, which no row tells apart, share one column whose
-      coef is 1 (merging: R = R_c E on them). And the dependency rows
-      X[k, l] = X[0, i], whose right-hand sides are 0, say that the cells of
-      each class they touch hold one value: those rows are dropped, and
+    * A lift (a problem with ``coefficients``, or given rows of order >= 4
+      that ``_read_as_lift`` reads as a lift) takes the layout of its shape
+      (n, order) (``_fold_map``), built from the coefficients alone. Its
+      data row gives every cell of a moment class (``_cell_map``) its
+      class's coefficient over the class's pair count, times the cell's
+      share. So the off-diagonal cells of each class above the basis
+      degree, which no row tells apart, share one column whose coef is 1
+      (merging: R = R_c E on them). And the dependency rows
+      X[k, l] = X[0, i], whose right-hand sides are 0, say that the cells
+      of each class they touch hold one value: those rows are dropped, and
       each such class gets one column along its unit svec direction q (coef
       is q on its cells; folding). The affine set lies in the subspace V
       the dropped rows leave, so projecting onto it projects P_V x, which
@@ -298,31 +299,32 @@ class AffineCache:
       the row's full svec norm is sqrt((C * C) @ w), one weight per class:
       ``build`` reads no packed row. At n = 8 ``row_mat`` is 121 x 523
       instead of 157 x 1035, at n = 5 51 x 136. ``folded`` lists the folded
-      cells.
-    * Every other problem takes one column per cell, R_c = R, ``column``
-      the identity and ``folded`` empty: an operator given as rows that is
-      not a lift, a lift of degree 2 (whose classes are single cells, so
-      that its rows from the coefficients are R bit for bit), and a lift
-      whose folded Gram matrix the Schur split below does not prove full
-      rank, such as the x = 0, x = 1 clash at order 4.
+      cells. At degree 2 every class is one cell and nothing folds: the
+      rows are R bit for bit, and their norms are taken from them.
+    * Every other problem takes one column per cell from its packed rows,
+      R_c = R, ``column`` the identity and ``folded`` empty: an operator
+      given as rows that is not read as a lift, and a folded lift whose
+      Gram matrix the Schur split below does not prove full rank, such as
+      the x = 0, x = 1 clash at order 4.
 
-    Outside this class the layout is read only through ``project`` and
-    ``fit``. The rows are normalized to unit Frobenius norm, that of the
-    full svec row (the feasible set, and hence the projection, is
-    unchanged), and the Gram matrix G is inverted once; ``gram_pinv`` is
-    that (pseudo-)inverse, formed once so that a projection applies it in
-    one matvec. When Cholesky factorizations prove G positive definite and
-    tr(G) tr(G^-1) <= 1e12, ``gram_pinv`` is the plain inverse: the trace
-    product bounds the condition number, so the eigenvalue cutoff below
-    would have kept every eigenvalue. A folded Gram matrix is inverted by
-    one Schur split (``_gram_inverse``). The NLBP lift's Gram matrices take
-    the full-rank route (condition numbers 9-19 on the seeded ensembles).
-    Otherwise G is eigendecomposed with the relative cutoff 1e-12, so that
-    linearly dependent constraints, such as those of the degree-2 QBP lift,
-    are handled by pseudo-inversion. ``infeasibility_lb`` is a provable
-    lower bound on max_i |trace(C_i X) - v_i| over all X; it is zero (up to
-    roundoff) exactly when the constraint system is consistent, and exactly
-    zero on the full-rank route, where the rows span every right-hand side.
+    One routine, ``_factor``, finishes every layout. The rows are
+    normalized to unit Frobenius norm, that of the full svec row (the
+    feasible set, and hence the projection, is unchanged), and the Gram
+    matrix G is inverted once, so that a projection applies ``gram_pinv``
+    in one matvec. When Cholesky factorizations prove G positive definite
+    and tr(G) tr(G^-1) <= 1e12, ``gram_pinv`` is the plain inverse: the
+    trace product bounds the condition number, so the eigenvalue cutoff
+    below would have kept every eigenvalue. A folded G is inverted by one
+    Schur split, any other whole (``_gram_inverse``); every NLBP lift of
+    the seeded ensembles is (condition numbers 9-19). Otherwise a folded
+    layout falls back to one column per cell, and there G is
+    eigendecomposed with the relative cutoff 1e-12, so that linearly
+    dependent constraints, such as those of the degree-2 QBP lift, are
+    pseudo-inverted. Outside this class the layout is read only through
+    ``project`` and ``fit``. ``infeasibility_lb`` is a provable lower bound
+    on max_i |trace(C_i X) - v_i| over all X; it is zero (up to roundoff)
+    exactly when the constraint system is consistent, and exactly zero on
+    the full-rank route, where the rows span every right-hand side.
 
     ``violation`` reads a lift's coefficients against the class sums of X
     and the dependency rows' cells, and rows given as they are.
@@ -346,55 +348,61 @@ class AffineCache:
     @classmethod
     def build(cls, problem: LiftedProblem) -> "AffineCache":
         fold = _fold_map(problem.num_vars, problem.order // 2)
-        if fold is not None:
-            coefficients = problem.coefficients
-            if coefficients is None:
-                coefficients = _read_as_lift(problem)
-            if coefficients is not None:
-                cache = cls._folded(problem, coefficients, fold)
-                if cache is not None:
-                    return cache
+        coefficients = problem.coefficients
+        if coefficients is None and fold.folds:
+            coefficients = _read_as_lift(problem)
+        if coefficients is not None:
+            num_data = len(coefficients)
+            # R_c D^(1/2), whose Gram matrix is R P_V R^T; a folded layout
+            # takes R's row norms from the coefficients (see _fold_map)
+            rows = np.empty((num_data + 1, len(fold.classes)))
+            data = rows[:num_data]
+            np.take(coefficients, fold.classes, axis=1, out=data, mode="clip")
+            data *= fold.scale
+            rows[num_data] = 0.0
+            rows[num_data, fold.column[0]] = 1.0  # the normalization row, X[0, 0] = 1
+            norms = None  # at degree 2, R_c = R
+            if fold.folds:
+                norms = np.append(np.sqrt((coefficients * coefficients) @ fold.norm_weight), 1)
+            cache = cls._factor(problem, rows, fold, norms)
+            if cache is not None:
+                return cache
         return cls._per_cell(problem)
 
     @classmethod
-    def _folded(cls, problem: LiftedProblem, coefficients: np.ndarray,
-                fold: _Fold) -> "AffineCache | None":
-        """The folded cache (see above) of the lift of ``coefficients``;
-        None when the Schur split does not prove its Gram matrix full
-        rank."""
-        num_data = len(coefficients)
-        # R_c D^(1/2), whose norms and Gram matrix are those of R
-        rows = np.empty((num_data + 1, len(fold.classes)))
-        data = rows[:num_data]
-        np.take(coefficients, fold.classes, axis=1, out=data, mode="clip")
-        data *= fold.scale
-        norms = np.sqrt((coefficients * coefficients) @ fold.norm_weight)
-        scale = np.append(np.where(norms > 0, norms, 1.0), 1.0)
-        data /= scale[:num_data, None]
-        rows[num_data] = 0.0
-        rows[num_data, fold.column[0]] = 1.0  # the normalization row, X[0, 0] = 1
-        gram_pinv = _gram_inverse(rows @ rows.T, split=True)
-        if gram_pinv is None:
-            return None
-        rows *= fold.unroot  # R_c, the common entry of each column's cells
-        return cls(dim=problem.dim, row_mat=rows,
-                   rhs=problem.values[:num_data + 1] / scale, gram_pinv=gram_pinv,
-                   column=fold.column, coef=fold.coef, folded=fold.folded,
-                   **_raw_rows(problem))
+    def _per_cell(cls, problem: LiftedProblem) -> "AffineCache":
+        """The cache on one column per cell, R_c = R: the packed rows times
+        the svec weight, a lift's written afresh rather than read from
+        ``operator``, so that the problem does not keep them."""
+        weight = packed_index(problem.dim).weight
+        if problem.coefficients is None:
+            rows = problem.operator * weight
+        else:
+            rows = _packed_rows(problem.coefficients, problem.num_vars, problem.order)
+            rows *= weight
+        cells = np.arange(rows.shape[1])
+        return cls._factor(problem, rows, _Fold(cells, np.ones(len(cells)), _NOTHING_FOLDED))
 
     @classmethod
-    def _per_cell(cls, problem: LiftedProblem) -> "AffineCache":
-        """The cache on one column per cell, R_c = R."""
-        rows = _svec_rows(problem)
-        norms = np.linalg.norm(rows, axis=1)
+    def _factor(cls, problem: LiftedProblem, rows: np.ndarray, fold: _Fold,
+                norms: np.ndarray | None = None) -> "AffineCache | None":
+        """The cache of ``rows``, R_c D^(1/2) on ``fold``'s columns, with R's
+        row ``norms`` (None: those of ``rows``). The rows are normalized and
+        their Gram matrix inverted (``_gram_inverse``), by the Schur split
+        when the layout folds. When that does not prove it full rank, a
+        folded layout gives None, and any other is pseudo-inverted through
+        ``eigh``, which also bounds the violation (``infeasibility_lb``)."""
+        if norms is None:
+            norms = np.linalg.norm(rows, axis=1)
         scale = np.where(norms > 0, norms, 1.0)
         rows /= scale[:, None]
-        rhs = problem.values / scale
+        rhs = problem.values[:len(rows)] / scale
         gram = rows @ rows.T
-        gram_pinv = _gram_inverse(gram)
-        if gram_pinv is not None:
-            lb = 0.0  # full rank: the rows span R^M, so some X meets every row
-        else:
+        gram_pinv = _gram_inverse(gram, split=fold.folds)
+        lb = 0.0  # full rank: the rows span R^M', so some X meets every row
+        if gram_pinv is None:
+            if fold.folds:
+                return None
             vals, vecs = np.linalg.eigh(gram)
             active = vals > _GRAM_CUTOFF * max(vals[-1], 0.0)
             basis = vecs[:, active]
@@ -406,10 +414,10 @@ class AffineCache:
             # min(scale) * ||rhs - P rhs|| / sqrt(M).
             proj = basis @ (basis.T @ rhs)
             lb = float(scale.min() * np.linalg.norm(rhs - proj)) / np.sqrt(len(rhs))
-        cells = rows.shape[1]
+        rows *= fold.unroot  # R_c, the common entry of each column's cells
         return cls(dim=problem.dim, row_mat=rows, rhs=rhs, gram_pinv=gram_pinv,
-                   column=np.arange(cells), coef=np.ones(cells),
-                   folded=_NOTHING_FOLDED, infeasibility_lb=lb, **_raw_rows(problem))
+                   column=fold.column, coef=fold.coef, folded=fold.folded,
+                   infeasibility_lb=lb, **_raw_rows(problem))
 
     @functools.cached_property
     def row_mat_raw(self) -> np.ndarray:
@@ -463,7 +471,7 @@ class AffineCache:
         return float(np.max(np.abs(traces - self.rhs_raw), initial=0.0))
 
 
-# the ``folded`` triple of an operator that folds nothing
+# the ``folded`` triple of a layout that folds nothing
 _NOTHING_FOLDED = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
 
 
@@ -473,18 +481,6 @@ def _raw_rows(problem: LiftedProblem) -> dict:
         return {"rhs_raw": problem.values, "rows_given": problem.operator}
     return {"rhs_raw": problem.values,
             "lift": (problem.num_vars, problem.order, problem.coefficients)}
-
-
-def _svec_rows(problem: LiftedProblem) -> np.ndarray:
-    """The problem's svec rows R on one column per cell, a new array: its
-    packed rows times the svec weight, a lift's written afresh rather than
-    read from ``operator``, so that the problem does not keep them."""
-    weight = packed_index(problem.dim).weight
-    if problem.coefficients is None:
-        return problem.operator * weight
-    rows = _packed_rows(problem.coefficients, problem.num_vars, problem.order)
-    rows *= weight
-    return rows
 
 
 def _lift_traces(pairs: np.ndarray, num_vars: int, order: int,
@@ -549,28 +545,35 @@ def _cell_map(n: int, half_degree: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 class _Fold(NamedTuple):
-    """The folded layout of a lift (see ``AffineCache``). Per cell: its
+    """The layout of a lift's ``AffineCache`` (see there). Per cell: its
     ``column`` and its weight ``coef`` in it; ``folded``: the folded cells,
-    their columns and their coefs. Per column: the moment class it reads
-    (``classes``); ``scale``, which turns the class's coefficient into the
-    column's entry of a data row of R_c D^(1/2), D the cell counts of the
-    columns, before the row is normalized; and ``unroot``, D^(-1/2) (1 on a
-    folded column). Per class: ``norm_weight``, the weight of its squared
-    coefficient in the squared norm of a data row of R."""
+    their columns and their coefs, and ``folds``, whether there are any.
+    Per column: the moment class it reads (``classes``); ``scale``, which
+    turns the class's coefficient into the column's entry of a data row of
+    R_c D^(1/2), D the cell counts of the columns, before the row is
+    normalized; and ``unroot``, D^(-1/2) (1 on a folded column). Per class:
+    ``norm_weight``, the weight of its squared coefficient in the squared
+    norm of a data row of R. Rows given on one column per cell have a
+    layout of the per-cell fields alone."""
 
     column: np.ndarray
     coef: np.ndarray
     folded: tuple[np.ndarray, np.ndarray, np.ndarray]
-    classes: np.ndarray
-    scale: np.ndarray
-    unroot: np.ndarray
-    norm_weight: np.ndarray
+    classes: np.ndarray | None = None
+    scale: np.ndarray | None = None
+    unroot: np.ndarray | float = 1.0
+    norm_weight: np.ndarray | None = None
+
+    @property
+    def folds(self) -> bool:
+        return len(self.folded[0]) > 0
 
 
 @functools.lru_cache(maxsize=None)
-def _fold_map(n: int, half_degree: int) -> _Fold | None:
-    """The folded layout of the lift on the basis of (n, half_degree); None
-    when the lift has no dependency row (degree 2).
+def _fold_map(n: int, half_degree: int) -> _Fold:
+    """The folded layout of the lift on the basis of (n, half_degree). At
+    degree 2, whose lift has no dependency row and whose classes are single
+    cells, it is one column per cell and folds nothing.
 
     Merging first: the off-diagonal cells of each moment class above the
     basis degree share one column, and every other cell keeps its own, the
@@ -588,12 +591,14 @@ def _fold_map(n: int, half_degree: int) -> _Fold | None:
     merged column of m cells reads share * weight * sqrt(m) / pairs times
     the coefficient in R_c D^(1/2), and a folded one the coefficient over
     the norm of the class's svec weights: its entry is the row's inner
-    product with q, and share * weight^2 is 1 on every cell. Squared svec
-    entries are (share * weight / pairs)^2 times the squared coefficient,
-    1 / pairs^2 on the diagonal and 1 / (2 pairs^2) off it.
+    product with q, and share * weight^2 is 1 on every cell. The data row is
+    not parallel to q on a class with cells on and off the diagonal, so the
+    folded entry is shorter than the row's part on the class: R_c D^(1/2)
+    has the Gram matrix R P_V R^T, not R's row norms, and those come from
+    ``norm_weight``. Squared svec entries are (share * weight / pairs)^2
+    times the squared coefficient, 1 / pairs^2 on the diagonal and
+    1 / (2 pairs^2) off it.
     """
-    if half_degree < 2:
-        return None
     dim = len(exponent_table(n, half_degree))
     classes, pairs, share = _cell_map(n, half_degree)
     weight = packed_index(dim).weight

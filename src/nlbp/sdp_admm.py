@@ -54,22 +54,18 @@ gave an output with two or more positive eigenvalues (a count ``eigh``
 already gives), the next cone step runs ``eigh`` at once, and the rank-one
 step is tried again after an output with one.
 
-Within a solve the proof is reused. The loop first factors
-2 lam v v^T - A - delta I with the margin delta = lam / 100; when that
-succeeds, A's second eigenvalue is below -delta, and (A, delta) becomes the
-solve's anchor (``InertiaProof``). A later input A' with ||A' - A||_F < delta
-differs from A by less than delta in every eigenvalue (Weyl again, the
-spectral norm being at most the Frobenius one), so its second eigenvalue is
-still negative, and its Rayleigh-quotient steps need no factorization. Near
-convergence the input moves by less than that margin from one iteration to
-the next: about half the cone steps of the seed-42 ensembles are proven by
-that one distance check. An input outside the anchor's reach is proven
-afresh, and becomes the anchor when the margin proof holds; when only the
-plain proof holds, the anchor stays. So every input the plain proof accepts
-is still accepted, and the outputs are those of the plain proof bit for bit
-wherever both accept. Until the first anchor the plain proof runs first,
-so that an early input with two positive eigenvalues costs one
-factorization, not two.
+Within a solve the proof is reused (``InertiaProof``). An input within the
+anchor's margin needs no factorization; any other is proven by factoring
+2 lam v v^T - A - delta I, delta = lam / 100, else by the plain
+2 lam v v^T - A, else refused. A margin proof puts A's second eigenvalue
+below -delta and makes (A, delta) the solve's anchor: a later input A' with
+||A' - A||_F < delta differs from A by less than delta in every eigenvalue
+(Weyl again, the spectral norm being at most the Frobenius one), so its
+second eigenvalue is still negative. Near convergence the input moves by
+less than that margin from one iteration to the next: about half the cone
+steps of the seed-42 ensembles are proven by that one distance check. So
+every input the plain proof accepts is still accepted, with the same bits.
+A refusal costs two factorizations; the skip above makes refusals rare.
 
 The loop runs on packed vectors, the svec form in which SCS keeps its PSD
 cone variables (O'Donoghue et al., J. Optim. Theory Appl. 2016): a symmetric
@@ -262,14 +258,14 @@ _PROOF_MARGIN = 1e-2
 
 @dataclass
 class InertiaProof:
-    """The cone step's state within one solve. Its last margin proof:
-    ``anchor`` (a copy of the input A it was proven on, None before the
-    first) has its second eigenvalue below -``margin``, so by Weyl's
-    inequalities every symmetric A' with ||A' - A||_F < margin has at most
-    one positive eigenvalue (see the module docstring). And
-    ``rank_above_one``, whether the last output of a full eigendecomposition
-    had two or more positive eigenvalues: while it had, the rank-one step is
-    not tried."""
+    """The cone step's state within one solve, fresh for a call of
+    ``project_psd`` without one. Its last margin proof: ``anchor`` (a copy
+    of the input A it was proven on, None before the first) has its second
+    eigenvalue below -``margin``, so by Weyl's inequalities every symmetric
+    A' with ||A' - A||_F < margin has at most one positive eigenvalue (see
+    the module docstring). And ``rank_above_one``, whether the last output
+    of a full eigendecomposition had two or more positive eigenvalues: while
+    it had, the rank-one step is not tried."""
 
     anchor: np.ndarray | None = None
     margin: float = 0.0
@@ -293,23 +289,23 @@ def project_psd(X: np.ndarray, start: np.ndarray | None = None,
     more positive eigenvalues, which the next input then mostly has too.
     With a proof, X must be an exactly symmetric float array, as an
     ``smat`` output is, and start a float array; both are used as they
-    are."""
+    are. Without one, X is symmetrized and a fresh proof is used."""
     if proof is None:
         X = np.asarray(X, dtype=float)
         X, start = 0.5 * (X + X.T), None if start is None else np.asarray(start, dtype=float)
-    if start is not None and (proof is None or not proof.rank_above_one):
+        proof = InertiaProof()
+    if start is not None and not proof.rank_above_one:
         out = _rank_one_projection(X, start, proof)
         if out is not None:
             return out
     vals, vecs = _eigh(X)
-    if proof is not None:
-        proof.rank_above_one = bool(len(vals) > 1 and vals[-2] > 0.0)  # ascending
+    proof.rank_above_one = bool(len(vals) > 1 and vals[-2] > 0.0)  # ascending
     out = (vecs * np.maximum(vals, 0.0)) @ vecs.T
     return 0.5 * (out + out.T)
 
 
 def _rank_one_projection(sym: np.ndarray, start: np.ndarray,
-                         proof: InertiaProof | None = None) -> np.ndarray | None:
+                         proof: InertiaProof) -> np.ndarray | None:
     """lam v v^T when the symmetric ``sym`` provably has exactly one positive
     eigenvalue lam, v its unit eigenvector refined by Rayleigh-quotient
     iteration from the row of ``start`` with the largest diagonal; None when
@@ -351,38 +347,28 @@ def _rank_one_projection(sym: np.ndarray, start: np.ndarray,
 
 
 def _prove_inertia(sym: np.ndarray, lam: float, v: np.ndarray,
-                   proof: InertiaProof | None) -> None:
+                   proof: InertiaProof) -> None:
     """Return when ``sym`` provably has at most one positive eigenvalue, and
     raise LinAlgError when the proof fails: no factorization when sym lies
     within ``proof``'s margin of its anchor, else the Cholesky factorization
     of 2 lam v v^T - sym - delta I, delta = lam / 100, which on success
-    becomes the new anchor, and when that fails (or without a proof) the
-    plain one of 2 lam v v^T - sym. Before a solve's first anchor the plain
-    proof runs first and the margin one only once it holds: the inputs of
-    the first iterations mostly have two positive eigenvalues, which both
-    proofs refuse."""
-    anchored = proof is not None and proof.anchor is not None
-    if anchored and _norm(sym - proof.anchor) < proof.margin:
+    becomes the new anchor, and when that fails the plain one of
+    2 lam v v^T - sym."""
+    if proof.anchor is not None and _norm(sym - proof.anchor) < proof.margin:
         return
     w = math.sqrt(2.0 * lam) * v
     gap = w[:, None] * w - sym
-    if proof is not None:
-        if not anchored:
-            _cholesky(gap)
-        diagonal = gap.reshape(-1)[::len(v) + 1]
-        plain = diagonal.copy()
-        margin = _PROOF_MARGIN * lam
-        diagonal -= margin
-        try:
-            _cholesky(gap)
-        except np.linalg.LinAlgError:
-            if not anchored:
-                return
-            diagonal[...] = plain
-        else:
-            proof.anchor, proof.margin = sym.copy(), margin
-            return
-    _cholesky(gap)
+    diagonal = gap.reshape(-1)[::len(v) + 1]
+    plain = diagonal.copy()
+    margin = _PROOF_MARGIN * lam
+    diagonal -= margin
+    try:
+        _cholesky(gap)
+    except np.linalg.LinAlgError:
+        diagonal[...] = plain
+        _cholesky(gap)
+    else:
+        proof.anchor, proof.margin = sym.copy(), margin
 
 
 def soft_threshold(Z: np.ndarray, t: float | np.ndarray) -> np.ndarray:

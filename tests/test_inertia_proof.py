@@ -67,9 +67,8 @@ def anchored(top, negatives, seed):
     proof = InertiaProof()
     with counting("cholesky") as calls:
         project_psd(A, start, proof=proof)
-    # before the first anchor the plain proof runs first, then the margin
-    # proof, which held
-    assert calls["cholesky"] == 2
+    # the margin proof, which held
+    assert calls["cholesky"] == 1
     assert proof.anchor is not None and np.array_equal(proof.anchor, A)
     return A, start, proof
 
@@ -162,15 +161,28 @@ def test_the_plain_proof_still_runs_when_the_margin_proof_fails():
     assert np.linalg.norm(out - project_psd(A)) <= 1e-12 * np.linalg.norm(A)
 
 
-def test_before_the_first_anchor_a_refusal_costs_one_factorization():
-    # two positive eigenvalues: the plain proof, which runs first while the
-    # solve has no anchor, refuses the input, and the margin proof is not
-    # tried; the full eigendecomposition gives the projection
+def test_a_refusal_costs_two_factorizations():
+    # two positive eigenvalues: the margin proof and then the plain proof
+    # refuse the input; the full eigendecomposition gives the projection
     A, q = with_spectrum([5.0, 2.0] + list(np.linspace(-3.0, -0.5, DIM - 2)), 9)
     A = symmetric(A)
     proof = InertiaProof()
     with counting("cholesky", "eigh") as calls:
         out = project_psd(A, np.outer(q[:, 0], q[:, 0]), proof=proof)
-    assert calls == {"cholesky": 1, "eigh": 1}
+    assert calls == {"cholesky": 2, "eigh": 1}
     assert proof.anchor is None
     assert np.array_equal(out, project_psd(A))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, top=tops, negatives=negative_spectra,
+       second=st.floats(-0.05, 0.9), noise=st.floats(0.0, 0.3))
+def test_without_a_proof_a_fresh_one_is_used(seed, top, negatives, second, noise):
+    # one positive eigenvalue or two, second * top, and a start up to about
+    # 15 degrees off: a call without a proof runs the same rule on a fresh
+    # InertiaProof, bit for bit
+    A, q = with_spectrum([top, second * top] + [top * r for r in negatives[1:]], seed)
+    A = symmetric(A)
+    near = q[:, 0] + noise * np.random.default_rng(seed + 1).normal(size=len(q))
+    start = np.outer(near, near)
+    assert np.array_equal(project_psd(A, start), project_psd(A, start, proof=InertiaProof()))

@@ -588,16 +588,15 @@ class TestCoefficientBuild:
         (Method.NLBP, 5, 50), (Method.NLBP, 8, 120), (Method.QBP, 5, 50)],
         ids=["nlbp_n5", "nlbp_n8", "qbp_n5"])
     def test_a_trial_never_forms_the_packed_operator(self, monkeypatch, method, n, num_eqs):
-        # an NLBP trial writes no packed row at all; the degree-2 QBP lift's
-        # rows, one column per cell, are its cache's own rows, written afresh
+        # a trial writes no packed row at all: the degree-2 QBP lift too is
+        # built from its coefficients, on one column per cell
         polys, _, values = sample_trial(
             table1_spec(trials=1, seed=1000, num_vars=n, num_equations=num_eqs), 0)
 
         def refused(*args):
             raise AssertionError("packed rows were written")
 
-        if method is Method.NLBP:
-            monkeypatch.setattr(lifting, "_packed_rows", refused)
+        monkeypatch.setattr(lifting, "_packed_rows", refused)
         run = run_lifted(polys, values, 4, default_trial_config(table1_spec(), values),
                          method)
         assert "operator" not in vars(run.problem)
@@ -764,7 +763,7 @@ class TestWarmStartedProjectPsd:
         assert calls == []
         assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(A)
         monkeypatch.setattr(sdp_admm, "_RANK_ONE_STEPS", 2)
-        assert sdp_admm._rank_one_projection(A, start) is None
+        assert sdp_admm._rank_one_projection(A, start, sdp_admm.InertiaProof()) is None
 
     def test_table1_trial_0_falls_back_to_eigh_six_times(self, monkeypatch):
         # five of this solve's six refused cone steps are iterations 2-6,
@@ -808,7 +807,8 @@ class TestWarmStartedProjectPsd:
 
         monkeypatch.setattr(sdp_admm, "_cholesky", spying)
         out = self.assert_is_projection(A, np.outer(q[:, 1], q[:, 1]))
-        assert refused == [(self.DIM, self.DIM)]
+        # the margin proof, then the plain one
+        assert refused == [(self.DIM, self.DIM)] * 2
         assert np.linalg.matrix_rank(out, tol=1e-9) == 2
 
     def test_second_positive_eigenvalue_is_refused_after_one_solve(self, monkeypatch):
@@ -825,7 +825,8 @@ class TestWarmStartedProjectPsd:
             return solve(a, b)
 
         monkeypatch.setattr(sdp_admm, "_solve", counting)
-        assert sdp_admm._rank_one_projection(A, np.outer(near, near)) is None
+        start = np.outer(near, near)
+        assert sdp_admm._rank_one_projection(A, start, sdp_admm.InertiaProof()) is None
         assert solves == [(self.DIM, self.DIM)]
 
     def test_no_rank_one_attempt_after_an_output_of_higher_rank(self, monkeypatch):
@@ -865,7 +866,9 @@ class TestWarmStartedProjectPsd:
         monkeypatch.setattr(sdp_admm, f"_{kernel}", broken)
         calls = count_cone_eigh_calls(monkeypatch)
         assert np.array_equal(project_psd(A, start), ref)
-        assert raised == [kernel] and calls == [(self.DIM, self.DIM)]
+        # a broken Cholesky fails the margin proof and then the plain one
+        assert raised == [kernel] * (1 + (kernel == "cholesky"))
+        assert calls == [(self.DIM, self.DIM)]
 
     @pytest.mark.parametrize("passes", [1, 3])
     def test_eigh_failure_in_the_loop_is_a_solver_error(self, monkeypatch, passes):
@@ -1136,11 +1139,11 @@ def reference_loop(problem, config, alpha=sdp_admm._RELAX, balance=True,
     array for every step, a fresh gradient step and a shrinkage call every
     iteration, ``np.linalg.norm`` and the same ``cache.project``. The cone
     step tries the solver's certified rank-one step from the previous cone
-    output, without the solve's inertia anchor, and otherwise runs
-    ``np.linalg.eigh``; it does not try the rank-one step while the last
-    eigendecomposition after the first had two or more positive
-    eigenvalues. Only the cone step sees a matrix, unpacked and repacked by
-    ``packed_layout``. Each block's output is over-relaxed by ``alpha``
+    output, on a fresh ``InertiaProof`` rather than the solve's anchor, and
+    otherwise runs ``np.linalg.eigh``; it does not try the rank-one step
+    while the last eigendecomposition after the first had two or more
+    positive eigenvalues. Only the cone step sees a matrix, unpacked and
+    repacked by ``packed_layout``. Each block's output is over-relaxed by ``alpha``
     before the consensus and multiplier updates (alpha = 1 is plain ADMM);
     the residuals and the stopping rule use the unrelaxed outputs. The
     shrinkage threshold of an entry is lam / (2 rho) times its svec weight;
@@ -1191,7 +1194,7 @@ def reference_loop(problem, config, alpha=sdp_admm._RELAX, balance=True,
         M = matrix(Z - U2)
         out = None
         if X2 is not None and not rank_above_one:
-            out = sdp_admm._rank_one_projection(M, X2)
+            out = sdp_admm._rank_one_projection(M, X2, sdp_admm.InertiaProof())
         if out is None:
             vals, vecs = np.linalg.eigh(M)
             out = (vecs * np.maximum(vals, 0.0)) @ vecs.T
