@@ -23,7 +23,8 @@ timed CPU time over the summed iterations of its timed solves, and
 A case is ``table1:T`` or ``dense:T``, the first T trials of the seed-42
 ensembles that ``nlbp bench`` runs, or ``n:N:T``, the first T trials of the
 table1 shape at num_vars n with N equations and seed 1000, as
-``scripts/scaling_sweep.py`` runs them.
+``scripts/scaling_sweep.py`` runs them; ``n:N:T:lam`` runs those at the l1
+weight lam instead of 0.
 
 Usage, from the root of a checkout, with BASE another checkout:
 
@@ -82,11 +83,12 @@ def case_spec(package, case: str):
     if fields[0] in ("table1", "dense") and len(fields) == 2:
         make = harness.table1_spec if fields[0] == "table1" else harness.dense_spec
         return make(trials=int(fields[1]))
-    if len(fields) == 3:
-        n, num_eqs, trials = (int(v) for v in fields)
+    if len(fields) in (3, 4):
+        n, num_eqs, trials = (int(v) for v in fields[:3])
+        lam = float(fields[3]) if len(fields) == 4 else 0.0
         return harness.table1_spec(trials=trials, seed=1000, num_vars=n,
-                                   num_equations=num_eqs)
-    raise ValueError(f"a case is table1:T, dense:T or n:N:T, got {case!r}")
+                                   num_equations=num_eqs, lam=lam)
+    raise ValueError(f"a case is table1:T, dense:T or n:N:T[:lam], got {case!r}")
 
 
 def problems(package, case: str) -> list:
@@ -162,7 +164,7 @@ def main(argv=None) -> int:
     parser.add_argument("base", type=Path, help="source tree holding nlbp/")
     parser.add_argument("change", type=Path, help="source tree holding nlbp/")
     parser.add_argument("--cases", default="table1:5,dense:5,8:120:3,10:200:2",
-                        help="comma-separated table1:T, dense:T or n:N:T")
+                        help="comma-separated table1:T, dense:T or n:N:T[:lam]")
     parser.add_argument("--reps", type=int, default=10)
     args = parser.parse_args(argv)
     if args.reps < 1:

@@ -40,6 +40,16 @@ def test_a_tree_against_itself_gives_equal_reports_and_a_ratio(solve_ab, capsys)
     assert not any(name.startswith("nlbp_") for name in sys.modules)
 
 
+def test_a_case_may_give_its_l1_weight(solve_ab, capsys):
+    # n:N:T:lam solves those trials at that lam, so they take other steps
+    # than at lam = 0
+    assert solve_ab.main([str(SRC), str(SRC), "--cases", "3:12:1,3:12:1:0.1",
+                          "--reps", "1"]) == 0
+    plain, weighted = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+    assert weighted["case"] == "3:12:1:0.1" and weighted["solves"] == 1
+    assert weighted["iterations"] != plain["iterations"]
+
+
 def test_no_timed_rep_is_a_usage_error(solve_ab, capsys):
     with pytest.raises(SystemExit) as info:
         solve_ab.main([str(SRC), str(SRC), "--cases", "3:12:1", "--reps", "0"])
