@@ -205,13 +205,15 @@ def solve_linear(
     else:
         n = A.shape[1]
         rho = 1.0
-        chol = np.linalg.cholesky(A.T @ A + rho * np.eye(n))
+        # A^T A + rho I is positive definite: inverted once, it makes each
+        # x-update one matvec
+        inverse = np.linalg.inv(A.T @ A + rho * np.eye(n))
         rhs_fixed = A.T @ b
         x = np.zeros(n)
         z = np.zeros(n)
         u = np.zeros(n)
         for _ in range(5000):
-            x = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs_fixed + rho * (z - u)))
+            x = inverse @ (rhs_fixed + rho * (z - u))
             z_prev = z
             z = soft_threshold(x + u, lam / rho)
             u = u + x - z
